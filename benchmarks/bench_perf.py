@@ -13,18 +13,9 @@ store disabled (the PR-4 cold baseline), cold (populating), and warm
 loop (float64 merged matrix with per-event ``int()`` casts) for an
 apples-to-apples speedup figure against the pre-optimization code.
 
-The ISSUE-8 sections measure the compiled tier: ``jit`` compares the
-jit engine against batched per scheme (kernels warmed first, so the
-numbers exclude compile time), and ``fused_sweep`` compares fused
-multi-scheme evaluation against the per-cell path on the warm
-trace-store grid.  Their speedup floors are gated only where numba is
-actually installed — the pure-python fallback is a correctness tier,
-not a fast one — but the measured numbers are always reported.
-
-The engine and result-cache sections pin ``REPRO_TRACE_STORE=0``, and
-the legacy sweep sections pin ``REPRO_FUSED_SWEEP=0``, so their numbers
-stay comparable with earlier PRs; only the dedicated sections exercise
-the store and the fused path.
+The engine and result-cache sections pin ``REPRO_TRACE_STORE=0`` so
+their numbers stay comparable with earlier runs; only the dedicated
+sweep sections exercise the store.
 
 Usage::
 
@@ -34,18 +25,13 @@ Usage::
                                                 #  batched < 5x scalar,
                                                 #  result-cache warm < 2x,
                                                 #  trace-store warm < 3x,
-                                                #  fused < 1.5x per-cell,
-                                                #  pool reuse < 1.1x,
-                                                #  (numba only) jit < 3x
-                                                #  batched on drcat and
-                                                #  < 2x on ccache
+                                                #  pool reuse < 1.1x
 
 The engine ``--check`` floor is half the 10x tentpole target, i.e. it
 fails on a >2x throughput regression of the batched engine relative to
 where that tentpole landed; the trace-store floor is the ISSUE-5
 acceptance criterion (warm scheme-axis grid >= 3x the store-off cold
-baseline); the jit and fused floors are the ISSUE-8 acceptance
-criteria.
+baseline).
 """
 
 from __future__ import annotations
@@ -89,16 +75,6 @@ CHECK_MIN_TRACE_SPEEDUP = 3.0
 #: floor guards the *priming* contract (a reused pool never re-pays
 #: per-worker warmup), not a large constant factor.
 CHECK_MIN_POOL_REUSE = 1.1
-#: ISSUE-8 jit-engine floors, gated only where numba is installed: the
-#: compiled CounterTree batch kernel must beat the numpy batched engine
-#: >= 3x on drcat, the compiled counter-cache walk >= 2x on ccache.
-CHECK_MIN_JIT_TREE_SPEEDUP = 3.0
-CHECK_MIN_JIT_CCACHE_SPEEDUP = 2.0
-#: ISSUE-8 fused-evaluation floor: the fused scheme-axis grid must
-#: beat the unfused store-off per-cell path (N stream generations)
-#: >= 1.5x.  Engine-independent — the dedup is structural — so the
-#: floor binds with and without numba.
-CHECK_MIN_FUSED_SPEEDUP = 1.5
 #: The gated sweep-throughput grid: a counter-budget scheme axis (PRA,
 #: the SCA M-sweep of Figure 10, PRCAT) crossed with the two paper
 #: thresholds — 14 scheme-side cells sharing one workload stream.  The
@@ -248,12 +224,7 @@ def _measure_trace_sweep(smoke: bool) -> dict:
             gc.enable()
 
     try:
-        # Fusion off: this section's ratios predate the fused path and
-        # stay comparable with earlier PRs; fusion would speed up the
-        # store-off baseline too (the fused lead generates each shared
-        # stream once) and make the warm ratio measure two effects.
-        with _scoped_env({"REPRO_TRACE_STORE_DIR": root,
-                          "REPRO_FUSED_SWEEP": "0"}):
+        with _scoped_env({"REPRO_TRACE_STORE_DIR": root}):
             with _scoped_env({"REPRO_TRACE_STORE": "1"}):
                 tracestore._STORES.clear()
                 cold_s, cold_results = timed(lambda: run_plan(plan))
@@ -313,15 +284,13 @@ def _measure_trace_workload(workload: str) -> dict:
     root = tempfile.mkdtemp(prefix="repro-trace-bench-")
     try:
         with _scoped_env({"REPRO_TRACE_STORE_DIR": root,
-                          "REPRO_TRACE_STORE": "1",
-                          "REPRO_FUSED_SWEEP": "0"}):
+                          "REPRO_TRACE_STORE": "1"}):
             tracestore._STORES.clear()
             run_plan(plan)
             start = time.perf_counter()
             run_plan(plan)
             warm_s = time.perf_counter() - start
-        with _scoped_env({"REPRO_TRACE_STORE": "0",
-                          "REPRO_FUSED_SWEEP": "0"}):
+        with _scoped_env({"REPRO_TRACE_STORE": "0"}):
             start = time.perf_counter()
             run_plan(plan)
             off_s = time.perf_counter() - start
@@ -364,11 +333,11 @@ def _measure_pool_reuse() -> dict:
 
     Measures what the persistent :class:`SweepPool` removes from every
     plan after the first: a cold pass tears the pool down first and so
-    pays worker spawn plus per-worker priming (sim-stack imports, jit
-    kernel warmup); the reused pass submits straight to live, primed
-    workers.  Best-of-3 with the passes interleaved, so machine drift
-    hits both sides of the gated ratio equally.  The trace store and
-    fusion are pinned off so only pool lifecycle differs.
+    pays worker spawn plus per-worker priming (sim-stack imports); the
+    reused pass submits straight to live, primed workers.  Best-of-3
+    with the passes interleaved, so machine drift hits both sides of the
+    gated ratio equally.  The trace store is pinned off so only pool
+    lifecycle differs.
     """
     from repro.experiments import run_plan
     from repro.experiments.run import SweepPool
@@ -376,8 +345,7 @@ def _measure_pool_reuse() -> dict:
     plan = _pool_bench_plan()
     cold_times: list[float] = []
     reused_times: list[float] = []
-    with _scoped_env({"REPRO_TRACE_STORE": "0",
-                      "REPRO_FUSED_SWEEP": "0"}):
+    with _scoped_env({"REPRO_TRACE_STORE": "0"}):
         for _ in range(3):
             SweepPool.shutdown()
             start = time.perf_counter()
@@ -394,134 +362,6 @@ def _measure_pool_reuse() -> dict:
         "cold_spawn_s": round(cold_s, 4),
         "reused_s": round(reused_s, 4),
         "reuse_speedup": round(cold_s / reused_s, 2) if reused_s else 0.0,
-    }
-
-
-def _measure_jit(schemes, repeats: int) -> dict:
-    """Per-scheme jit-vs-batched throughput (ISSUE-8 compiled tier).
-
-    Kernels are warmed before any clock starts, so with numba installed
-    the numbers measure steady-state kernel throughput, not compile
-    time.  Without numba the jit engine runs its pure-python fallback —
-    the section still reports honest (slower) ratios, flagged by
-    ``numba_available`` so readers and the ``--check`` gate know which
-    tier was measured.
-    """
-    from repro.core.jitkern import NUMBA_VERSION, numba_available, warm_kernels
-
-    warm_kernels()
-    if not numba_available():
-        # Fallback-tier numbers are informational (no gate binds):
-        # best-of-1 keeps the un-jitted python kernels off the bench's
-        # critical path.
-        repeats = 1
-    section: dict = {
-        "numba_available": numba_available(),
-        "numba_version": NUMBA_VERSION,
-        "schemes": {},
-    }
-    for scheme in schemes:
-        batched_s, accesses = _measure("batched", scheme, repeats)
-        jit_s, _ = _measure("jit", scheme, repeats)
-        section["schemes"][scheme] = {
-            "accesses": accesses,
-            "batched_s": round(batched_s, 4),
-            "jit_s": round(jit_s, 4),
-            "jit_accesses_per_s": round(accesses / jit_s),
-            "speedup_vs_batched": round(batched_s / jit_s, 2),
-        }
-    return section
-
-
-def _measure_fused_sweep() -> dict:
-    """Fused vs per-cell evaluation of the scheme-axis grid (ISSUE-8).
-
-    Fusion dedupes the per-cell stream work *within a run*: grid cells
-    sharing a stream key get one generation and one in-memory install
-    source instead of N, with no store directory needed.  The gated
-    ratio is therefore fused vs the store-off per-cell path (N full
-    generations — the pre-trace-store baseline, and still the path any
-    store-less environment takes).  The store-on baselines are also
-    reported, honestly: against a *cold* store fusion wins only the
-    publication overhead, and against a *warm* store the paths converge
-    to parity minus one generation — the store already dedupes
-    generation across cells, and the per-cell bank-model and
-    scheme-kernel replay that dominates a warm cell is semantically
-    per-cell (each scheme's refresh commands feed back into its own
-    bank timing), so no evaluation strategy can legally share it.
-
-    The grid runs on the jit engine where numba is installed (the fused
-    path's production configuration) and on batched otherwise.
-    Best-of-3 with the passes interleaved; the cold pass gets a fresh
-    store directory each round.
-    """
-    import shutil
-    import tempfile
-    from dataclasses import replace
-
-    from repro.core.jitkern import numba_available
-    from repro.experiments import run_plan
-    from repro.sim import tracestore
-
-    engine = "jit" if numba_available() else "batched"
-    base_plan, _ = _trace_sweep_plan()
-    plan = [replace(spec, engine=engine) for spec in base_plan.specs]
-    off_times: list[float] = []
-    cold_times: list[float] = []
-    warm_times: list[float] = []
-    fused_times: list[float] = []
-    off_results = cold_results = warm_results = fused_results = None
-    roots: list[str] = []
-    try:
-        for _ in range(3):
-            root = tempfile.mkdtemp(prefix="repro-fused-bench-")
-            roots.append(root)
-            with _scoped_env({"REPRO_TRACE_STORE": "0",
-                              "REPRO_FUSED_SWEEP": "0"}):
-                start = time.perf_counter()
-                results = run_plan(plan)
-                off_times.append(time.perf_counter() - start)
-                off_results = off_results or results
-            with _scoped_env({"REPRO_TRACE_STORE_DIR": root,
-                              "REPRO_TRACE_STORE": "1",
-                              "REPRO_FUSED_SWEEP": "0"}):
-                tracestore._STORES.clear()
-                start = time.perf_counter()
-                results = run_plan(plan)
-                cold_times.append(time.perf_counter() - start)
-                cold_results = cold_results or results
-                start = time.perf_counter()
-                results = run_plan(plan)
-                warm_times.append(time.perf_counter() - start)
-                warm_results = warm_results or results
-            with _scoped_env({"REPRO_TRACE_STORE": "0",
-                              "REPRO_FUSED_SWEEP": "1"}):
-                start = time.perf_counter()
-                results = run_plan(plan)
-                fused_times.append(time.perf_counter() - start)
-                fused_results = fused_results or results
-        identical = all(
-            a.to_dict() == b.to_dict() == c.to_dict() == d.to_dict()
-            for a, b, c, d in zip(off_results, cold_results,
-                                  warm_results, fused_results)
-        )
-    finally:
-        tracestore._STORES.clear()
-        for root in roots:
-            shutil.rmtree(root, ignore_errors=True)
-    off_s, cold_s = min(off_times), min(cold_times)
-    warm_s, fused_s = min(warm_times), min(fused_times)
-    return {
-        "n_cells": len(plan),
-        "engine": engine,
-        "unfused_off_s": round(off_s, 4),
-        "unfused_cold_s": round(cold_s, 4),
-        "unfused_warm_s": round(warm_s, 4),
-        "fused_s": round(fused_s, 4),
-        "fused_speedup_vs_off": round(off_s / fused_s, 2) if fused_s else 0.0,
-        "fused_vs_cold": round(cold_s / fused_s, 2) if fused_s else 0.0,
-        "fused_vs_warm": round(warm_s / fused_s, 2) if fused_s else 0.0,
-        "results_identical": identical,
     }
 
 
@@ -573,9 +413,7 @@ def run_bench(smoke: bool = False, repeats: int = 3) -> dict:
                 time.perf_counter() - start, 3
             )
         report["sweep_cache"] = _measure_cache_speedup()
-        report["jit"] = _measure_jit(schemes, repeats)
     report["trace_sweep"] = _measure_trace_sweep(smoke)
-    report["fused_sweep"] = _measure_fused_sweep()
     report["sweep_pool"] = _measure_pool_reuse()
     return report
 
@@ -650,16 +488,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if "fig8_mini_sweep_s" in report:
         print(f"fig8 mini-sweep: {report['fig8_mini_sweep_s']} s")
-    jit = report["jit"]
-    tier = (f"numba {jit['numba_version']}" if jit["numba_available"]
-            else "pure-python fallback")
-    print(f"== jit engine ({tier}) ==")
-    for scheme, row in jit["schemes"].items():
-        print(
-            f"{scheme:7s} batched {row['batched_s']:8.4f} s   "
-            f"jit {row['jit_s']:8.4f} s   "
-            f"speedup {row['speedup_vs_batched']:5.2f}x"
-        )
     cache_row = report["sweep_cache"]
     print(
         f"sweep cache: cold {cache_row['cold_s']} s -> warm "
@@ -675,16 +503,6 @@ def main(argv: list[str] | None = None) -> int:
         f"({trace['cold_speedup_vs_off']}x), warm-store "
         f"{trace['store_warm_s']} s ({trace['warm_speedup_vs_off']}x), "
         f"identical={trace['results_identical']}"
-    )
-    fused = report["fused_sweep"]
-    print(
-        f"fused sweep ({fused['n_cells']} cells, engine {fused['engine']}): "
-        f"per-cell store-off {fused['unfused_off_s']} s / cold-store "
-        f"{fused['unfused_cold_s']} s / warm-store "
-        f"{fused['unfused_warm_s']} s -> fused {fused['fused_s']} s "
-        f"({fused['fused_speedup_vs_off']}x vs off, "
-        f"{fused['fused_vs_cold']}x vs cold, {fused['fused_vs_warm']}x "
-        f"vs warm, identical={fused['results_identical']})"
     )
     pool = report["sweep_pool"]
     print(
@@ -727,20 +545,6 @@ def main(argv: list[str] | None = None) -> int:
             f"check ok: trace-store warm sweep speedup "
             f"{trace['warm_speedup_vs_off']}x"
         )
-        if not fused["results_identical"]:
-            print("FAIL: fused sweep results differ from per-cell run")
-            return 1
-        if fused["fused_speedup_vs_off"] < CHECK_MIN_FUSED_SPEEDUP:
-            print(
-                f"FAIL: fused sweep speedup "
-                f"{fused['fused_speedup_vs_off']}x over the per-cell "
-                f"path is below the {CHECK_MIN_FUSED_SPEEDUP}x floor"
-            )
-            return 1
-        print(
-            f"check ok: fused sweep speedup "
-            f"{fused['fused_speedup_vs_off']}x over the per-cell path"
-        )
         if pool["reuse_speedup"] < CHECK_MIN_POOL_REUSE:
             print(
                 f"FAIL: pool reuse speedup {pool['reuse_speedup']}x is "
@@ -748,31 +552,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
         print(f"check ok: pool reuse speedup {pool['reuse_speedup']}x")
-        # The compiled-tier speedup floors only bind where numba is
-        # installed; the fallback tier is gated on correctness (above,
-        # via fused identity, and by `repro verify --engine jit`), not
-        # on speed.
-        if jit["numba_available"]:
-            floors = {"drcat": CHECK_MIN_JIT_TREE_SPEEDUP,
-                      "ccache": CHECK_MIN_JIT_CCACHE_SPEEDUP}
-            for scheme, floor in floors.items():
-                row = jit["schemes"].get(scheme)
-                if row is None:
-                    continue  # --smoke measures drcat only
-                if row["speedup_vs_batched"] < floor:
-                    print(
-                        f"FAIL: jit speedup on {scheme} "
-                        f"{row['speedup_vs_batched']}x is below the "
-                        f"{floor}x floor"
-                    )
-                    return 1
-                print(
-                    f"check ok: jit speedup on {scheme} "
-                    f"{row['speedup_vs_batched']}x"
-                )
-        else:
-            print("check note: numba absent — jit speedup floors "
-                  "not binding (fallback tier measured)")
     return 0
 
 

@@ -89,9 +89,8 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--intervals", type=int, default=2,
                         help="refresh intervals simulated (default 2)")
     parser.add_argument("--engine", choices=list(ENGINES), default="batched",
-                        help="simulation engine (default batched; all "
-                             "tiers are event-exact and bit-identical — "
-                             "jit compiles when numba is installed)")
+                        help="simulation engine (default batched; both "
+                             "engines are event-exact and bit-identical)")
     parser.add_argument("--json", action="store_true",
                         help="print full machine-readable results "
                              "(SimulationResult serialization) instead of "
@@ -449,25 +448,15 @@ def cmd_list(args: argparse.Namespace) -> int:
         print(format_table(rows, ["name", "suite", "aliases"]))
         return 0
     if args.what == "engines":
-        from repro.core.jitkern import jit_tier_label
-
-        tier_status = {
-            "scalar": "always available (reference)",
-            "batched": "always available",
-            "jit": jit_tier_label(),
-        }
         descriptions = {
             "scalar": "per-event reference loop (the oracle)",
             "batched": "vectorized numpy fast path, bit-identical",
-            "jit": "compiled SoA kernels (numba), bit-identical; "
-                   "runs un-jitted when numba is absent",
         }
         rows = [
-            {"engine": name, "status": tier_status[name],
-             "description": descriptions[name]}
+            {"engine": name, "description": descriptions[name]}
             for name in ENGINES
         ]
-        print(format_table(rows, ["engine", "status", "description"]))
+        print(format_table(rows, ["engine", "description"]))
         return 0
     if args.what == "schemes":
         rows = []
@@ -990,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "golden store is per-fidelity (default ci)")
     p_ver.add_argument("--engine", choices=list(ENGINES), default=None,
                        help="override the engine (default batched; the "
-                            "golden store gates every engine tier because "
+                            "golden store gates both engines because "
                             "they are bit-identical)")
     p_ver.add_argument("--session", choices=list(SESSION_MODES),
                        default=None,

@@ -153,21 +153,6 @@ class MitigationScheme(abc.ABC):
                 events.append((i, cmds))
         return events
 
-    def access_batch_jit(
-        self, rows: np.ndarray
-    ) -> list[tuple[int, list[RefreshCommand]]]:
-        """Jit-tier batch access: the compiled-kernel entry point.
-
-        Same contract as :meth:`access_batch` — bit-identical events and
-        final state.  Schemes with a sequential hot loop override this
-        with a driver around a :mod:`repro.core.jitkern` kernel
-        (compiled when numba is present, the identical function run as
-        plain Python otherwise).  The default delegates to the batched
-        path, which is already exact — correct for schemes whose batch
-        form is analytic rather than loop-bound (e.g. PRA).
-        """
-        return self.access_batch(rows)
-
     def on_interval_boundary(self) -> None:
         """Hook invoked by the substrate at each 64 ms auto-refresh epoch.
 
@@ -197,32 +182,6 @@ class MitigationScheme(abc.ABC):
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the SchemeState "
             "protocol (to_state/restore_state)"
-        )
-
-    # -- SoA protocol (the jit tier's kernel boundary) -------------------
-    #
-    # ``to_arrays()`` exports the scheme's *hot* dynamic state as a dict
-    # of int64 numpy arrays in the structure-of-arrays layout the
-    # compiled kernels consume; ``from_arrays(arrays)`` imports the
-    # (possibly mutated) arrays back into the canonical Python-object
-    # state.  A ``from_arrays(to_arrays())`` round trip is lossless, so
-    # ``to_state``/``restore_state`` — and with them checkpointing —
-    # operate on exactly the same state regardless of tier.  Cold
-    # structural state (tree topology, free lists) stays object-side;
-    # kernels only see the arrays.
-
-    def to_arrays(self) -> dict:
-        """Export hot state as int64 arrays (SoA kernel layout)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the SoA protocol "
-            "(to_arrays/from_arrays)"
-        )
-
-    def from_arrays(self, arrays: dict) -> None:
-        """Import (kernel-mutated) arrays back into canonical state."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the SoA protocol "
-            "(to_arrays/from_arrays)"
         )
 
     def _check_row(self, row: int) -> None:

@@ -154,57 +154,3 @@ def counter_scheme_access_batch(
     scheme.stats.activations += n - scalar_calls
     return events
 
-
-def counter_scheme_access_batch_jit(
-    scheme: "MitigationScheme", rows: np.ndarray
-) -> list[tuple[int, list["RefreshCommand"]]]:
-    """Jit-tier exact batched access for tree-based schemes.
-
-    Same contract and window structure as
-    :func:`counter_scheme_access_batch`, but the three numpy passes per
-    event (bincount, crossing test, occurrence scan) fuse into one
-    sequential sweep of :func:`repro.core.jitkern.k_tree_scan`: the
-    kernel accumulates per-counter hits and stops at the first access
-    that reaches its counter's headroom.  The accumulated prefix applies
-    via :meth:`CounterTree.apply_bulk_counts` and the event access
-    replays through scalar ``access`` — the identical oracle, so events,
-    statistics, and tree state stay bit-identical to the batched path.
-    """
-    from repro.core.jitkern import k_tree_scan
-
-    n = len(rows)
-    if n == 0:
-        return []
-    check_rows(rows, scheme.n_rows)
-    tree = scheme.tree
-    n_bins = tree.n_counters
-    events: list[tuple[int, list["RefreshCommand"]]] = []
-    scalar_calls = 0
-    base = 0
-    while base < n:
-        chunk = rows[base : base + BATCH_WINDOW]
-        # Gather once per window; re-gather only after a structural
-        # mutation bumps the map version (splits invalidate the ids).
-        ids = tree.map_rows_to_counters(chunk)
-        version = tree._map_version
-        start = 0
-        while start < len(chunk):
-            headroom = tree._headroom()
-            hits = np.zeros(n_bins, dtype=np.int64)
-            position = int(k_tree_scan(ids, start, headroom, hits))
-            # ``hits`` holds the event-free prefix (event excluded).
-            tree.apply_bulk_counts(hits)
-            if position < 0:
-                break
-            cmds = scheme.access(int(chunk[position]))
-            scalar_calls += 1
-            if cmds:
-                events.append((base + position, cmds))
-            start = position + 1
-            if tree._map_version != version:
-                ids = tree.map_rows_to_counters(chunk)
-                version = tree._map_version
-        base += len(chunk)
-    # Scalar replays already counted their own activations.
-    scheme.stats.activations += n - scalar_calls
-    return events

@@ -12,10 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import MitigationScheme, RefreshCommand
-from repro.core.batch import (
-    counter_scheme_access_batch,
-    counter_scheme_access_batch_jit,
-)
+from repro.core.batch import counter_scheme_access_batch
 from repro.core.counter_tree import CounterTree
 from repro.core.thresholds import SplitThresholds
 
@@ -63,12 +60,6 @@ class PRCATScheme(MitigationScheme):
         """Vectorized exact batch via the tree's row-block index map."""
         return counter_scheme_access_batch(self, rows)
 
-    def access_batch_jit(
-        self, rows: np.ndarray
-    ) -> list[tuple[int, list[RefreshCommand]]]:
-        """Jit tier: fused count + first-event kernel over the same map."""
-        return counter_scheme_access_batch_jit(self, rows)
-
     def on_interval_boundary(self) -> None:
         """Rebuild the tree from scratch (the defining PRCAT behaviour)."""
         self.tree.reset()
@@ -86,14 +77,6 @@ class PRCATScheme(MitigationScheme):
         """SchemeState protocol: overwrite tree registers + stats."""
         self.tree.restore_state(state["tree"])
         self.stats.restore(state["stats"])
-
-    def to_arrays(self) -> dict:
-        """SoA protocol: the tree's hot per-counter registers."""
-        return self.tree.to_arrays()
-
-    def from_arrays(self, arrays: dict) -> None:
-        """SoA protocol: import kernel-mutated tree registers."""
-        self.tree.from_arrays(arrays)
 
     @property
     def counters_in_use(self) -> int:

@@ -19,10 +19,7 @@ extra DRAM accesses the CAT schemes avoid by construction.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.base import MitigationScheme, RefreshCommand
-from repro.core.batch import check_rows
 
 #: Energy of one counter-line fetch or write-back to the reserved DRAM
 #: region (nJ).  A counter line is one 64-byte column burst — far
@@ -143,118 +140,6 @@ class CounterCacheScheme(MitigationScheme):
                 counts[offset] = count
                 break
         self._memory_counters[row] = count
-
-    def access_batch_jit(
-        self, rows: np.ndarray
-    ) -> list[tuple[int, list[RefreshCommand]]]:
-        """Jit tier: the whole cache walk in one SoA kernel sweep.
-
-        The scalar path pays Python-object cost per access (tag scan,
-        list rotation); :func:`repro.core.jitkern.k_ccache_batch`
-        replicates the identical hit/miss/LRU/eviction/threshold
-        semantics over the array form of the cache, and the state
-        converts losslessly back afterwards — events, counters, LRU
-        order, and hit/miss/writeback totals all match the scalar loop
-        bit for bit.
-        """
-        from repro.core.jitkern import k_ccache_batch
-
-        n = len(rows)
-        if n == 0:
-            return []
-        check_rows(rows, self.n_rows)
-        arrays = self.to_arrays()
-        rows64 = np.asarray(rows, dtype=np.int64)
-        event_pos = np.empty(n, dtype=np.int64)
-        io = np.zeros(3, dtype=np.int64)
-        n_events = int(k_ccache_batch(
-            rows64,
-            arrays["memory_counters"],
-            arrays["tags"],
-            arrays["counts"],
-            arrays["valid"],
-            self.refresh_threshold,
-            self.n_ways,
-            COUNTERS_PER_LINE,
-            self.n_sets,
-            self.n_rows,
-            event_pos,
-            io,
-        ))
-        self.from_arrays(arrays)
-        self.hits += int(io[0])
-        self.misses += int(io[1])
-        self.writebacks += int(io[2])
-        self.stats.activations += n
-        events: list[tuple[int, list[RefreshCommand]]] = []
-        for k in range(n_events):
-            position = int(event_pos[k])
-            row = int(rows64[position])
-            commands = []
-            if row - 1 >= 0:
-                commands.append(RefreshCommand(row - 1, row - 1))
-            if row + 1 < self.n_rows:
-                commands.append(RefreshCommand(row + 1, row + 1))
-            self.stats.refresh_commands += len(commands)
-            self.stats.rows_refreshed += len(commands)
-            events.append((position, commands))
-        return events
-
-    # -- SoA protocol (jit-tier kernel boundary) -------------------------
-
-    def to_arrays(self) -> dict:
-        """Export the cache in structure-of-arrays form.
-
-        ``tags[set, way]`` (way 0 = MRU, ``-1`` when empty),
-        ``counts[set, way, COUNTERS_PER_LINE]``, ``valid[set]`` =
-        occupied ways, and the backing ``memory_counters[n_rows]`` —
-        the exact layout :func:`repro.core.jitkern.k_ccache_batch`
-        consumes.
-        """
-        tags = np.full((self.n_sets, self.n_ways), -1, dtype=np.int64)
-        counts = np.zeros(
-            (self.n_sets, self.n_ways, COUNTERS_PER_LINE), dtype=np.int64
-        )
-        valid = np.zeros(self.n_sets, dtype=np.int64)
-        for s, ways in enumerate(self._sets):
-            valid[s] = len(ways)
-            for w, (tag, line_counts) in enumerate(ways):
-                tags[s, w] = tag
-                counts[s, w, : len(line_counts)] = line_counts
-        return {
-            "memory_counters": np.asarray(
-                self._memory_counters, dtype=np.int64
-            ),
-            "tags": tags,
-            "counts": counts,
-            "valid": valid,
-        }
-
-    def from_arrays(self, arrays: dict) -> None:
-        """Import kernel-mutated arrays back into canonical list state.
-
-        Rebuilds the per-set LRU way lists in stored (MRU-first) order,
-        so a ``to_arrays``/``from_arrays`` round trip — with or without
-        kernel mutation in between — leaves :meth:`to_state` output
-        identical to the scalar path's.
-        """
-        mem = arrays["memory_counters"]
-        if len(mem) != self.n_rows:
-            raise ValueError(
-                f"array carries {len(mem)} backing counters, bank has "
-                f"{self.n_rows} rows"
-            )
-        self._memory_counters = [int(c) for c in mem]
-        tags, counts, valid = (
-            arrays["tags"], arrays["counts"], arrays["valid"]
-        )
-        self._sets = [
-            [
-                (int(tags[s, w]), [int(c) for c in counts[s, w]])
-                for w in range(int(valid[s]))
-            ]
-            for s in range(self.n_sets)
-        ]
 
     # -- checkpointable state (SchemeState protocol; see repro.api) ------
 

@@ -731,50 +731,6 @@ class CounterTree:
         self._map_version += 1
         self.check_invariants()
 
-    def to_arrays(self) -> dict:
-        """Hot per-counter registers as int64 arrays (SoA layout).
-
-        The jit tier's kernel boundary: counter values plus the
-        structural registers a kernel needs to interpret them.  Cold
-        state (child links, free-list order, totals) stays object-side —
-        it only changes through scalar ``access`` replays, which the jit
-        driver routes through the ordinary oracle path.
-        """
-        return {
-            "count": np.asarray(self._count, dtype=np.int64),
-            "level": np.asarray(self._level, dtype=np.int64),
-            "low": np.asarray(self._low, dtype=np.int64),
-            "high": np.asarray(self._high, dtype=np.int64),
-            "weight": np.asarray(self._weight, dtype=np.int64),
-            "counter_active": np.asarray(
-                self._counter_active, dtype=np.int64
-            ),
-        }
-
-    def from_arrays(self, arrays: dict) -> None:
-        """Import (kernel-mutated) registers back into canonical lists.
-
-        Lossless inverse of :meth:`to_arrays`; derived batch-path
-        structures are invalidated so they rebuild from the imported
-        registers.
-        """
-        m = self.n_counters
-        for name in ("count", "level", "low", "high", "weight"):
-            if len(arrays[name]) != m:
-                raise ValueError(
-                    f"array field {name!r} has {len(arrays[name])} "
-                    f"entries, tree has {m} counters"
-                )
-        self._count = [int(v) for v in arrays["count"]]
-        self._level = [int(v) for v in arrays["level"]]
-        self._low = [int(v) for v in arrays["low"]]
-        self._high = [int(v) for v in arrays["high"]]
-        self._weight = [int(v) for v in arrays["weight"]]
-        self._counter_active = [bool(v) for v in arrays["counter_active"]]
-        self._index_map = None
-        self._map_version += 1
-        self._refresh_structural_caches()
-
     # ------------------------------------------------------------------
     # introspection (tests, invariants, reports)
     # ------------------------------------------------------------------

@@ -18,10 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import MitigationScheme, RefreshCommand
-from repro.core.batch import (
-    counter_scheme_access_batch,
-    counter_scheme_access_batch_jit,
-)
+from repro.core.batch import counter_scheme_access_batch
 from repro.core.counter_tree import CounterTree
 from repro.core.thresholds import SplitThresholds
 
@@ -96,12 +93,6 @@ class DRCATScheme(MitigationScheme):
         """
         return counter_scheme_access_batch(self, rows)
 
-    def access_batch_jit(
-        self, rows: np.ndarray
-    ) -> list[tuple[int, list[RefreshCommand]]]:
-        """Jit tier: fused count + first-event kernel, same oracle."""
-        return counter_scheme_access_batch_jit(self, rows)
-
     def on_interval_boundary(self) -> None:
         """Auto-refresh epoch: counters restart but the *shape* persists.
 
@@ -133,14 +124,6 @@ class DRCATScheme(MitigationScheme):
         self.tree.restore_state(state["tree"])
         self.stats.restore(state["stats"])
         self.reconfigurations = int(state["reconfigurations"])
-
-    def to_arrays(self) -> dict:
-        """SoA protocol: the tree's hot per-counter registers."""
-        return self.tree.to_arrays()
-
-    def from_arrays(self, arrays: dict) -> None:
-        """SoA protocol: import kernel-mutated tree registers."""
-        self.tree.from_arrays(arrays)
 
     @property
     def counters_in_use(self) -> int:

@@ -100,28 +100,6 @@ class PRAScheme(MitigationScheme):
         self.stats.rows_refreshed += n_commands
         return events
 
-    def access_batch_jit(
-        self, rows: np.ndarray
-    ) -> list[tuple[int, list[RefreshCommand]]]:
-        """Jit tier: the analytic batch above is already one bulk draw.
-
-        PRA has no sequential hot loop to compile — the whole batch
-        reduces to a single vectorized PRNG draw plus a sparse firing
-        scan — so the jit tier runs the identical batched path.
-        """
-        return self.access_batch(rows)
-
-    def to_arrays(self) -> dict:
-        """SoA protocol: PRA keeps no array state (the PRNG is scalar)."""
-        return {}
-
-    def from_arrays(self, arrays: dict) -> None:
-        """SoA protocol: nothing to import (see :meth:`to_arrays`)."""
-        if arrays:
-            raise ValueError(
-                f"PRA carries no array state, got keys {sorted(arrays)}"
-            )
-
     def to_state(self) -> dict:
         """SchemeState protocol: the PRNG stream position is the state."""
         return {

@@ -99,57 +99,6 @@ class SCAScheme(MitigationScheme):
         self.stats.activations += n
         return events
 
-    def access_batch_jit(
-        self, rows: np.ndarray
-    ) -> list[tuple[int, list[RefreshCommand]]]:
-        """Jit tier: one sequential counter sweep, scalar semantics.
-
-        The analytic batched path above resolves events with one
-        bincount plus per-crossing-counter occurrence scans; the kernel
-        instead walks the accesses once (compiled when numba is
-        present), producing the identical events and final counters.
-        """
-        from repro.core.jitkern import k_sca_batch
-
-        n = len(rows)
-        if n == 0:
-            return []
-        check_rows(rows, self.n_rows)
-        groups = np.asarray(rows // self.group_size, dtype=np.int64)
-        arrays = self.to_arrays()
-        counts = arrays["counts"]
-        event_pos = np.empty(n, dtype=np.int64)
-        n_events = int(k_sca_batch(
-            groups, counts, self.refresh_threshold, event_pos
-        ))
-        self.from_arrays(arrays)
-        self.stats.activations += n
-        events: list[tuple[int, list[RefreshCommand]]] = []
-        for k in range(n_events):
-            position = int(event_pos[k])
-            low = int(groups[position]) * self.group_size
-            cmd = RefreshCommand(
-                low - 1, low + self.group_size, reason="threshold"
-            )
-            self.stats.refresh_commands += 1
-            self.stats.rows_refreshed += cmd.row_count(self.n_rows)
-            events.append((position, [cmd]))
-        return events
-
-    def to_arrays(self) -> dict:
-        """SoA protocol: the per-group counters as one int64 array."""
-        return {"counts": np.asarray(self._counts, dtype=np.int64)}
-
-    def from_arrays(self, arrays: dict) -> None:
-        """SoA protocol: import kernel-mutated counters."""
-        counts = arrays["counts"]
-        if len(counts) != self.n_counters:
-            raise ValueError(
-                f"array carries {len(counts)} counters, scheme has "
-                f"{self.n_counters}"
-            )
-        self._counts = [int(c) for c in counts]
-
     def counter_value(self, group: int) -> int:
         """Current count of group ``group`` (test/inspection hook)."""
         return self._counts[group]

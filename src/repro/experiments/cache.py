@@ -46,16 +46,7 @@ def code_fingerprint() -> str:
     under ``src/repro`` changes the fingerprint and thereby the cache
     partition, guaranteeing cached results always came from the exact
     code that is running.
-
-    The numba version (or its absence) is part of the digest: the jit
-    tier's kernels compile under whatever numba is installed, so
-    installing, removing, or upgrading numba moves the partition —
-    cached cells and stored traces can never silently mix tiers.  (All
-    tiers are contractually bit-identical, but the salt makes the
-    guarantee structural rather than trusted.)
     """
-    from repro.core.jitkern import NUMBA_VERSION
-
     package_root = Path(__file__).resolve().parents[1]
     digest = hashlib.sha256()
     for path in sorted(package_root.rglob("*.py")):
@@ -63,7 +54,6 @@ def code_fingerprint() -> str:
         digest.update(b"\0")
         digest.update(path.read_bytes())
         digest.update(b"\0")
-    digest.update(f"numba={NUMBA_VERSION or 'absent'}".encode("utf-8"))
     return digest.hexdigest()[:16]
 
 

@@ -77,7 +77,7 @@ from repro.errors import (
 from repro.experiments.cache import ResultCache
 from repro.experiments.plan import Plan
 from repro.experiments.spec import ExperimentSpec
-from repro.report.config import SESSION_MODES, env_bool, env_choice
+from repro.report.config import SESSION_MODES, env_choice
 from repro.testing.faults import ENV_VAR as FAULTS_ENV_VAR
 from repro.testing.faults import ROUND_VAR as FAULTS_ROUND_VAR
 from repro.testing.faults import fault_point
@@ -114,129 +114,6 @@ def _pool_cell(spec: ExperimentSpec):
     return run_spec(spec)
 
 
-#: The per-cell execution seam as defined by this module.  Fault and
-#: robustness tests monkeypatch ``run_spec``/``_pool_cell`` to poison
-#: individual cells; fused evaluation bypasses the per-cell call, so it
-#: steps aside whenever the seam is not pristine (see
-#: :func:`_run_fused_groups`).
-_UNPATCHED_CELL_SEAMS = (run_spec, _pool_cell)
-
-
-# -- fused multi-scheme evaluation ----------------------------------------
-#
-# Scheme-axis grid cells share their demand streams: the stream key
-# (:func:`repro.sim.tracestore.stream_key_doc`) deliberately excludes
-# scheme, threshold, and engine.  The trace store already dedupes
-# *generation* across such cells; fusion also dedupes the *replay* —
-# one interval fetch feeds every fused cell's core before the next
-# interval is touched, so N cells pay one stream walk over shared
-# arrays instead of N independent fetch+install passes.  Each core
-# still owns its memory system and scheme, so results are bit-identical
-# to solo runs by construction (the arrays are read-only to the engine).
-
-
-def fused_sweep_enabled() -> bool:
-    """The ``REPRO_FUSED_SWEEP`` knob (default on).
-
-    ``repro verify`` proves goldens pass with the knob both on and off;
-    benches measure the ratio between the two.
-    """
-    return env_bool(os.environ, "REPRO_FUSED_SWEEP", default=True)
-
-
-def _fuse_key(spec: ExperimentSpec) -> str | None:
-    """Grouping key for fused evaluation, or None when unfusable.
-
-    Cells fuse when they share stream identity *and* engine/interval
-    count (fused cores advance in lock-step through the same per-bank
-    arrays).  Fusion stays out of the way of the non-direct session
-    modes (they exercise the facade paths on purpose) and of armed
-    fault injection (deterministic fault-site counting assumes the
-    isolated per-cell path).
-    """
-    if session_mode() != "direct" or os.environ.get(FAULTS_ENV_VAR):
-        return None
-    try:
-        from repro.sim.simulator import TraceDrivenSimulator
-        from repro.sim.tracestore import stream_key
-
-        doc = TraceDrivenSimulator(spec).trace_key_doc()
-        return f"{stream_key(doc)}:{spec.engine}:{spec.n_intervals}"
-    except Exception:
-        return None
-
-
-def _run_specs_fused(specs_group: list) -> list:
-    """Run same-stream specs with one stream fetch per interval.
-
-    The first cell's core is the *lead*: it fetches every interval
-    (trace-store hit or generation, advancing its arrival RNG exactly
-    as a solo run would), and every core — lead included — installs the
-    shared arrays and serves them to exhaustion before the next
-    interval is fetched.  Follower RNGs are never consumed; stream
-    content is a pure function of the shared key, so the installed
-    arrays match what each follower would have generated itself.
-
-    Returns per-spec results in group order.  Any failure raises — the
-    caller falls back to the isolated per-cell path, which owns retry
-    and failure-classification semantics.
-    """
-    from repro.sim.simulator import TraceDrivenSimulator
-
-    sims = [TraceDrivenSimulator(spec) for spec in specs_group]
-    cores = [sim.open_core() for sim in sims]
-    lead = cores[0]
-    for interval in range(lead.n_intervals):
-        per_bank = lead.fetch_interval(interval)
-        for core in cores:
-            core.install_interval(interval, per_bank)
-            core.advance_installed()
-    return [sim._finalize(core.totals()) for sim, core in zip(sims, cores)]
-
-
-def _run_fused_groups(specs, indices, deliver) -> list[int]:
-    """One fused pass over ``indices``; returns what still must run.
-
-    Indices whose specs share a fuse key (groups of two or more) run
-    through :func:`_run_specs_fused`; each completed cell is handed to
-    ``deliver(index, result, elapsed)``.  Unfusable cells — and every
-    member of a group that failed for any reason — come back (in plan
-    order) for the isolated per-cell path.
-
-    When the per-cell seam has been replaced (robustness tests poison
-    ``run_spec``/``_pool_cell`` to simulate per-cell failures), fusing
-    would route around the replacement, so everything comes back for
-    the per-cell path instead.
-    """
-    if (run_spec, _pool_cell) != _UNPATCHED_CELL_SEAMS:
-        return sorted(indices)
-    groups: dict[str, list[int]] = {}
-    leftover: list[int] = []
-    for i in indices:
-        key = _fuse_key(specs[i])
-        if key is None:
-            leftover.append(i)
-        else:
-            groups.setdefault(key, []).append(i)
-    for members in groups.values():
-        if len(members) < 2:
-            leftover.extend(members)
-            continue
-        t0 = time.perf_counter()
-        try:
-            group_results = _run_specs_fused([specs[i] for i in members])
-        except Exception:
-            # Fusion is an optimization: fall back to the per-cell
-            # path, which owns failure classification and retries.
-            leftover.extend(members)
-            continue
-        per = (time.perf_counter() - t0) / len(members)
-        for i, result in zip(members, group_results):
-            deliver(i, result, per)
-    leftover.sort()
-    return leftover
-
-
 #: Environment knobs a worker must re-read per chunk: a *persistent*
 #: pool outlives environment changes in the parent (``repro verify``
 #: scopes REPRO_SESSION_MODE per run; benches toggle the trace store;
@@ -248,7 +125,6 @@ _POOL_ENV_KEYS = (
     "REPRO_TRACE_STORE",
     "REPRO_TRACE_STORE_DIR",
     "REPRO_BENCH_CACHE_DIR",
-    "REPRO_FUSED_SWEEP",
     FAULTS_ENV_VAR,
     FAULTS_ROUND_VAR,
 )
@@ -275,15 +151,12 @@ def _pool_env() -> dict[str, str | None]:
 def _pool_prime() -> None:
     """Worker-side warmup run by :meth:`SweepPool._prime` at spawn.
 
-    Imports the modules every cell touches and warms the jit kernels,
-    so the first real chunk a worker receives starts simulating
-    immediately instead of compiling/importing on the clock.
+    Imports the modules every cell touches, so the first real chunk a
+    worker receives starts simulating immediately instead of importing
+    on the clock.
     """
     import repro.sim.simulator  # noqa: F401 — import cost is the point
     import repro.sim.tracestore  # noqa: F401
-    from repro.core.jitkern import warm_kernels
-
-    warm_kernels()
 
 
 def _pool_run_chunk(specs: list, env: dict, attempt: int = 1) -> list[dict]:
@@ -301,26 +174,18 @@ def _pool_run_chunk(specs: list, env: dict, attempt: int = 1) -> list[dict]:
             os.environ.pop(key, None)
         else:
             os.environ[key] = value
-    outcomes: list[dict | None] = [None] * len(specs)
-
-    def deliver(i: int, result, elapsed: float) -> None:
-        outcomes[i] = {"ok": True, "result": result}
-
-    remaining = list(range(len(specs)))
-    if len(remaining) > 1 and fused_sweep_enabled():
-        remaining = _run_fused_groups(specs, remaining, deliver)
-    for i in remaining:
-        spec = specs[i]
+    outcomes: list[dict] = []
+    for spec in specs:
         try:
             fault_point("pool.worker")
-            outcomes[i] = {"ok": True, "result": run_spec(spec)}
+            outcomes.append({"ok": True, "result": run_spec(spec)})
         except Exception as exc:
-            outcomes[i] = {
+            outcomes.append({
                 "ok": False,
                 "failure": CellFailure.from_exception(
                     spec, attempt, exc
                 ).to_dict(),
-            }
+            })
     return outcomes
 
 
@@ -359,9 +224,8 @@ class SweepPool:
     def _prime(executor, workers: int) -> None:
         """Pay per-worker one-time costs at spawn, not inside chunk one.
 
-        Each fresh worker imports the simulation stack and warms the
-        jit kernels (under numba: loads or builds the compiled
-        artifacts) the first time it runs a cell.  Left lazy, that cost
+        Each fresh worker imports the simulation stack the first time
+        it runs a cell.  Left lazy, that cost
         lands *inside* the first chunk of the first plan — serialized
         with real cell work, counted against ``cell_timeout`` budgets,
         and re-paid by every plan that happens to grow the pool.
@@ -420,33 +284,6 @@ class SweepPool:
             except (OSError, AttributeError):
                 pass
         executor.shutdown(wait=False, cancel_futures=True)
-
-    @classmethod
-    def map_chunked(cls, specs: list, workers: int) -> list:
-        """Run ``specs`` on the pool in pickling-amortized chunks.
-
-        The strict legacy surface: results in order, first cell failure
-        re-raised as :class:`~repro.errors.CellExecutionError`.  The
-        fault-tolerant scheduler in :func:`run_plan` supersedes this
-        for plan execution.
-        """
-        pool = cls.get(workers)
-        size = max(1, math.ceil(len(specs) / (workers * _CHUNKS_PER_WORKER)))
-        env = _pool_env()
-        futures = [
-            pool.submit(_pool_run_chunk, specs[i:i + size], env)
-            for i in range(0, len(specs), size)
-        ]
-        results = []
-        for future in futures:
-            for outcome in future.result():
-                if outcome["ok"]:
-                    results.append(outcome["result"])
-                else:
-                    raise CellExecutionError(
-                        [CellFailure.from_dict(outcome["failure"])]
-                    )
-        return results
 
 
 atexit.register(SweepPool.shutdown)
@@ -636,16 +473,9 @@ def _run_round_serial(specs, pending, attempt, on_ok, on_fail,
                       stop=None) -> None:
     """One retry round, in-process: per-cell isolation, no pool.
 
-    Cells sharing a stream key run fused first (one stream fetch per
-    interval for the whole group); whatever the fused pass does not
-    complete falls through to the isolated per-cell loop.  A truthy
-    ``stop`` between cells ends the round early; untouched cells keep
-    their ``pending`` status and resume on the next run.
+    A truthy ``stop`` between cells ends the round early; untouched
+    cells keep their ``pending`` status and resume on the next run.
     """
-    if stop is not None and stop():
-        return
-    if len(pending) > 1 and fused_sweep_enabled():
-        pending = _run_fused_groups(specs, pending, on_ok)
     for i in pending:
         if stop is not None and stop():
             return

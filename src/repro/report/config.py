@@ -21,12 +21,12 @@ import os
 from dataclasses import dataclass
 from typing import Mapping
 
-#: Engines accepted by the simulator (kept in sync with
-#: :data:`repro.sim.engine.ENGINES`; duplicated here so config parsing
-#: does not import the simulation stack).  ``jit`` is the compiled
-#: tier — selectable everywhere, compiled only where numba is
-#: installed, bit-identical either way.
-ENGINE_NAMES = ("batched", "scalar", "jit")
+#: Engines accepted by the simulator: ``scalar`` is the per-event
+#: reference loop, ``batched`` the vectorized numpy path; the two are
+#: contractually bit-identical.  Defined here, in stdlib-only config, so
+#: config parsing does not import the simulation stack;
+#: :data:`repro.sim.engine.ENGINES` re-exports it.
+ENGINE_NAMES = ("scalar", "batched")
 
 #: Execution paths ``run_spec`` can take (``REPRO_SESSION_MODE``):
 #: the direct batch loop, the streaming session facade, or the

@@ -196,7 +196,6 @@ def run_verify(
                 f"{', '.join(pruned)}\n")
         return EXIT_OK
 
-    from repro.core.jitkern import jit_tier_label
     from repro.sim.tracestore import store_enabled
     from repro.testing.faults import faults_summary
 
@@ -205,7 +204,6 @@ def run_verify(
         f"engine={engine or 'batched'} "
         f"session={session or 'direct'} "
         f"trace-store={'on' if store_enabled() else 'off'} "
-        f"jit-tier={jit_tier_label()} "
         f"faults={faults_summary()} ==\n")
     for stem, arts in collected:
         for artifact in arts:

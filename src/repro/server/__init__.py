@@ -13,7 +13,7 @@ exposes the declarative experiment layer:
 * ``GET /v1/jobs/<id>`` — job status (and results once done).
 * ``GET /v1/jobs/<id>/events`` — per-epoch :class:`RunTotals` deltas,
   mitigation events, and job lifecycle over Server-Sent Events.
-* ``GET /v1/health`` — version, engine tiers, cache/trace-store status.
+* ``GET /v1/health`` — version, engines, cache/trace-store status.
 
 The service is crash-safe: accepted jobs are journaled durably
 (:mod:`~repro.server.journal`), recovered idempotently on restart, and

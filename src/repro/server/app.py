@@ -315,20 +315,17 @@ class ReproServer:
 
     def _h_health(self, request: Request, params: dict) -> Response:
         """``GET /v1/health`` — the ``repro verify`` header, as JSON."""
-        from repro.core.jitkern import jit_tier_label
         from repro.sim.engine import ENGINES
         from repro.sim.tracestore import default_root, store_enabled
         from repro.testing.faults import faults_summary
 
         self.jobs.gc()
-        engines = {name: "available" for name in ENGINES}
-        engines["jit"] = jit_tier_label()
         doc = wire.envelope({
             "service": "repro",
             "version": __version__,
             "status": "draining" if self._draining.is_set() else "ok",
             "uptime_s": round(time.time() - self.started_unix, 3),
-            "engines": engines,
+            "engines": {name: "available" for name in ENGINES},
             "trace_store": {
                 "enabled": store_enabled(),
                 "root": str(default_root()),

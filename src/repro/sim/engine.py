@@ -27,19 +27,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dram.memory_system import MemorySystem
+from repro.report.config import ENGINE_NAMES
 
 #: Simulation time quantum (ns).  1/4 ns is a negative power of two, so
 #: every multiple is exactly representable in float64 — as are all the
 #: DDR3 timing constants (multiples of 1.25 ns = 5 quanta).
 TIME_QUANTUM_NS = 0.25
 
-#: Engines selectable on the simulator / runner / CLI.  ``scalar`` is
-#: the per-event reference loop, ``batched`` the vectorized numpy path,
-#: and ``jit`` the compiled tier (:mod:`repro.core.jitkern`): the same
-#: segment structure with each scheme's ``access_batch`` replaced by its
-#: ``access_batch_jit`` kernel driver.  All three are contractually
-#: bit-identical.
-ENGINES = ("scalar", "batched", "jit")
+#: Engines selectable on the simulator / runner / CLI (defined once, in
+#: :data:`repro.report.config.ENGINE_NAMES`).
+ENGINES = ENGINE_NAMES
 
 
 def quantize_times_ns(times: np.ndarray) -> np.ndarray:
@@ -118,7 +115,6 @@ def advance_batched_streams(
     *,
     until_ns: float | None = None,
     max_accesses: int | None = None,
-    jit: bool = False,
 ) -> int:
     """Re-entrant core of :func:`run_batched_streams`.
 
@@ -135,11 +131,6 @@ def advance_batched_streams(
     boundary is only crossed here when the next access to be served
     lies beyond it — exactly when the scalar loop would cross it.  The
     session layer (:mod:`repro.api`) is built on this property.
-
-    ``jit=True`` selects the compiled tier: bank segments dispatch to
-    each scheme's ``access_batch_jit`` instead of ``access_batch``.
-    Everything else — segmentation, epoch crossing, limits — is shared,
-    which is precisely why the tiers stay bit-identical.
     """
     served = 0
     while True:
@@ -158,9 +149,7 @@ def advance_batched_streams(
             if max_accesses is not None:
                 j = min(j, i + (max_accesses - served))
             if j > i:
-                _run_bank_segment(
-                    memory, bank, times[i:j], rows[i:j], jit=jit
-                )
+                _run_bank_segment(memory, bank, times[i:j], rows[i:j])
                 cursors[bank] = j
                 served += j - i
             if j < len(times) and (next_time is None or times[j] < next_time):
@@ -181,18 +170,11 @@ def _run_bank_segment(
     bank: int,
     times: np.ndarray,
     rows: np.ndarray,
-    *,
-    jit: bool = False,
 ) -> None:
     """Process one bank's accesses of one epoch segment."""
     bank_state = memory.banks[bank]
     scheme = memory.schemes[bank]
-    if scheme is None:
-        events: list = []
-    elif jit:
-        events = scheme.access_batch_jit(rows)
-    else:
-        events = scheme.access_batch(rows)
+    events = [] if scheme is None else scheme.access_batch(rows)
     prev = 0
     for position, commands in events:
         bank_state.serve_accesses_batch(times[prev:position])

@@ -110,10 +110,7 @@ class SessionCore:
         self.full_intensity = full_intensity
         self.rows_fn = rows_fn
         self.engine = sim.engine
-        # The jit tier shares the batched engine's per-bank stream
-        # format and segment loop; only the bank-segment kernel differs.
-        self._banked = self.engine in ("batched", "jit")
-        self._jit = self.engine == "jit"
+        self._banked = self.engine == "batched"
         self.n_banks = sim.n_banks_simulated
         self.n_intervals = sim.n_intervals
         self.epoch_ns = sim.epoch_s * 1e9
@@ -235,58 +232,6 @@ class SessionCore:
         self._install_streams(self._fetch_interval(self.interval))
         return True
 
-    # -- fused multi-scheme evaluation (see repro.experiments.run) ---------
-
-    def fetch_interval(self, interval: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """One interval's per-bank (times, rows) streams, fetched once.
-
-        Public entry for the fused sweep path: a *lead* core fetches
-        each interval (trace-store hit or generation, advancing its
-        arrival RNG exactly as a solo run would) and every fused
-        follower installs the same arrays via :meth:`install_interval`.
-        The arrays are only ever read by the engine, so sharing them
-        across cores is safe.
-        """
-        return self._fetch_interval(interval)
-
-    def install_interval(
-        self, interval: int, per_bank: list[tuple[np.ndarray, np.ndarray]]
-    ) -> None:
-        """Install externally fetched streams as interval ``interval``.
-
-        The follower's own arrival RNG is deliberately not consumed —
-        stream content is a pure function of the (shared) stream key, so
-        the installed arrays are bit-identical to what the follower
-        would have generated itself.
-        """
-        if interval != self.interval + 1:
-            raise ValueError(
-                f"interval {interval} installed out of order "
-                f"(core is at {self.interval})"
-            )
-        self.interval = interval
-        self._install_streams(per_bank)
-
-    def advance_installed(self) -> int:
-        """Serve the currently installed interval's stream to exhaustion.
-
-        Unlike :meth:`advance` this never loads the next interval — the
-        fused driver owns interval fetching.  Epoch boundaries inside
-        (and, on the next call, between) intervals cross exactly as the
-        solo loop crosses them: the engine only advances an epoch when
-        the next pending access lies beyond it.
-        """
-        if self.interval < 0:
-            return 0
-        if self._banked:
-            return advance_batched_streams(
-                self.memory,
-                list(zip(self._bank_times, self._bank_rows)),
-                self._cursors,
-                jit=self._jit,
-            )
-        return self._advance_scalar(None, None)
-
     @property
     def done(self) -> bool:
         """True once every interval's stream has been fully served."""
@@ -324,7 +269,6 @@ class SessionCore:
                     self._cursors,
                     until_ns=until_ns,
                     max_accesses=budget,
-                    jit=self._jit,
                 )
             else:
                 n = self._advance_scalar(until_ns, budget)

@@ -9,10 +9,14 @@ read counts as the per-event scalar loop.  Anything short of exact
 equality is an engine bug, not noise — see DESIGN.md, "Batched engine".
 """
 
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.analysis.prng import CountingPRNG, TrueRandomPRNG
+from repro.core.registry import scheme_names
 from repro.dram.config import DUAL_CORE_2CH
 from repro.experiments import ExperimentSpec, SchemeSpec
 from repro.sim.runner import simulate_attack, simulate_workload
@@ -24,6 +28,18 @@ SCHEMES = ("pra", "sca", "prcat", "drcat", "ccache")
 WORKLOADS = ("black", "mum", "libq")
 #: Multi-interval, multi-bank, and a scale whose threshold still splits.
 KNOBS = dict(scale=64.0, n_banks=2, n_intervals=3)
+
+#: Per-scheme randomized spec draws (see :func:`_sample_spec`).
+FUZZ_DRAWS = 2
+
+#: Scheme-parameter samplers for the fuzzed axis.  Only knobs that
+#: change the hot-loop shape are varied; anything else is the default.
+_PARAM_SAMPLERS = {
+    "sca": lambda rng: {"n_counters": int(rng.choice([32, 128, 512]))},
+    "prcat": lambda rng: {"n_counters": int(rng.choice([32, 64, 128]))},
+    "drcat": lambda rng: {"max_levels": int(rng.choice([8, 11]))},
+    "pra": lambda rng: {"probability": float(rng.choice([0.002, 0.01]))},
+}
 
 
 def _run(engine: str, scheme: str, workload: str):
@@ -71,6 +87,42 @@ def test_bit_identical_workload_runs(scheme, workload):
     assert scalar.eto == batched.eto
 
 
+def _sample_spec(scheme: str, rng: np.random.Generator) -> ExperimentSpec:
+    """One randomized experiment for ``scheme`` (engine left default).
+
+    Scales stay in the cheap regime (higher scale = fewer accesses) so
+    the fuzz matrix remains tier-1 friendly on the scalar engine.
+    """
+    params = _PARAM_SAMPLERS.get(scheme, lambda _: {})(rng)
+    return ExperimentSpec(
+        scheme=SchemeSpec.create(scheme, **params),
+        workload=str(rng.choice(["mum", "libq", "black"])),
+        refresh_threshold=int(rng.choice([32768, 16384, 8192])),
+        scale=float(rng.choice([48.0, 96.0])),
+        n_banks=int(rng.choice([1, 2])),
+        n_intervals=int(rng.choice([1, 2])),
+    )
+
+
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_fuzzed_specs_bit_identical(scheme):
+    """Seeded fuzz over every registered scheme: the engines agree."""
+    rng = np.random.default_rng(zlib.crc32(scheme.encode()))
+    for draw in range(FUZZ_DRAWS):
+        base = _sample_spec(scheme, rng)
+        docs = {}
+        prints = {}
+        for engine in ("scalar", "batched"):
+            sim = TraceDrivenSimulator(
+                dataclasses.replace(base, engine=engine)
+            )
+            docs[engine] = sim.run().to_dict()
+            prints[engine] = _fingerprint(sim._last_memory)
+        context = f"{scheme} draw {draw}: {base}"
+        assert docs["batched"] == docs["scalar"], context
+        assert prints["batched"] == prints["scalar"], context
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_bit_identical_attack_runs(scheme):
     results = {}
@@ -114,8 +166,9 @@ def test_default_prng_batch_fallback_matches():
 
 
 def test_engine_flag_validation():
-    with pytest.raises(ValueError):
-        ExperimentSpec(scheme=SchemeSpec("sca"), engine="warp")
+    for engine in ("warp", "jit"):
+        with pytest.raises(ValueError):
+            ExperimentSpec(scheme=SchemeSpec("sca"), engine=engine)
 
 
 def test_runner_plumbs_engine():

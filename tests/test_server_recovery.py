@@ -402,11 +402,8 @@ class TestCooperativeStop:
         assert len(report.pending) == 2
         assert all(c.status == "pending" for c in report.cells)
 
-    def test_stop_after_first_cell_flush(self, tmp_path, monkeypatch):
-        # Serial path checks stop between cells; the fused fast path
-        # would batch the whole group past the check, so disable it.
-        monkeypatch.setattr("repro.experiments.run.fused_sweep_enabled",
-                            lambda: False)
+    def test_stop_after_first_cell_flush(self, tmp_path):
+        # The serial path checks stop between cells.
         plan = Plan.grid(fast_spec(), seed=[74, 75, 76])
         cache_dir = tmp_path / "cells"
 

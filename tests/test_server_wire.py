@@ -39,10 +39,12 @@ class TestRunRequests:
             fast_spec()
 
     def test_invalid_spec_is_a_422_style_wire_error(self):
-        with pytest.raises(WireError) as err:
-            wire.parse_run_request({"spec": {"scheme": {"kind": "bogus"}}})
-        assert err.value.status == 400
-        assert err.value.code == "invalid-spec"
+        for doc in ({"scheme": {"kind": "bogus"}},
+                    dict(fast_spec().to_dict(), engine="jit")):
+            with pytest.raises(WireError) as err:
+                wire.parse_run_request({"spec": doc})
+            assert err.value.status == 400
+            assert err.value.code == "invalid-spec"
 
     def test_non_object_spec_rejected(self):
         with pytest.raises(WireError):
