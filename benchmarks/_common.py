@@ -97,13 +97,6 @@ def base_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**fields)
 
 
-def sim_kwargs(**overrides) -> dict:
-    """Legacy economy-knob dict (kept for ad-hoc local experiments)."""
-    kw = bench_config().sim_kwargs()
-    kw.update(overrides)
-    return kw
-
-
 def bench_cache() -> ResultCache | None:
     """The sweep-cell cache the environment selects (None = disabled)."""
     config = bench_config()

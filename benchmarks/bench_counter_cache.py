@@ -9,7 +9,7 @@ DRCAT on skewed and streaming workloads and reports refresh rows, hit
 rates, and the counter-fetch energy CAT avoids by construction.
 """
 
-from _common import base_spec, emit, plan_memo, run_bench_plan, sim_kwargs
+from _common import base_spec, bench_config, emit, plan_memo, run_bench_plan
 
 from repro.core.counter_cache import CounterCacheScheme
 from repro.experiments import Plan, SchemeSpec
@@ -22,24 +22,24 @@ T = 32768
 
 def run_counter_cache(workload: str) -> dict:
     """Drive the counter cache directly with one bank-interval stream."""
-    kw = sim_kwargs()
+    config = bench_config()
     spec = get_workload(workload)
     n_rows = 65536
     # 8x8 lines of 32 counters = the 32KB / 2048-counter reference point.
     scheme = CounterCacheScheme(
-        n_rows, scaled_threshold(T, kw["scale"]), n_sets=8, n_ways=8
+        n_rows, scaled_threshold(T, config.scale), n_sets=8, n_ways=8
     )
     model = spec.stream_model(n_rows)
     rng = spec.rng(salt=17)
     layout = model.phase_layout(rng)
-    n_accesses = int(spec.intensity / kw["scale"]) * kw["n_intervals"]
+    n_accesses = int(spec.intensity / config.scale) * config.n_intervals
     for row in model.sample(rng, n_accesses, layout):
         scheme.access(int(row))
     return {
-        "rows_per_interval": scheme.stats.rows_refreshed / kw["n_intervals"],
+        "rows_per_interval": scheme.stats.rows_refreshed / config.n_intervals,
         "hit_rate": scheme.hit_rate,
         "miss_energy_nj_per_interval": (
-            scheme.miss_energy_nj() / kw["n_intervals"]
+            scheme.miss_energy_nj() / config.n_intervals
         ),
     }
 

@@ -47,12 +47,18 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 from _common import RESULTS_DIR  # noqa: E402
 
-from repro.sim.runner import (  # noqa: E402
+from repro.experiments import (  # noqa: E402
+    ExperimentSpec,
+    Plan,
+    ResultCache,
+    SchemeSpec,
+    run_plan,
+    run_spec,
+)
+from repro.experiments.spec import (  # noqa: E402
     DEFAULT_BANKS,
     DEFAULT_INTERVALS,
     DEFAULT_SCALE,
-    simulate_workload,
-    sweep,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -107,12 +113,15 @@ def _scoped_env(values: dict):
 
 
 def _measure(engine: str, scheme: str, repeats: int) -> tuple[float, int]:
-    """Best wall-clock and access count of ``simulate_workload``."""
+    """Best wall-clock and access count of one ``run_spec`` call."""
+    spec = ExperimentSpec(
+        scheme=SchemeSpec(scheme), workload=PROFILE_WORKLOAD, engine=engine
+    )
     best = float("inf")
     accesses = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        result = simulate_workload(PROFILE_WORKLOAD, scheme, engine=engine)
+        result = run_spec(spec)
         best = min(best, time.perf_counter() - start)
         accesses = result.totals.accesses
     return best, accesses
@@ -128,7 +137,6 @@ def _measure_seed_path(scheme: str, repeats: int) -> float:
     import numpy as np
 
     from repro.dram.memory_system import MemorySystem
-    from repro.experiments import ExperimentSpec, SchemeSpec
     from repro.sim.simulator import TraceDrivenSimulator
     from repro.workloads.suites import get_workload
     from repro.workloads.synthetic import interarrival_times_ns
@@ -167,8 +175,6 @@ def _measure_seed_path(scheme: str, repeats: int) -> float:
 
 def _trace_sweep_plan(workloads=TRACE_SWEEP_WORKLOADS):
     """The scheme-axis grid of the sweep-throughput section."""
-    from repro.experiments import ExperimentSpec, Plan, SchemeSpec
-
     schemes = [SchemeSpec.create("pra", "PRA")] + [
         SchemeSpec.create("sca", f"SCA_{m}", n_counters=m)
         for m in TRACE_SWEEP_M
@@ -202,7 +208,6 @@ def _measure_trace_sweep(smoke: bool) -> dict:
     import shutil
     import tempfile
 
-    from repro.experiments import run_plan
     from repro.sim import tracestore
 
     import gc
@@ -277,7 +282,6 @@ def _measure_trace_workload(workload: str) -> dict:
     import shutil
     import tempfile
 
-    from repro.experiments import run_plan
     from repro.sim import tracestore
 
     plan, _ = _trace_sweep_plan((workload,))
@@ -316,8 +320,6 @@ def _pool_bench_plan():
     many-small-plans pattern (``repro verify`` runs 14 bench modules
     back to back).
     """
-    from repro.experiments import ExperimentSpec, Plan, SchemeSpec
-
     base = ExperimentSpec(
         scheme=SchemeSpec("drcat"), scale=96.0, n_banks=1, n_intervals=1,
     )
@@ -339,7 +341,6 @@ def _measure_pool_reuse() -> dict:
     gated ratio equally.  The trace store is pinned off so only pool
     lifecycle differs.
     """
-    from repro.experiments import run_plan
     from repro.experiments.run import SweepPool
 
     plan = _pool_bench_plan()
@@ -404,11 +405,7 @@ def run_bench(smoke: bool = False, repeats: int = 3) -> dict:
             }
         if not smoke:
             start = time.perf_counter()
-            sweep(
-                workloads=MINI_SWEEP_WORKLOADS,
-                schemes=MINI_SWEEP_SCHEMES,
-                engine="batched",
-            )
+            run_plan(_mini_sweep_plan())
             report["fig8_mini_sweep_s"] = round(
                 time.perf_counter() - start, 3
             )
@@ -416,6 +413,14 @@ def run_bench(smoke: bool = False, repeats: int = 3) -> dict:
     report["trace_sweep"] = _measure_trace_sweep(smoke)
     report["sweep_pool"] = _measure_pool_reuse()
     return report
+
+
+def _mini_sweep_plan() -> Plan:
+    """The Figure 8 subset grid at the spec's default economy knobs."""
+    return Plan.grid(
+        workload=list(MINI_SWEEP_WORKLOADS),
+        scheme=[SchemeSpec(kind) for kind in MINI_SWEEP_SCHEMES],
+    )
 
 
 def _measure_cache_speedup() -> dict:
@@ -428,13 +433,7 @@ def _measure_cache_speedup() -> dict:
     import shutil
     import tempfile
 
-    from repro.experiments import Plan, ResultCache, SchemeSpec, run_plan
-
-    plan = Plan.grid(
-        base=None,
-        workload=list(MINI_SWEEP_WORKLOADS),
-        scheme=[SchemeSpec(kind) for kind in MINI_SWEEP_SCHEMES],
-    )
+    plan = _mini_sweep_plan()
     root = tempfile.mkdtemp(prefix="repro-cache-bench-")
     try:
         cache = ResultCache(root)

@@ -16,9 +16,8 @@ and lower is closer to full scale).
 
 import sys
 
-from repro.experiments import ExperimentSpec, Plan, SchemeSpec
-from repro.sim.metrics import format_table
-from repro.sim.runner import sweep, suite_means
+from repro.experiments import ExperimentSpec, Plan, SchemeSpec, run_plan
+from repro.sim.metrics import format_table, mean_over
 from repro.workloads.suites import SUITES
 
 SAMPLE = ("comm1", "black", "face", "libq", "mum")
@@ -45,7 +44,7 @@ def main() -> None:
                 SchemeSpec("drcat"),
             ],
         )
-        results = sweep(plan)
+        results = dict(zip(plan.keys(), run_plan(plan)))
         rows = []
         for workload in SAMPLE:
             suite = next(s for s, names in SUITES.items() if workload in names)
@@ -58,7 +57,10 @@ def main() -> None:
                     "DRCAT_64 %": 100 * results[(workload, "drcat")].cmrpo,
                 }
             )
-        means = suite_means(results, "cmrpo")
+        means = {
+            label: mean_over([results[(w, label)] for w in SAMPLE], "cmrpo")
+            for label in ("pra", "sca", "prcat", "drcat")
+        }
         rows.append(
             {
                 "workload": "MEAN",

@@ -8,14 +8,16 @@ schemes — together with every substrate the evaluation depends on:
 * :mod:`repro.core` — CAT tree, PRCAT, DRCAT, and the SCA / PRA baselines.
 * :mod:`repro.dram` — a DDR3-style bank/channel substrate with targeted
   refresh and bank-blocking accounting.
-* :mod:`repro.cpu` — USIMM-style trace records and a ROB-limited front end.
 * :mod:`repro.workloads` — synthetic generators for the 18 Memory
   Scheduling Championship workloads and the 12 kernel rowhammer attacks.
 * :mod:`repro.energy` — the Table II hardware energy/area model and the
   CMRPO metric.
 * :mod:`repro.analysis` — analytical models (PRA unsurvivability, LFSR
   Monte-Carlo, SCA energy breakdown, split-threshold cost model).
-* :mod:`repro.sim` — the trace-driven simulator and experiment runner.
+* :mod:`repro.sim` — the trace-driven simulator and its session core.
+* :mod:`repro.experiments` — declarative specs and plans, the one way to
+  run a simulation (``run_spec`` / ``run_plan``, or streamed via
+  :func:`~repro.api.open_session`).
 * :mod:`repro.server` — ``repro serve``, the stdlib-only HTTP + SSE
   service over the experiment layer (content-hash dedup, sharded plan
   scheduling, streamed per-epoch metrics).
@@ -35,8 +37,10 @@ Quickstart — stream a run incrementally through the session API::
 
 or, for one-shot batch runs::
 
-    from repro import simulate_workload
-    result = simulate_workload("blackscholes", scheme="drcat")
+    from repro import ExperimentSpec, SchemeSpec, run_spec
+    result = run_spec(ExperimentSpec(
+        scheme=SchemeSpec("drcat"), workload="blackscholes",
+    ))
 """
 
 from repro._version import __version__
@@ -72,7 +76,6 @@ from repro.experiments import (
 )
 from repro.api import Session, open_session
 from repro.sim.metrics import SimulationResult
-from repro.sim.runner import simulate_workload, sweep
 
 # __version__ comes from repro/_version.py, the single source setup.py
 # also builds the distribution metadata from.  The co-located constant
@@ -108,8 +111,6 @@ __all__ = [
     "FatalError",
     "CellFailure",
     "CellExecutionError",
-    "simulate_workload",
-    "sweep",
     "Session",
     "open_session",
     "__version__",

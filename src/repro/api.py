@@ -116,14 +116,10 @@ class Session:
             spec = ExperimentSpec.from_dict(spec)
         self.spec = spec
         self.sim = TraceDrivenSimulator(spec)
-        plan = self.sim.stream_plan()
-        key_doc = self.sim.trace_key_doc()
         if _core_state is None:
-            self._core = SessionCore(self.sim, *plan, trace_key_doc=key_doc)
+            self._core = SessionCore(self.sim)
         else:
-            self._core = SessionCore.from_state(
-                self.sim, *plan, _core_state, trace_key_doc=key_doc
-            )
+            self._core = SessionCore.from_state(self.sim, _core_state)
         self._epoch_taps: list[Callable[[EpochEvent], None]] = []
         self._mitigation_taps: list[Callable[[MitigationEvent], None]] = []
         # Baseline totals as of the last epoch boundary, updated on

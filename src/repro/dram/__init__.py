@@ -1,6 +1,5 @@
-"""DRAM substrate: configuration, address mapping, banks, controller."""
+"""DRAM substrate: configuration, banks, and the multi-bank memory system."""
 
-from repro.dram.address import AddressMapper, DecodedAddress
 from repro.dram.bank import BankState
 from repro.dram.config import (
     DUAL_CORE_2CH,
@@ -14,13 +13,9 @@ from repro.dram.config import (
     DRAMTimings,
     SystemConfig,
 )
-from repro.dram.controller import CompletedRequest, MemoryController, MemRequest
 from repro.dram.memory_system import MemorySystem
-from repro.dram.refresh import RefreshAccountant, intervals_in
 
 __all__ = [
-    "AddressMapper",
-    "DecodedAddress",
     "BankState",
     "SystemConfig",
     "DRAMTimings",
@@ -32,10 +27,5 @@ __all__ = [
     "REFRESH_INTERVAL_S",
     "REGULAR_REFRESH_POWER_MW",
     "ROW_REFRESH_ENERGY_NJ",
-    "MemoryController",
-    "MemRequest",
-    "CompletedRequest",
     "MemorySystem",
-    "RefreshAccountant",
-    "intervals_in",
 ]

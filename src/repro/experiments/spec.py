@@ -38,8 +38,7 @@ SPEC_VERSION = 1
 #: hard-coded value; part of the spec so runs can be re-seeded).
 DEFAULT_SEED = 0xC0FFEE
 
-#: Default simulation economy knobs (kept equal to the historical
-#: ``repro.sim.runner`` defaults so legacy calls map onto identical specs).
+#: Default simulation economy knobs of a spec that leaves them unset.
 DEFAULT_SCALE = 16.0
 DEFAULT_BANKS = 2
 DEFAULT_INTERVALS = 2
@@ -110,11 +109,12 @@ class SchemeSpec:
         threshold_strategy: str = "auto",
         label: str | None = None,
     ) -> "SchemeSpec":
-        """The SchemeSpec the historical cross-scheme kwarg soup means.
+        """The SchemeSpec the CLI's cross-scheme flags mean.
 
-        Single home of the old-name → typed-field dispatch; the
-        simulator/runner/CLI deprecation shims all route through here so
-        a new scheme or parameter is mapped in exactly one place.
+        The CLI takes one flat flag set (``--counters``, ``--levels``,
+        ``--pra-p``) for every scheme; this is the single place those
+        names map onto each scheme's typed fields, dropping the knobs a
+        scheme does not have.
         """
         kind = kind.lower()
         if kind in ("prcat", "drcat"):

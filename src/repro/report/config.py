@@ -174,15 +174,6 @@ class BenchConfig:
             cache_dir=env.get("REPRO_BENCH_CACHE_DIR", ""),
         )
 
-    def sim_kwargs(self) -> dict:
-        """The ``simulate_workload`` knobs this configuration implies."""
-        return {
-            "scale": self.scale,
-            "n_intervals": self.n_intervals,
-            "n_banks": self.n_banks,
-            "engine": self.engine,
-        }
-
 
 def fidelity_env(
     fidelity: str,

@@ -1,5 +1,10 @@
-"""Simulation harness: re-entrant core, trace-driven simulator, metrics,
-sweep runner."""
+"""Simulation harness: the trace-driven simulator over one re-entrant
+session core, its engines, metrics, and the activation-trace store.
+
+Runs enter through an :class:`~repro.experiments.ExperimentSpec` —
+:func:`~repro.experiments.run_spec` / :func:`~repro.experiments.run_plan`
+for batch runs, :class:`~repro.api.Session` for streamed ones.
+"""
 
 from repro.sim.engine import (
     ENGINES,
@@ -14,13 +19,6 @@ from repro.sim.metrics import (
     format_table,
     mean_over,
 )
-from repro.sim.replay import ReplayResult, replay_trace, synthesize_trace
-from repro.sim.runner import (
-    simulate_attack,
-    simulate_workload,
-    suite_means,
-    sweep,
-)
 from repro.sim.session import SessionCore, merge_streams
 from repro.sim.simulator import TraceDrivenSimulator, scaled_threshold
 
@@ -34,15 +32,8 @@ __all__ = [
     "SimulationResult",
     "format_table",
     "mean_over",
-    "simulate_attack",
-    "simulate_workload",
-    "suite_means",
-    "sweep",
     "SessionCore",
     "merge_streams",
     "TraceDrivenSimulator",
     "scaled_threshold",
-    "ReplayResult",
-    "replay_trace",
-    "synthesize_trace",
 ]

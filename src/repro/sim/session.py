@@ -36,7 +36,6 @@ scheme-axis grid therefore share one generation pass.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +43,7 @@ import numpy as np
 from repro.dram.memory_system import MemorySystem
 from repro.sim.engine import advance_batched_streams, quantize_times_ns
 from repro.sim.metrics import RunTotals
-from repro.sim.tracestore import open_store, stream_key
+from repro.sim.tracestore import open_store, stream_key, stream_key_doc
 from repro.testing.faults import fault_point
 from repro.workloads.synthetic import interarrival_times_ns
 
@@ -82,33 +81,15 @@ def merge_streams(
 class SessionCore:
     """Incremental driver of one experiment's access streams.
 
-    Parameters
-    ----------
-    sim:
-        The configured simulator (spec, system, scheme factory).
-    label, full_intensity, rows_fn:
-        One stream plan from
-        :meth:`~repro.sim.simulator.TraceDrivenSimulator.stream_plan`.
-    trace_key_doc:
-        The stream-identity document
-        (:func:`~repro.sim.tracestore.stream_key_doc`) describing what
-        ``rows_fn`` generates, or None when the plan is not
-        content-addressable (off-registry attack kernels); None also
-        results when the store is disabled.
+    ``sim`` is the configured simulator (spec, system, scheme factory);
+    the core serves its
+    :meth:`~repro.sim.simulator.TraceDrivenSimulator.stream_plan` and
+    keys the trace store by :func:`~repro.sim.tracestore.stream_key_doc`.
     """
 
-    def __init__(
-        self,
-        sim: "TraceDrivenSimulator",
-        label: str,
-        full_intensity: float,
-        rows_fn: Callable[[int, int], np.ndarray],
-        trace_key_doc: dict | None = None,
-    ) -> None:
+    def __init__(self, sim: "TraceDrivenSimulator") -> None:
         self.sim = sim
-        self.label = label
-        self.full_intensity = full_intensity
-        self.rows_fn = rows_fn
+        self.label, self.full_intensity, self.rows_fn = sim.stream_plan()
         self.engine = sim.engine
         self._banked = self.engine == "batched"
         self.n_banks = sim.n_banks_simulated
@@ -141,14 +122,10 @@ class SessionCore:
         # to zero on restore, so served history is otherwise invisible).
         self._position_floor = 0.0
         # Content-addressed generation sharing (None = always generate).
-        self._trace_store = None
-        self._trace_key: str | None = None
-        self._trace_key_doc = trace_key_doc
-        if trace_key_doc is not None:
-            store = open_store()
-            if store is not None:
-                self._trace_store = store
-                self._trace_key = stream_key(trace_key_doc)
+        self._trace_store = open_store()
+        if self._trace_store is not None:
+            self._trace_key_doc = stream_key_doc(sim)
+            self._trace_key = stream_key(self._trace_key_doc)
 
     # -- interval loading --------------------------------------------------
 
@@ -178,9 +155,10 @@ class SessionCore:
         are a pure function of the stream key, so hits and misses can
         interleave freely (even across processes) without divergence.
         """
-        store, key = self._trace_store, self._trace_key
-        if store is None or key is None:
+        store = self._trace_store
+        if store is None:
             return self._generate_interval(interval)
+        key = self._trace_key
         hit = store.get(key, self._trace_key_doc, interval, self.n_banks)
         if hit is not None:
             per_bank, rng_state = hit
@@ -456,17 +434,9 @@ class SessionCore:
         return doc
 
     @classmethod
-    def from_state(
-        cls,
-        sim: "TraceDrivenSimulator",
-        label: str,
-        full_intensity: float,
-        rows_fn: Callable[[int, int], np.ndarray],
-        state: dict,
-        trace_key_doc: dict | None = None,
-    ) -> "SessionCore":
+    def from_state(cls, sim: "TraceDrivenSimulator", state: dict) -> "SessionCore":
         """Rebuild a core captured by :meth:`to_state` (same spec)."""
-        core = cls(sim, label, full_intensity, rows_fn, trace_key_doc)
+        core = cls(sim)
         if state["engine"] != core.engine:
             raise ValueError(
                 f"snapshot was taken on the {state['engine']!r} engine, "

@@ -15,10 +15,10 @@ n_counters=..., ...)`` keyword form was removed after its one-release
 deprecation window; construct a spec instead.)
 
 The run loop itself lives in :class:`~repro.sim.session.SessionCore`:
-:meth:`TraceDrivenSimulator.run` builds a stream plan, opens a core, and
-advances it to completion.  The streaming session API (:mod:`repro.api`)
-drives the identical core incrementally, which is why checkpointed and
-uninterrupted runs are bit-identical.
+:meth:`TraceDrivenSimulator.run` opens a core over the spec's stream
+plan and advances it to completion.  The streaming session API
+(:mod:`repro.api`) drives the identical core incrementally, which is why
+checkpointed and uninterrupted runs are bit-identical.
 
 Scaling (see DESIGN.md): with ``scale = s`` the simulator divides the
 per-interval activation budget *and* every threshold (refresh + split)
@@ -40,11 +40,7 @@ from repro.core import make_scheme
 from repro.dram.config import REFRESH_INTERVAL_S, SystemConfig
 from repro.energy.cmrpo import compute_cmrpo
 from repro.sim.metrics import SimulationResult
-# _merge_streams stays importable from here (tests and older callers
-# address it via this module); its implementation moved to the session
-# core alongside the loop it serves.
 from repro.sim.session import SessionCore
-from repro.sim.session import merge_streams as _merge_streams  # noqa: F401
 from repro.workloads.attacks import AttackKernel, attack_stream, get_kernel
 from repro.workloads.suites import WorkloadSpec
 
@@ -158,25 +154,22 @@ class TraceDrivenSimulator:
 
     # -- stream plans --------------------------------------------------------
 
-    def stream_plan(
-        self, workload: WorkloadSpec | None = None
-    ) -> tuple[str, float, Callable[[int, int], np.ndarray]]:
+    def stream_plan(self) -> tuple[str, float, Callable[[int, int], np.ndarray]]:
         """The (label, full_intensity, rows_fn) triple this spec means.
 
         ``rows_fn(bank, interval)`` deterministically yields the row ids
         of one bank-interval; the triple fully describes the demand
         streams, so a spec alone reconstructs them — the property
-        session snapshots rely on.  ``workload`` overrides the spec's
-        workload model (used by :meth:`run`'s explicit-workload form).
+        session snapshots rely on.  ``kind="attack"`` specs mix the
+        attack kernel into the benign workload's streams.
         """
-        if workload is None:
-            if self.spec.kind == "attack":
-                return self._attack_plan(
-                    get_kernel(self.spec.attack_kernel),
-                    self.spec.attack_mode,
-                    self.spec.resolve_workload_model(),
-                )
-            workload = self.spec.resolve_workload_model()
+        workload = self.spec.resolve_workload_model()
+        if self.spec.kind == "attack":
+            return self._attack_plan(
+                get_kernel(self.spec.attack_kernel),
+                self.spec.attack_mode,
+                workload,
+            )
         rows_fn = lambda bank, interval: self._interval_rows(  # noqa: E731
             workload, bank, interval
         )
@@ -200,42 +193,11 @@ class TraceDrivenSimulator:
         label = f"{kernel.name}:{mode}:{benign.name}"
         return label, benign.intensity, rows_fn
 
-    def trace_key_doc(self, workload: WorkloadSpec | None = None) -> dict:
-        """Stream identity of :meth:`stream_plan` for the trace store."""
-        from repro.sim.tracestore import stream_key_doc
-
-        return stream_key_doc(self, workload)
-
     # -- main loop -----------------------------------------------------------
 
-    def open_core(self, workload: WorkloadSpec | None = None) -> SessionCore:
-        """A fresh re-entrant core over this spec's streams."""
-        return SessionCore(self, *self.stream_plan(workload),
-                           trace_key_doc=self.trace_key_doc(workload))
-
-    def run(self, workload: WorkloadSpec | None = None) -> SimulationResult:
-        """Simulate the spec's experiment; return metrics at paper scale.
-
-        ``workload`` overrides the spec's workload model; with no
-        argument the spec decides, which for ``kind="attack"`` specs
-        runs the attack mix.
-        """
-        core = self.open_core(workload)
-        core.advance()
-        return self._finalize(core.totals())
-
-    def run_attack(
-        self,
-        kernel: AttackKernel,
-        mode: str,
-        benign: WorkloadSpec,
-    ) -> SimulationResult:
-        """Simulate an explicit attack-kernel mix (Figure 13).
-
-        The kernel may be off-registry (unnameable in a spec), so this
-        path opens its core without a trace key — always generating.
-        """
-        core = SessionCore(self, *self._attack_plan(kernel, mode, benign))
+    def run(self) -> SimulationResult:
+        """Simulate the spec's experiment; return metrics at paper scale."""
+        core = SessionCore(self)
         core.advance()
         return self._finalize(core.totals())
 

@@ -122,16 +122,15 @@ def open_store() -> "TraceStore | None":
     return store
 
 
-def stream_key_doc(sim, workload=None) -> dict:
+def stream_key_doc(sim) -> dict:
     """The generation-relevant identity of one simulator's streams.
 
-    ``workload`` overrides the spec's workload model (mirroring
-    :meth:`TraceDrivenSimulator.stream_plan
-    <repro.sim.simulator.TraceDrivenSimulator.stream_plan>`).  Scheme,
-    refresh threshold and engine are deliberately absent — they cannot
-    influence generation — and so is ``n_intervals``: interval ``k``'s
-    content (and RNG chain) does not depend on how many intervals
-    follow it, so runs of different lengths share entries.
+    Describes what :meth:`TraceDrivenSimulator.stream_plan
+    <repro.sim.simulator.TraceDrivenSimulator.stream_plan>` generates.
+    Scheme, refresh threshold and engine are deliberately absent — they
+    cannot influence generation — and so is ``n_intervals``: interval
+    ``k``'s content (and RNG chain) does not depend on how many
+    intervals follow it, so runs of different lengths share entries.
     """
     from dataclasses import asdict
 
@@ -144,16 +143,13 @@ def stream_key_doc(sim, workload=None) -> dict:
         "n_banks": sim.n_banks_simulated,
         "seed": sim.seed,
     }
-    if workload is None and spec.kind == "attack":
+    if spec.kind == "attack":
         doc["kind"] = "attack"
         doc["attack"] = {
             "kernel": spec.attack_kernel,
             "mode": spec.attack_mode,
         }
-        workload = spec.resolve_workload_model()
-    elif workload is None:
-        workload = spec.resolve_workload_model()
-    doc["workload"] = asdict(workload)
+    doc["workload"] = asdict(spec.resolve_workload_model())
     return doc
 
 

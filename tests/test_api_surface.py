@@ -5,6 +5,9 @@ set of boundary configurations (tiny trees, degenerate banks) that the
 main suites do not reach.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,13 +34,12 @@ class TestPublicAPI:
     def test_subpackage_exports(self):
         import repro.analysis as analysis
         import repro.core as core
-        import repro.cpu as cpu
         import repro.dram as dram
         import repro.energy as energy
         import repro.sim as sim
         import repro.workloads as workloads
 
-        for module in (analysis, core, cpu, dram, energy, sim, workloads):
+        for module in (analysis, core, dram, energy, sim, workloads):
             for name in module.__all__:
                 assert hasattr(module, name), (
                     f"{module.__name__} missing export {name}"
@@ -51,6 +53,23 @@ class TestPublicAPI:
     def test_make_scheme_unknown(self):
         with pytest.raises(ValueError):
             make_scheme("unknown", 1024, 100)
+
+
+EXAMPLES = sorted(
+    (Path(__file__).resolve().parents[1] / "examples").glob("*.py")
+)
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_example_imports(path):
+    """Every example loads against the current API (``main()`` is
+    guarded, so only module-level imports and constants execute)."""
+    spec = importlib.util.spec_from_file_location(
+        f"example_{path.stem}", path
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 class TestTinyTrees:

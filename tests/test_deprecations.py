@@ -1,21 +1,25 @@
-"""Removal gates for the pre-spec keyword surfaces.
+"""Removal gates for deleted surfaces.
 
-ISSUE-3 kept these shims alive for one release behind
-``DeprecationWarning``; ISSUE-4 removed them.  This module pins the
-*removal guarantees*: every former shim now raises (``TypeError`` /
-``AttributeError``) instead of silently doing something, and the
-canonical spec paths stay free of deprecation warnings.  CI runs this
-file as its own job so a future PR cannot quietly resurrect a shim.
+The pre-spec keyword shims lived for one release behind
+``DeprecationWarning`` and were then removed; the request-level trace
+replay stack and the ``repro.sim.runner`` keyword facade were deleted
+outright, leaving an ``ExperimentSpec`` as the only simulator input.
+This module pins the *removal guarantees*: every former shim raises
+(``TypeError`` / ``AttributeError``) instead of silently doing
+something, deleted modules stay unimportable, and the canonical spec
+and session paths stay free of deprecation warnings.
 """
 
+import importlib
+import inspect
 import warnings
 
 import pytest
 
+import repro
 from repro.core.base import RefreshCommand
 from repro.dram.config import DUAL_CORE_2CH
-from repro.experiments import ExperimentSpec, Plan, SchemeSpec, run_spec
-from repro.sim.runner import simulate_attack, simulate_workload, sweep
+from repro.experiments import ExperimentSpec, Plan, SchemeSpec, run_plan, run_spec
 from repro.sim.simulator import TraceDrivenSimulator
 
 FAST = dict(scale=128.0, n_banks=1, n_intervals=1)
@@ -50,59 +54,42 @@ class TestSimulatorCtorRemoved:
 
 
 class TestSchemeKwargSoupRemoved:
-    def test_counters_kwarg_raises(self):
-        with pytest.raises(TypeError):
-            simulate_workload("libq", scheme="sca", counters=128, **FAST)
-
-    def test_pra_probability_kwarg_raises(self):
-        with pytest.raises(TypeError):
-            simulate_workload("libq", scheme="pra",
-                              pra_probability=0.004, **FAST)
-
-    def test_threshold_strategy_kwarg_raises(self):
-        with pytest.raises(TypeError):
-            simulate_workload("libq", scheme="drcat",
-                              threshold_strategy="geometric", **FAST)
-
-    def test_attack_kwarg_raises(self):
-        with pytest.raises(TypeError):
-            simulate_attack("kernel01", "light", "sca", counters=128, **FAST)
-
-    def test_sweep_scheme_overrides_raises(self):
-        with pytest.raises(TypeError):
-            sweep(workloads=["libq"], schemes=("sca",),
-                  scheme_overrides={"sca": {"counters": 128}}, **FAST)
-
-    def test_scheme_spec_call_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            simulate_workload(
-                "libq",
-                scheme=SchemeSpec.create("sca", n_counters=128),
-                **FAST,
-            )
-
-    def test_plain_kind_string_is_silent(self):
-        # The convenience form without per-scheme parameters stays.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            simulate_workload("libq", scheme="drcat", **FAST)
-
     def test_spec_path_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run_spec(fast_spec())
-            sweep(Plan.grid(fast_spec(), workload=["libq"]))
+            run_plan(Plan.grid(fast_spec(), workload=["libq"]))
 
-    def test_typed_scheme_matches_spec_numerics(self):
-        """The convenience keyword path and the spec path still agree."""
-        convenient = simulate_workload(
-            "libq", scheme=SchemeSpec.create("sca", n_counters=128), **FAST
-        )
-        via_spec = run_spec(fast_spec(
-            scheme=SchemeSpec.create("sca", n_counters=128)
-        ))
-        assert convenient.to_dict() == via_spec.to_dict()
+
+#: The request-level replay stack (CPU front end, controller, address
+#: decode, refresh accountant) and the keyword facade over run_spec.
+DELETED_MODULES = (
+    "repro.cpu",
+    "repro.sim.runner",
+    "repro.sim.replay",
+    "repro.dram.controller",
+    "repro.dram.address",
+    "repro.dram.refresh",
+)
+
+
+class TestSecondSimulatorRemoved:
+    @pytest.mark.parametrize("module", DELETED_MODULES)
+    def test_module_unimportable(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_facade_not_exported(self):
+        assert not hasattr(repro, "simulate_workload")
+        assert not hasattr(repro, "sweep")
+
+    def test_no_run_attack(self):
+        assert not hasattr(TraceDrivenSimulator, "run_attack")
+
+    def test_spec_is_the_only_input(self):
+        for method in (TraceDrivenSimulator.run,
+                       TraceDrivenSimulator.stream_plan):
+            assert list(inspect.signature(method).parameters) == ["self"]
 
 
 class TestRefreshCommandSpan:

@@ -18,10 +18,8 @@ import pytest
 from repro.analysis.prng import CountingPRNG, TrueRandomPRNG
 from repro.core.registry import scheme_names
 from repro.dram.config import DUAL_CORE_2CH
-from repro.experiments import ExperimentSpec, SchemeSpec
-from repro.sim.runner import simulate_attack, simulate_workload
+from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
 from repro.sim.simulator import TraceDrivenSimulator
-from repro.workloads.suites import get_workload
 
 SCHEMES = ("pra", "sca", "prcat", "drcat", "ccache")
 #: Skew spectrum: extreme (black), moderate (mum), near-uniform (libq).
@@ -45,11 +43,12 @@ _PARAM_SAMPLERS = {
 def _run(engine: str, scheme: str, workload: str):
     sim = TraceDrivenSimulator(ExperimentSpec(
         scheme=SchemeSpec(scheme),
+        workload=workload,
         system=DUAL_CORE_2CH,
         engine=engine,
         **KNOBS,
     ))
-    result = sim.run(get_workload(workload))
+    result = sim.run()
     return result, sim._last_memory
 
 
@@ -127,16 +126,17 @@ def test_fuzzed_specs_bit_identical(scheme):
 def test_bit_identical_attack_runs(scheme):
     results = {}
     for engine in ("scalar", "batched"):
-        results[engine] = simulate_attack(
-            "kernel01",
-            "heavy",
-            scheme,
-            benign="libq",
+        results[engine] = run_spec(ExperimentSpec(
+            scheme=SchemeSpec(scheme),
+            kind="attack",
+            attack_kernel="kernel01",
+            attack_mode="heavy",
+            workload="libq",
             scale=64.0,
             n_banks=2,
             n_intervals=2,
             engine=engine,
-        )
+        ))
     assert results["scalar"].totals == results["batched"].totals
 
 
@@ -172,10 +172,13 @@ def test_engine_flag_validation():
 
 
 def test_runner_plumbs_engine():
-    r1 = simulate_workload("mum", "drcat", engine="scalar", scale=128.0,
-                           n_banks=1, n_intervals=1)
-    r2 = simulate_workload("mum", "drcat", engine="batched", scale=128.0,
-                           n_banks=1, n_intervals=1)
+    r1, r2 = (
+        run_spec(ExperimentSpec(
+            scheme=SchemeSpec("drcat"), workload="mum", engine=engine,
+            scale=128.0, n_banks=1, n_intervals=1,
+        ))
+        for engine in ("scalar", "batched")
+    )
     assert r1.totals == r2.totals
 
 

@@ -16,7 +16,6 @@ from repro.experiments import (
     run_plan,
     run_spec,
 )
-from repro.sim.runner import simulate_workload, sweep
 from repro.workloads.suites import get_workload
 
 FAST = dict(scale=128.0, n_banks=1, n_intervals=1)
@@ -239,24 +238,6 @@ class TestPlan:
         json.dumps(summary)  # must be JSON-safe
 
 
-class TestRunSpecEquivalence:
-    """The spec path must be bit-identical to the legacy kwarg path."""
-
-    def test_workload_run(self):
-        legacy = simulate_workload("libq", scheme="sca", **FAST)
-        via_spec = run_spec(fast_spec(scheme=SchemeSpec("sca")))
-        assert legacy.to_dict() == via_spec.to_dict()
-
-    def test_attack_run(self):
-        from repro.sim.runner import simulate_attack
-
-        legacy = simulate_attack("kernel03", "light", "drcat", **FAST)
-        via_spec = run_spec(fast_spec(
-            kind="attack", attack_kernel="kernel03", attack_mode="light",
-        ))
-        assert legacy.to_dict() == via_spec.to_dict()
-
-
 class TestResultCache:
     def test_put_get_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -316,35 +297,6 @@ class TestResultCache:
 
 
 class TestSweepPlanPath:
-    def test_sweep_accepts_plan(self):
-        plan = Plan.grid(
-            fast_spec(),
-            workload=["black", "libq"],
-            scheme=[SchemeSpec("sca"), SchemeSpec("drcat")],
-        )
-        results = sweep(plan)
-        assert set(results) == {
-            ("black", "sca"), ("black", "drcat"),
-            ("libq", "sca"), ("libq", "drcat"),
-        }
-
-    def test_sweep_plan_matches_legacy_sweep(self):
-        plan = Plan.grid(
-            fast_spec(),
-            workload=["libq"],
-            scheme=[SchemeSpec("sca"), SchemeSpec("drcat")],
-        )
-        via_plan = sweep(plan)
-        legacy = sweep(workloads=["libq"], schemes=("sca", "drcat"), **FAST)
-        assert {
-            k: v.to_dict() for k, v in via_plan.items()
-        } == {k: v.to_dict() for k, v in legacy.items()}
-
-    def test_sweep_plan_rejects_grid_kwargs(self):
-        plan = Plan.grid(fast_spec(), workload=["libq"])
-        with pytest.raises(TypeError, match="keyword"):
-            sweep(plan, scale=128.0)
-
     def test_per_cell_run_knobs_via_plan_concat(self):
         # Per-scheme run-knob overrides (the old scheme_overrides use
         # case) are expressed by concatenating per-knob grids.
@@ -353,40 +305,19 @@ class TestSweepPlanPath:
         ) + Plan.grid(
             fast_spec(refresh_threshold=32768), scheme=[SchemeSpec("drcat")]
         )
-        results = sweep(plan)
+        results = dict(zip(plan.keys(), run_plan(plan)))
         assert results[("libq", "sca")].parameters[
             "refresh_threshold"] == 16384
         assert results[("libq", "drcat")].parameters[
             "refresh_threshold"] == 32768
-        baseline = simulate_workload(
-            "libq", scheme="sca", refresh_threshold=16384, **FAST
+        baseline = run_spec(
+            fast_spec(scheme=SchemeSpec("sca"), refresh_threshold=16384)
         )
         assert (
             results[("libq", "sca")].to_dict() == baseline.to_dict()
         )
 
-    def test_sweep_plan_rejects_schemes_argument(self):
-        plan = Plan.grid(fast_spec(), workload=["libq"])
-        with pytest.raises(TypeError, match="no schemes argument"):
-            sweep(plan, schemes=("sca",))
-
-    def test_sweep_plan_rejects_colliding_keys(self):
-        # Axes beyond workload/scheme repeat (workload, label) keys;
-        # dict-keyed sweep() must refuse rather than drop cells.
-        plan = Plan.grid(
-            fast_spec(), workload=["libq"],
-            refresh_threshold=[32768, 16384],
-        )
-        with pytest.raises(ValueError, match="keys repeat"):
-            sweep(plan)
-        # run_plan is the escape hatch: full per-spec results.
-        from repro.experiments import run_plan
-
-        assert len(run_plan(plan)) == 2
-
     def test_cache_shared_across_labels(self, tmp_path):
-        from repro.experiments import ResultCache, run_spec
-
         cache = ResultCache(tmp_path)
         labelled = fast_spec(
             scheme=SchemeSpec.create("drcat", "DRCAT_64")

@@ -5,14 +5,13 @@ import pytest
 
 from repro.dram.config import DUAL_CORE_2CH, SystemConfig
 from repro.experiments import ExperimentSpec, SchemeSpec
+from repro.sim.session import merge_streams
 from repro.sim.simulator import (
     TraceDrivenSimulator,
-    _merge_streams,
     _phase_segments,
     baseline_execution_time_ns,
     scaled_threshold,
 )
-from repro.workloads.suites import get_workload
 
 
 class TestScaledThreshold:
@@ -55,31 +54,31 @@ class TestMergeStreams:
     def test_sorted_by_time(self):
         a = (np.array([5.0, 10.0]), np.array([1, 2]))
         b = (np.array([1.0, 7.0]), np.array([3, 4]))
-        times, _banks, _rows = _merge_streams([a, b])
+        times, _banks, _rows = merge_streams([a, b])
         assert list(times) == [1.0, 5.0, 7.0, 10.0]
 
     def test_bank_tags(self):
         a = (np.array([1.0]), np.array([42]))
         b = (np.array([2.0]), np.array([43]))
-        times, banks, rows = _merge_streams([a, b])
+        times, banks, rows = merge_streams([a, b])
         assert list(banks) == [0, 1]
         assert list(rows) == [42, 43]
 
     def test_integer_dtypes(self):
         """Bank and row ids never round-trip through float64."""
         a = (np.array([1.0]), np.array([42], dtype=np.int64))
-        _times, banks, rows = _merge_streams([a])
+        _times, banks, rows = merge_streams([a])
         assert banks.dtype == np.int64
         assert rows.dtype == np.int64
 
     def test_stable_for_tied_times(self):
         a = (np.array([5.0]), np.array([1]))
         b = (np.array([5.0]), np.array([2]))
-        _times, banks, _rows = _merge_streams([a, b])
+        _times, banks, _rows = merge_streams([a, b])
         assert list(banks) == [0, 1]
 
     def test_empty(self):
-        times, banks, rows = _merge_streams([])
+        times, banks, rows = merge_streams([])
         assert len(times) == len(banks) == len(rows) == 0
 
 
@@ -108,16 +107,16 @@ class TestSimulatorRuns:
         ))
 
     def test_totals_consistent(self):
-        sim = self.make("sca", params={"n_counters": 64})
-        result = sim.run(get_workload("black"))
+        sim = self.make("sca", params={"n_counters": 64}, workload="black")
+        result = sim.run()
         totals = result.totals
         assert totals.accesses > 0
         assert totals.elapsed_ns == pytest.approx(64e6 / 64.0)
         assert totals.rows_refreshed >= totals.refresh_commands
 
     def test_deterministic(self):
-        r1 = self.make("drcat").run(get_workload("comm1"))
-        r2 = self.make("drcat").run(get_workload("comm1"))
+        r1 = self.make("drcat", workload="comm1").run()
+        r2 = self.make("drcat", workload="comm1").run()
         assert r1.totals.rows_refreshed == r2.totals.rows_refreshed
         assert r1.cmrpo == r2.cmrpo
 
@@ -125,14 +124,14 @@ class TestSimulatorRuns:
         """DESIGN.md invariant 6: rows/interval is stable across scales."""
         rows = []
         for scale in (32.0, 64.0):
-            sim = self.make("sca", scale=scale)
-            result = sim.run(get_workload("black"))
+            sim = self.make("sca", scale=scale, workload="black")
+            result = sim.run()
             rows.append(result.totals.rows_refreshed_per_bank_interval)
         assert rows[0] == pytest.approx(rows[1], rel=0.35)
 
     def test_pra_probability_plumbs_through(self):
-        sim = self.make("pra", params={"probability": 0.004})
-        result = sim.run(get_workload("libq"))
+        sim = self.make("pra", params={"probability": 0.004}, workload="libq")
+        result = sim.run()
         assert result.parameters["probability"] == 0.004
 
     def test_rejects_bad_scale(self):
@@ -155,12 +154,11 @@ class TestSimulatorRuns:
         assert scheme.tree.thresholds.refresh_threshold == 2048
 
     def test_attack_run(self):
-        from repro.workloads.attacks import ATTACK_KERNELS
-
-        sim = self.make("sca", refresh_threshold=16384)
-        result = sim.run_attack(
-            ATTACK_KERNELS[0], "heavy", get_workload("libq")
+        sim = self.make(
+            "sca", refresh_threshold=16384, kind="attack",
+            attack_kernel="kernel01", attack_mode="heavy", workload="libq",
         )
+        result = sim.run()
         assert result.totals.rows_refreshed > 0
         assert "kernel01" in result.workload
 
@@ -169,8 +167,8 @@ class TestQuadCoreConfig:
     def test_quad_core_rows(self):
         quad = SystemConfig(n_cores=4, rows_per_bank=131072)
         sim = TraceDrivenSimulator(ExperimentSpec(
-            scheme=SchemeSpec("sca"), system=quad, scale=128.0,
-            n_banks=1, n_intervals=1,
+            scheme=SchemeSpec("sca"), workload="comm1", system=quad,
+            scale=128.0, n_banks=1, n_intervals=1,
         ))
-        result = sim.run(get_workload("comm1"))
+        result = sim.run()
         assert result.totals.accesses > 0
