@@ -12,16 +12,24 @@ crosses a threshold: a refresh, a split, or a DRCAT harvest attempt.
 Between such events, processing a chunk of activations is a pure
 per-counter accumulation, which vectorizes as an ``np.bincount``.  Each
 active counter therefore exposes a *headroom*: the number of further
-hits it can absorb before its next event.  A chunk whose per-counter hit
-counts all stay below the headroom is applied wholesale; otherwise
-:func:`find_first_event` locates the exact first crossing position, the
-prefix is applied in bulk, and the single event access is replayed
-through the scheme's scalar ``access`` — which stays the oracle for all
-tree mutations (split, harvest/merge, weight updates, epoch resets).
+hits it can absorb before its next event.  A window whose per-counter
+hit counts all stay below the headroom is applied wholesale; otherwise
+the loop in :func:`counter_scheme_access_batch` locates the exact first
+crossing position (the ``headroom[c]``-th remaining occurrence of a
+crossing counter ``c``), the prefix is applied in bulk, and the single
+event access is replayed through the scheme's scalar ``access`` — which
+stays the oracle for all tree mutations (split, harvest/merge, weight
+updates, epoch resets).
 
 Headroom may be *conservative* (too small) without breaking exactness:
 a flagged position whose scalar replay turns out not to be an event
-simply costs one extra scalar call.  It must never be optimistic.
+simply costs one extra scalar call.  It must never be optimistic, with
+one deliberate, exact exception: a DRCAT harvest attempt that provably
+fails is not replayed.  Its only effect is the requester's blocked
+flag, so :meth:`~repro.core.counter_tree.CounterTree._headroom` gives
+that counter refresh-only headroom and reports the attempt, and
+:meth:`~repro.core.counter_tree.CounterTree.apply_bulk_counts` sets the
+flag once a bulk batch reaches it (DESIGN.md, "Batched engine").
 """
 
 from __future__ import annotations
@@ -37,47 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: after an event (one occurrence scan of at most this many ids) while
 #: keeping the per-window Python overhead negligible.
 BATCH_WINDOW = 2048
-
-
-def find_first_event(
-    ids: np.ndarray, headroom: np.ndarray, n_bins: int
-) -> tuple[np.ndarray, int | None]:
-    """Locate the first threshold-crossing position in one chunk.
-
-    Parameters
-    ----------
-    ids:
-        Per-access counter index (``int64``, values in ``[0, n_bins)``).
-    headroom:
-        Per-counter hits-until-next-event (``int64``, ``>= 1`` for every
-        counter that appears in ``ids``).
-    n_bins:
-        Number of counters.
-
-    Returns
-    -------
-    ``(counts, position)`` where ``counts`` is the per-counter hit count
-    of the whole chunk and ``position`` is the index of the first access
-    that reaches its counter's headroom — or ``None`` when the entire
-    chunk is event-free.
-    """
-    counts = np.bincount(ids, minlength=n_bins)
-    if len(counts) > n_bins:
-        raise ValueError("counter id out of range")
-    crossing = counts >= headroom
-    if not crossing.any():
-        return counts, None
-    # Exact first crossing: only counters whose chunk hit count reaches
-    # their headroom can trigger, and counter c triggers at its
-    # headroom[c]-th occurrence (1-based).  Usually exactly one counter
-    # crosses, so a direct occurrence scan beats an occurrence sort.
-    position: int | None = None
-    for c in crossing.nonzero()[0].tolist():
-        occurrences = (ids == c).nonzero()[0]
-        pos = int(occurrences[int(headroom[c]) - 1])
-        if position is None or pos < position:
-            position = pos
-    return counts, position
 
 
 def check_rows(rows: np.ndarray, n_rows: int) -> None:
@@ -118,11 +85,13 @@ def counter_scheme_access_batch(
         counts = np.bincount(ids, minlength=n_bins)
         start = 0
         while True:
-            headroom = tree._headroom()
+            # harvest_at marks DRCAT harvest attempts that provably fail:
+            # the bulk applies set their blocked flags instead of replays.
+            headroom, harvest_at = tree._headroom()
             crossing = counts >= headroom
             if not crossing.any():
                 # No event left in the window: apply the remainder.
-                tree.apply_bulk_counts(counts)
+                tree.apply_bulk_counts(counts, harvest_at)
                 break
             # Counter c triggers at its headroom[c]-th remaining
             # occurrence; the earliest such position is the event.
@@ -133,7 +102,7 @@ def counter_scheme_access_batch(
                 if position is None or pos < position:
                     position = pos
             prefix_counts = np.bincount(ids[start:position], minlength=n_bins)
-            tree.apply_bulk_counts(prefix_counts)
+            tree.apply_bulk_counts(prefix_counts, harvest_at)
             event_counter = int(ids[position])
             cmds = scheme.access(int(chunk[position]))
             scalar_calls += 1

@@ -380,45 +380,86 @@ class CounterTree:
             self._reads_per_counter = 1 + level
         self._split_threshold_per_counter = self._split_threshold_by_level[level]
         self._below_max_level = level < self.max_levels - 1
-        self._child_l_np = np.asarray(self._child_l)
-        self._child_r_np = np.asarray(self._child_r)
-        self._pair_inodes = (
-            np.asarray(self._inode_active)
-            & np.asarray(self._leaf_l)
-            & np.asarray(self._leaf_r)
-        ).nonzero()[0]
+        self._merge_pairs = self._sibling_leaf_pairs()
 
-    def _headroom(self) -> np.ndarray:
+    def _headroom(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Hits each counter absorbs before its next event (never 0).
 
         An *event* is anything the bulk path cannot apply: a refresh
         (count reaches ``T``), a split (split threshold crossed with a
         free counter available), or a DRCAT harvest attempt (split
         threshold crossed, pool exhausted, requester unblocked and
-        budget remaining).  A counter sitting above its split threshold
-        with no way to act has refresh-only headroom — exactly like the
-        scalar loop, which re-checks and does nothing each access.
+        budget remaining) that might succeed.  A counter sitting above
+        its split threshold with no way to act has refresh-only headroom
+        — exactly like the scalar loop, which re-checks and does nothing
+        each access.
+
+        A harvest attempt that provably fails (see
+        :meth:`_doomed_harvests`) is not an event either: its only
+        effect is the requester's ``_harvest_blocked`` flag, which
+        :meth:`apply_bulk_counts` sets when a bulk batch reaches the
+        attempt.  The second return value carries those attempts: the
+        hits until each doomed counter's attempt, ``T`` (out of reach
+        of any bulk batch) elsewhere; ``None`` when there are none.
 
         Entries for inactive counters are meaningless (they never appear
         in a gathered id array, and their chunk hit count is always 0).
         """
         count = np.asarray(self._count, dtype=np.int64)
-        headroom = self.thresholds.refresh_threshold - count
-        if self._free_counters:
-            eligible = self._below_max_level
-        elif self.track_weights and self._harvest_budget > 0:
-            eligible = self._below_max_level & ~np.asarray(
-                self._harvest_blocked, dtype=bool
-            )
-        else:
+        refresh_threshold = self.thresholds.refresh_threshold
+        headroom = refresh_threshold - count
+        harvesting = not self._free_counters
+        if harvesting and not (self.track_weights and self._harvest_budget > 0):
             # Pool exhausted and no harvesting: refresh-only headroom.
             # (Inactive counters report T, which is harmless — they
             # never appear in a gathered id array.)
-            return headroom
+            return headroom, None
         split_headroom = np.maximum(1, self._split_threshold_per_counter - count)
-        return np.where(
-            eligible, np.minimum(headroom, split_headroom), headroom
+        eligible = self._below_max_level
+        harvest_at = None
+        if harvesting:
+            eligible = eligible & ~np.asarray(self._harvest_blocked, dtype=bool)
+            doomed = eligible & self._doomed_harvests(count, count + split_headroom)
+            if doomed.any():
+                eligible = eligible & ~doomed
+                harvest_at = np.where(doomed, split_headroom, refresh_threshold)
+        return (
+            np.where(eligible, np.minimum(headroom, split_headroom), headroom),
+            harvest_at,
         )
+
+    def _doomed_harvests(self, count: np.ndarray, attempt: np.ndarray) -> np.ndarray:
+        """Counters whose harvest attempt at count ``attempt`` must fail.
+
+        Exact for the event-free stretch up to the next scalar replay:
+        inside it counts only rise, while weights, sibling pairs, the
+        free list and the budget change only in replays.  So the
+        smallest merged count among the merge candidates, taken now, is
+        a lower bound on every candidate's merged count at the attempt;
+        when it exceeds the requester's gate, :meth:`_find_cold_pair`
+        finds nothing.  The requester may not merge its own pair, so
+        the two members of the coldest pair are bounded by the
+        second-coldest.  (Every leaf below the maximum level spans at
+        least two rows, so ``reconfigure`` has no other way to fail.)
+        """
+        refresh_threshold = self.thresholds.refresh_threshold
+        weight = np.asarray(self._weight, dtype=np.int64)
+        _, left, right, merged = self._cold_pairs(count, weight)
+        # No candidate at all is an unbounded merged count: T exceeds
+        # every gate.
+        bound = np.full(self.n_counters, refresh_threshold, dtype=np.int64)
+        if len(merged):
+            coldest = int(np.argmin(merged))
+            bound[:] = merged[coldest]
+            second = (
+                np.partition(merged, 1)[1] if len(merged) > 1 else refresh_threshold
+            )
+            bound[[left[coldest], right[coldest]]] = second
+        # The gate of the scalar harvest in :meth:`access`.
+        gate = np.where(
+            weight >= 2, refresh_threshold - 1, np.maximum(1, attempt // 2)
+        )
+        return bound > np.minimum(gate, refresh_threshold - 1)
 
     def map_rows_to_counters(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized lookup: the active counter index covering each row.
@@ -431,19 +472,27 @@ class CounterTree:
             self._build_index_map()
         return self._index_map[rows >> self._block_shift]
 
-    def apply_bulk_counts(self, counts: np.ndarray) -> None:
+    def apply_bulk_counts(
+        self, counts: np.ndarray, harvest_at: np.ndarray | None
+    ) -> None:
         """Apply an event-free batch of per-counter hit counts.
 
         Exact bulk equivalent of the corresponding scalar accesses:
         counter values advance by their hit counts and the SRAM read
         statistic grows by one traversal per access.  The caller (see
         :func:`repro.core.batch.counter_scheme_access_batch`) guarantees
-        no counter crosses a threshold within the batch.
+        no counter crosses a threshold within the batch.  ``harvest_at``
+        is the second value of the :meth:`_headroom` call the batch was
+        cut by: a counter whose doomed harvest attempt lies inside the
+        batch gets the blocked flag that attempt would have set.
         """
         count_list = self._count
         for c in counts.nonzero()[0].tolist():
             count_list[c] += int(counts[c])
         self.total_sram_reads += int(counts @ self._reads_per_counter)
+        if harvest_at is not None:
+            for c in (counts >= harvest_at).nonzero()[0].tolist():
+                self._harvest_blocked[c] = True
 
     # ------------------------------------------------------------------
     # DRCAT weight tracking and reconfiguration
@@ -470,13 +519,6 @@ class CounterTree:
     def weight_saturated(self, idx: int) -> bool:
         """True when counter ``idx``'s weight register is at its cap."""
         return self._weight[idx] >= WEIGHT_MAX
-
-    def hottest_saturated_counter(self) -> int | None:
-        """Index of a weight-saturated counter, or ``None``."""
-        for i in range(self.n_counters):
-            if self._counter_active[i] and self._weight[i] >= WEIGHT_MAX:
-                return i
-        return None
 
     def reconfigure(self, hot_idx: int, count_gate: int | None = None) -> bool:
         """DRCAT step: merge a cold sibling pair, re-split ``hot_idx``.
@@ -563,10 +605,6 @@ class CounterTree:
         """
         if self._root_is_leaf:
             return None
-        # Merging lifts the surviving counter one level up; never lift
-        # above the pre-split skeleton (the balanced hardware baseline),
-        # or a later refresh would cover a larger group than even SCA's.
-        min_child_level = self.thresholds.presplit_levels
         # The inherited count must stay below the refresh threshold so a
         # merge can never trigger an immediate refresh; the min-count
         # preference below picks genuinely cold pairs first.  (A stricter
@@ -574,33 +612,10 @@ class CounterTree:
         # cold keep their stale counts until the next blanket refresh.)
         ceiling = self.thresholds.refresh_threshold - 1
         count_gate = ceiling if count_gate is None else min(ceiling, count_gate)
-        if self._index_map is not None:
-            # Batch mode keeps these in the structural caches.
-            inodes = self._pair_inodes
-            child_l, child_r = self._child_l_np, self._child_r_np
-        else:
-            inodes = (
-                np.asarray(self._inode_active)
-                & np.asarray(self._leaf_l)
-                & np.asarray(self._leaf_r)
-            ).nonzero()[0]
-            child_l = np.asarray(self._child_l)
-            child_r = np.asarray(self._child_r)
-        if not len(inodes):
-            return None
-        left = child_l[inodes]
-        right = child_r[inodes]
-        count = np.asarray(self._count)
-        weight = np.asarray(self._weight)
-        merged_count = np.maximum(count[left], count[right])
-        eligible = (
-            (left != exclude)
-            & (right != exclude)
-            & (weight[left] == 0)
-            & (weight[right] == 0)
-            & (np.asarray(self._level)[left] >= min_child_level)
-            & (merged_count <= count_gate)
+        inodes, left, right, merged_count = self._cold_pairs(
+            np.asarray(self._count), np.asarray(self._weight)
         )
+        eligible = (left != exclude) & (right != exclude) & (merged_count <= count_gate)
         chosen = eligible.nonzero()[0]
         if not len(chosen):
             return None
@@ -609,6 +624,45 @@ class CounterTree:
         inode = int(inodes[chosen[np.argmin(merged_count[chosen])]])
         parent, slot_right = self._parent_of_inode(inode)
         return (inode, parent, slot_right)
+
+    def _sibling_leaf_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(inodes, left, right)`` of every mergeable sibling-leaf pair.
+
+        An active inode qualifies when both children are leaves below
+        the pre-split skeleton: merging lifts the surviving counter one
+        level up, and lifting it above the skeleton (the balanced
+        hardware baseline) would let a later refresh cover a larger
+        group than even SCA's.  Inodes come out ascending.
+        """
+        inodes = (
+            np.asarray(self._inode_active)
+            & np.asarray(self._leaf_l)
+            & np.asarray(self._leaf_r)
+        ).nonzero()[0]
+        left = np.asarray(self._child_l, dtype=np.int64)[inodes]
+        right = np.asarray(self._child_r, dtype=np.int64)[inodes]
+        level = np.asarray(self._level, dtype=np.int64)
+        keep = level[left] >= self.thresholds.presplit_levels
+        return inodes[keep], left[keep], right[keep]
+
+    def _cold_pairs(
+        self, count: np.ndarray, weight: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The merge candidates of a harvest, before its gate and exclusion.
+
+        Returns ``(inodes, left, right, merged_count)`` for the sibling
+        leaf pairs whose two weights are zero, inodes ascending.  Shared
+        by :meth:`_find_cold_pair` and the doomed-harvest bound of
+        :meth:`_headroom`, so the two can never disagree on the filter.
+        """
+        if self._index_map is not None:
+            # Batch mode keeps the pairs in the structural caches.
+            inodes, left, right = self._merge_pairs
+        else:
+            inodes, left, right = self._sibling_leaf_pairs()
+        cold = (weight[left] == 0) & (weight[right] == 0)
+        left, right = left[cold], right[cold]
+        return inodes[cold], left, right, np.maximum(count[left], count[right])
 
     def _parent_of_inode(self, inode: int) -> tuple[int, bool]:
         """Locate the parent slot pointing at ``inode`` (root: ``-1``)."""

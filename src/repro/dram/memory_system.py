@@ -86,17 +86,6 @@ class MemorySystem:
         self.last_completion_ns = max(self.last_completion_ns, bank_state.free_at_ns)
         return done
 
-    def access_batch(self, times_ns, banks, rows) -> None:
-        """Serve a merged activation stream through the batched engine.
-
-        Bit-exact equivalent of calling :meth:`access` per event (see
-        :mod:`repro.sim.engine`); ``times_ns`` must be sorted and lie on
-        the quarter-nanosecond simulation grid.
-        """
-        from repro.sim.engine import run_batched
-
-        run_batched(self, times_ns, banks, rows)
-
     def apply_refresh(
         self,
         bank_state: BankState,

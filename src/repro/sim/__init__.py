@@ -11,7 +11,6 @@ from repro.sim.engine import (
     TIME_QUANTUM_NS,
     advance_batched_streams,
     quantize_times_ns,
-    run_batched,
 )
 from repro.sim.metrics import (
     RunTotals,
@@ -26,7 +25,6 @@ __all__ = [
     "ENGINES",
     "TIME_QUANTUM_NS",
     "quantize_times_ns",
-    "run_batched",
     "advance_batched_streams",
     "RunTotals",
     "SimulationResult",

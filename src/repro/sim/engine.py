@@ -1,10 +1,13 @@
 """The batched (vectorized) simulation engine.
 
-:func:`run_batched` drives a :class:`~repro.dram.memory_system.MemorySystem`
-through a merged ``(time, bank, row)`` activation stream exactly as the
-scalar loop ``for t, b, r: memory.access(t, b, r)`` would — same refresh
-commands at the same stream positions, same bank stall accounting, same
-scheme statistics — but in numpy chunks instead of per-event Python.
+:func:`advance_batched_streams` drives a
+:class:`~repro.dram.memory_system.MemorySystem` through per-bank
+``(time, row)`` activation streams exactly as the scalar loop over the
+time-merged stream, ``for t, b, r: memory.access(t, b, r)``, would —
+same refresh commands at the same stream positions, same bank stall
+accounting, same scheme statistics — but in numpy chunks instead of
+per-event Python.  The session core (:mod:`repro.sim.session`) is its
+only driver.
 
 Exactness rests on three facts (argued in DESIGN.md, "Batched engine"):
 
@@ -49,65 +52,6 @@ def quantize_times_ns(times: np.ndarray) -> np.ndarray:
     return np.floor(times * 4.0) * TIME_QUANTUM_NS
 
 
-def run_batched(
-    memory: MemorySystem,
-    times: np.ndarray,
-    banks: np.ndarray,
-    rows: np.ndarray,
-) -> None:
-    """Drive ``memory`` through a merged stream, bit-exactly, in chunks.
-
-    ``times`` must be sorted (quarter-ns grid), ``banks``/``rows`` int64.
-    Equivalent to ``for t, b, r in zip(...): memory.access(t, b, r)``.
-    """
-    n = len(times)
-    start = 0
-    while start < n:
-        # The scalar loop advances epochs *before* serving the first
-        # access at/after each boundary; segment the stream accordingly.
-        boundary = memory._next_epoch_ns
-        end = start + int(np.searchsorted(times[start:], boundary, side="left"))
-        if end == start:
-            memory._advance_epochs(float(times[start]))
-            continue
-        # Group the chunk by bank with one stable argsort: equal keys
-        # keep their (time-sorted) order, so each bank's gathered
-        # sub-stream is exactly the per-bank mask of before — without a
-        # full-chunk boolean scan per present bank.
-        segment_banks = banks[start:end]
-        order = np.argsort(segment_banks, kind="stable")
-        grouped = segment_banks[order]
-        present = np.unique(grouped)
-        starts = np.searchsorted(grouped, present, side="left")
-        ends = np.append(starts[1:], len(grouped))
-        seg_times = times[start:end]
-        seg_rows = rows[start:end]
-        for bank, lo, hi in zip(
-            present.tolist(), starts.tolist(), ends.tolist()
-        ):
-            picks = order[lo:hi]
-            _run_bank_segment(
-                memory, bank, seg_times[picks], seg_rows[picks]
-            )
-        start = end
-
-
-def run_batched_streams(
-    memory: MemorySystem,
-    streams: list[tuple[np.ndarray, np.ndarray]],
-) -> None:
-    """Drive ``memory`` through per-bank (times, rows) streams.
-
-    Equivalent to merging the streams in global time order and calling
-    :func:`run_batched` — the merged order only ever mattered for epoch
-    advancement, and epochs advance here between segments exactly as
-    the first crossing access would trigger them — but skips the merge
-    sort and the per-bank re-extraction entirely.  ``streams[bank]``
-    holds that bank's sorted (quarter-ns grid) arrival times and rows.
-    """
-    advance_batched_streams(memory, streams, [0] * len(streams))
-
-
 def advance_batched_streams(
     memory: MemorySystem,
     streams: list[tuple[np.ndarray, np.ndarray]],
@@ -116,13 +60,16 @@ def advance_batched_streams(
     until_ns: float | None = None,
     max_accesses: int | None = None,
 ) -> int:
-    """Re-entrant core of :func:`run_batched_streams`.
+    """Serve per-bank streams through the batched engine, re-entrantly.
 
-    Serves stream accesses starting from the per-bank ``cursors``
-    (mutated in place) until the streams are exhausted, until the next
-    pending access would arrive at or after ``until_ns``, or until
-    ``max_accesses`` accesses have been served — whichever comes first.
-    Returns the number of accesses served.
+    ``streams[bank]`` holds that bank's sorted (quarter-ns grid) arrival
+    times and rows; the merged time order is never built, because it
+    only ever mattered for epoch advancement.  Serves stream accesses
+    starting from the per-bank ``cursors`` (mutated in place) until the
+    streams are exhausted, until the next pending access would arrive
+    at or after ``until_ns``, or until ``max_accesses`` accesses have
+    been served — whichever comes first.  Returns the number of
+    accesses served.
 
     Pausing and resuming at *any* cut leaves the final state
     bit-identical to an uninterrupted run: within one epoch segment the

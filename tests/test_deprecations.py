@@ -3,10 +3,12 @@
 The pre-spec keyword shims lived for one release behind
 ``DeprecationWarning`` and were then removed; the request-level trace
 replay stack and the ``repro.sim.runner`` keyword facade were deleted
-outright, leaving an ``ExperimentSpec`` as the only simulator input.
-This module pins the *removal guarantees*: every former shim raises
+outright, leaving an ``ExperimentSpec`` as the only simulator input;
+the merged-stream batched driver went too, leaving the per-bank
+``advance_batched_streams`` as the one batched driver.  This module
+pins the *removal guarantees*: every former shim raises
 (``TypeError`` / ``AttributeError``) instead of silently doing
-something, deleted modules stay unimportable, and the canonical spec
+something, deleted modules and names stay gone, and the canonical spec
 and session paths stay free of deprecation warnings.
 """
 
@@ -90,6 +92,27 @@ class TestSecondSimulatorRemoved:
         for method in (TraceDrivenSimulator.run,
                        TraceDrivenSimulator.stream_plan):
             assert list(inspect.signature(method).parameters) == ["self"]
+
+
+#: The merged-stream batched driver and two helpers nothing called.
+DELETED_NAMES = (
+    ("repro.core.batch", "find_first_event"),
+    ("repro.sim.engine", "run_batched"),
+    ("repro.sim.engine", "run_batched_streams"),
+    ("repro.sim", "run_batched"),
+    ("repro.dram.memory_system", "MemorySystem.access_batch"),
+    ("repro.core.counter_tree", "CounterTree.hottest_saturated_counter"),
+)
+
+
+class TestDeadBatchedDriversRemoved:
+    @pytest.mark.parametrize(("module", "name"), DELETED_NAMES)
+    def test_name_removed(self, module, name):
+        owner, _, attr = name.rpartition(".")
+        target = importlib.import_module(module)
+        if owner:
+            target = getattr(target, owner)
+        assert not hasattr(target, attr)
 
 
 class TestRefreshCommandSpan:

@@ -68,10 +68,10 @@ def _fingerprint(memory) -> dict:
     for bank, scheme in enumerate(memory.schemes):
         tree = getattr(scheme, "tree", None)
         if tree is not None:
-            out[f"bank{bank}_sram_reads"] = tree.total_sram_reads
-            out[f"bank{bank}_partition"] = tuple(tree.partition())
-            out[f"bank{bank}_counts"] = tuple(tree._count)
-            out[f"bank{bank}_weights"] = tuple(tree._weight)
+            # Every tree register: the partition, counts, weights and
+            # SRAM reads, but also the harvest flags, the harvest budget
+            # and the free-list order.
+            out[f"bank{bank}_tree"] = tree.to_state()
     return out
 
 
@@ -182,12 +182,14 @@ def test_runner_plumbs_engine():
     assert r1.totals == r2.totals
 
 
-def test_memory_system_merged_batch_api():
-    """`MemorySystem.access_batch` equals the per-event access loop."""
+def test_per_bank_driver_matches_merged_access_loop():
+    """`advance_batched_streams` over per-bank streams equals the scalar
+    `MemorySystem.access` loop over the time-merged stream (4 banks,
+    1 ms epochs, DRCAT)."""
     from repro.core import make_scheme
     from repro.dram.config import SystemConfig
     from repro.dram.memory_system import MemorySystem
-    from repro.sim.engine import quantize_times_ns
+    from repro.sim.engine import advance_batched_streams, quantize_times_ns
 
     config = SystemConfig(rows_per_bank=4096)
     rng = np.random.default_rng(11)
@@ -207,8 +209,49 @@ def test_memory_system_merged_batch_api():
     for t, b, r in zip(times.tolist(), banks.tolist(), rows.tolist()):
         scalar.access(t, b, r)
     batched = build()
-    batched.access_batch(times, banks, rows)
+    streams = [(times[banks == b], rows[banks == b]) for b in range(4)]
+    served = advance_batched_streams(batched, streams, [0] * len(streams))
+    assert served == n
     assert _fingerprint(scalar) == _fingerprint(batched)
+
+
+@pytest.mark.parametrize("workload", ["comm1", "leslie", "libq"])
+def test_failed_harvests_are_predicted_not_replayed(monkeypatch, workload):
+    """Doomed DRCAT harvest attempts never reach the scalar oracle.
+
+    A replay inside ``access_batch`` that emits no command and leaves
+    the tree's index map untouched did nothing but (at most) set a
+    harvest-blocked flag.  Replaying every such attempt kept results
+    exact but cost 275-291 replays per run here; the prediction in
+    ``CounterTree._headroom`` leaves a handful.
+    """
+    from repro.core.drcat import DRCATScheme
+
+    inside = [False]
+    no_op_replays = [0]
+    access, access_batch = DRCATScheme.access, DRCATScheme.access_batch
+
+    def counting_access(self, row):
+        version = self.tree._map_version
+        cmds = access(self, row)
+        if inside[0] and not cmds and self.tree._map_version == version:
+            no_op_replays[0] += 1
+        return cmds
+
+    def flagged_access_batch(self, rows):
+        inside[0] = True
+        try:
+            return access_batch(self, rows)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(DRCATScheme, "access", counting_access)
+    monkeypatch.setattr(DRCATScheme, "access_batch", flagged_access_batch)
+    run_spec(ExperimentSpec(
+        scheme=SchemeSpec("drcat"), workload=workload,
+        scale=64.0, n_banks=1, n_intervals=2,
+    ))
+    assert no_op_replays[0] <= 10
 
 
 def test_batched_access_batch_rejects_bad_rows():

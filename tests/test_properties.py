@@ -6,7 +6,9 @@ These verify the DESIGN.md invariants over randomised access sequences:
 2. rowhammer safety: with a deterministic scheme in the loop, no row's
    unrefreshed activation count ever exceeds the refresh threshold;
 3. counter conservation across splits and merges;
-4. CAT under uniform access degenerates to SCA's uniform grouping.
+4. CAT under uniform access degenerates to SCA's uniform grouping;
+5. DRCAT's batched path equals its scalar loop once the counter pool is
+   exhausted, where harvest attempts (and their prediction) happen.
 """
 
 import numpy as np
@@ -121,6 +123,55 @@ class TestCounterConservation:
         for row in rows:
             tree.access(row)
             assert tree.active_counters + tree.free_counters == 8
+
+
+class TestHarvestRegimeBatchEquivalence:
+    """Batched DRCAT equals the scalar loop with the pool exhausted.
+
+    Skewed streams over a small pool drive the tree into the regime
+    where every split must harvest a cold pair, so the batched path
+    predicts failed attempts instead of replaying them
+    (``CounterTree._headroom``).  Any prediction that is not exact
+    shows up as a different command position, blocked flag or count.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.sampled_from([8, 16]),
+        t=st.sampled_from([64, 128, 256]),
+        n_targets=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1000, 4000),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+    )
+    def test_batched_equals_scalar(self, m, t, n_targets, seed, n, cuts):
+        n_rows = 1024
+        rng = np.random.default_rng(seed)
+        targets = rng.integers(0, n_rows, size=n_targets)
+        rows = np.where(
+            rng.random(n) < 0.7,
+            targets[rng.integers(0, n_targets, size=n)],
+            rng.integers(0, n_rows, size=n),
+        ).astype(np.int64)
+
+        scalar = DRCATScheme(n_rows, t, n_counters=m, max_levels=8)
+        expected = []
+        for position, row in enumerate(rows.tolist()):
+            cmds = scalar.access(row)
+            if cmds:
+                expected.append((position, cmds))
+
+        batched = DRCATScheme(n_rows, t, n_counters=m, max_levels=8)
+        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+        got = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            got.extend(
+                (lo + position, cmds)
+                for position, cmds in batched.access_batch(rows[lo:hi])
+            )
+        assert got == expected
+        assert batched.tree.to_state() == scalar.tree.to_state()
+        assert batched.stats.snapshot() == scalar.stats.snapshot()
 
 
 class TestSCAEquivalence:
