@@ -282,12 +282,16 @@ class CounterTree:
                     self._harvest_blocked[idx] = True
         return None
 
-    def _split(self, idx: int, row: int) -> None:
-        """Split leaf ``idx``; ``row`` locates its parent slot."""
+    def _split(self, idx: int, row: int) -> int | None:
+        """Split leaf ``idx``; ``row`` locates its parent slot.
+
+        Returns the activated counter, which becomes ``idx``'s leaf
+        sibling (``None`` when the pool is empty).
+        """
         if not self._free_counters:
             # Guard: callers check the free list before splitting; an
             # empty pool here simply means nothing to do.
-            return
+            return None
         new = self._free_counters.pop()
         self._n_active += 1
         low, high = self._low[idx], self._high[idx]
@@ -317,6 +321,7 @@ class CounterTree:
             self._index_map[((mid + 1) >> shift) : (high >> shift) + 1] = new
             self._map_version += 1
             self._refresh_structural_caches()
+        return new
 
     def _replace_slot(self, row: int, old_leaf: int, new_node: int) -> None:
         """Repoint the parent slot that held leaf ``old_leaf`` to an inode."""
@@ -577,11 +582,11 @@ class CounterTree:
 
         # Split the hot counter with the freed resources.  (_split also
         # refreshes the structural caches for the level change above.)
-        self._split(hot_idx, self._low[hot_idx])
-        sibling = self._find_sibling_of(hot_idx)
+        # The merge just freed a counter and an inode, so the split
+        # happens and its new counter is the hot leaf's sibling.
+        sibling = self._split(hot_idx, self._low[hot_idx])
         self._weight[hot_idx] = WEIGHT_AFTER_SPLIT
-        if sibling is not None:
-            self._weight[sibling] = WEIGHT_AFTER_SPLIT
+        self._weight[sibling] = WEIGHT_AFTER_SPLIT
         return True
 
     def _find_cold_pair(
@@ -679,23 +684,6 @@ class CounterTree:
             if nxt == inode:
                 return node, bool(bit)
             node = nxt
-
-    def _find_sibling_of(self, idx: int) -> int | None:
-        """Return the leaf sibling of leaf ``idx`` if it has one."""
-        if self._root_is_leaf:
-            return None
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if self._leaf_l[node] and self._child_l[node] == idx:
-                return self._child_r[node] if self._leaf_r[node] else None
-            if self._leaf_r[node] and self._child_r[node] == idx:
-                return self._child_l[node] if self._leaf_l[node] else None
-            if not self._leaf_l[node]:
-                stack.append(self._child_l[node])
-            if not self._leaf_r[node]:
-                stack.append(self._child_r[node])
-        return None
 
     # ------------------------------------------------------------------
     # checkpointable state (SchemeState protocol; see repro.api)

@@ -39,11 +39,6 @@ from repro.dram.config import DRAMTimings
 #: Backlog (rows) beyond which the controller blocks demand to catch up.
 BACKLOG_ESCALATION_ROWS = 1 << 17
 
-#: First vectorized drain-probe size (elements); grows 4x while probes
-#: consume fully, so long drain stretches amortize to a handful of
-#: vector ops while an early regime end bounds the wasted compute.
-DRAIN_VECTOR_PROBE = 1024
-
 #: Below this backlog the drain is over within a few accesses, so the
 #: per-access scalar loop beats the vector path's fixed numpy overhead
 #: (a PRA neighbour refresh enqueues 2 rows; an SCA_32 group refresh
@@ -52,44 +47,43 @@ DRAIN_VECTOR_MIN_BACKLOG = 64
 
 
 def _drain_run(
-    quanta: np.ndarray,
-    start: int,
-    cap: int,
+    anchored: np.ndarray,
     free_q: int,
     backlog: int,
     p_q: int,
     r_q: int,
-) -> tuple[int, int, int, int, int]:
-    """Closed-form prefix of the drain phase (bursts + partial drains).
+) -> tuple[int, int, int, int]:
+    """One batch that starts with a backlog, in closed form on the grid.
 
-    Works in integer quarter-ns quanta (``p_q``/``r_q`` are
-    ``row_refresh_ns``/``t_rc`` in quanta).  Three exact invariants make
-    the mixed burst/partial-drain recurrence vectorizable:
+    ``anchored[k]`` is access ``k``'s arrival minus ``k * r_q``, in
+    integer quarter-ns quanta (``p_q``/``r_q`` are ``row_refresh_ns``/
+    ``t_rc`` in quanta); the batch starts at horizon ``free_q`` with
+    ``backlog`` rows pending.  In anchored coordinates (every clock
+    minus ``k * r_q``):
 
-    1. While the backlog stays nonempty the bank is *never idle* — every
-       arrival gap fills with row-ops — so the virtual completion clock
-       ``V = F + backlog*p_q`` advances by exactly ``r_q`` per access in
-       both branches.  The full-drain branch triggers exactly when
-       ``A_k >= V_{k-1}``, i.e. at the first ``A_k - k*r_q >= V_0``.
-    2. ``F mod p_q`` also advances by ``r_q`` per access in both
-       branches, so an idle access's horizon is a *direct* function of
-       its arrival and position:
-       ``C_k = A_k + r_q + ((mu_k - A_k - r_q - 1) mod p_q) + 1`` with
-       ``mu_k = (F_0 + (k+1) r_q) mod p_q`` — and the true horizon obeys
-       the max-plus recurrence ``F_k = max(F_{k-1} + r_q, C_k)``, which
-       collapses to one ``np.maximum.accumulate`` over ``C_k - k*r_q``.
-    3. Refresh work is time accounting: ``D_k = F_k - F_0 - (k+1) r_q``
-       is the row-op time completed so far (an exact multiple of
-       ``p_q``), giving the backlog, busy and exhaustion point
-       (``backlog hits 0  <=>  F_k == V_0 + (k+1) r_q``) for free.
-
-    The one case the max-plus form cannot express is an arrival exactly
-    equal to the horizon whose residual formula lands on ``p_q`` (a
-    burst in the scalar oracle, but ``C_k = F_{k-1} + r_q + p_q`` would
-    contaminate the running max); such collisions — and the full-drain
-    access itself — are detected vectorized, the prefix truncates just
-    before them, and the caller replays that single access through the
-    scalar branch.
+    1. **Anchored clock.** Every branch of the scalar oracle -- idle,
+       burst, collision and full drain -- advances the virtual clock
+       ``F + backlog * p_q`` by exactly ``r_q`` per access, so it is the
+       constant ``V = free_q + backlog * p_q`` for the whole phase.
+       Access ``k`` drains the whole backlog iff ``anchored[k] >= V``.
+       One comparison finds the first such access; from there on the
+       bank has no backlog, and ``f = max(arrival, f) + tRC`` makes the
+       final anchored horizon ``max(anchored[k:])``.
+    2. **Lattice scan.** Before that access the anchored horizon ``f``
+       stays on the lattice ``free_q + p_q*Z``.  An idle access
+       (``a_k > f``) moves it to ``u_k``, the next lattice point
+       strictly above ``a_k``, and stalls ``u_k - a_k``; a burst
+       (``a_k <= f``) leaves it.  Since ``u_k <= f`` for every burst
+       except a *collision* -- an arrival exactly on the horizon, where
+       ``u_k = f + p_q`` -- the horizon is the running max of ``u`` up
+       to the first collision.  The scan restarts after each collision
+       (the recurrence is not monotone there, so no single max-plus
+       pass expresses it), skipping the bursts that follow it.
+    3. **Time accounting.** The backlog is ``(V - f) / p_q`` and the
+       work drained is ``f - free_q``.  When ``f`` reaches ``V`` the
+       backlog is exhausted, and every later access before the full
+       drain has ``a_k < V = f``: a burst that changes nothing, exactly
+       as the backlog-free recurrence would treat it.
 
     Exactness: every scalar float operation in the drain loop acts on
     exact quarter-ns grid values (sums/products below 2**53 quanta, and
@@ -98,41 +92,46 @@ def _drain_run(
     recurrence bit-for-bit.  The caller verifies grid alignment before
     engaging.
 
-    Returns ``(applied, free_q, backlog, busy_q, stall_q)`` with the
-    busy/stall *deltas* in quanta; ``applied == 0`` means the very next
-    access is a terminal (full drain or collision) for the scalar
-    branch to serve.
+    Returns ``(horizon_q, backlog, busy_q, stall_q)``: the anchored
+    horizon after the whole batch (so ``free_at`` is ``horizon_q +
+    len(anchored) * r_q``), the backlog left, and the busy/stall deltas
+    in quanta.
     """
-    seg = quanta[start:start + cap]
-    m = len(seg)
-    idx = np.arange(m, dtype=np.int64)
-    # 1. Full-drain boundary via the virtual completion clock.
-    anchored = seg - idx * r_q
-    full = anchored >= free_q + backlog * p_q
-    stop_full = int(np.argmax(full)) if full.any() else m
-    # 2. Max-plus horizon from per-access idle candidates.
-    mu = (free_q + (idx + 1) * r_q) % p_q
-    residual = (mu - seg - r_q - 1) % p_q + 1
-    candidates = seg + r_q + residual - idx * r_q
-    horizon = np.maximum.accumulate(
-        np.maximum(candidates, free_q + r_q)
-    ) + idx * r_q
-    prev = np.empty(m, dtype=np.int64)
-    prev[0] = free_q
-    prev[1:] = horizon[:-1]
-    collide = seg == prev
-    stop_collide = int(np.argmax(collide)) if collide.any() else m
-    # 3. Exhaustion: backlog reaches exactly zero after access k.
-    empty = horizon == free_q + backlog * p_q + (idx + 1) * r_q
-    stop_empty = int(np.argmax(empty)) if empty.any() else m
-    take = min(stop_full, stop_collide, stop_empty + 1, m)
-    if take == 0:
-        return 0, free_q, backlog, 0, 0
-    final = int(horizon[take - 1])
-    drained_q = final - free_q - take * r_q
-    idle = seg[:take] > prev[:take]
-    stall_q = int(residual[:take][idle].sum())
-    return take, final, backlog - drained_q // p_q, drained_q, stall_q
+    n = len(anchored)
+    clock = free_q + backlog * p_q
+    full = anchored >= clock
+    end = int(full.argmax())
+    if not full[end]:
+        end = n
+    horizon = free_q
+    stall_q = 0
+    k = 0
+    while k < end:
+        seg = anchored[k:end]
+        residual = p_q - (seg - free_q) % p_q
+        run = np.maximum.accumulate(seg + residual)
+        np.maximum(run, horizon, out=run)
+        before = np.empty_like(run)
+        before[0] = horizon
+        before[1:] = run[:-1]
+        collide = seg == before
+        stop = int(collide.argmax())
+        if not collide[stop]:
+            stop = len(seg)
+        idle = seg[:stop] > before[:stop]
+        stall_q += int(residual[:stop][idle].sum())
+        if stop == len(seg):
+            horizon = int(run[-1])
+            break
+        # Collision at k + stop: a burst on the horizon.  Skip it and
+        # the bursts after it; the scan resumes at the next idle access.
+        horizon = int(before[stop])
+        k += stop + 1
+        idle = anchored[k:end] > horizon
+        k = k + int(idle.argmax()) if idle.any() else end
+    if end < n:
+        return int(anchored[end:].max()), 0, backlog * p_q, stall_q
+    return horizon, (clock - horizon) // p_q, horizon - free_q, stall_q
 
 
 @dataclass
@@ -199,16 +198,18 @@ class BankState:
         """Serve ``arrivals`` (sorted, float64 ns) with no refreshes between.
 
         Exact batch equivalent of calling :meth:`serve_access` per
-        element.  While a refresh backlog is pending, the mixed
-        burst/partial-drain stretch applies in closed form on the
-        integer quarter-ns grid (:func:`_drain_run`); only its terminal
-        accesses (a full drain, or an arrival landing exactly on the
-        horizon) replay through the scalar branch, and off-grid timings
-        or arrivals fall back to the per-access loop wholesale.  Once
-        the backlog is clear, the busy-horizon recurrence
-        ``f = max(arrival, f) + tRC`` collapses to a running max, and
-        only the final horizon and the activation count remain
-        observable, so the whole stretch applies in O(n) vector ops.
+        element.  While a refresh backlog of at least
+        ``DRAIN_VECTOR_MIN_BACKLOG`` rows is pending and every input is
+        on the integer quarter-ns grid, one :func:`_drain_run` call
+        applies the whole drain phase in closed form -- bursts, partial
+        drains, arrivals exactly on the horizon, and the exhaustion or
+        full drain that ends it.  Shorter backlogs and off-grid timings
+        or arrivals drain through the per-access scalar loop, the
+        reference for off-grid input.  Once the backlog is clear, the
+        busy-horizon recurrence ``f = max(arrival, f) + tRC`` collapses
+        to a running max, and only the final horizon and the activation
+        count remain observable, so the rest of the batch applies in
+        O(n) vector ops.
         """
         n = len(arrivals)
         if n == 0:
@@ -216,16 +217,9 @@ class BankState:
         t_rc = self.timings.t_rc
         i = 0
         if self.refresh_backlog_rows > 0:
-            # Drain phase: closed-form fast path on the integer grid
-            # (:func:`_drain_run`), falling back to per-access logic
-            # inlined from serve_access / _drain_until (identical
-            # expressions on identical floats, so the arithmetic is
-            # bit-equal) for terminal accesses and off-grid inputs.
             t_op = self.timings.row_refresh_ns
             f = self.free_at_ns
             backlog = self.refresh_backlog_rows
-            busy = self.mitigation_busy_ns
-            stall = self.stall_ns
             p_q4 = t_op * 4.0
             r_q4 = t_rc * 4.0
             fast = (
@@ -239,76 +233,52 @@ class BankState:
                 fast = bool((quanta == scaled).all())
             if fast:
                 p_q, r_q = int(p_q4), int(r_q4)
-                free_q = int(f * 4.0)
-                probe = DRAIN_VECTOR_PROBE
-                while i < n and backlog > 0:
-                    cap = max(probe, 4 * backlog)
-                    applied, free_q, backlog, busy_q, stall_q = _drain_run(
-                        quanta, i, cap, free_q, backlog, p_q, r_q
-                    )
-                    if applied:
-                        busy += busy_q * 0.25
-                        stall += stall_q * 0.25
-                        i += applied
-                        probe = probe * 4 if applied == cap else \
-                            DRAIN_VECTOR_PROBE
-                        continue
-                    # Terminal access: full drain or an arrival exactly
-                    # on the horizon — serve it through the scalar
-                    # oracle branch (grid arithmetic keeps free_q exact).
-                    a = float(arrivals[i])
-                    f = free_q * 0.25
-                    if a > f:
-                        gap = a - f
-                        ops_fit = int(gap / t_op)
-                        if ops_fit >= backlog:
-                            busy += backlog * t_op
-                            backlog = 0
-                            f = a + t_rc
-                        else:
-                            completed = ops_fit + 1
-                            busy += completed * t_op
-                            backlog -= completed
-                            residual = t_op - (gap - ops_fit * t_op)
-                            stall += residual
-                            f = a + residual + t_rc
+                anchored = quanta - np.arange(n, dtype=np.int64) * r_q
+                horizon_q, backlog, busy_q, stall_q = _drain_run(
+                    anchored, int(f * 4.0), backlog, p_q, r_q
+                )
+                self.free_at_ns = (horizon_q + n * r_q) * 0.25
+                self.refresh_backlog_rows = backlog
+                self.mitigation_busy_ns += busy_q * 0.25
+                self.stall_ns += stall_q * 0.25
+                self.activations += n
+                return
+            # Short backlog or off-grid input: the per-access scalar
+            # loop (the expressions of serve_access / _drain_until on
+            # identical floats), pulling arrivals through tolist()
+            # buffers that start small -- a 2-row PRA backlog drains in
+            # an access or two -- and grow while the drain goes on.
+            busy = self.mitigation_busy_ns
+            stall = self.stall_ns
+            buffer: list[float] = []
+            buffer_start = buffer_end = 0
+            chunk = 8
+            while i < n and backlog > 0:
+                if i >= buffer_end:
+                    buffer = arrivals[i : i + chunk].tolist()
+                    buffer_start = i
+                    buffer_end = i + len(buffer)
+                    chunk = min(chunk * 4, 1024)
+                a = buffer[i - buffer_start]
+                if a > f:
+                    # Idle gap: row-ops fit before the access starts.
+                    gap = a - f
+                    ops_fit = int(gap / t_op)
+                    if ops_fit >= backlog:
+                        busy += backlog * t_op
+                        backlog = 0
+                        f = a + t_rc
                     else:
-                        f = f + t_rc
-                    free_q = int(f * 4.0)
-                    i += 1
-                f = free_q * 0.25
-            else:
-                # Off-grid timings or arrivals: the per-access scalar
-                # loop (identical expressions on identical floats), with
-                # arrivals pulled through small tolist() buffers to
-                # avoid per-access numpy scalar extraction.
-                buffer: list[float] = []
-                buffer_start = buffer_end = 0
-                while i < n and backlog > 0:
-                    if i >= buffer_end:
-                        buffer = arrivals[i : i + 1024].tolist()
-                        buffer_start = i
-                        buffer_end = i + len(buffer)
-                    a = buffer[i - buffer_start]
-                    if a > f:
-                        # Idle gap: row-ops fit before the access starts.
-                        gap = a - f
-                        ops_fit = int(gap / t_op)
-                        if ops_fit >= backlog:
-                            busy += backlog * t_op
-                            backlog = 0
-                            f = a + t_rc
-                        else:
-                            completed = ops_fit + 1
-                            busy += completed * t_op
-                            backlog -= completed
-                            residual = t_op - (gap - ops_fit * t_op)
-                            stall += residual
-                            f = a + residual + t_rc
-                    else:
-                        # Burst: nothing drains, the horizon advances tRC.
-                        f = f + t_rc
-                    i += 1
+                        completed = ops_fit + 1
+                        busy += completed * t_op
+                        backlog -= completed
+                        residual = t_op - (gap - ops_fit * t_op)
+                        stall += residual
+                        f = a + residual + t_rc
+                else:
+                    # Burst: nothing drains, the horizon advances tRC.
+                    f = f + t_rc
+                i += 1
             self.free_at_ns = f
             self.refresh_backlog_rows = backlog
             self.mitigation_busy_ns = busy

@@ -124,8 +124,8 @@ def _run_bank_segment(
     events = [] if scheme is None else scheme.access_batch(rows)
     prev = 0
     for position, commands in events:
-        bank_state.serve_accesses_batch(times[prev:position])
-        done = bank_state.serve_access(float(times[position]))
+        bank_state.serve_accesses_batch(times[prev:position + 1])
+        done = bank_state.free_at_ns
         for cmd in commands:
             memory.apply_refresh(bank_state, done, cmd, bank=bank)
         prev = position + 1

@@ -1,9 +1,16 @@
 """Tests for the bank timing model (refresh backlog + stall accounting)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.dram.bank as bank_module
 from repro.dram.bank import BACKLOG_ESCALATION_ROWS, BankState
 from repro.dram.config import DRAMTimings
+
+#: ``t_rc`` and the row-op time, in quarter-ns quanta.
+R_Q = int(DRAMTimings().t_rc * 4)
+P_Q = int(DRAMTimings().row_refresh_ns * 4)
 
 
 def make_bank():
@@ -106,9 +113,10 @@ class TestEpochReset:
 class TestBatchDrainEquivalence:
     """serve_accesses_batch == per-access serve_access, bit-for-bit.
 
-    The drain phase mixes three regimes — scalar idle/burst steps and
-    the vectorized closed-form idle-run fast path — and every mix must
-    reproduce the scalar oracle exactly.
+    A drain phase mixes idle, burst and on-horizon (collision) accesses
+    and ends in an exhaustion or a full drain; the closed form (grid
+    input, backlog >= 64) and the scalar loop must both reproduce the
+    scalar oracle exactly for every mix.
     """
 
     def _assert_equivalent(self, arrivals, backlog, f0):
@@ -163,6 +171,95 @@ class TestBatchDrainEquivalence:
             np.full(200, np.floor(3.2 * t_op * 4.0) * 0.25)
         )
         self._assert_equivalent(arrivals, 3 * 120, 0.0)
+
+    @staticmethod
+    def _collision_stream(ending):
+        """Bursts exactly on the horizon, partial drains, then ``ending``.
+
+        The arrivals are built against the per-access oracle, which
+        serves them as they are made; returns ``(oracle, arrivals)``.
+        """
+        import numpy as np
+
+        t_rc = DRAMTimings().t_rc
+        t_op = DRAMTimings().row_refresh_ns
+        oracle = make_bank()
+        oracle.refresh_backlog_rows = 1026
+        oracle.free_at_ns = f0 = 1000 * t_rc
+        arrivals = []
+
+        def serve(arrival):
+            arrivals.append(arrival)
+            oracle.serve_access(arrival)
+
+        # Arrivals t_rc apart from F0: consecutive bursts on the horizon.
+        for k in range(40):
+            serve(f0 + k * t_rc)
+        # Cycles of a 3-row partial drain, two collisions, and a 1-row
+        # partial drain landing within one row-op of the horizon (where
+        # a collision, wrongly taken as idle, would move it).  The last
+        # partial drain takes exactly the remaining rows (exhaustion);
+        # the full drain's gap is exactly backlog * t_op, its boundary.
+        # Every gap stays on the quarter-ns grid.
+        stop = 0 if ending == "exhaustion" else 500
+        while oracle.refresh_backlog_rows > stop:
+            left = oracle.refresh_backlog_rows
+            if left < 4:
+                serve(oracle.free_at_ns + (left - 1) * t_op + 10.0)
+                continue
+            serve(oracle.free_at_ns + 2 * t_op + 10.0)
+            serve(oracle.free_at_ns)
+            serve(oracle.free_at_ns)
+            serve(oracle.free_at_ns + 10.0)
+        if ending == "full_drain":
+            serve(oracle.free_at_ns + oracle.refresh_backlog_rows * t_op)
+        assert oracle.refresh_backlog_rows == 0
+        for _ in range(30):
+            serve(oracle.free_at_ns + 30.0)
+        return oracle, np.asarray(arrivals)
+
+    @pytest.mark.parametrize("ending", ["exhaustion", "full_drain"])
+    def test_collision_stream_drains_in_one_pass(self, ending, monkeypatch):
+        # One _drain_run call serves the whole phase: a probe-and-replay
+        # drain would call it once per collision or probe window and
+        # replay the terminal accesses in Python.
+        calls = []
+        drain_run = bank_module._drain_run
+
+        def counted(*args):
+            calls.append(args)
+            return drain_run(*args)
+
+        monkeypatch.setattr(bank_module, "_drain_run", counted)
+        oracle, arrivals = self._collision_stream(ending)
+        batched = make_bank()
+        batched.refresh_backlog_rows = 1026
+        batched.free_at_ns = 1000 * DRAMTimings().t_rc
+        batched.serve_accesses_batch(arrivals)
+        assert len(calls) == 1
+        assert oracle.to_state() == batched.to_state()
+        assert oracle.stall_ns > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.one_of(
+                st.integers(0, 4).map(lambda m: m * R_Q),
+                st.integers(1, 4 * R_Q),
+                st.integers(4 * R_Q, 6000 * P_Q),
+            ),
+            min_size=1,
+            max_size=400,
+        ),
+        backlog=st.integers(64, 5000),
+        f0=st.integers(0, 10**6),
+        offset=st.integers(-4 * R_Q, 4 * R_Q),
+    )
+    def test_drain_phase_matches_scalar_loop(self, gaps, backlog, f0, offset):
+        import numpy as np
+
+        quanta = np.maximum(f0 + offset + np.cumsum(gaps), 0)
+        self._assert_equivalent(quanta * 0.25, backlog, f0 * 0.25)
 
     def test_off_grid_timings_fall_back_to_scalar(self):
         import numpy as np
