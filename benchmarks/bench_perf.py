@@ -8,10 +8,7 @@ the wall-clock of a Figure 8 mini-sweep, the warm/cold behaviour of the
 sweep-cell result cache (ISSUE-3), and the sweep-throughput section
 (ISSUE-5): a scheme-axis figure grid timed with the activation-trace
 store disabled (the PR-4 cold baseline), cold (populating), and warm
-(every stream memmap-served) — plus the persistent-pool reuse gain.  A
-``seed_path`` baseline replays the seed repository's exact scalar hot
-loop (float64 merged matrix with per-event ``int()`` casts) for an
-apples-to-apples speedup figure against the pre-optimization code.
+(every stream memmap-served) — plus the persistent-pool reuse gain.
 
 The engine and result-cache sections pin ``REPRO_TRACE_STORE=0`` so
 their numbers stay comparable with earlier runs; only the dedicated
@@ -125,52 +122,6 @@ def _measure(engine: str, scheme: str, repeats: int) -> tuple[float, int]:
         best = min(best, time.perf_counter() - start)
         accesses = result.totals.accesses
     return best, accesses
-
-
-def _measure_seed_path(scheme: str, repeats: int) -> float:
-    """Wall-clock of the seed repository's scalar hot loop.
-
-    Reproduces the pre-optimization ``_run_streams`` body: a float64
-    ``(time, bank, row)`` matrix merged with a stable argsort and walked
-    row by row with ``int()`` casts into ``MemorySystem.access``.
-    """
-    import numpy as np
-
-    from repro.dram.memory_system import MemorySystem
-    from repro.sim.simulator import TraceDrivenSimulator
-    from repro.workloads.suites import get_workload
-    from repro.workloads.synthetic import interarrival_times_ns
-
-    spec = get_workload(PROFILE_WORKLOAD)
-    best = float("inf")
-    for _ in range(repeats):
-        sim = TraceDrivenSimulator(ExperimentSpec(
-            scheme=SchemeSpec(scheme), workload=PROFILE_WORKLOAD,
-            engine="scalar",
-        ))
-        start = time.perf_counter()
-        memory = MemorySystem(
-            sim.config, sim._scheme_factory(), epoch_s=sim.epoch_s
-        )
-        epoch_ns = sim.epoch_s * 1e9
-        arrival_rng = np.random.Generator(np.random.PCG64(0xC0FFEE))
-        for interval in range(sim.n_intervals):
-            chunks = []
-            for bank in range(sim.n_banks_simulated):
-                rows = sim._interval_rows(spec, bank, interval)
-                times = interarrival_times_ns(arrival_rng, len(rows), epoch_ns)
-                chunk = np.empty((len(rows), 3))
-                chunk[:, 0] = times + interval * epoch_ns
-                chunk[:, 1] = bank
-                chunk[:, 2] = rows
-                chunks.append(chunk)
-            merged = np.concatenate(chunks)
-            merged = merged[np.argsort(merged[:, 0], kind="stable")]
-            access = memory.access
-            for time_ns, bank, row in merged:
-                access(time_ns, int(bank), int(row))
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _trace_sweep_plan(workloads=TRACE_SWEEP_WORKLOADS):
@@ -392,16 +343,13 @@ def run_bench(smoke: bool = False, repeats: int = 3) -> dict:
         for scheme in schemes:
             scalar_s, accesses = _measure("scalar", scheme, repeats)
             batched_s, _ = _measure("batched", scheme, repeats)
-            seed_s = _measure_seed_path(scheme, 1 if smoke else 2)
             report["schemes"][scheme] = {
                 "accesses": accesses,
                 "scalar_s": round(scalar_s, 4),
                 "batched_s": round(batched_s, 4),
-                "seed_path_s": round(seed_s, 4),
                 "scalar_accesses_per_s": round(accesses / scalar_s),
                 "batched_accesses_per_s": round(accesses / batched_s),
                 "speedup_vs_scalar": round(scalar_s / batched_s, 2),
-                "speedup_vs_seed_path": round(seed_s / batched_s, 2),
             }
         if not smoke:
             start = time.perf_counter()
@@ -482,8 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{scheme:7s} scalar {row['scalar_accesses_per_s']:>10,}/s   "
             f"batched {row['batched_accesses_per_s']:>10,}/s   "
-            f"speedup {row['speedup_vs_scalar']:5.1f}x "
-            f"(vs seed path {row['speedup_vs_seed_path']:5.1f}x)"
+            f"speedup {row['speedup_vs_scalar']:5.1f}x"
         )
     if "fig8_mini_sweep_s" in report:
         print(f"fig8 mini-sweep: {report['fig8_mini_sweep_s']} s")

@@ -29,13 +29,14 @@ runs, perturbed mid-stream, checkpointed to a JSON document, and resumed
 the property tests):
 
 1. ``Session(spec).result()`` is bit-identical to
-   ``run_spec(spec)`` — the session drives the same
-   :class:`~repro.sim.session.SessionCore` the batch path uses.
+   ``run_spec(spec)`` — ``run_spec`` *is* a session advanced to
+   completion, over the one :class:`~repro.sim.session.SessionCore`.
 2. ``snapshot -> restore -> finish`` is bit-identical to an
    uninterrupted run, for every registered scheme, on both engines —
    every scheme implements the ``SchemeState`` protocol
-   (``to_state``/``restore_state``), and the core's loop state (pending
-   streams, cursors, arrival RNG, epoch clock) is explicit.
+   (``to_state``/``restore_state``), and the core's loop state (per-bank
+   pending streams and cursors, arrival RNG, epoch clock) is explicit
+   and laid out the same way on both engines.
 3. Observer taps are read-only: registering them never changes the
    numbers.  Taps are also *isolated* — a raising callback is logged
    and detached, never allowed to abort the simulation it observes.
@@ -65,8 +66,9 @@ from repro.workloads.attacks import attack_stream, get_kernel
 logger = logging.getLogger(__name__)
 
 #: Bump on incompatible snapshot-layout changes; :meth:`Session.restore`
-#: rejects other versions with a regeneration hint.
-SNAPSHOT_VERSION = 1
+#: rejects other versions with a regeneration hint.  Version 2 stores
+#: per-bank pending streams on both engines.
+SNAPSHOT_VERSION = 2
 SNAPSHOT_KIND = "repro-session-snapshot"
 
 
@@ -189,17 +191,23 @@ class Session:
 
         Bit-identical to ``run_spec(spec)`` on the same spec, however
         the session was paused, observed, or checkpoint-cycled along the
-        way (injections excepted — they add real traffic).
+        way (injections excepted — they add real traffic).  Finishing
+        unhooks the session from its memory system, so a finished
+        session is freed as soon as it is unreferenced.
         """
         if self._result is None:
+            memory = self._core.memory
             self._core.advance()
             # The final interval's boundary is never crossed by an
             # access; close the stream for epoch observers with one
             # synthetic final event covering the last epoch.
             if self._epoch_taps and \
-                    self._core.memory.epochs_completed < self.spec.n_intervals:
+                    memory.epochs_completed < self.spec.n_intervals:
                 self._dispatch_epoch(self.spec.n_intervals)
-            self._result = self.sim._finalize(self._core.totals())
+            self._result = self.sim._finalize(self._core.totals(), memory)
+            # The hooks are bound methods of this session: left in
+            # place they form a session <-> memory reference cycle.
+            memory.on_epoch = memory.on_refresh = None
         return self._result
 
     def metrics(self) -> RunTotals:

@@ -22,10 +22,10 @@ Subcommands::
 API (:mod:`repro.api`) and prints one metrics line per simulated 64 ms
 epoch; ``--snapshot-at NS --snapshot-to FILE`` checkpoints the run
 mid-stream into a JSON snapshot that ``repro resume FILE`` finishes
-bit-identically (on this or any other machine).  ``verify --session
-session|checkpoint`` re-runs the whole golden-figure gate through the
-session facade (optionally checkpoint/resume-cycling every cell) to
-prove the streaming path equals the batch path.
+bit-identically (on this or any other machine).  Every run is a
+session; ``verify --session checkpoint`` re-runs the whole golden-figure
+gate with every cell snapshotted at half horizon, JSON-round-tripped and
+resumed, to prove a resumed run equals an uninterrupted one.
 
 Every flag-driven subcommand builds a declarative
 :class:`~repro.experiments.ExperimentSpec` internally; ``run --spec``
@@ -983,12 +983,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "they are bit-identical)")
     p_ver.add_argument("--session", choices=list(SESSION_MODES),
                        default=None,
-                       help="spec execution path: 'session' runs every "
-                            "cell through the streaming facade, "
-                            "'checkpoint' additionally snapshots each "
-                            "cell mid-run, JSON-round-trips and resumes "
-                            "it (default direct; all paths must match "
-                            "the same goldens)")
+                       help="'checkpoint' snapshots every cell at half "
+                            "its horizon, JSON-round-trips the snapshot "
+                            "and resumes it (default direct: run "
+                            "straight through; both must match the same "
+                            "goldens)")
     p_ver.add_argument("--update", action="store_true",
                        help="rewrite the golden store from this run "
                             "instead of comparing")

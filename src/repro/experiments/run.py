@@ -1,19 +1,19 @@
 """Executing specs and plans, with caching, fan-out and fault tolerance.
 
-``REPRO_SESSION_MODE`` selects the execution path every spec takes:
+Every spec runs through one path: :func:`run_spec` opens a
+:class:`repro.api.Session` and drives it to completion.
+``REPRO_SESSION_MODE`` only decides whether that run is cut once:
 
-* ``direct`` (default) — the batch run-to-completion loop;
-* ``session`` — open a streaming :class:`repro.api.Session` and drive it
-  to completion (proves the session facade against the batch path);
+* ``direct`` (default) — run straight through;
 * ``checkpoint`` — run half the simulated horizon, snapshot, round-trip
   the snapshot through JSON, restore into a *fresh* session, and finish
   (proves checkpoint/resume bit-identity; ``repro verify --session
   checkpoint`` gates the whole figure suite through this path).
 
-All three paths are bit-identical by construction; the knob exists so
-CI can prove it stays that way.  The sweep-cell result cache is bypassed
-for the non-direct modes — a cache hit would silently skip the very
-code path being exercised.
+Both modes are bit-identical by construction; the knob exists so CI can
+prove it stays that way.  The sweep-cell result cache is bypassed in
+``checkpoint`` mode — a cache hit would silently skip the very code path
+being exercised.
 
 Pool fan-out goes through the process-wide persistent :class:`SweepPool`
 (created on first use, grown on demand, reused by every plan in the
@@ -92,13 +92,9 @@ def session_mode() -> str:
 def run_spec(spec: ExperimentSpec):
     """Run one experiment; returns a
     :class:`~repro.sim.metrics.SimulationResult`."""
-    mode = session_mode()
-    if mode == "direct":
-        from repro.sim.simulator import TraceDrivenSimulator
-
-        return TraceDrivenSimulator(spec).run()
     from repro.api import Session
 
+    mode = session_mode()
     session = Session(spec)
     if mode == "checkpoint":
         # Mid-run cut: half the simulated horizon — mid-interval for
@@ -641,8 +637,8 @@ def run_plan(
                          "plan yields a partial report, not results")
     specs = tuple(plan.specs if isinstance(plan, Plan) else plan)
     cache = ResultCache.coerce(cache)
-    if cache is not None and session_mode() != "direct":
-        # A cache hit would skip the session/checkpoint path entirely,
+    if cache is not None and session_mode() == "checkpoint":
+        # A cache hit would skip the checkpoint path entirely,
         # making the equivalence gate vacuous; always simulate.
         cache = None
     cells = [

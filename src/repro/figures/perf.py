@@ -36,9 +36,6 @@ def perf_speedup_rows(doc: dict) -> list[tuple[str, float]]:
         if "speedup_vs_scalar" in stats:
             rows.append((f"{scheme}: batched vs scalar",
                          float(stats["speedup_vs_scalar"])))
-        if "speedup_vs_seed_path" in stats:
-            rows.append((f"{scheme}: batched vs seed path",
-                         float(stats["speedup_vs_seed_path"])))
     cache = doc.get("sweep_cache", {})
     if "speedup" in cache:
         rows.append(("sweep cache: warm vs cold", float(cache["speedup"])))

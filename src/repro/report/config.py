@@ -28,11 +28,11 @@ from typing import Mapping
 #: :data:`repro.sim.engine.ENGINES` re-exports it.
 ENGINE_NAMES = ("scalar", "batched")
 
-#: Execution paths ``run_spec`` can take (``REPRO_SESSION_MODE``):
-#: the direct batch loop, the streaming session facade, or the
-#: checkpoint-mid-run/JSON-round-trip/resume path — all bit-identical
-#: by contract (see :mod:`repro.experiments.run`).
-SESSION_MODES = ("direct", "session", "checkpoint")
+#: How ``run_spec`` drives its session (``REPRO_SESSION_MODE``):
+#: straight through, or cut at half horizon by a snapshot, a JSON
+#: round-trip and a restore — bit-identical by contract (see
+#: :mod:`repro.experiments.run`).
+SESSION_MODES = ("direct", "checkpoint")
 
 #: Named fidelity points: the env values ``repro verify`` applies.
 FIDELITIES: dict[str, dict[str, str]] = {

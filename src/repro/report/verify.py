@@ -134,10 +134,10 @@ def run_verify(
 ) -> int:
     """Drive one verify run; returns the process exit code.
 
-    ``session`` selects the spec execution path (``direct`` /
-    ``session`` / ``checkpoint``) every simulated cell takes; the
-    non-direct paths gate the streaming-session equivalence guarantees
-    against the *unmodified* golden store.
+    ``session`` selects how every simulated cell's session is driven
+    (``direct`` / ``checkpoint``); ``checkpoint`` gates the
+    snapshot/restore equivalence guarantee against the *unmodified*
+    golden store.
     """
     say = (out or sys.stdout).write
 

@@ -578,9 +578,9 @@ class ReproServer:
     def _execute_run(self, job_id: str, spec, generation: int = 0) -> None:
         """Drive one spec through a Session, taps bridged to the hub.
 
-        The session facade is bit-identical to the batch path by the
-        PR-4 equivalence guarantee, so serving a run this way (to get
-        the observer taps) returns exactly what ``run_spec`` would.
+        ``run_spec`` drives the same :class:`~repro.api.Session`, so
+        serving a run this way (to get the observer taps) returns
+        exactly what ``run_spec`` would.
 
         The run advances epoch by epoch so the driver can heartbeat,
         checkpoint a resumable snapshot every ``checkpoint_epochs``

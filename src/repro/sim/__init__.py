@@ -10,6 +10,8 @@ from repro.sim.engine import (
     ENGINES,
     TIME_QUANTUM_NS,
     advance_batched_streams,
+    advance_scalar_streams,
+    merge_streams,
     quantize_times_ns,
 )
 from repro.sim.metrics import (
@@ -18,7 +20,7 @@ from repro.sim.metrics import (
     format_table,
     mean_over,
 )
-from repro.sim.session import SessionCore, merge_streams
+from repro.sim.session import SessionCore
 from repro.sim.simulator import TraceDrivenSimulator, scaled_threshold
 
 __all__ = [
@@ -26,12 +28,13 @@ __all__ = [
     "TIME_QUANTUM_NS",
     "quantize_times_ns",
     "advance_batched_streams",
+    "advance_scalar_streams",
+    "merge_streams",
     "RunTotals",
     "SimulationResult",
     "format_table",
     "mean_over",
     "SessionCore",
-    "merge_streams",
     "TraceDrivenSimulator",
     "scaled_threshold",
 ]

@@ -1,15 +1,22 @@
-"""The batched (vectorized) simulation engine.
+"""The two stream drivers: the scalar oracle and the batched engine.
 
-:func:`advance_batched_streams` drives a
-:class:`~repro.dram.memory_system.MemorySystem` through per-bank
-``(time, row)`` activation streams exactly as the scalar loop over the
-time-merged stream, ``for t, b, r: memory.access(t, b, r)``, would —
-same refresh commands at the same stream positions, same bank stall
-accounting, same scheme statistics — but in numpy chunks instead of
-per-event Python.  The session core (:mod:`repro.sim.session`) is its
-only driver.
+Both drivers share one signature and one contract.  Each serves
+per-bank ``(times, rows)`` activation streams from per-bank cursors
+(mutated in place) into a
+:class:`~repro.dram.memory_system.MemorySystem`, up to an optional
+``until_ns`` / ``max_accesses`` limit, and returns the number served.
+The session core (:mod:`repro.sim.session`) picks one by engine name
+and is otherwise engine-independent.
 
-Exactness rests on three facts (argued in DESIGN.md, "Batched engine"):
+* :func:`advance_scalar_streams` is the per-event reference loop:
+  ``memory.access(t, b, r)`` for every access in merged time order.
+* :func:`advance_batched_streams` produces the same refresh commands at
+  the same stream positions, the same bank stall accounting and the
+  same scheme statistics, but in numpy chunks instead of per-event
+  Python.
+
+Exactness of the batched driver rests on three facts (argued in
+DESIGN.md, "Batched engine"):
 
 1. **Scheme events are rare and localized.**  Between threshold
    crossings a counting scheme is a pure per-counter accumulator, so
@@ -52,6 +59,67 @@ def quantize_times_ns(times: np.ndarray) -> np.ndarray:
     return np.floor(times * 4.0) * TIME_QUANTUM_NS
 
 
+def merge_streams(
+    per_bank: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge per-bank (times, rows) into sorted (times, banks, rows) arrays.
+
+    Bank and row ids stay in integer dtypes throughout (no ``float64``
+    round-trip), and one stable argsort on the time column preserves the
+    per-bank ordering for tied timestamps.
+    """
+    if not per_bank:
+        return (
+            np.empty(0, dtype=np.float64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        )
+    times = np.concatenate([t for t, _ in per_bank])
+    banks = np.concatenate(
+        [np.full(len(rows), bank, dtype=np.int64)
+         for bank, (_, rows) in enumerate(per_bank)]
+    )
+    rows = np.concatenate(
+        [r.astype(np.int64, copy=False) for _, r in per_bank]
+    )
+    order = np.argsort(times, kind="stable")
+    return times[order], banks[order], rows[order]
+
+
+def advance_scalar_streams(
+    memory: MemorySystem,
+    streams: list[tuple[np.ndarray, np.ndarray]],
+    cursors: list[int],
+    *,
+    until_ns: float | None = None,
+    max_accesses: int | None = None,
+) -> int:
+    """Serve per-bank streams one access at a time: the reference oracle.
+
+    Same contract as :func:`advance_batched_streams`.  Accesses go
+    through :meth:`MemorySystem.access` in merged time order, ties
+    broken by bank.  Only each bank's window is merged: at most
+    ``max_accesses`` pending accesses, all arriving before ``until_ns``.
+    A bank's cursor moves past an access only after it is served, so an
+    epoch tap fired inside ``access`` still sees that access as pending.
+    """
+    windows = []
+    for bank, (times, rows) in enumerate(streams):
+        i = cursors[bank]
+        j = len(times)
+        if until_ns is not None:
+            j = i + int(np.searchsorted(times[i:], until_ns, side="left"))
+        if max_accesses is not None:
+            j = min(j, i + max_accesses)
+        windows.append((times[i:j], rows[i:j]))
+    times, banks, rows = (a[:max_accesses] for a in merge_streams(windows))
+    access = memory.access
+    for t, bank, row in zip(times.tolist(), banks.tolist(), rows.tolist()):
+        access(t, bank, row)
+        cursors[bank] += 1
+    return len(times)
+
+
 def advance_batched_streams(
     memory: MemorySystem,
     streams: list[tuple[np.ndarray, np.ndarray]],
@@ -76,8 +144,9 @@ def advance_batched_streams(
     banks are independent (the only shared state, the running
     completion max and the aggregate totals, commutes), and an epoch
     boundary is only crossed here when the next access to be served
-    lies beyond it — exactly when the scalar loop would cross it.  The
-    session layer (:mod:`repro.api`) is built on this property.
+    lies beyond it — exactly when :func:`advance_scalar_streams` would
+    cross it.  The session layer (:mod:`repro.api`) is built on this
+    property.
     """
     served = 0
     while True:

@@ -1,15 +1,15 @@
-"""The re-entrant simulation core behind runs and sessions.
+"""The re-entrant simulation core behind every run.
 
-Historically the simulator's loop drove a run to completion: generate
-every bank's stream for an interval, push it through the engine, repeat.
-:class:`SessionCore` inverts that control flow into an explicit state
-machine — pending per-bank streams, per-bank cursors, the arrival RNG,
-and the :class:`~repro.dram.memory_system.MemorySystem` — whose
+:class:`SessionCore` is an explicit state machine — pending per-bank
+streams, per-bank cursors, the arrival RNG, and the
+:class:`~repro.dram.memory_system.MemorySystem` — whose
 :meth:`~SessionCore.advance` method serves *up to* a time or access
-budget and can be called again to continue.  Run-to-completion
-(:meth:`TraceDrivenSimulator.run <repro.sim.simulator.TraceDrivenSimulator.run>`)
-is now simply ``advance()`` with no limits, so the batch engine and the
-streaming session API (:mod:`repro.api`) share one loop and one
+budget and can be called again to continue.  Every run drives one
+through a :class:`~repro.api.Session`: :func:`~repro.experiments.run_spec`
+advances it to completion, the streaming API advances it step by step.
+The engine is only a driver function from :mod:`repro.sim.engine`,
+picked by name; stream layout, cursors, injection and snapshots are the
+same for both engines, which therefore share one loop and one
 equivalence argument:
 
 * pausing is exact — within an epoch segment banks are independent and
@@ -41,7 +41,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.dram.memory_system import MemorySystem
-from repro.sim.engine import advance_batched_streams, quantize_times_ns
+from repro.sim.engine import (
+    advance_batched_streams,
+    advance_scalar_streams,
+    quantize_times_ns,
+)
 from repro.sim.metrics import RunTotals
 from repro.sim.tracestore import open_store, stream_key, stream_key_doc
 from repro.testing.faults import fault_point
@@ -50,32 +54,11 @@ from repro.workloads.synthetic import interarrival_times_ns
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.simulator import TraceDrivenSimulator
 
-
-def merge_streams(
-    per_bank: list[tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge per-bank (times, rows) into sorted (times, banks, rows) arrays.
-
-    Bank and row ids stay in integer dtypes throughout (no ``float64``
-    round-trip), and one stable argsort on the time column preserves the
-    per-bank ordering for tied timestamps.
-    """
-    if not per_bank:
-        return (
-            np.empty(0, dtype=np.float64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    times = np.concatenate([t for t, _ in per_bank])
-    banks = np.concatenate(
-        [np.full(len(rows), bank, dtype=np.int64)
-         for bank, (_, rows) in enumerate(per_bank)]
-    )
-    rows = np.concatenate(
-        [r.astype(np.int64, copy=False) for _, r in per_bank]
-    )
-    order = np.argsort(times, kind="stable")
-    return times[order], banks[order], rows[order]
+#: The stream driver of each engine (one signature, one contract).
+_DRIVERS = {
+    "scalar": advance_scalar_streams,
+    "batched": advance_batched_streams,
+}
 
 
 class SessionCore:
@@ -90,8 +73,7 @@ class SessionCore:
     def __init__(self, sim: "TraceDrivenSimulator") -> None:
         self.sim = sim
         self.label, self.full_intensity, self.rows_fn = sim.stream_plan()
-        self.engine = sim.engine
-        self._banked = self.engine == "batched"
+        self._driver = _DRIVERS[sim.engine]
         self.n_banks = sim.n_banks_simulated
         self.n_intervals = sim.n_intervals
         self.epoch_ns = sim.epoch_s * 1e9
@@ -101,23 +83,13 @@ class SessionCore:
             epoch_s=sim.epoch_s,
             active_banks=self.n_banks,
         )
-        sim._last_memory = self.memory
         self.arrival_rng = np.random.Generator(np.random.PCG64(sim.seed))
         #: index of the interval whose streams are loaded (-1 = none yet)
         self.interval = -1
-        # Batched engine: per-bank pending arrays + cursors.
-        self._bank_times: list[np.ndarray] = []
-        self._bank_rows: list[np.ndarray] = []
+        #: per-bank pending (times, rows) of the loaded interval, and
+        #: per-bank cursors to the next unserved access
+        self._streams: list[tuple[np.ndarray, np.ndarray]] = []
         self._cursors: list[int] = []
-        # Scalar engine: merged pending arrays + one cursor (numpy for
-        # searchsorted/suffix capture, lists for the per-event loop).
-        self._m_times = np.empty(0, dtype=np.float64)
-        self._m_banks = np.empty(0, dtype=np.int64)
-        self._m_rows = np.empty(0, dtype=np.int64)
-        self._m_times_list: list[float] = []
-        self._m_banks_list: list[int] = []
-        self._m_rows_list: list[int] = []
-        self._m_cursor = 0
         # Position floor carried across snapshot/restore (cursors reset
         # to zero on restore, so served history is otherwise invisible).
         self._position_floor = 0.0
@@ -179,28 +151,15 @@ class SessionCore:
     def _install_streams(
         self, per_bank: list[tuple[np.ndarray, np.ndarray]]
     ) -> None:
-        if self._banked:
-            self._bank_times = [t for t, _ in per_bank]
-            self._bank_rows = [
-                r.astype(np.int64, copy=False) for _, r in per_bank
-            ]
-            self._cursors = [0] * len(per_bank)
-        else:
-            times, banks, rows = merge_streams(per_bank)
-            self._m_times, self._m_banks, self._m_rows = times, banks, rows
-            self._m_times_list = times.tolist()
-            self._m_banks_list = banks.tolist()
-            self._m_rows_list = rows.tolist()
-            self._m_cursor = 0
+        self._streams = [
+            (t, r.astype(np.int64, copy=False)) for t, r in per_bank
+        ]
+        self._cursors = [0] * len(per_bank)
 
     def _interval_exhausted(self) -> bool:
-        if self.interval < 0:
-            return True
-        if self._banked:
-            return all(
-                c >= len(t) for c, t in zip(self._cursors, self._bank_times)
-            )
-        return self._m_cursor >= len(self._m_times_list)
+        return self.interval < 0 or all(
+            c >= len(t) for c, (t, _) in zip(self._cursors, self._streams)
+        )
 
     def _load_next_interval(self) -> bool:
         """Generate and install the next interval; False when done."""
@@ -240,16 +199,13 @@ class SessionCore:
             budget = None if max_accesses is None else max_accesses - served
             if budget is not None and budget <= 0:
                 break
-            if self._banked:
-                n = advance_batched_streams(
-                    self.memory,
-                    list(zip(self._bank_times, self._bank_rows)),
-                    self._cursors,
-                    until_ns=until_ns,
-                    max_accesses=budget,
-                )
-            else:
-                n = self._advance_scalar(until_ns, budget)
+            n = self._driver(
+                self.memory,
+                self._streams,
+                self._cursors,
+                until_ns=until_ns,
+                max_accesses=budget,
+            )
             served += n
             if not self._interval_exhausted():
                 # A limit stopped the engine inside this interval.
@@ -257,32 +213,6 @@ class SessionCore:
             if n == 0 and self.interval + 1 >= self.n_intervals:
                 break
         return served
-
-    def _advance_scalar(
-        self, until_ns: float | None, max_accesses: int | None
-    ) -> int:
-        """Per-event reference loop over the merged pending stream."""
-        start = self._m_cursor
-        end = len(self._m_times_list)
-        if until_ns is not None:
-            end = int(
-                np.searchsorted(self._m_times, until_ns, side="left")
-            )
-        if max_accesses is not None:
-            end = min(end, start + max_accesses)
-        if end <= start:
-            return 0
-        access = self.memory.access
-        times = self._m_times_list
-        banks = self._m_banks_list
-        rows = self._m_rows_list
-        for k in range(start, end):
-            # The cursor leads each serve so an epoch tap firing inside
-            # ``access`` observes a consistent pending suffix.
-            self._m_cursor = k
-            access(times[k], banks[k], rows[k])
-        self._m_cursor = end
-        return end - start
 
     # -- injection ---------------------------------------------------------
 
@@ -325,31 +255,13 @@ class SessionCore:
             raise ValueError(
                 f"injected rows out of range for bank with {n_rows} rows"
             )
-        if self._banked:
-            c = self._cursors[bank]
-            pending_t = self._bank_times[bank][c:]
-            pending_r = self._bank_rows[bank][c:]
-            cat_t = np.concatenate([pending_t, times])
-            cat_r = np.concatenate([pending_r, rows])
-            new_order = np.argsort(cat_t, kind="stable")
-            self._bank_times[bank] = cat_t[new_order]
-            self._bank_rows[bank] = cat_r[new_order]
-            self._cursors[bank] = 0
-        else:
-            c = self._m_cursor
-            cat_t = np.concatenate([self._m_times[c:], times])
-            cat_b = np.concatenate(
-                [self._m_banks[c:], np.full(len(rows), bank, dtype=np.int64)]
-            )
-            cat_r = np.concatenate([self._m_rows[c:], rows])
-            new_order = np.argsort(cat_t, kind="stable")
-            self._m_times = cat_t[new_order]
-            self._m_banks = cat_b[new_order]
-            self._m_rows = cat_r[new_order]
-            self._m_times_list = self._m_times.tolist()
-            self._m_banks_list = self._m_banks.tolist()
-            self._m_rows_list = self._m_rows.tolist()
-            self._m_cursor = 0
+        pending_t, pending_r = self._streams[bank]
+        c = self._cursors[bank]
+        cat_t = np.concatenate([pending_t[c:], times])
+        cat_r = np.concatenate([pending_r[c:], rows])
+        new_order = np.argsort(cat_t, kind="stable")
+        self._streams[bank] = (cat_t[new_order], cat_r[new_order])
+        self._cursors[bank] = 0
         return len(times)
 
     # -- metrics -----------------------------------------------------------
@@ -364,12 +276,9 @@ class SessionCore:
         last = 0.0
         if self.interval < 0:
             return last
-        if self._banked:
-            for c, t in zip(self._cursors, self._bank_times):
-                if c > 0:
-                    last = max(last, float(t[c - 1]))
-        elif self._m_cursor > 0:
-            last = float(self._m_times_list[self._m_cursor - 1])
+        for c, (t, _) in zip(self._cursors, self._streams):
+            if c > 0:
+                last = max(last, float(t[c - 1]))
         # Served accesses of *earlier* intervals imply at least the
         # epoch base even if the current interval has not started.
         if self.accesses_served:
@@ -401,72 +310,50 @@ class SessionCore:
     def to_state(self) -> dict:
         """JSON-serializable capture of the whole loop state.
 
-        Pending streams are stored as their *unserved suffix* verbatim
-        (injections included), cursors reset to zero; the arrival RNG
-        state covers every not-yet-generated interval.  Quarter-ns-grid
-        floats round-trip exactly through JSON.
+        Each bank's pending stream is stored as its *unserved suffix*
+        verbatim (injections included), cursors reset to zero; the
+        arrival RNG state covers every not-yet-generated interval.  The
+        layout is the same on both engines; the engine name is only a
+        tag that :meth:`from_state` checks against the spec.
+        Quarter-ns-grid floats round-trip exactly through JSON.
         """
         doc: dict = {
-            "engine": self.engine,
+            "engine": self.sim.engine,
             "interval": self.interval,
             "position_ns": self.position_ns(),
             "rng": {"pcg64": self.arrival_rng.bit_generator.state},
             "memory": self.memory.to_state(),
         }
         if self.interval >= 0:
-            if self._banked:
-                doc["streams"] = [
-                    {
-                        "times": t[c:].tolist(),
-                        "rows": r[c:].tolist(),
-                    }
-                    for t, r, c in zip(
-                        self._bank_times, self._bank_rows, self._cursors
-                    )
-                ]
-            else:
-                c = self._m_cursor
-                doc["streams"] = {
-                    "times": self._m_times[c:].tolist(),
-                    "banks": self._m_banks[c:].tolist(),
-                    "rows": self._m_rows[c:].tolist(),
-                }
+            doc["streams"] = [
+                {"times": t[c:].tolist(), "rows": r[c:].tolist()}
+                for (t, r), c in zip(self._streams, self._cursors)
+            ]
         return doc
 
     @classmethod
     def from_state(cls, sim: "TraceDrivenSimulator", state: dict) -> "SessionCore":
         """Rebuild a core captured by :meth:`to_state` (same spec)."""
-        core = cls(sim)
-        if state["engine"] != core.engine:
+        if state["engine"] != sim.engine:
             raise ValueError(
                 f"snapshot was taken on the {state['engine']!r} engine, "
-                f"spec selects {core.engine!r}"
+                f"spec selects {sim.engine!r}"
             )
+        core = cls(sim)
         core.arrival_rng.bit_generator.state = state["rng"]["pcg64"]
         core.memory.restore_state(state["memory"])
         core.interval = int(state["interval"])
         core._position_floor = float(state.get("position_ns", 0.0))
         if core.interval >= 0:
             streams = state["streams"]
-            if core._banked:
-                if len(streams) != core.n_banks:
-                    raise ValueError(
-                        f"snapshot carries {len(streams)} bank streams, "
-                        f"spec simulates {core.n_banks}"
-                    )
-                core._bank_times = [
-                    np.asarray(s["times"], dtype=np.float64) for s in streams
-                ]
-                core._bank_rows = [
-                    np.asarray(s["rows"], dtype=np.int64) for s in streams
-                ]
-                core._cursors = [0] * core.n_banks
-            else:
-                core._m_times = np.asarray(streams["times"], dtype=np.float64)
-                core._m_banks = np.asarray(streams["banks"], dtype=np.int64)
-                core._m_rows = np.asarray(streams["rows"], dtype=np.int64)
-                core._m_times_list = core._m_times.tolist()
-                core._m_banks_list = core._m_banks.tolist()
-                core._m_rows_list = core._m_rows.tolist()
-                core._m_cursor = 0
+            if len(streams) != core.n_banks:
+                raise ValueError(
+                    f"snapshot carries {len(streams)} bank streams, "
+                    f"spec simulates {core.n_banks}"
+                )
+            core._install_streams([
+                (np.asarray(s["times"], dtype=np.float64),
+                 np.asarray(s["rows"], dtype=np.int64))
+                for s in streams
+            ])
         return core

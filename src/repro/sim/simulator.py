@@ -14,11 +14,13 @@ economy knobs.  (The pre-spec ``TraceDrivenSimulator(config, kind,
 n_counters=..., ...)`` keyword form was removed after its one-release
 deprecation window; construct a spec instead.)
 
-The run loop itself lives in :class:`~repro.sim.session.SessionCore`:
-:meth:`TraceDrivenSimulator.run` opens a core over the spec's stream
-plan and advances it to completion.  The streaming session API
-(:mod:`repro.api`) drives the identical core incrementally, which is why
-checkpointed and uninterrupted runs are bit-identical.
+The simulator only describes a run: its scheme factory, stream plan
+and paper-scale metrics (:meth:`TraceDrivenSimulator._finalize`).  The
+run loop lives in :class:`~repro.sim.session.SessionCore`, and every run
+drives it through a :class:`~repro.api.Session` — to completion for
+:func:`~repro.experiments.run_spec`, incrementally for the streaming
+API — which is why checkpointed and uninterrupted runs are
+bit-identical.
 
 Scaling (see DESIGN.md): with ``scale = s`` the simulator divides the
 per-interval activation budget *and* every threshold (refresh + split)
@@ -38,9 +40,9 @@ import numpy as np
 from repro.core.base import MitigationScheme
 from repro.core import make_scheme
 from repro.dram.config import REFRESH_INTERVAL_S, SystemConfig
+from repro.dram.memory_system import MemorySystem
 from repro.energy.cmrpo import compute_cmrpo
-from repro.sim.metrics import SimulationResult
-from repro.sim.session import SessionCore
+from repro.sim.metrics import RunTotals, SimulationResult
 from repro.workloads.attacks import AttackKernel, attack_stream, get_kernel
 from repro.workloads.suites import WorkloadSpec
 
@@ -193,22 +195,18 @@ class TraceDrivenSimulator:
         label = f"{kernel.name}:{mode}:{benign.name}"
         return label, benign.intensity, rows_fn
 
-    # -- main loop -----------------------------------------------------------
+    # -- metrics at paper scale ----------------------------------------------
 
-    def run(self) -> SimulationResult:
-        """Simulate the spec's experiment; return metrics at paper scale."""
-        core = SessionCore(self)
-        core.advance()
-        return self._finalize(core.totals())
-
-    def _finalize(self, totals: RunTotals) -> SimulationResult:
+    def _finalize(
+        self, totals: RunTotals, memory: MemorySystem
+    ) -> SimulationResult:
+        """The run's result from its raw totals and final memory state."""
         measured_fetch_nj_per_access = 0.0
         if self.scheme_kind == "ccache":
             # Following Figure 2 the CMRPO treats the cache optimistically
             # (no-miss); the measured counter-fetch energy is surfaced in
             # the result parameters (and in bench_counter_cache) instead.
-            memory = getattr(self, "_last_memory", None)
-            if memory is not None and totals.accesses:
+            if totals.accesses:
                 fetch_nj = sum(
                     s.miss_energy_nj()
                     for s in memory.schemes

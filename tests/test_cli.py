@@ -145,17 +145,16 @@ class TestCacheCommand:
     def test_clear_removes_trace_entries(self, capsys, tmp_path, monkeypatch):
         import json
 
-        from repro.experiments import ExperimentSpec, SchemeSpec
+        from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
         from repro.sim import tracestore
-        from repro.sim.simulator import TraceDrivenSimulator
 
         monkeypatch.setenv("REPRO_TRACE_STORE_DIR", str(tmp_path / "traces"))
         monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(tmp_path / "cells"))
         tracestore._STORES.clear()
-        TraceDrivenSimulator(ExperimentSpec(
+        run_spec(ExperimentSpec(
             scheme=SchemeSpec("sca"), workload="black",
             scale=96.0, n_banks=1, n_intervals=1,
-        )).run()
+        ))
         assert main(["cache", "stats", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["traces"]["entries"] == 1

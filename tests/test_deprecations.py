@@ -5,7 +5,9 @@ The pre-spec keyword shims lived for one release behind
 replay stack and the ``repro.sim.runner`` keyword facade were deleted
 outright, leaving an ``ExperimentSpec`` as the only simulator input;
 the merged-stream batched driver went too, leaving the per-bank
-``advance_batched_streams`` as the one batched driver.  This module
+``advance_batched_streams`` as the one batched driver; and
+``TraceDrivenSimulator.run`` went, leaving a ``Session`` as the one run
+path.  This module
 pins the *removal guarantees*: every former shim raises
 (``TypeError`` / ``AttributeError``) instead of silently doing
 something, deleted modules and names stay gone, and the canonical spec
@@ -88,10 +90,13 @@ class TestSecondSimulatorRemoved:
     def test_no_run_attack(self):
         assert not hasattr(TraceDrivenSimulator, "run_attack")
 
+    def test_simulator_does_not_run(self):
+        """Every run drives a Session; the simulator only describes it."""
+        assert not hasattr(TraceDrivenSimulator, "run")
+
     def test_spec_is_the_only_input(self):
-        for method in (TraceDrivenSimulator.run,
-                       TraceDrivenSimulator.stream_plan):
-            assert list(inspect.signature(method).parameters) == ["self"]
+        params = inspect.signature(TraceDrivenSimulator.stream_plan).parameters
+        assert list(params) == ["self"]
 
 
 #: The merged-stream batched driver and two helpers nothing called.

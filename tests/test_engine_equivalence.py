@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.prng import CountingPRNG, TrueRandomPRNG
+from repro.api import Session
 from repro.core.registry import scheme_names
 from repro.dram.config import DUAL_CORE_2CH
 from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
-from repro.sim.simulator import TraceDrivenSimulator
 
 SCHEMES = ("pra", "sca", "prcat", "drcat", "ccache")
 #: Skew spectrum: extreme (black), moderate (mum), near-uniform (libq).
@@ -40,16 +40,20 @@ _PARAM_SAMPLERS = {
 }
 
 
+def _run_with_memory(spec: ExperimentSpec):
+    """The run's result and its final memory system."""
+    session = Session(spec)
+    return session.result(), session._core.memory
+
+
 def _run(engine: str, scheme: str, workload: str):
-    sim = TraceDrivenSimulator(ExperimentSpec(
+    return _run_with_memory(ExperimentSpec(
         scheme=SchemeSpec(scheme),
         workload=workload,
         system=DUAL_CORE_2CH,
         engine=engine,
         **KNOBS,
     ))
-    result = sim.run()
-    return result, sim._last_memory
 
 
 def _fingerprint(memory) -> dict:
@@ -112,11 +116,11 @@ def test_fuzzed_specs_bit_identical(scheme):
         docs = {}
         prints = {}
         for engine in ("scalar", "batched"):
-            sim = TraceDrivenSimulator(
+            result, memory = _run_with_memory(
                 dataclasses.replace(base, engine=engine)
             )
-            docs[engine] = sim.run().to_dict()
-            prints[engine] = _fingerprint(sim._last_memory)
+            docs[engine] = result.to_dict()
+            prints[engine] = _fingerprint(memory)
         context = f"{scheme} draw {draw}: {base}"
         assert docs["batched"] == docs["scalar"], context
         assert prints["batched"] == prints["scalar"], context
@@ -183,13 +187,18 @@ def test_runner_plumbs_engine():
 
 
 def test_per_bank_driver_matches_merged_access_loop():
-    """`advance_batched_streams` over per-bank streams equals the scalar
-    `MemorySystem.access` loop over the time-merged stream (4 banks,
-    1 ms epochs, DRCAT)."""
+    """Both per-bank drivers equal the scalar `MemorySystem.access` loop
+    over the time-merged stream (4 banks, 1 ms epochs, DRCAT), whether
+    they serve it in one call or in seeded `max_accesses`/`until_ns`
+    cuts."""
     from repro.core import make_scheme
     from repro.dram.config import SystemConfig
     from repro.dram.memory_system import MemorySystem
-    from repro.sim.engine import advance_batched_streams, quantize_times_ns
+    from repro.sim.engine import (
+        advance_batched_streams,
+        advance_scalar_streams,
+        quantize_times_ns,
+    )
 
     config = SystemConfig(rows_per_bank=4096)
     rng = np.random.default_rng(11)
@@ -205,14 +214,28 @@ def test_per_bank_driver_matches_merged_access_loop():
             epoch_s=1e-3,
         )
 
-    scalar = build()
+    merged = build()
     for t, b, r in zip(times.tolist(), banks.tolist(), rows.tolist()):
-        scalar.access(t, b, r)
-    batched = build()
+        merged.access(t, b, r)
+    expected = _fingerprint(merged)
     streams = [(times[banks == b], rows[banks == b]) for b in range(4)]
-    served = advance_batched_streams(batched, streams, [0] * len(streams))
-    assert served == n
-    assert _fingerprint(scalar) == _fingerprint(batched)
+    for driver in (advance_scalar_streams, advance_batched_streams):
+        memory = build()
+        assert driver(memory, streams, [0] * len(streams)) == n
+        assert _fingerprint(memory) == expected, driver.__name__
+        for seed in range(3):
+            cuts = np.random.default_rng(seed)
+            memory, cursors, served, until = build(), [0] * 4, 0, 0.0
+            while served < n:
+                until += float(cuts.uniform(0, 8e5))
+                budget = int(cuts.integers(1, 700))
+                step = driver(memory, streams, cursors,
+                              until_ns=until, max_accesses=budget)
+                assert step <= budget
+                served += step
+            context = (driver.__name__, seed)
+            assert cursors == [len(t) for t, _ in streams], context
+            assert _fingerprint(memory) == expected, context
 
 
 @pytest.mark.parametrize("workload", ["comm1", "leslie", "libq"])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.dram.config import DUAL_CORE_2CH, SystemConfig
-from repro.experiments import ExperimentSpec, SchemeSpec
-from repro.sim.session import merge_streams
+from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
+from repro.sim.engine import merge_streams
 from repro.sim.simulator import (
     TraceDrivenSimulator,
     _phase_segments,
@@ -108,15 +108,15 @@ class TestSimulatorRuns:
 
     def test_totals_consistent(self):
         sim = self.make("sca", params={"n_counters": 64}, workload="black")
-        result = sim.run()
+        result = run_spec(sim.spec)
         totals = result.totals
         assert totals.accesses > 0
         assert totals.elapsed_ns == pytest.approx(64e6 / 64.0)
         assert totals.rows_refreshed >= totals.refresh_commands
 
     def test_deterministic(self):
-        r1 = self.make("drcat", workload="comm1").run()
-        r2 = self.make("drcat", workload="comm1").run()
+        r1 = run_spec(self.make("drcat", workload="comm1").spec)
+        r2 = run_spec(self.make("drcat", workload="comm1").spec)
         assert r1.totals.rows_refreshed == r2.totals.rows_refreshed
         assert r1.cmrpo == r2.cmrpo
 
@@ -125,13 +125,13 @@ class TestSimulatorRuns:
         rows = []
         for scale in (32.0, 64.0):
             sim = self.make("sca", scale=scale, workload="black")
-            result = sim.run()
+            result = run_spec(sim.spec)
             rows.append(result.totals.rows_refreshed_per_bank_interval)
         assert rows[0] == pytest.approx(rows[1], rel=0.35)
 
     def test_pra_probability_plumbs_through(self):
         sim = self.make("pra", params={"probability": 0.004}, workload="libq")
-        result = sim.run()
+        result = run_spec(sim.spec)
         assert result.parameters["probability"] == 0.004
 
     def test_rejects_bad_scale(self):
@@ -158,7 +158,7 @@ class TestSimulatorRuns:
             "sca", refresh_threshold=16384, kind="attack",
             attack_kernel="kernel01", attack_mode="heavy", workload="libq",
         )
-        result = sim.run()
+        result = run_spec(sim.spec)
         assert result.totals.rows_refreshed > 0
         assert "kernel01" in result.workload
 
@@ -170,5 +170,5 @@ class TestQuadCoreConfig:
             scheme=SchemeSpec("sca"), workload="comm1", system=quad,
             scale=128.0, n_banks=1, n_intervals=1,
         ))
-        result = sim.run()
+        result = run_spec(sim.spec)
         assert result.totals.accesses > 0

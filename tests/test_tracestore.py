@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import scheme_names
-from repro.experiments import ExperimentSpec, SchemeSpec
+from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
 from repro.sim import tracestore
 from repro.sim.engine import ENGINES
 from repro.sim.simulator import TraceDrivenSimulator
@@ -34,7 +34,7 @@ def _spec(scheme="drcat", engine="batched", **overrides) -> ExperimentSpec:
 
 
 def _run(spec: ExperimentSpec) -> dict:
-    return TraceDrivenSimulator(spec).run().to_dict()
+    return run_spec(spec).to_dict()
 
 
 @pytest.fixture()

@@ -104,15 +104,14 @@ class TestVerifyExitCodes:
             "verify", "--fidelity", "smoke", "--update",
             "--golden-dir", str(tmp_path), *figs,
         ]) == EXIT_OK
-        for session in ("session", "checkpoint"):
-            capsys.readouterr()
-            assert main([
-                "verify", "--fidelity", "smoke", "--session", session,
-                "--golden-dir", str(tmp_path), *figs,
-            ]) == EXIT_OK
-            out = capsys.readouterr().out
-            assert f"session={session}" in out
-            assert "verify ok" in out
+        capsys.readouterr()
+        assert main([
+            "verify", "--fidelity", "smoke", "--session", "checkpoint",
+            "--golden-dir", str(tmp_path), *figs,
+        ]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "session=checkpoint" in out
+        assert "verify ok" in out
 
     def test_missing_benchmarks_dir_is_usage_error(self, tmp_path, capsys):
         assert main([
