@@ -35,15 +35,18 @@ the property tests):
    uninterrupted run, for every registered scheme, on both engines —
    every scheme implements the ``SchemeState`` protocol
    (``to_state``/``restore_state``), and the core's loop state (per-bank
-   pending streams and cursors, arrival RNG, epoch clock) is explicit
-   and laid out the same way on both engines.
+   cursors, arrival RNG, epoch clock) is explicit and laid out the same
+   way on both engines.  Snapshots (format 3) hold the pending streams
+   by reference: restoring regenerates them from the spec and checks a
+   digest and the arrival RNG, so a snapshot whose streams cannot be
+   rebuilt exactly is refused, never misread.
 3. Observer taps are read-only: registering them never changes the
    numbers.  Taps are also *isolated* — a raising callback is logged
    and detached, never allowed to abort the simulation it observes.
 
 Injection (:meth:`Session.inject` / :meth:`Session.inject_attack`) is
 the one deliberate exception — it *adds* traffic, which is its purpose;
-injected accesses are part of subsequent snapshots.
+injections are logged in subsequent snapshots and replayed on restore.
 """
 
 from __future__ import annotations
@@ -66,9 +69,11 @@ from repro.workloads.attacks import attack_stream, get_kernel
 logger = logging.getLogger(__name__)
 
 #: Bump on incompatible snapshot-layout changes; :meth:`Session.restore`
-#: rejects other versions with a regeneration hint.  Version 2 stores
-#: per-bank pending streams on both engines.
-SNAPSHOT_VERSION = 2
+#: rejects other versions with a regeneration hint.  Version 3 records
+#: each bank's stream position (interval, arrival-RNG state, injection
+#: log, cursors, digest) instead of the pending accesses that version 2
+#: stored.
+SNAPSHOT_VERSION = 3
 SNAPSHOT_KIND = "repro-session-snapshot"
 
 
@@ -441,7 +446,13 @@ class Session:
 
     @classmethod
     def restore(cls, snapshot: dict) -> "Session":
-        """Rebuild a live session from a :meth:`snapshot` document."""
+        """Rebuild a live session from a :meth:`snapshot` document.
+
+        Raises :class:`SessionError` for a document that is not a
+        snapshot of this version or lacks (or mistypes) a field, and
+        :class:`ValueError` for one that does not fit its spec (another
+        engine, or streams this build does not regenerate exactly).
+        """
         if not isinstance(snapshot, dict) or \
                 snapshot.get("kind") != SNAPSHOT_KIND:
             raise SessionError(
@@ -455,7 +466,16 @@ class Session:
                 f"build reads version {SNAPSHOT_VERSION}); re-create "
                 "the snapshot with this build"
             )
-        return cls(snapshot["spec"], _core_state=snapshot["core"])
+        try:
+            return cls(snapshot["spec"], _core_state=snapshot["core"])
+        except KeyError as exc:
+            raise SessionError(
+                f"malformed snapshot: missing field {exc.args[0]!r}"
+            ) from None
+        except TypeError as exc:
+            raise SessionError(
+                f"malformed snapshot: mistyped field ({exc})"
+            ) from None
 
     def save(self, path) -> Path:
         """Write :meth:`snapshot` as JSON; returns the path.

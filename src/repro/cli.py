@@ -279,7 +279,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
     try:
         session = Session.load(args.snapshot)
-    except (SessionError, FileNotFoundError) as exc:
+    except (SessionError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}")
         return 2
     if args.stream:

@@ -132,8 +132,12 @@ class ResultCache:
         observed.  Lock trouble (timeout, unwritable lock path) is an
         ``OSError`` like any other failed write; every caller already
         treats a failed put as a droppable optimization.
+
+        Entries are compact JSON, as :meth:`repro.api.Session.save`
+        writes: indenting would force the pure-Python encoder, which
+        makes a scheme-state snapshot ~7x slower to encode.
         """
-        text = json.dumps(doc, indent=1)
+        text = json.dumps(doc, separators=(",", ":"))
         if corrupt_site is not None:
             text = corrupting(corrupt_site, text)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,15 @@ equivalence argument:
   :meth:`to_state` / :meth:`SessionCore.from_state` capture and restore
   it (together with the scheme/bank state protocol) bit-identically.
 
+Snapshots hold the loaded interval *by reference*: the stream is a pure
+function of the spec and the arrival-RNG state before the interval was
+fetched, so a snapshot records that state, the per-bank cursors and a
+log of :meth:`~SessionCore.inject` calls instead of the pending
+accesses.  Restoring re-fetches the interval (a trace-store hit or a
+regeneration), replays the log, and refuses the snapshot unless a
+digest of the rebuilt pending streams and the arrival RNG both match
+what was recorded.
+
 Streams are generated lazily, one interval at a time, consuming the
 arrival RNG in exactly the order the historical loop did (per bank, in
 bank order, per interval), so a core that is never paused produces the
@@ -36,6 +45,7 @@ scheme-axis grid therefore share one generation pass.
 
 from __future__ import annotations
 
+import hashlib
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -90,9 +100,11 @@ class SessionCore:
         #: per-bank cursors to the next unserved access
         self._streams: list[tuple[np.ndarray, np.ndarray]] = []
         self._cursors: list[int] = []
-        # Position floor carried across snapshot/restore (cursors reset
-        # to zero on restore, so served history is otherwise invisible).
-        self._position_floor = 0.0
+        # What a snapshot records instead of the streams: the arrival-RNG
+        # state just before the loaded interval was fetched, and every
+        # (bank, cursor, times, rows) spliced into it since.
+        self._interval_rng: dict | None = None
+        self._injections: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         # Content-addressed generation sharing (None = always generate).
         self._trace_store = open_store()
         if self._trace_store is not None:
@@ -118,8 +130,10 @@ class SessionCore:
             per_bank.append((quantize_times_ns(times + base_ns), rows))
         return per_bank
 
-    def _fetch_interval(self, interval: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """One interval's streams: trace-store hit, or generate (+store).
+    def _stored_interval(
+        self, interval: int
+    ) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """One interval's streams from the trace store, or None (miss).
 
         A hit restores the arrival RNG to the entry's recorded
         post-generation state, leaving the generator exactly where
@@ -129,23 +143,37 @@ class SessionCore:
         """
         store = self._trace_store
         if store is None:
-            return self._generate_interval(interval)
-        key = self._trace_key
-        hit = store.get(key, self._trace_key_doc, interval, self.n_banks)
-        if hit is not None:
-            per_bank, rng_state = hit
-            try:
-                self.arrival_rng.bit_generator.state = rng_state
-            except (ValueError, KeyError, TypeError):
-                # A malformed recorded state must degrade to
-                # regeneration like any other corrupt entry (numpy
-                # validates before mutating, so the RNG is untouched).
-                store.drop(key, interval)
-            else:
-                return per_bank
-        per_bank = self._generate_interval(interval)
-        store.put(key, self._trace_key_doc, interval, per_bank,
-                  self.arrival_rng.bit_generator.state)
+            return None
+        hit = store.get(self._trace_key, self._trace_key_doc, interval,
+                        self.n_banks)
+        if hit is None:
+            return None
+        per_bank, rng_state = hit
+        try:
+            self.arrival_rng.bit_generator.state = rng_state
+        except (ValueError, KeyError, TypeError):
+            # A malformed recorded state must degrade to regeneration
+            # like any other corrupt entry (numpy validates before
+            # mutating, so the RNG is untouched).
+            store.drop(self._trace_key, interval)
+            return None
+        return per_bank
+
+    def _publish_interval(
+        self, interval: int, per_bank: list[tuple[np.ndarray, np.ndarray]]
+    ) -> None:
+        """Store a freshly generated interval for later hits."""
+        if self._trace_store is not None:
+            self._trace_store.put(self._trace_key, self._trace_key_doc,
+                                  interval, per_bank,
+                                  self.arrival_rng.bit_generator.state)
+
+    def _fetch_interval(self, interval: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One interval's streams: trace-store hit, or generate (+store)."""
+        per_bank = self._stored_interval(interval)
+        if per_bank is None:
+            per_bank = self._generate_interval(interval)
+            self._publish_interval(interval, per_bank)
         return per_bank
 
     def _install_streams(
@@ -166,6 +194,8 @@ class SessionCore:
         if self.interval + 1 >= self.n_intervals:
             return False
         self.interval += 1
+        self._interval_rng = self.arrival_rng.bit_generator.state
+        self._injections = []
         self._install_streams(self._fetch_interval(self.interval))
         return True
 
@@ -255,14 +285,19 @@ class SessionCore:
             raise ValueError(
                 f"injected rows out of range for bank with {n_rows} rows"
             )
-        pending_t, pending_r = self._streams[bank]
+        self._splice(bank, times, rows)
+        return len(times)
+
+    def _splice(self, bank: int, times: np.ndarray, rows: np.ndarray) -> None:
+        """Log, then merge sorted accesses into ``bank``'s pending suffix."""
         c = self._cursors[bank]
+        self._injections.append((bank, c, times, rows))
+        pending_t, pending_r = self._streams[bank]
         cat_t = np.concatenate([pending_t[c:], times])
         cat_r = np.concatenate([pending_r[c:], rows])
-        new_order = np.argsort(cat_t, kind="stable")
-        self._streams[bank] = (cat_t[new_order], cat_r[new_order])
+        order = np.argsort(cat_t, kind="stable")
+        self._streams[bank] = (cat_t[order], cat_r[order])
         self._cursors[bank] = 0
-        return len(times)
 
     # -- metrics -----------------------------------------------------------
 
@@ -283,7 +318,7 @@ class SessionCore:
         # epoch base even if the current interval has not started.
         if self.accesses_served:
             last = max(last, self.interval * self.epoch_ns)
-        return max(last, self._position_floor)
+        return last
 
     def totals(self, elapsed_ns: float | None = None) -> RunTotals:
         """Raw totals; ``elapsed_ns`` defaults to the full run length."""
@@ -307,53 +342,98 @@ class SessionCore:
 
     # -- checkpointable state ----------------------------------------------
 
+    def _pending_digest(self) -> str:
+        """blake2b-128 of every bank's pending suffix, times then rows."""
+        digest = hashlib.blake2b(digest_size=16)
+        for (t, r), c in zip(self._streams, self._cursors):
+            digest.update(t[c:].tobytes())
+            digest.update(r[c:].tobytes())
+        return digest.hexdigest()
+
     def to_state(self) -> dict:
         """JSON-serializable capture of the whole loop state.
 
-        Each bank's pending stream is stored as its *unserved suffix*
-        verbatim (injections included), cursors reset to zero; the
-        arrival RNG state covers every not-yet-generated interval.  The
-        layout is the same on both engines; the engine name is only a
-        tag that :meth:`from_state` checks against the spec.
-        Quarter-ns-grid floats round-trip exactly through JSON.
+        The loaded interval is recorded by reference, not by content:
+        the arrival-RNG state before it was fetched, the injection log,
+        the per-bank cursors and a digest of the pending suffixes.  The
+        current arrival RNG state covers every not-yet-generated
+        interval.  The layout is the same on both engines; the engine
+        name is only a tag that :meth:`from_state` checks against the
+        spec.  Quarter-ns-grid floats round-trip exactly through JSON.
         """
         doc: dict = {
             "engine": self.sim.engine,
             "interval": self.interval,
-            "position_ns": self.position_ns(),
             "rng": {"pcg64": self.arrival_rng.bit_generator.state},
             "memory": self.memory.to_state(),
         }
         if self.interval >= 0:
-            doc["streams"] = [
-                {"times": t[c:].tolist(), "rows": r[c:].tolist()}
-                for (t, r), c in zip(self._streams, self._cursors)
+            doc["interval_rng"] = {"pcg64": self._interval_rng}
+            doc["injections"] = [
+                [int(bank), int(cursor), times.tolist(), rows.tolist()]
+                for bank, cursor, times, rows in self._injections
             ]
+            doc["cursors"] = [int(c) for c in self._cursors]
+            doc["digest"] = self._pending_digest()
         return doc
 
     @classmethod
     def from_state(cls, sim: "TraceDrivenSimulator", state: dict) -> "SessionCore":
-        """Rebuild a core captured by :meth:`to_state` (same spec)."""
+        """Rebuild a core captured by :meth:`to_state` (same spec).
+
+        Sets the arrival RNG to the recorded pre-interval state and
+        fetches the interval exactly as the live run did (trace-store
+        hit or regeneration), replays the injection log, then sets the
+        cursors.  Raises :class:`ValueError` unless the rebuilt pending
+        suffixes match the recorded digest and the arrival RNG matches
+        the recorded state, so a snapshot is never misread — e.g. one
+        taken where the stream generator draws differently.  A
+        regenerated interval is published to the trace store only once
+        it has passed both checks.
+        """
         if state["engine"] != sim.engine:
             raise ValueError(
                 f"snapshot was taken on the {state['engine']!r} engine, "
                 f"spec selects {sim.engine!r}"
             )
         core = cls(sim)
-        core.arrival_rng.bit_generator.state = state["rng"]["pcg64"]
         core.memory.restore_state(state["memory"])
-        core.interval = int(state["interval"])
-        core._position_floor = float(state.get("position_ns", 0.0))
-        if core.interval >= 0:
-            streams = state["streams"]
-            if len(streams) != core.n_banks:
-                raise ValueError(
-                    f"snapshot carries {len(streams)} bank streams, "
-                    f"spec simulates {core.n_banks}"
-                )
-            core._install_streams([
-                (np.asarray(s["times"], dtype=np.float64),
-                 np.asarray(s["rows"], dtype=np.int64))
-                for s in streams
-            ])
+        rng_state = state["rng"]["pcg64"]
+        interval = int(state["interval"])
+        if interval < 0:
+            core.arrival_rng.bit_generator.state = rng_state
+            return core
+        core.interval = interval
+        core._interval_rng = state["interval_rng"]["pcg64"]
+        core.arrival_rng.bit_generator.state = core._interval_rng
+        per_bank = core._stored_interval(interval)
+        generated = per_bank is None
+        if generated:
+            per_bank = core._generate_interval(interval)
+        core._install_streams(per_bank)
+        for bank, cursor, times, rows in state["injections"]:
+            core._cursors[bank] = int(cursor)
+            core._splice(bank, np.asarray(times, dtype=np.float64),
+                         np.asarray(rows, dtype=np.int64))
+        cursors = [int(c) for c in state["cursors"]]
+        if len(cursors) != core.n_banks or not all(
+            0 <= c <= len(t) for c, (t, _) in zip(cursors, core._streams)
+        ):
+            raise ValueError(
+                f"snapshot cursors {cursors} do not fit the "
+                f"{core.n_banks} bank stream(s) of interval {interval}"
+            )
+        core._cursors = cursors
+        if core._pending_digest() != state["digest"]:
+            raise ValueError(
+                f"snapshot digest mismatch: interval {interval} rebuilds "
+                "to a different pending stream than was recorded"
+            )
+        if core.arrival_rng.bit_generator.state != rng_state:
+            raise ValueError(
+                "snapshot arrival-RNG mismatch: interval "
+                f"{interval} was not generated from the recorded state"
+            )
+        if generated:
+            core._publish_interval(interval, per_bank)
         return core

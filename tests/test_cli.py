@@ -129,6 +129,35 @@ class TestStreamingCommands:
         assert main(["resume", "/nonexistent/snap.json"]) == 2
         assert "error" in capsys.readouterr().out
 
+    def _half_snapshot(self, tmp_path, capsys):
+        import json as json_mod
+
+        snap = tmp_path / "half.json"
+        assert main(["run", "--workload", "libq", "--scheme", "sca", *FAST,
+                     "--snapshot-at", "250000",
+                     "--snapshot-to", str(snap)]) == 0
+        capsys.readouterr()
+        return snap, json_mod.loads(snap.read_text())
+
+    def test_resume_malformed_snapshot_is_error(self, tmp_path, capsys):
+        import json as json_mod
+
+        snap, doc = self._half_snapshot(tmp_path, capsys)
+        del doc["core"]["memory"]
+        snap.write_text(json_mod.dumps(doc))
+        assert main(["resume", str(snap)]) == 2
+        assert "error: malformed snapshot: missing field 'memory'" in \
+            capsys.readouterr().out
+
+    def test_resume_engine_mismatch_is_error(self, tmp_path, capsys):
+        import json as json_mod
+
+        snap, doc = self._half_snapshot(tmp_path, capsys)
+        doc["spec"]["engine"] = "scalar"
+        snap.write_text(json_mod.dumps(doc))
+        assert main(["resume", str(snap)]) == 2
+        assert "engine" in capsys.readouterr().out
+
 
 class TestCacheCommand:
     def test_stats_reports_both_stores(self, capsys, tmp_path, monkeypatch):

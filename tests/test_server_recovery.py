@@ -9,6 +9,7 @@ was recomputed.  The CI kill-and-restart smoke job covers the genuine
 SIGKILL path end to end.
 """
 
+import dataclasses
 import json
 import signal
 import subprocess
@@ -299,6 +300,61 @@ class TestRunSnapshotResume:
             assert job.result.to_dict() == run_spec(spec).to_dict()
         finally:
             server.close()
+
+
+    def _cold_start_on(self, tmp_path, spec, snapshot):
+        """Serve ``spec`` with ``snapshot`` stored as its resume point."""
+        cache_root = tmp_path / "cache"
+        ResultCache(cache_root).put_snapshot(spec, SNAPSHOT_TAG, snapshot)
+        dead_server_journal(
+            cache_root, f"j00002-{spec.content_hash()[:8]}", "run",
+            spec.content_hash(), 1, {"spec": spec.to_dict()},
+            "running",
+        )
+        server = make_server(tmp_path)
+        try:
+            job = wait_job(server, f"j00002-{spec.content_hash()[:8]}")
+            assert job.status == "done"
+            assert server.recovery["resumed_from_snapshot"] == 0
+            assert job.result.to_dict() == run_spec(spec).to_dict()
+        finally:
+            server.close()
+
+    def test_format2_snapshot_degrades_to_cold_start(self, tmp_path):
+        """A format-2 snapshot inlined the pending streams; this build
+        refuses it by version and recomputes from zero."""
+        spec = fast_spec(seed=63, n_intervals=3)
+        session = Session(spec)
+        session.advance(2 * session.epoch_ns)
+        core = session._core
+        legacy = session.snapshot()
+        legacy["snapshot_version"] = 2
+        for field in ("interval_rng", "injections", "cursors", "digest"):
+            del legacy["core"][field]
+        legacy["core"]["position_ns"] = session.position_ns
+        legacy["core"]["streams"] = [
+            {"times": t[c:].tolist(), "rows": r[c:].tolist()}
+            for (t, r), c in zip(core._streams, core._cursors)
+        ]
+        self._cold_start_on(tmp_path, spec, legacy)
+
+    def test_digest_mismatched_snapshot_degrades_to_cold_start(
+        self, tmp_path, monkeypatch
+    ):
+        """An ``interval_rng`` from another seed regenerates a different
+        stream: restore fails on the digest and the server cold-starts."""
+        monkeypatch.setenv("REPRO_TRACE_STORE", "0")
+        spec = fast_spec(seed=64, n_intervals=3)
+        session = Session(spec)
+        session.advance(2 * session.epoch_ns)
+        snapshot = session.snapshot()
+        foreign = Session(dataclasses.replace(spec, seed=65))
+        foreign.advance(2 * foreign.epoch_ns)
+        snapshot["core"]["interval_rng"] = \
+            foreign.snapshot()["core"]["interval_rng"]
+        with pytest.raises(ValueError, match="digest"):
+            Session.restore(snapshot)
+        self._cold_start_on(tmp_path, spec, snapshot)
 
 
 class TestDriverFaults:

@@ -8,15 +8,23 @@ contract for every registered scheme on both engines, plus the facade
 semantics (geometry, taps, injection, snapshot hygiene).
 """
 
+import contextlib
+import copy
 import dataclasses
+import functools
 import gc
 import json
+import os
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     SNAPSHOT_KIND,
+    SNAPSHOT_VERSION,
     EpochEvent,
     MitigationEvent,
     Session,
@@ -25,6 +33,7 @@ from repro.api import (
 )
 from repro.core.registry import scheme_names
 from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
+from repro.sim import tracestore
 
 ENGINES = ("batched", "scalar")
 
@@ -138,12 +147,27 @@ class TestSnapshotRestoreProperty:
     def test_bad_snapshot_rejected(self):
         with pytest.raises(SessionError, match=SNAPSHOT_KIND):
             Session.restore({"kind": "something-else"})
-        # Version 1 scalar snapshots carried one merged stream.
-        for version in (1, 99):
+        # Version 1 scalar snapshots carried one merged stream, version
+        # 2 the pending per-bank streams themselves.
+        for version in (1, 2, 99):
             with pytest.raises(SessionError, match="snapshot_version"):
                 Session.restore(
                     {"kind": SNAPSHOT_KIND, "snapshot_version": version}
                 )
+
+    def test_snapshot_holds_positions_not_streams(self):
+        """A format-3 snapshot records where each bank is in its stream
+        (and what was injected), never the generated accesses."""
+        session = open_session(spec_for("sca", "batched"))
+        session.advance(session.total_ns * 0.6)
+        session.inject([3, 5], bank=1)
+        snap = session.snapshot()
+        assert snap["snapshot_version"] == SNAPSHOT_VERSION == 3
+        core = snap["core"]
+        assert "streams" not in core
+        assert core["interval"] == 1 and len(core["cursors"]) == 2
+        assert [entry[:1] for entry in core["injections"]] == [[1]]
+        assert len(json.dumps(snap)) < 10 * 1024
 
     def test_save_load_file_round_trip(self, tmp_path):
         spec = spec_for("drcat", "scalar")
@@ -152,6 +176,178 @@ class TestSnapshotRestoreProperty:
         session.step(5000)
         path = session.save(tmp_path / "snap.json")
         assert Session.load(path).result().to_dict() == direct.to_dict()
+
+
+class TestMalformedSnapshots:
+    """A damaged snapshot fails with an error naming what is wrong."""
+
+    @pytest.fixture(scope="class")
+    def snap(self):
+        session = open_session(spec_for("sca", "batched"))
+        session.step(100)
+        return json_cycle(session.snapshot())
+
+    @pytest.mark.parametrize(
+        "path",
+        [("spec",), ("core",), ("core", "memory"), ("core", "cursors")],
+        ids=".".join,
+    )
+    def test_missing_field_named(self, snap, path):
+        doc = copy.deepcopy(snap)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(SessionError, match=f"missing field '{path[-1]}'"):
+            Session.restore(doc)
+
+    def test_mistyped_field(self, snap):
+        doc = copy.deepcopy(snap)
+        doc["core"]["cursors"] = None
+        with pytest.raises(SessionError, match="mistyped field"):
+            Session.restore(doc)
+
+    def test_cursor_beyond_stream_rejected(self, snap):
+        doc = copy.deepcopy(snap)
+        doc["core"]["cursors"][0] = 10 ** 9
+        with pytest.raises(ValueError, match="cursors"):
+            Session.restore(doc)
+
+
+@contextlib.contextmanager
+def trace_store(root):
+    """Run with the trace store at ``root``, or disabled for None."""
+    saved = {k: os.environ.get(k)
+             for k in ("REPRO_TRACE_STORE", "REPRO_TRACE_STORE_DIR")}
+    os.environ["REPRO_TRACE_STORE"] = "0" if root is None else "1"
+    if root is not None:
+        os.environ["REPRO_TRACE_STORE_DIR"] = str(root)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+        if root is not None:
+            tracestore._STORES.pop(str(root), None)
+
+
+class TestTamperedSnapshots:
+    """Restoring rebuilds the pending streams from the spec, so a
+    snapshot whose streams rebuild differently is refused."""
+
+    def _foreign_interval_rng(self, spec):
+        session = open_session(spec)
+        session.advance(session.total_ns * 0.6)
+        snap = json_cycle(session.snapshot())
+        other = open_session(dataclasses.replace(spec, seed=spec.seed + 1))
+        other.advance(other.total_ns * 0.6)
+        snap["core"]["interval_rng"] = other.snapshot()["core"]["interval_rng"]
+        return snap
+
+    def test_refused_regeneration_is_not_stored(self, tmp_path):
+        """A store miss regenerates the interval; a refused one must not
+        be published, or it would poison every later run of the key."""
+        spec = spec_for("sca", "batched")
+        with trace_store(None):
+            reference = run_spec(spec).to_dict()
+            snap = self._foreign_interval_rng(spec)
+        with trace_store(tmp_path / "traces"):
+            with pytest.raises(ValueError, match="digest"):
+                Session.restore(snap)
+            assert tracestore.open_store().stats()["entries"] == 0
+            assert run_spec(spec).to_dict() == reference
+
+    def test_other_row_generator_fails_the_digest(self, monkeypatch):
+        """A build whose generator yields other rows, while drawing the
+        arrival RNG exactly as before, is refused by the digest alone."""
+        from repro.sim.simulator import TraceDrivenSimulator
+
+        spec = spec_for("sca", "batched")
+        with trace_store(None):
+            session = open_session(spec)
+            session.advance(session.total_ns * 0.6)
+            snap = json_cycle(session.snapshot())
+            plan = TraceDrivenSimulator.stream_plan
+
+            def reversed_rows(sim):
+                label, intensity, rows_fn = plan(sim)
+                return label, intensity, lambda b, i: rows_fn(b, i)[::-1]
+
+            monkeypatch.setattr(TraceDrivenSimulator, "stream_plan",
+                                reversed_rows)
+            with pytest.raises(ValueError, match="digest"):
+                Session.restore(snap)
+
+    def test_tampered_rng_fails(self):
+        session = open_session(spec_for("drcat", "batched"))
+        session.advance(session.total_ns * 0.6)
+        snap = json_cycle(session.snapshot())
+        snap["core"]["rng"]["pcg64"]["state"]["state"] += 1
+        with pytest.raises(ValueError, match="arrival-RNG"):
+            Session.restore(snap)
+
+
+#: A fixed burst the property test may inject before its cut.
+BURST_AT, BURST = 700, [11] * 900 + [4000] * 300
+
+
+def _open_with_burst(spec, inject):
+    session = open_session(spec)
+    if inject:
+        session.step(BURST_AT)
+        session.inject(BURST, bank=spec.n_banks - 1)
+    return session
+
+
+def _run_cut(spec, inject, cut, store_snap, store_restore):
+    """Finish ``spec`` with an optional burst, snapshot-restored after
+    ``cut`` further accesses under the given trace-store settings (a
+    root, or None for off)."""
+    with trace_store(store_snap):
+        session = _open_with_burst(spec, inject)
+        session.step(cut)
+        snap = json_cycle(session.snapshot())
+    with trace_store(store_restore):
+        return Session.restore(snap).result().to_dict()
+
+
+@functools.lru_cache(maxsize=16)
+def _uninterrupted(spec, inject):
+    with trace_store(None):
+        return _open_with_burst(spec, inject).result().to_dict()
+
+
+class TestSnapshotRestoreHypothesis:
+    """snapshot -> JSON -> restore -> finish equals the uninterrupted
+    run at any cut, with or without an injected burst, with the trace
+    store on or off at either end.  Both ends share one fresh store
+    directory, so a restore with the store on hits it when the snapshot
+    side had it on too, and regenerates into it otherwise."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["sca", "drcat"]),
+        n_banks=st.integers(1, 2),
+        n_intervals=st.integers(2, 3),
+        inject=st.booleans(),
+        cut=st.integers(0, 45_000),
+        store_snap=st.booleans(),
+        store_restore=st.booleans(),
+    )
+    def test_restore_equals_uninterrupted(
+        self, tmp_path_factory, kind, n_banks, n_intervals, inject, cut,
+        store_snap, store_restore,
+    ):
+        spec = spec_for(kind, "batched", n_banks=n_banks,
+                        n_intervals=n_intervals)
+        root = tmp_path_factory.mktemp("traces")
+        result = _run_cut(spec, inject, cut,
+                          root if store_snap else None,
+                          root if store_restore else None)
+        assert result == _uninterrupted(spec, inject)
 
 
 class TestSessionFacade:
@@ -324,6 +520,21 @@ class TestInjection:
             return session.result()
 
         assert run(True).to_dict() == run(False).to_dict()
+
+    def test_numpy_int_arguments_snapshot_as_json(self):
+        """Cursors and the injection log are plain ints in a snapshot,
+        even when the session was driven with numpy integers."""
+        spec = spec_for("sca", "batched")
+
+        def run(ints):
+            session = open_session(spec)
+            session.step(ints(1000))
+            session.inject([3, 4], bank=ints(1))
+            return session
+
+        snap = json.loads(json.dumps(run(np.int64).snapshot()))
+        assert Session.restore(snap).result().to_dict() == \
+            run(int).result().to_dict()
 
     def test_inject_rejects_bad_rows_and_banks(self):
         session = open_session(spec_for("sca", "batched"))
