@@ -17,18 +17,21 @@ sweep sections exercise the store.
 Usage::
 
     python benchmarks/bench_perf.py             # full run, writes JSON
-    python benchmarks/bench_perf.py --smoke     # trimmed grids, fast
+    python benchmarks/bench_perf.py --smoke     # drcat + ccache, trimmed grids
     python benchmarks/bench_perf.py --check     # exit 1 on regression:
-                                                #  batched < 5x scalar,
+                                                #  drcat batched < 5x scalar,
+                                                #  ccache batched < 3x scalar,
                                                 #  result-cache warm < 2x,
                                                 #  trace-store warm < 3x,
                                                 #  pool reuse < 1.1x
 
-The engine ``--check`` floor is half the 10x tentpole target, i.e. it
-fails on a >2x throughput regression of the batched engine relative to
-where that tentpole landed; the trace-store floor is the ISSUE-5
-acceptance criterion (warm scheme-axis grid >= 3x the store-off cold
-baseline).
+The drcat ``--check`` floor is half the 10x the batched engine was
+built to reach, i.e. it fails on a >2x throughput regression.  The
+ccache floor sits between the 1.8x of the per-access ``access_batch``
+fallback and the ~6x of the counter cache's own batched path, so a
+silent fall-back to the per-access loop fails it.  The trace-store
+floor asks the warm scheme-axis grid for >= 3x the store-off cold
+baseline.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ PROFILE_WORKLOAD = "mum"
 SCHEMES = ("drcat", "prcat", "sca", "pra", "ccache")
 #: Minimum accepted batched/scalar speedup on drcat for ``--check``.
 CHECK_MIN_SPEEDUP = 5.0
+#: Minimum accepted batched/scalar speedup on ccache for ``--check``.
+CHECK_MIN_CCACHE_SPEEDUP = 3.0
 #: Mini-sweep used for the wall-clock trend (subset of Figure 8).
 MINI_SWEEP_WORKLOADS = ("mum", "libq", "black", "comm1")
 MINI_SWEEP_SCHEMES = ("pra", "sca", "prcat", "drcat")
@@ -321,7 +326,7 @@ def run_bench(smoke: bool = False, repeats: int = 3) -> dict:
     """Measure all engines; return the JSON-ready report."""
     from repro.report.schema import ARRIVAL_SEED, SCHEMA_VERSION
 
-    schemes = ("drcat",) if smoke else SCHEMES
+    schemes = ("drcat", "ccache") if smoke else SCHEMES
     # Same schema envelope as the figure artifacts so tooling can
     # version-gate this report too; wall-clock numbers are machine-
     # dependent, which is why perf is not part of the golden store.
@@ -409,10 +414,12 @@ def _measure_cache_speedup() -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="drcat only (fast CI mode)")
+                        help="drcat and ccache only (fast CI mode)")
     parser.add_argument("--check", action="store_true",
                         help="fail unless batched >= "
-                             f"{CHECK_MIN_SPEEDUP}x scalar on drcat")
+                             f"{CHECK_MIN_SPEEDUP}x scalar on drcat and >= "
+                             f"{CHECK_MIN_CCACHE_SPEEDUP}x on ccache, and "
+                             "the cache, trace-store and pool floors hold")
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
 
@@ -459,14 +466,16 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {out} (+ repo-root copy)")
 
     if args.check:
-        speedup = report["schemes"]["drcat"]["speedup_vs_scalar"]
-        if speedup < CHECK_MIN_SPEEDUP:
-            print(
-                f"FAIL: drcat batched speedup {speedup}x is below the "
-                f"{CHECK_MIN_SPEEDUP}x regression floor"
-            )
-            return 1
-        print(f"check ok: drcat batched speedup {speedup}x")
+        for scheme, floor in (("drcat", CHECK_MIN_SPEEDUP),
+                              ("ccache", CHECK_MIN_CCACHE_SPEEDUP)):
+            speedup = report["schemes"][scheme]["speedup_vs_scalar"]
+            if speedup < floor:
+                print(
+                    f"FAIL: {scheme} batched speedup {speedup}x is below "
+                    f"the {floor}x regression floor"
+                )
+                return 1
+            print(f"check ok: {scheme} batched speedup {speedup}x")
         if not cache_row["warm_results_identical"]:
             print("FAIL: warm cache results differ from cold run")
             return 1

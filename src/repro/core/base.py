@@ -141,9 +141,10 @@ class MitigationScheme(abc.ABC):
         element of ``rows`` (an int64 array): the returned
         ``(position, commands)`` pairs name every access that emitted
         commands, in stream order, and the scheme ends in the identical
-        state.  The default replays scalar ``access`` — always correct —
-        and counting schemes override it with a vectorized fast path
-        (see :mod:`repro.core.batch`).
+        state.  Every registered scheme overrides it with an exact fast
+        path (see :mod:`repro.core.batch`).  The default replays scalar
+        ``access`` — always correct — and serves a new registrant until
+        it has one.
         """
         events: list[tuple[int, list[RefreshCommand]]] = []
         access = self.access

@@ -30,6 +30,10 @@ flag, so :meth:`~repro.core.counter_tree.CounterTree._headroom` gives
 that counter refresh-only headroom and reports the attempt, and
 :meth:`~repro.core.counter_tree.CounterTree.apply_bulk_counts` sets the
 flag once a bulk batch reaches it (DESIGN.md, "Batched engine").
+
+Schemes whose counters are independent and never restructure — SCA's
+groups and the counter cache's per-row counts — need no bisection:
+:func:`threshold_crossings` computes every event of a batch up front.
 """
 
 from __future__ import annotations
@@ -52,6 +56,29 @@ def check_rows(rows: np.ndarray, n_rows: int) -> None:
     if len(rows) and (int(rows.min()) < 0 or int(rows.max()) >= n_rows):
         bad = rows[(rows < 0) | (rows >= n_rows)][0]
         raise ValueError(f"row {int(bad)} out of range for bank with {n_rows} rows")
+
+
+def threshold_crossings(
+    ids: np.ndarray, start: np.ndarray, hits: np.ndarray, threshold: int
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Every threshold crossing of independent counters over one batch.
+
+    Counter ``c`` starts at ``start[c]`` (below ``threshold``) and takes
+    ``hits[c]`` hits, at the positions where ``ids == c``; it resets to
+    zero each time it reaches the threshold.  So it crosses
+    ``k = (s + h) // T`` times, at its ``(T - s)``-th, ``(2T - s)``-th,
+    … hit, and ends at ``s + h - kT``.  Returns the end counts and a
+    ``(counter, positions)`` pair per crossing counter; only crossing
+    counters pay an occurrence scan (once per counter, not per event).
+    """
+    total = start + hits
+    crossings = total // threshold
+    fired = []
+    for c in np.flatnonzero(crossings).tolist():
+        occurrences = np.flatnonzero(ids == c)
+        first = threshold - int(start[c])  # 1-based hit index
+        fired.append((c, occurrences[first - 1 :: threshold]))
+    return total - crossings * threshold, fired
 
 
 def counter_scheme_access_batch(

@@ -19,7 +19,10 @@ extra DRAM accesses the CAT schemes avoid by construction.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.base import MitigationScheme, RefreshCommand
+from repro.core.batch import check_rows, threshold_crossings
 
 #: Energy of one counter-line fetch or write-back to the reserved DRAM
 #: region (nJ).  A counter line is one 64-byte column burst — far
@@ -31,6 +34,14 @@ COUNTER_MEMORY_ACCESS_NJ = 5.0
 #: so sequential row traffic enjoys spatial locality exactly as in the
 #: DRAM-backed design of [26].
 COUNTERS_PER_LINE = 32
+
+
+def _slots(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each query in the (unsorted, distinct) ``keys``, and
+    whether it is there at all."""
+    order = np.argsort(keys)
+    slot = order[np.minimum(np.searchsorted(keys, queries, sorter=order), len(keys) - 1)]
+    return slot, keys[slot] == queries
 
 
 class CounterCacheScheme(MitigationScheme):
@@ -61,8 +72,9 @@ class CounterCacheScheme(MitigationScheme):
             raise ValueError("n_sets and n_ways must be positive")
         self.n_sets = n_sets
         self.n_ways = n_ways
-        # Backing store: the authoritative per-row counters in DRAM.
-        self._memory_counters = [0] * n_rows
+        # Backing store: the per-row counters in DRAM.  Exact for every
+        # line not in the cache; a cached line's rows may be stale.
+        self._memory_counters = np.zeros(n_rows, dtype=np.int64)
         # Cache: per set, an LRU-ordered list of (line_tag, counts) with
         # counts covering COUNTERS_PER_LINE consecutive rows; index 0 is
         # most recently used.
@@ -86,16 +98,131 @@ class CounterCacheScheme(MitigationScheme):
         if count < self.refresh_threshold:
             return []
         self._store(row, 0)
+        commands = self._neighbour_commands(row)
+        self.stats.refresh_commands += len(commands)
+        self.stats.rows_refreshed += len(commands)
+        return commands
+
+    def access_batch(
+        self, rows: np.ndarray
+    ) -> list[tuple[int, list[RefreshCommand]]]:
+        """Exact batch: closed-form refresh events plus one LRU pass.
+
+        The cache never changes a count: a miss fetches the exact count,
+        an eviction writes it back and a refresh writes 0 to both.  So
+        every touched row is an independent counter whose events follow
+        :func:`~repro.core.batch.threshold_crossings`, and the LRU only
+        decides hits, misses, write-backs and what the registers hold
+        (DESIGN.md, "Batched engine").
+        """
+        n = len(rows)
+        if n == 0:
+            return []
+        check_rows(rows, self.n_rows)
+        per_line = COUNTERS_PER_LINE
+        memory = self._memory_counters
+        touched, ids, hits = np.unique(rows, return_inverse=True, return_counts=True)
+        touched_lines = touched // per_line
+        # Start counts: the store, except for rows of cached lines, the
+        # only ones whose store value can be stale.
+        cached = {tag: counts for ways in self._sets for tag, counts in ways}
+        start = memory[touched]
+        if cached:
+            slot, hit = _slots(np.fromiter(cached, np.int64, len(cached)), touched_lines)
+            values = np.array(list(cached.values()), dtype=np.int64)
+            start[hit] = values[slot[hit], touched[hit] % per_line]
+        end, fired = threshold_crossings(ids, start, hits, self.refresh_threshold)
+        events: list[tuple[int, list[RefreshCommand]]] = []
+        last_refresh = np.full(len(touched), -1, dtype=np.int64)
+        for u, positions in fired:
+            last_refresh[u] = positions[-1]
+            commands = self._neighbour_commands(int(touched[u]))
+            if commands:
+                self.stats.refresh_commands += len(commands) * len(positions)
+                self.stats.rows_refreshed += len(commands) * len(positions)
+                events.extend((p, list(commands)) for p in positions.tolist())
+        events.sort(key=lambda event: event[0])
+        tags, evicted = self._replay_lru(rows // per_line)
+
+        # Backing store.  An evicted line holds its counts as of its last
+        # eviction (untouched rows: their start counts), unless a refresh
+        # came later and left 0; a line never evicted changes only where
+        # a refresh wrote 0.
+        last_evict = np.full(len(touched), -1, dtype=np.int64)
+        if evicted:
+            for line in evicted.keys() & cached.keys():
+                base = line * per_line
+                memory[base : base + per_line] = cached[line][: self.n_rows - base]
+            slot, hit = _slots(np.fromiter(evicted, np.int64, len(evicted)), touched_lines)
+            last_evict[hit] = np.fromiter(evicted.values(), np.int64, len(evicted))[slot[hit]]
+            before = np.bincount(ids[np.arange(n) < last_evict[ids]], minlength=len(touched))
+            written = last_evict > last_refresh
+            memory[touched[written]] = (start + before)[written] % self.refresh_threshold
+        memory[touched[last_refresh > last_evict]] = 0
+
+        # Cache: every line held at the end carries its end counts.
+        lines = [line for ways in tags for line in ways]
+        bases = np.array(lines, dtype=np.int64) * per_line
+        bounds = np.searchsorted(touched, bases).tolist()
+        ends = np.searchsorted(touched, bases + per_line).tolist()
+        touched_rows, end_counts = touched.tolist(), end.tolist()
+        counts_of = {}
+        for line, lo, hi in zip(lines, bounds, ends):
+            base = line * per_line
+            if line in cached and line not in evicted:
+                counts = cached[line]
+            else:
+                counts = memory[base : base + per_line].tolist()
+                counts += [0] * (per_line - len(counts))
+            for j in range(lo, hi):
+                counts[touched_rows[j] - base] = end_counts[j]
+            counts_of[line] = counts
+        self._sets = [[(line, counts_of[line]) for line in ways] for ways in tags]
+        self.stats.activations += n
+        return events
+
+    # -- cache mechanics -------------------------------------------------
+
+    def _neighbour_commands(self, row: int) -> list[RefreshCommand]:
+        """The in-range ``row±1`` refreshes a threshold crossing emits."""
         commands = []
         if row - 1 >= 0:
             commands.append(RefreshCommand(row - 1, row - 1))
         if row + 1 < self.n_rows:
             commands.append(RefreshCommand(row + 1, row + 1))
-        self.stats.refresh_commands += len(commands)
-        self.stats.rows_refreshed += len(commands)
         return commands
 
-    # -- cache mechanics -------------------------------------------------
+    def _replay_lru(self, lines: np.ndarray) -> tuple[list[list[int]], dict[int, int]]:
+        """Run one batch's line references through the LRU, tags only.
+
+        Updates the hit/miss/write-back totals and returns the final
+        per-set tag lists (MRU first) with the last eviction position
+        of every line evicted in the batch.
+        """
+        n_sets, n_ways = self.n_sets, self.n_ways
+        order = np.argsort(lines % n_sets, kind="stable")
+        lines = lines[order]
+        # Within a set, a repeat of the MRU line is a hit that changes
+        # nothing; the loop sees only the references that may.
+        keep = np.ones(len(lines), dtype=bool)
+        keep[1:] = lines[1:] != lines[:-1]
+        tags = [[tag for tag, _ in ways] for ways in self._sets]
+        filled = sum(map(len, tags))
+        evicted: dict[int, int] = {}
+        evictions = 0
+        for position, line in zip(order[keep].tolist(), lines[keep].tolist()):
+            ways = tags[line % n_sets]
+            if line in ways:
+                ways.remove(line)
+            elif len(ways) == n_ways:
+                evicted[ways.pop()] = position
+                evictions += 1
+            ways.insert(0, line)
+        misses = evictions + sum(map(len, tags)) - filled
+        self.hits += len(lines) - misses
+        self.misses += misses
+        self.writebacks += evictions
+        return tags, evicted
 
     def _line_of(self, row: int) -> int:
         return row // COUNTERS_PER_LINE
@@ -118,7 +245,7 @@ class CounterCacheScheme(MitigationScheme):
         # Miss: fetch the whole counter line from the reserved region.
         self.misses += 1
         base = line * COUNTERS_PER_LINE
-        counts = self._memory_counters[base : base + COUNTERS_PER_LINE]
+        counts = self._memory_counters[base : base + COUNTERS_PER_LINE].tolist()
         counts += [0] * (COUNTERS_PER_LINE - len(counts))
         counts[offset] += 1
         if len(ways) >= self.n_ways:
@@ -151,12 +278,12 @@ class CounterCacheScheme(MitigationScheme):
         bit-identical resumption.  The (large, mostly zero) backing
         store is run-length compressed as (index, count) pairs.
         """
-        nonzero = [
-            [i, c] for i, c in enumerate(self._memory_counters) if c
-        ]
+        rows = np.flatnonzero(self._memory_counters)
         return {
             "scheme": self.name,
-            "memory_counters": nonzero,
+            "memory_counters": [
+                [i, c] for i, c in zip(rows.tolist(), self._memory_counters[rows].tolist())
+            ],
             "sets": [
                 [[tag, list(counts)] for tag, counts in ways]
                 for ways in self._sets
@@ -168,19 +295,55 @@ class CounterCacheScheme(MitigationScheme):
         }
 
     def restore_state(self, state: dict) -> None:
-        """SchemeState protocol: overwrite cache + backing store."""
-        counters = [0] * self.n_rows
-        for i, c in state["memory_counters"]:
-            counters[int(i)] = int(c)
-        self._memory_counters = counters
+        """SchemeState protocol: overwrite cache + backing store.
+
+        Raises ``ValueError`` naming the field when the state cannot come
+        from a cache of this geometry: a row outside the bank, a count
+        outside ``[0, T)``, too many ways, a tag outside the bank, in
+        the wrong set or cached twice, or a count line of the wrong size.
+        """
+        threshold = self.refresh_threshold
+        counters = np.zeros(self.n_rows, dtype=np.int64)
+        for entry in state["memory_counters"]:
+            i, c = (int(v) for v in entry)
+            if not (0 <= i < self.n_rows and 0 <= c < threshold):
+                raise ValueError(
+                    f"ccache state field 'memory_counters': entry {[i, c]} needs a row "
+                    f"in [0, {self.n_rows}) and a count in [0, {threshold})"
+                )
+            counters[i] = c
         sets = [
             [(int(tag), [int(c) for c in counts]) for tag, counts in ways]
             for ways in state["sets"]
         ]
         if len(sets) != self.n_sets:
             raise ValueError(
-                f"state carries {len(sets)} sets, cache has {self.n_sets}"
+                f"ccache state field 'sets': state carries {len(sets)} sets, "
+                f"cache has {self.n_sets}"
             )
+        n_lines = -(-self.n_rows // COUNTERS_PER_LINE)
+        for index, ways in enumerate(sets):
+            tags = [tag for tag, _ in ways]
+            if len(ways) > self.n_ways or len(set(tags)) < len(tags):
+                raise ValueError(
+                    f"ccache state field 'sets': set {index} holds tags {tags}, "
+                    f"at most {self.n_ways} distinct"
+                )
+            for tag, counts in ways:
+                if not 0 <= tag < n_lines or tag % self.n_sets != index:
+                    raise ValueError(
+                        f"ccache state field 'sets': tag {tag} does not belong "
+                        f"in set {index} of a {n_lines}-line bank"
+                    )
+                if len(counts) != COUNTERS_PER_LINE or not all(
+                    0 <= c < threshold for c in counts
+                ):
+                    raise ValueError(
+                        f"ccache state field 'sets': line {tag} needs "
+                        f"{COUNTERS_PER_LINE} counts in [0, {threshold}), "
+                        f"got {counts}"
+                    )
+        self._memory_counters = counters
         self._sets = sets
         self.hits = int(state["hits"])
         self.misses = int(state["misses"])
@@ -191,7 +354,7 @@ class CounterCacheScheme(MitigationScheme):
 
     def on_interval_boundary(self) -> None:
         """Blanket refresh clears all pressure: reset every counter."""
-        self._memory_counters = [0] * self.n_rows
+        self._memory_counters.fill(0)
         for ways in self._sets:
             ways.clear()
         self.stats.resets += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import MitigationScheme, RefreshCommand
-from repro.core.batch import check_rows
+from repro.core.batch import check_rows, threshold_crossings
 
 
 class SCAScheme(MitigationScheme):
@@ -61,41 +61,29 @@ class SCAScheme(MitigationScheme):
         SCA's counters are *independent* and the row → group map is
         static, so — unlike the tree schemes, whose structure mutates at
         events — every threshold crossing of a whole batch is computable
-        up front: counter ``c`` starting at ``s`` with ``t`` hits crosses
-        ``k = (s + t) // T`` times, at its ``(T - s)``-th, ``(2T - s)``-th,
-        … occurrence, and finishes at ``s + t - kT``.  One bincount
-        resolves the common no-event batch; only crossing counters pay
-        an occurrence scan (once per counter, not once per event).
+        up front (:func:`~repro.core.batch.threshold_crossings`).  One
+        bincount resolves the common no-event batch.
         """
         n = len(rows)
         if n == 0:
             return []
         check_rows(rows, self.n_rows)
-        threshold = self.refresh_threshold
         groups = rows // self.group_size
-        counts = np.bincount(groups, minlength=self.n_counters)
-        start = np.asarray(self._counts, dtype=np.int64)
-        total = start + counts
-        crossings = total // threshold
+        end, fired = threshold_crossings(
+            groups,
+            np.asarray(self._counts, dtype=np.int64),
+            np.bincount(groups, minlength=self.n_counters),
+            self.refresh_threshold,
+        )
         events: list[tuple[int, list[RefreshCommand]]] = []
-        n_events = int(crossings.sum())
-        if n_events:
-            for c in np.flatnonzero(crossings).tolist():
-                occurrences = np.flatnonzero(groups == c)
-                first = threshold - int(start[c])  # 1-based hit index
-                picks = np.arange(first - 1, len(occurrences), threshold)
-                low = c * self.group_size
-                cmd = RefreshCommand(
-                    low - 1, low + self.group_size, reason="threshold"
-                )
-                self.stats.rows_refreshed += (
-                    len(picks) * cmd.row_count(self.n_rows)
-                )
-                for position in occurrences[picks].tolist():
-                    events.append((position, [cmd]))
-            events.sort(key=lambda event: event[0])
-            self.stats.refresh_commands += n_events
-        self._counts = (total - crossings * threshold).tolist()
+        for c, positions in fired:
+            low = c * self.group_size
+            cmd = RefreshCommand(low - 1, low + self.group_size, reason="threshold")
+            self.stats.refresh_commands += len(positions)
+            self.stats.rows_refreshed += len(positions) * cmd.row_count(self.n_rows)
+            events.extend((position, [cmd]) for position in positions.tolist())
+        events.sort(key=lambda event: event[0])
+        self._counts = end.tolist()
         self.stats.activations += n
         return events
 

@@ -129,11 +129,11 @@ class TestStreamingCommands:
         assert main(["resume", "/nonexistent/snap.json"]) == 2
         assert "error" in capsys.readouterr().out
 
-    def _half_snapshot(self, tmp_path, capsys):
+    def _half_snapshot(self, tmp_path, capsys, scheme="sca"):
         import json as json_mod
 
         snap = tmp_path / "half.json"
-        assert main(["run", "--workload", "libq", "--scheme", "sca", *FAST,
+        assert main(["run", "--workload", "libq", "--scheme", scheme, *FAST,
                      "--snapshot-at", "250000",
                      "--snapshot-to", str(snap)]) == 0
         capsys.readouterr()
@@ -147,6 +147,16 @@ class TestStreamingCommands:
         snap.write_text(json_mod.dumps(doc))
         assert main(["resume", str(snap)]) == 2
         assert "error: malformed snapshot: missing field 'memory'" in \
+            capsys.readouterr().out
+
+    def test_resume_malformed_scheme_state_is_error(self, tmp_path, capsys):
+        import json as json_mod
+
+        snap, doc = self._half_snapshot(tmp_path, capsys, scheme="ccache")
+        doc["core"]["memory"]["schemes"][0]["memory_counters"].append([1 << 20, 7])
+        snap.write_text(json_mod.dumps(doc))
+        assert main(["resume", str(snap)]) == 2
+        assert "error: ccache state field 'memory_counters'" in \
             capsys.readouterr().out
 
     def test_resume_engine_mismatch_is_error(self, tmp_path, capsys):

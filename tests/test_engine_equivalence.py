@@ -37,6 +37,10 @@ _PARAM_SAMPLERS = {
     "prcat": lambda rng: {"n_counters": int(rng.choice([32, 64, 128]))},
     "drcat": lambda rng: {"max_levels": int(rng.choice([8, 11]))},
     "pra": lambda rng: {"probability": float(rng.choice([0.002, 0.01]))},
+    "ccache": lambda rng: {
+        "n_sets": int(rng.choice([1, 8, 64])),
+        "n_ways": int(rng.choice([1, 2, 8])),
+    },
 }
 
 
@@ -57,7 +61,7 @@ def _run(engine: str, scheme: str, workload: str):
 
 
 def _fingerprint(memory) -> dict:
-    """Every engine-observable total, including tree internals."""
+    """Every engine-observable total, including every scheme register."""
     out = dict(memory.scheme_stats())
     out["total_refresh_commands"] = memory.total_refresh_commands
     out["total_rows_refreshed"] = memory.total_rows_refreshed
@@ -70,12 +74,12 @@ def _fingerprint(memory) -> dict:
         out[f"bank{bank}_backlog"] = state.refresh_backlog_rows
         out[f"bank{bank}_escalations"] = state.escalations
     for bank, scheme in enumerate(memory.schemes):
-        tree = getattr(scheme, "tree", None)
-        if tree is not None:
-            # Every tree register: the partition, counts, weights and
-            # SRAM reads, but also the harvest flags, the harvest budget
-            # and the free-list order.
-            out[f"bank{bank}_tree"] = tree.to_state()
+        if scheme is not None:
+            # Every scheme register: a tree's partition, counts, weights,
+            # SRAM reads, harvest flags, harvest budget and free-list
+            # order; the counter cache's ways, backing store and
+            # hit/miss/write-back totals; SCA's counts; PRA's PRNG.
+            out[f"bank{bank}_scheme"] = scheme.to_state()
     return out
 
 
@@ -281,7 +285,7 @@ def test_batched_access_batch_rejects_bad_rows():
     """The vectorized row check still rejects out-of-range rows."""
     from repro.core import make_scheme
 
-    for kind in ("sca", "pra", "drcat"):
+    for kind in ("sca", "pra", "prcat", "drcat", "ccache"):
         scheme = make_scheme(kind, 1024, 128)
         with pytest.raises(ValueError):
             scheme.access_batch(np.array([5, 2048], dtype=np.int64))

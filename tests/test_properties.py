@@ -8,14 +8,19 @@ These verify the DESIGN.md invariants over randomised access sequences:
 3. counter conservation across splits and merges;
 4. CAT under uniform access degenerates to SCA's uniform grouping;
 5. DRCAT's batched path equals its scalar loop once the counter pool is
-   exhausted, where harvest attempts (and their prediction) happen.
+   exhausted, where harvest attempts (and their prediction) happen;
+6. the counter cache's batched path equals its per-access loop across
+   chunks, epoch resets and state round trips.
 """
 
+import json
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import ActivationLedger
+from repro.core.counter_cache import CounterCacheScheme
 from repro.core.counter_tree import CounterTree
 from repro.core.sca import SCAScheme
 from repro.core.cat import PRCATScheme
@@ -172,6 +177,89 @@ class TestHarvestRegimeBatchEquivalence:
         assert got == expected
         assert batched.tree.to_state() == scalar.tree.to_state()
         assert batched.stats.snapshot() == scalar.stats.snapshot()
+
+
+def _ccache_chunks(n_rows: int):
+    """1-5 chunks, each a short pattern of rows from a small pool
+    repeated 1-12 times, then an optional epoch reset and an optional
+    JSON state round trip."""
+    pool = st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=8)
+    return pool.flatmap(lambda pool: st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(pool), max_size=24),
+            st.integers(1, 12),
+            st.booleans(),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=5,
+    ))
+
+
+#: (n_rows, chunks); bank sizes include ones that are not a multiple
+#: of the 32-counter line.
+ccache_runs = st.one_of(st.sampled_from([48, 100]), st.integers(1, 1100)).flatmap(
+    lambda n_rows: st.tuples(st.just(n_rows), _ccache_chunks(n_rows))
+)
+
+
+def _once(*patterns):
+    """Chunks that each run one pattern once, with no reset between."""
+    return [(list(pattern), 1, False, False) for pattern in patterns]
+
+
+class TestCounterCacheBatchEquivalence:
+    """Invariant 6: ``CounterCacheScheme.access_batch`` equals per-access
+    ``access`` in events, ``to_state()`` (registers and stats) and
+    hit/miss/write-back totals.
+
+    Repeated patterns from a small pool make counts cross T, lines come
+    back after their eviction and small caches evict.  Without a reset
+    or round trip, the next chunk starts with cached lines whose store
+    counts are stale.  The explicit examples pin one stream per rule of
+    the batched path (DESIGN.md, "Batched engine"); the first is a
+    counterexample this test shrank.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        run=ccache_runs,
+        t=st.integers(1, 12),
+        n_sets=st.integers(1, 4),
+        n_ways=st.integers(1, 4),
+    )
+    # A refresh after the line's last eviction leaves 0 in the store.
+    @example(run=(48, _once([0], [32, 0])), t=2, n_sets=1, n_ways=1)
+    # Cached counts, not the stale store, seed the next chunk.
+    @example(run=(48, _once([5, 5], [5, 5])), t=4, n_sets=1, n_ways=1)
+    # An evicted start line writes back its untouched rows.
+    @example(run=(48, _once([3], [40])), t=4, n_sets=1, n_ways=1)
+    # A line cached throughout keeps its untouched rows' counts.
+    @example(run=(48, _once([3], [4])), t=4, n_sets=1, n_ways=1)
+    # The store holds the counts of the line's last eviction.
+    @example(run=(48, _once([0, 32, 0, 32])), t=5, n_sets=1, n_ways=1)
+    # The bank ends inside its last line.
+    @example(run=(48, _once([40, 47, 40, 0, 40], [47, 40])), t=3, n_sets=1, n_ways=1)
+    def test_batched_equals_scalar(self, run, t, n_sets, n_ways):
+        n_rows, chunks = run
+        scalar = CounterCacheScheme(n_rows, t, n_sets=n_sets, n_ways=n_ways)
+        batched = CounterCacheScheme(n_rows, t, n_sets=n_sets, n_ways=n_ways)
+        for pattern, repeats, reset, round_trip in chunks:
+            rows = pattern * repeats
+            expected = []
+            for position, row in enumerate(rows):
+                cmds = scalar.access(row)
+                if cmds:
+                    expected.append((position, cmds))
+            assert batched.access_batch(np.array(rows, dtype=np.int64)) == expected
+            assert batched.to_state() == scalar.to_state()
+            if reset:
+                scalar.on_interval_boundary()
+                batched.on_interval_boundary()
+            if round_trip:
+                state = json.loads(json.dumps(batched.to_state()))
+                batched = CounterCacheScheme(n_rows, t, n_sets=n_sets, n_ways=n_ways)
+                batched.restore_state(state)
 
 
 class TestSCAEquivalence:

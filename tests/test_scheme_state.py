@@ -92,6 +92,20 @@ class TestSchemeStateRoundTrip:
         assert clone.stats.snapshot() == original.stats.snapshot()
 
 
+#: Malformed counter-cache states: case -> (field named, corruption).
+CCACHE_MALFORMED = {
+    "negative row": ("memory_counters", lambda s: s["memory_counters"].append([-1, 7])),
+    "row past the bank": ("memory_counters", lambda s: s["memory_counters"].append([5000, 7])),
+    "count at T": ("memory_counters", lambda s: s["memory_counters"].append([3, T])),
+    "tag in the wrong set": ("sets", lambda s: s["sets"][0][0].__setitem__(0, 1)),
+    "five ways in a 2-way set": (
+        "sets", lambda s: s["sets"][0].extend([[4, [0] * 32], [6, [0] * 32], [8, [0] * 32]]),
+    ),
+    "tag cached twice": ("sets", lambda s: s["sets"][0].__setitem__(1, s["sets"][0][0])),
+    "5-entry count list": ("sets", lambda s: s["sets"][1][0].__setitem__(1, [1, 2, 3, 4, 5])),
+}
+
+
 class TestTreeStateIntegrity:
     def test_restored_tree_passes_invariants(self):
         scheme = build("drcat")
@@ -118,6 +132,19 @@ class TestTreeStateIntegrity:
         state["counts"] = state["counts"][:-1]
         with pytest.raises(ValueError, match="counters"):
             build("sca").restore_state(state)
+
+    @pytest.mark.parametrize("case", sorted(CCACHE_MALFORMED))
+    def test_malformed_ccache_state_rejected(self, case):
+        """A counter-cache state no 1024-row, 2-set, 2-way cache can
+        hold fails with a ValueError naming the field."""
+        field, corrupt = CCACHE_MALFORMED[case]
+        scheme = make_scheme("ccache", 1024, T, n_sets=2, n_ways=2)
+        for row in (0, 64, 64, 33):  # lines 0 and 2 in set 0, line 1 in set 1
+            scheme.access(row)
+        state = json.loads(json.dumps(scheme.to_state()))
+        corrupt(state)
+        with pytest.raises(ValueError, match=field):
+            make_scheme("ccache", 1024, T, n_sets=2, n_ways=2).restore_state(state)
 
 
 class TestPrngState:

@@ -302,6 +302,12 @@ def _open_with_burst(spec, inject):
     return session
 
 
+def _finish(session):
+    """The session's result and its final registers (every bank and
+    scheme), which the result alone does not show."""
+    return session.result().to_dict(), session._core.memory.to_state()
+
+
 def _run_cut(spec, inject, cut, store_snap, store_restore):
     """Finish ``spec`` with an optional burst, snapshot-restored after
     ``cut`` further accesses under the given trace-store settings (a
@@ -311,25 +317,26 @@ def _run_cut(spec, inject, cut, store_snap, store_restore):
         session.step(cut)
         snap = json_cycle(session.snapshot())
     with trace_store(store_restore):
-        return Session.restore(snap).result().to_dict()
+        return _finish(Session.restore(snap))
 
 
 @functools.lru_cache(maxsize=16)
 def _uninterrupted(spec, inject):
     with trace_store(None):
-        return _open_with_burst(spec, inject).result().to_dict()
+        return _finish(_open_with_burst(spec, inject))
 
 
 class TestSnapshotRestoreHypothesis:
     """snapshot -> JSON -> restore -> finish equals the uninterrupted
-    run at any cut, with or without an injected burst, with the trace
-    store on or off at either end.  Both ends share one fresh store
-    directory, so a restore with the store on hits it when the snapshot
-    side had it on too, and regenerates into it otherwise."""
+    run, in its result and its final registers, at any cut, with or
+    without an injected burst, with the trace store on or off at either
+    end.  Both ends share one fresh store directory, so a restore with
+    the store on hits it when the snapshot side had it on too, and
+    regenerates into it otherwise."""
 
     @settings(max_examples=40, deadline=None)
     @given(
-        kind=st.sampled_from(["sca", "drcat"]),
+        kind=st.sampled_from(["sca", "drcat", "ccache"]),
         n_banks=st.integers(1, 2),
         n_intervals=st.integers(2, 3),
         inject=st.booleans(),
