@@ -1066,7 +1066,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8765,
                        help="listen port (0 picks a free one)")
     p_srv.add_argument("--workers", type=int, default=2,
-                       help="SweepPool width plan cells shard onto")
+                       help="simulation worker processes: run jobs "
+                            "execute one per worker, and plan cells "
+                            "shard onto a SweepPool this wide")
     p_srv.add_argument("--cache-dir", default=None,
                        help="result-cache root shared with repro sweep "
                             "(default: a private temp dir)")

@@ -54,6 +54,21 @@ class CellTimeout(RetryableError):
     """A sweep chunk exceeded its per-cell time budget."""
 
 
+class RemoteError(ReproError):
+    """An exception raised in another process, carried across as data.
+
+    ``type_name`` and the message are the original's; ``retryable`` is
+    the :func:`is_retryable` verdict taken where it was raised, and
+    :func:`is_retryable` returns it for this error too.
+    """
+
+    def __init__(self, type_name: str, message: str,
+                 retryable: bool) -> None:
+        super().__init__(message)
+        self.type_name = type_name
+        self.retryable = retryable
+
+
 #: Exception types outside the taxonomy that still indicate transient,
 #: operational trouble rather than a code bug.
 _RETRYABLE_TYPES = (
@@ -67,11 +82,20 @@ _RETRYABLE_TYPES = (
 
 def is_retryable(exc: BaseException) -> bool:
     """Whether the scheduler should spend retry budget on ``exc``."""
+    if isinstance(exc, RemoteError):
+        return exc.retryable
     if isinstance(exc, FatalError):
         return False
     if isinstance(exc, RetryableError):
         return True
     return isinstance(exc, _RETRYABLE_TYPES)
+
+
+def describe(exc: BaseException) -> str:
+    """``"<type>: <message>"``, naming a remote error's original type."""
+    name = exc.type_name if isinstance(exc, RemoteError) \
+        else type(exc).__name__
+    return f"{name}: {exc}"
 
 
 @dataclass(frozen=True)
@@ -172,7 +196,9 @@ __all__ = [
     "FatalError",
     "InjectedFault",
     "CellTimeout",
+    "RemoteError",
     "is_retryable",
+    "describe",
     "CellFailure",
     "CellStatus",
     "CellExecutionError",

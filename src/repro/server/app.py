@@ -2,11 +2,13 @@
 
 :class:`ReproServer` owns the job table, the SSE hub, a
 :class:`ResultCache` shared by every job, and a small thread pool that
-*drives* jobs (the heavy lifting still happens where it always did:
-single runs execute a streaming :class:`~repro.api.Session` on the
-driving thread, plans shard their cells onto the process-wide
+*drives* jobs.  The simulation itself runs in worker processes: single
+runs execute a streaming :class:`~repro.api.Session` in one of the
+``workers`` persistent simulation workers
+(:mod:`~repro.server.workers`), which the driving thread steers epoch
+by epoch; plans shard their cells onto the process-wide
 :class:`~repro.experiments.SweepPool` through the fault-tolerant
-:func:`run_plan` scheduler).
+:func:`run_plan` scheduler.
 
 Deduplication happens at two layers, both keyed by content hash:
 
@@ -40,8 +42,9 @@ submissions get 503 + Retry-After while status reads stay live, running
 sessions checkpoint, running plans stop cooperatively at the next cell
 boundary, the journal flushes, and the process exits within
 ``drain_deadline_s``.  A supervision loop requeues jobs whose driver
-thread stops heartbeating, and admission control sheds load (429) when
-the queue is full.
+thread stops heartbeating (a stalled run's worker is terminated and
+replaced), a run whose worker dies is requeued on a fresh worker, and
+admission control sheds load (429) when the queue is full.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro._version import __version__
-from repro.errors import is_retryable
+from repro.errors import describe, is_retryable
 from repro.experiments.cache import ResultCache
 from repro.experiments.run import run_plan
 from repro.locking import lock_backend, lock_stats
@@ -73,6 +76,7 @@ from repro.server.hub import EventHub
 from repro.server.journal import Journal, JournaledJob
 from repro.server.jobs import JOB_STATES, Job, JobTable
 from repro.server.routes import match
+from repro.server.workers import SimWorkerPool, WorkerDied
 from repro.testing.faults import fault_point
 
 logger = logging.getLogger(__name__)
@@ -95,7 +99,8 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8765
-    #: SweepPool width plan cells shard onto
+    #: simulation worker processes: run jobs execute one per worker,
+    #: and plan cells shard onto a SweepPool this wide
     workers: int = 2
     #: result-cache directory; None = a private temp dir per server
     cache_dir: str | None = None
@@ -134,6 +139,9 @@ class ReproServer:
     def __init__(self, config: ServerConfig | None = None, *,
                  clock=time.monotonic) -> None:
         self.config = config or ServerConfig()
+        # Fork before any file opens or thread starts here (see
+        # repro.server.workers).
+        self._sim = SimWorkerPool(self.config.workers)
         self.hub = EventHub(backlog=self.config.event_backlog)
         if self.config.cache_dir is None:
             self._cache_root = tempfile.mkdtemp(prefix="repro-serve-cache-")
@@ -341,6 +349,7 @@ class ReproServer:
             "dedup": {"inflight": len(self.jobs.registry),
                       "shared": self.jobs.registry.shared},
             "workers": self.config.workers,
+            "sim_workers": self._sim.stats(),
             "journal": self.journal.stats().to_dict(),
             "recovery": dict(self.recovery),
             "locks": lock_stats(),
@@ -539,9 +548,7 @@ class ReproServer:
                 self._spawn(job_id, new_generation)
                 return
         with contextlib.suppress(Exception):
-            self.jobs.mark_failed(
-                job_id, f"{type(exc).__name__}: {exc}", generation
-            )
+            self.jobs.mark_failed(job_id, describe(exc), generation)
 
     def supervise_once(self) -> list[str]:
         """One supervision pass: requeue stalled jobs; returns their ids.
@@ -551,7 +558,9 @@ class ReproServer:
         The job is requeued under a new generation — the zombie thread's
         later stamps are stale-generation no-ops, and its stray cache
         writes are benign because determinism makes the bytes identical.
-        Out-of-budget jobs are failed instead of requeued forever.
+        A run's hung session dies with its worker process, which is
+        replaced.  Out-of-budget jobs are failed instead of requeued
+        forever.
         """
         if self._draining.is_set():
             return []
@@ -566,102 +575,94 @@ class ReproServer:
                         f"requeue budget is spent", job.generation,
                     )
                 continue
+            stale = job.generation
             new_generation = self.jobs.requeue(job.id)
             if new_generation is not None:
                 logger.warning("job %s stalled; requeued as generation %d",
                                job.id, new_generation)
+                self._sim.reclaim((job.id, stale))
                 self.recovery["supervisor_requeues"] += 1
                 self._spawn(job.id, new_generation)
                 requeued.append(job.id)
         return requeued
 
     def _execute_run(self, job_id: str, spec, generation: int = 0) -> None:
-        """Drive one spec through a Session, taps bridged to the hub.
+        """Drive one spec's Session in a simulation worker.
 
-        ``run_spec`` drives the same :class:`~repro.api.Session`, so
-        serving a run this way (to get the observer taps) returns
-        exactly what ``run_spec`` would.
+        The worker's session is the one ``run_spec`` drives, so a served
+        run returns exactly what ``run_spec`` would; its observer taps
+        come back as event documents this thread publishes to the hub.
 
         The run advances epoch by epoch so the driver can heartbeat,
         checkpoint a resumable snapshot every ``checkpoint_epochs``
         epochs, and stop at an epoch boundary when a drain begins.  A
         stored ``"serve"`` snapshot (from a killed or drained ancestor)
         is resumed instead of restarting from zero — byte-identical
-        either way by the snapshot/restore equivalence proof.
+        either way by the snapshot/restore equivalence proof.  Errors
+        go to :meth:`_driver_failed`: retryable ones (a dead worker
+        among them) requeue the job, others fail it.
         """
-        from repro.api import Session
-
         if not self.jobs.mark_running(job_id, generation):
             return
+        owner = (job_id, generation)
+        # More concurrent runs than workers: wait as a plan waits for
+        # its lane, heartbeating and honouring a drain.
+        while (session := self._sim.acquire(owner, timeout=0.25)) is None:
+            self.jobs.touch(job_id, generation)
+            if self._draining.is_set():
+                return  # journaled "running" → restart resumes
         try:
-            session = None
-            stored = self.cache.get_snapshot(spec, SNAPSHOT_TAG)
-            if stored is not None:
-                try:
-                    session = Session.restore(stored)
-                    self.recovery["resumed_from_snapshot"] += 1
-                except Exception:  # noqa: BLE001 - corrupt snapshot
-                    logger.warning("job %s: stored snapshot unusable; "
-                                   "cold-starting", job_id)
-                    session = None
-            if session is None:
-                session = Session(spec)
+            self._drive_run(job_id, spec, generation, session)
+        except WorkerDied:
+            if self._draining.is_set():
+                return  # the closing server stopped it: restart resumes
+            raise
+        finally:
+            self._sim.release(owner)
 
-            @session.on_epoch
-            def _epoch(event) -> None:
-                self.hub.publish(job_id, "epoch", {
-                    "job": job_id,
-                    "epoch": event.epoch,
-                    "time_ns": event.time_ns,
-                    "delta": event.delta.to_dict(),
-                    "totals": event.totals.to_dict(),
-                })
-
-            @session.on_mitigation
-            def _mitigation(event) -> None:
-                self.hub.publish(job_id, "mitigation", {
-                    "job": job_id,
-                    "time_ns": event.time_ns,
-                    "bank": event.bank,
-                    "low": event.low,
-                    "high": event.high,
-                    "reason": event.reason,
-                    "rows": event.rows,
-                })
-
-            every = self.config.checkpoint_epochs
-            epoch_ns = session.epoch_ns
-            for k in range(1, spec.n_intervals + 1):
-                # Epochs an ancestor already served are no-ops: advance
-                # serves arrivals strictly before the boundary, and the
-                # restored position is already past it.
-                if session.position_ns >= k * epoch_ns:
-                    continue
-                if self._draining.is_set():
-                    with contextlib.suppress(Exception):
-                        self.cache.put_snapshot(
-                            spec, SNAPSHOT_TAG, session.snapshot()
-                        )
-                    return  # still journaled "running" → restart resumes
-                session.advance(k * epoch_ns)
-                self.jobs.touch(job_id, generation)
-                if every and k % every == 0 and not session.done:
-                    with contextlib.suppress(Exception):
-                        self.cache.put_snapshot(
-                            spec, SNAPSHOT_TAG, session.snapshot()
-                        )
-            result = session.result()
-        except Exception as exc:  # noqa: BLE001 - job boundary
-            logger.exception("run job %s failed", job_id)
-            self.jobs.mark_failed(job_id, f"{type(exc).__name__}: {exc}",
-                                  generation)
-            return
+    def _drive_run(self, job_id: str, spec, generation: int,
+                   session) -> None:
+        stored = self.cache.get_snapshot(spec, SNAPSHOT_TAG)
+        if session.open(job_id, spec, stored,
+                        fault_round=self.jobs.get(job_id).requeues):
+            self.recovery["resumed_from_snapshot"] += 1
+        elif stored is not None:
+            logger.warning("job %s: stored snapshot unusable; "
+                           "cold-starting", job_id)
+        every = self.config.checkpoint_epochs
+        epoch_ns = session.epoch_ns
+        for k in range(1, spec.n_intervals + 1):
+            # Epochs an ancestor already served are no-ops: advance
+            # serves arrivals strictly before the boundary, and the
+            # restored position is already past it.
+            if session.position_ns >= k * epoch_ns:
+                continue
+            if self._draining.is_set():
+                self._checkpoint(spec, session)
+                return  # still journaled "running" → restart resumes
+            self._publish(job_id, session.advance(k * epoch_ns))
+            self.jobs.touch(job_id, generation)
+            if every and k % every == 0 and not session.done:
+                self._checkpoint(spec, session)
+        result, events = session.result()
+        self._publish(job_id, events)
         with contextlib.suppress(Exception):
             self.cache.put(spec, result)
         if self.jobs.mark_done(job_id, generation, result=result):
             # The run is terminal and cached; its resume point is dead
             # weight (and must not shadow a future identical spec).
             self.cache.delete_snapshot(spec, SNAPSHOT_TAG)
+
+    def _checkpoint(self, spec, session) -> None:
+        """Store the session's resume point; a failed write only costs
+        a longer recompute after a crash."""
+        snapshot = session.snapshot()
+        with contextlib.suppress(Exception):
+            self.cache.put_snapshot(spec, SNAPSHOT_TAG, snapshot)
+
+    def _publish(self, job_id: str, events) -> None:
+        for name, doc in events:
+            self.hub.publish(job_id, name, doc)
 
     def _execute_plan(self, job_id: str, plan, generation: int = 0) -> None:
         """Shard a plan onto the SweepPool via the retry scheduler.
@@ -784,7 +785,7 @@ class ReproServer:
         if announce:
             print(f"repro {__version__} serving on "
                   f"http://{self.config.host}:{self.bound_port} "
-                  f"(plan workers: {self.config.workers}, cache: "
+                  f"(workers: {self.config.workers}, cache: "
                   f"{self._cache_root})", flush=True)
         if ready is not None:
             ready.set()
@@ -831,9 +832,11 @@ class ReproServer:
         while status/results reads stay live), cancel queued driver
         tasks (their jobs are journaled ``queued`` and will re-enqueue
         on restart), wait up to the deadline for running drivers to
-        checkpoint and stop cooperatively, then flush and close the
-        journal.  Even on a missed deadline the on-disk state is fully
-        resumable — every journal append was already fsync'd.
+        checkpoint and stop cooperatively, terminate the simulation
+        workers, then flush and close the journal.  Even on a missed
+        deadline the on-disk state is fully resumable — every journal
+        append was already fsync'd, and a run whose worker is stopped
+        under it stays journaled ``running``.
         """
         self.begin_drain()
         deadline = time.monotonic() + (
@@ -849,13 +852,16 @@ class ReproServer:
             time.sleep(0.05)
         with self._active_lock:
             clean = self._active_drivers == 0
+        self._sim.close()
         self.journal.close()
         return clean
 
     def close(self) -> None:
-        """Stop accepting job work (driver threads wind down)."""
+        """Stop accepting job work: driver threads wind down, and the
+        simulation workers are terminated."""
         self._draining.set()
         self._drivers.shutdown(wait=False, cancel_futures=True)
+        self._sim.close()
         self.journal.close()
 
 

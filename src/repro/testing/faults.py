@@ -46,15 +46,19 @@ Kinds (what happens):
 * ``delay`` — sleep ``0.01 * (1 + seed % 5)`` seconds (drives timeout
   paths when a cell budget is set);
 * ``kill-worker`` — ``os._exit(86)``, the closest stand-in for an OOM
-  kill; only meaningful at ``pool.worker``.
+  kill of the process that reaches the site.  Meaningful where that is
+  a worker: ``pool.worker`` (a sweep-pool worker) and
+  ``session.advance`` (a sweep-pool worker, or the simulation worker a
+  ``repro serve`` run executes in); anywhere else it kills the caller.
 
 Determinism
 -----------
 Each armed fault fires **exactly once per process**, on the first call
 that reaches its site, and only while the scheduler is on retry round
 zero (``REPRO_FAULTS_ROUND``, set by ``run_plan`` and threaded through
-worker chunk environments) — so recovery attempts run clean and every
-injected failure is transient by construction.  The seed feeds the
+worker chunk environments, and set to the job's requeue count by the
+simulation worker of each served-run attempt) — so recovery attempts
+run clean and every injected failure is transient by construction.  The seed feeds the
 corruption noise and delay length, keeping runs byte-reproducible.
 
 The sites themselves cost one dict lookup when ``REPRO_FAULTS`` is

@@ -74,6 +74,10 @@ class TestHealth:
             "flock", "msvcrt", "lockdir")
         assert set(doc["jobs"]) == {"queued", "running", "done", "failed"}
         assert "faults" in doc
+        # The simulation workers runs execute in (one, at --workers 1).
+        workers = doc["sim_workers"]
+        assert set(workers) == {"size", "busy", "pids", "replaced"}
+        assert workers["size"] == len(workers["pids"]) == 1
 
 
 class TestRunSubmission:

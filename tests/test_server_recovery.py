@@ -9,12 +9,16 @@ was recomputed.  The CI kill-and-restart smoke job covers the genuine
 SIGKILL path end to end.
 """
 
+import contextlib
 import dataclasses
 import json
+import os
 import signal
+import socket
 import subprocess
 import sys
 import time
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -28,7 +32,7 @@ from repro.experiments import (
     run_spec,
 )
 from repro.experiments.cache import ResultCache
-from repro.server import ReproServer, ServerConfig
+from repro.server import ReproServer, ServerConfig, ServerThread
 from repro.server.app import SNAPSHOT_TAG
 from repro.server.http import Request
 from repro.server.journal import Journal
@@ -377,6 +381,170 @@ class TestDriverFaults:
         finally:
             server.close()
 
+    def test_retryable_run_failure_requeues_and_converges(
+        self, tmp_path, monkeypatch
+    ):
+        """An InjectedFault raised inside the running session is
+        retryable: the job is requeued and the clean attempt converges."""
+        spec = fast_spec(seed=66)
+        expected = run_spec(spec).to_dict()  # before the fault is armed
+        monkeypatch.setenv("REPRO_FAULTS", "session.advance:raise")
+        reset_faults()
+        server = make_server(tmp_path)
+        try:
+            resp = server.handle(
+                request("POST", "/v1/runs", {"spec": spec.to_dict()})
+            )
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "done", job.error
+            assert job.requeues >= 1
+            assert job.result.to_dict() == expected
+        finally:
+            server.close()
+
+
+def _exited(pid):
+    """True once ``pid`` is gone (or a zombie nobody reaped yet)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def _serve_process(tmp_path, *args):
+    """A ``repro serve`` subprocess and its announced base URL."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--cache-dir", str(tmp_path / "cache"), *args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, cwd=str(root),
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        line = proc.stdout.readline()
+        if "serving on" in line:
+            return proc, line.split("serving on ", 1)[1].split()[0]
+        if not line and proc.poll() is not None:
+            break
+    proc.kill()
+    raise AssertionError("server never announced")
+
+
+class TestWorkerDeath:
+    def test_killed_worker_is_replaced_and_the_run_requeued(
+        self, tmp_path, monkeypatch
+    ):
+        """``kill-worker`` at ``session.advance`` kills the simulation
+        worker, not the server: the job is requeued once onto a fresh
+        worker and converges, and the server keeps serving."""
+        spec, later = fast_spec(seed=67), fast_spec(seed=68)
+        expected = run_spec(spec).to_dict()  # before the fault is armed
+        expected_later = run_spec(later).to_dict()
+        monkeypatch.setenv("REPRO_FAULTS", "session.advance:kill-worker")
+        reset_faults()
+        server = make_server(tmp_path)
+        try:
+            before = server._sim.stats()["pids"]
+            resp = server.handle(
+                request("POST", "/v1/runs", {"spec": spec.to_dict()})
+            )
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "done", job.error
+            assert job.requeues == 1
+            assert job.result.to_dict() == expected
+            health = body_of(server.handle(request("GET", "/v1/health")))
+            assert health["sim_workers"]["replaced"] == 1
+            assert health["sim_workers"]["pids"] != before
+            # Still serving: a fresh run on the replacement converges.
+            resp = server.handle(
+                request("POST", "/v1/runs", {"spec": later.to_dict()})
+            )
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "done", job.error
+            assert job.result.to_dict() == expected_later
+        finally:
+            server.close()
+
+    def test_replacement_worker_keeps_no_client_connection(
+        self, tmp_path, monkeypatch
+    ):
+        """A replacement forks while a client is connected; the client
+        still sees its connection end when the server closes it."""
+        spec = fast_spec(seed=69)
+        monkeypatch.setenv("REPRO_FAULTS", "session.advance:kill-worker")
+        reset_faults()
+        server = make_server(tmp_path)
+        with ServerThread(server):
+            client = socket.create_connection(
+                ("127.0.0.1", server.bound_port), timeout=10)
+            with client:
+                client.sendall(b"GET /v1/health HTTP/1.1\r\nHost: t\r\n")
+                time.sleep(0.2)  # the server holds the half-read request
+                resp = server.handle(
+                    request("POST", "/v1/runs", {"spec": spec.to_dict()})
+                )
+                job = wait_job(server, body_of(resp)["job"])
+                assert job.status == "done" and job.requeues == 1
+                client.sendall(b"\r\n")
+                data = b""
+                while chunk := client.recv(65536):  # EOF, not a timeout
+                    data += chunk
+                assert data.startswith(b"HTTP/1.1 200")
+
+    def test_sigkilled_server_leaves_no_worker(self, tmp_path):
+        """A plan runs first, so plan-pool workers (which outlive a
+        SIGKILLed server) hold copies of the simulation workers' pipes:
+        the workers must notice the server's death all the same."""
+        proc, base = _serve_process(tmp_path, "--workers", "2")
+        orphans = []
+        try:
+            plan = Plan.grid(fast_spec(), seed=[81, 82])
+            req = urllib.request.Request(
+                base + "/v1/plans",
+                data=json.dumps({"plan": plan.to_dict()}).encode(),
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(req, timeout=30) as resp:
+                job = json.loads(resp.read())["job"]
+            deadline = time.monotonic() + 120
+            while True:
+                with urllib.request.urlopen(f"{base}/v1/jobs/{job}",
+                                            timeout=30) as resp:
+                    if json.loads(resp.read())["status"] == "done":
+                        break
+                assert time.monotonic() < deadline, "plan did not finish"
+                time.sleep(0.1)
+            with urllib.request.urlopen(base + "/v1/health",
+                                        timeout=30) as resp:
+                pids = json.loads(resp.read())["sim_workers"]["pids"]
+            assert len(pids) == 2
+            with contextlib.suppress(OSError):  # Linux: the plan pool too
+                orphans = [
+                    int(child)
+                    for task in Path(f"/proc/{proc.pid}/task").iterdir()
+                    for child in (task / "children").read_text().split()
+                ]
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while not all(_exited(pid) for pid in pids):
+                assert time.monotonic() < deadline, \
+                    f"workers outlived the server: {pids}"
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stdout.close()
+            for pid in orphans:  # the plan pool's, left behind
+                with contextlib.suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)
+
 
 class TestSupervision:
     class _Result:
@@ -408,6 +576,28 @@ class TestSupervision:
             final = wait_job(server, job.id)
             assert final.status == "done" and final.requeues == 1
             assert server.recovery["supervisor_requeues"] == 1
+        finally:
+            server.close()
+
+    def test_stalled_run_worker_is_terminated_and_replaced(self, tmp_path):
+        """A hung run cannot pin its worker: the stale generation's
+        worker is terminated and a fresh one takes its place."""
+        clock = [0.0]
+        server = ReproServer(
+            ServerConfig(port=0, workers=1, stall_timeout_s=10.0,
+                         cache_dir=str(tmp_path / "cache")),
+            clock=lambda: clock[0],
+        )
+        try:
+            job, _owner = server.jobs.submit("run", "12" * 32, 1)
+            server.jobs.mark_running(job.id)
+            hung = server._sim.acquire((job.id, 0), timeout=5)
+            clock[0] = 20.0
+            assert server.supervise_once() == [job.id]
+            assert not hung.process.is_alive()
+            workers = server._sim.stats()
+            assert workers["replaced"] == 1 and workers["busy"] == 0
+            assert workers["pids"] != [hung.pid]
         finally:
             server.close()
 
@@ -516,6 +706,10 @@ class TestJobListing:
             assert set(doc["locks"]) == {
                 "acquires", "contended", "timeouts", "stale_broken",
             }
+            workers = doc["sim_workers"]
+            assert set(workers) == {"size", "busy", "pids", "replaced"}
+            assert workers["size"] == len(workers["pids"]) == 1
+            assert workers["busy"] == workers["replaced"] == 0
             assert doc["draining"] is False
         finally:
             server.close()
