@@ -17,19 +17,23 @@ sweep sections exercise the store.
 Usage::
 
     python benchmarks/bench_perf.py             # full run, writes JSON
-    python benchmarks/bench_perf.py --smoke     # drcat + ccache, trimmed grids
+    python benchmarks/bench_perf.py --smoke     # drcat, prcat, ccache; trimmed grids
     python benchmarks/bench_perf.py --check     # exit 1 on regression:
                                                 #  drcat batched < 5x scalar,
+                                                #  prcat batched < 5x scalar,
                                                 #  ccache batched < 3x scalar,
                                                 #  result-cache warm < 2x,
                                                 #  trace-store warm < 3x,
                                                 #  pool reuse < 1.1x
 
 The drcat ``--check`` floor is half the 10x the batched engine was
-built to reach, i.e. it fails on a >2x throughput regression.  The
-ccache floor sits between the 1.8x of the per-access ``access_batch``
-fallback and the ~6x of the counter cache's own batched path, so a
-silent fall-back to the per-access loop fails it.  The trace-store
+built to reach, i.e. it fails on a >2x throughput regression.  PRCAT
+shares the tree event loop but never harvests; its floor, also 5x,
+sits well below the 13-18x it measures on ``mum``, so a loop that
+lost its bulk applies fails it.  The ccache floor sits between the
+1.8x of the per-access ``access_batch`` fallback and the ~6x of the
+counter cache's own batched path, so a silent fall-back to the
+per-access loop fails it.  The trace-store
 floor asks the warm scheme-axis grid for >= 3x the store-off cold
 baseline.
 """
@@ -67,6 +71,8 @@ PROFILE_WORKLOAD = "mum"
 SCHEMES = ("drcat", "prcat", "sca", "pra", "ccache")
 #: Minimum accepted batched/scalar speedup on drcat for ``--check``.
 CHECK_MIN_SPEEDUP = 5.0
+#: Minimum accepted batched/scalar speedup on prcat for ``--check``.
+CHECK_MIN_PRCAT_SPEEDUP = 5.0
 #: Minimum accepted batched/scalar speedup on ccache for ``--check``.
 CHECK_MIN_CCACHE_SPEEDUP = 3.0
 #: Mini-sweep used for the wall-clock trend (subset of Figure 8).
@@ -326,7 +332,7 @@ def run_bench(smoke: bool = False, repeats: int = 3) -> dict:
     """Measure all engines; return the JSON-ready report."""
     from repro.report.schema import ARRIVAL_SEED, SCHEMA_VERSION
 
-    schemes = ("drcat", "ccache") if smoke else SCHEMES
+    schemes = ("drcat", "prcat", "ccache") if smoke else SCHEMES
     # Same schema envelope as the figure artifacts so tooling can
     # version-gate this report too; wall-clock numbers are machine-
     # dependent, which is why perf is not part of the golden store.
@@ -414,10 +420,11 @@ def _measure_cache_speedup() -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="drcat and ccache only (fast CI mode)")
+                        help="drcat, prcat and ccache only (fast CI mode)")
     parser.add_argument("--check", action="store_true",
                         help="fail unless batched >= "
-                             f"{CHECK_MIN_SPEEDUP}x scalar on drcat and >= "
+                             f"{CHECK_MIN_SPEEDUP}x scalar on drcat, >= "
+                             f"{CHECK_MIN_PRCAT_SPEEDUP}x on prcat and >= "
                              f"{CHECK_MIN_CCACHE_SPEEDUP}x on ccache, and "
                              "the cache, trace-store and pool floors hold")
     parser.add_argument("--repeats", type=int, default=3)
@@ -467,6 +474,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check:
         for scheme, floor in (("drcat", CHECK_MIN_SPEEDUP),
+                              ("prcat", CHECK_MIN_PRCAT_SPEEDUP),
                               ("ccache", CHECK_MIN_CCACHE_SPEEDUP)):
             speedup = report["schemes"][scheme]["speedup_vs_scalar"]
             if speedup < floor:

@@ -21,6 +21,12 @@ event access is replayed through the scheme's scalar ``access`` — which
 stays the oracle for all tree mutations (split, harvest/merge, weight
 updates, epoch resets).
 
+An event costs only what it changed.  A crossing counter's located
+position is kept across events while its headroom only loses the hits
+the prefix took from it and its ids in the rest of the window do not
+move; after a split or merge only the rest of the window is
+re-gathered (DESIGN.md, "Each event costs only what it changed").
+
 Headroom may be *conservative* (too small) without breaking exactness:
 a flagged position whose scalar replay turns out not to be an event
 simply costs one extra scalar call.  It must never be optimistic, with
@@ -105,16 +111,21 @@ def counter_scheme_access_batch(
     base = 0
     while base < n:
         chunk = rows[base : base + BATCH_WINDOW]
-        # Gather once per window; re-gather (and re-count the remainder)
-        # only after a structural mutation bumps the map version.
+        # Gather once per window; after a structural mutation bumps the
+        # map version, re-gather (and re-count) only the rest of it.
         ids = tree.map_rows_to_counters(chunk)
         version = tree._map_version
         counts = np.bincount(ids, minlength=n_bins)
+        # located[c] is the event position found for crossing counter c;
+        # it stays exact while c's headroom equals assumed[c] (0, never
+        # a headroom, marks a counter to scan).
+        located = np.zeros(n_bins, dtype=np.int64)
+        assumed = np.zeros(n_bins, dtype=np.int64)
         start = 0
         while True:
             # harvest_at marks DRCAT harvest attempts that provably fail:
             # the bulk applies set their blocked flags instead of replays.
-            headroom, harvest_at = tree._headroom()
+            headroom, harvest_at = tree._headroom(counts)
             crossing = counts >= headroom
             if not crossing.any():
                 # No event left in the window: apply the remainder.
@@ -122,12 +133,13 @@ def counter_scheme_access_batch(
                 break
             # Counter c triggers at its headroom[c]-th remaining
             # occurrence; the earliest such position is the event.
-            position: int | None = None
-            for c in crossing.nonzero()[0].tolist():
+            for c in (crossing & (headroom != assumed)).nonzero()[0].tolist():
                 occurrences = (ids[start:] == c).nonzero()[0]
-                pos = start + int(occurrences[int(headroom[c]) - 1])
-                if position is None or pos < position:
-                    position = pos
+                located[c] = start + occurrences[headroom[c] - 1]
+            position = int(located[crossing].min())
+            if position < start:
+                # Only a stale cached position can lie behind the cursor.
+                raise RuntimeError("stale cached event position")
             prefix_counts = np.bincount(ids[start:position], minlength=n_bins)
             tree.apply_bulk_counts(prefix_counts, harvest_at)
             event_counter = int(ids[position])
@@ -138,10 +150,20 @@ def counter_scheme_access_batch(
             start = position + 1
             if start >= len(chunk):
                 break
+            # The prefix held exactly prefix_counts[c] hits of every other
+            # counter, so c's located position is still its event if its
+            # next headroom has only lost those hits (and its ids in the
+            # rest of the window did not move).
+            assumed = np.where(crossing, headroom - prefix_counts, 0)
+            assumed[event_counter] = 0
             if tree._map_version != version:
-                ids = tree.map_rows_to_counters(chunk)
+                rest = tree.map_rows_to_counters(chunk[start:])
+                moved = rest != ids[start:]
+                assumed[ids[start:][moved]] = 0
+                assumed[rest[moved]] = 0
+                ids[start:] = rest
                 version = tree._map_version
-                counts = np.bincount(ids[start:], minlength=n_bins)
+                counts = np.bincount(rest, minlength=n_bins)
             else:
                 counts -= prefix_counts
                 counts[event_counter] -= 1
@@ -149,4 +171,3 @@ def counter_scheme_access_batch(
     # Scalar replays already counted their own activations.
     scheme.stats.activations += n - scalar_calls
     return events
-

@@ -41,6 +41,13 @@ HARVEST_BUDGET_PER_REFRESH = 32
 
 _NO_NODE = -1
 
+#: Register arrays of a tree state document, one entry per counter ...
+_COUNTER_FIELDS = (
+    "count", "level", "low", "high", "weight", "counter_active", "harvest_blocked",
+)
+#: ... and one entry per intermediate node.
+_INODE_FIELDS = ("child_l", "child_r", "leaf_l", "leaf_r", "inode_active")
+
 
 class CounterTree:
     """An adaptive binary tree of row-activation counters for one bank.
@@ -58,12 +65,21 @@ class CounterTree:
 
     Notes
     -----
-    The tree is stored exactly as in Figure 5: ``self._child`` /
-    ``self._is_leaf`` mirror the I-array (index = intermediate node id,
-    two slots per node) and ``self._count`` mirrors the C-array.  Row
+    The tree is stored exactly as in Figure 5: ``self._child_l/_r`` /
+    ``self._leaf_l/_r`` mirror the I-array (index = intermediate node
+    id, two slots per node) and ``self._count`` mirrors the C-array.  Row
     ranges per counter (``Li``/``Ui`` of Algorithm 1) are maintained
     redundantly for O(1) refresh-range emission and for invariant checks;
     hardware would derive them from the traversal path.
+
+    ``_count``, ``_weight`` and ``_harvest_blocked`` are numpy arrays
+    (int64, int64, bool) on both engines, so the batched path applies
+    hits and epoch resets as vector ops; the structural registers the
+    scalar :meth:`lookup` walks stay Python lists.  The batched path's
+    derived structures — the row-block index map, per-counter split
+    thresholds, read costs and level flags — are patched in place for
+    the counters a split or merge moves; the sibling-leaf pairs are
+    dropped by every structural change and rebuilt on demand.
     """
 
     def __init__(
@@ -87,12 +103,15 @@ class CounterTree:
         self.track_weights = track_weights
         self._n_addr_bits = n_rows.bit_length() - 1
 
-        # C-array and per-counter metadata.
-        self._count = [0] * m
+        # C-array and per-counter metadata.  The count and weight
+        # registers (and the harvest-blocked flags below) are int64/bool
+        # arrays, so bulk applies and epoch resets are vector ops; the
+        # structural registers the scalar lookup walks stay lists.
+        self._count = np.zeros(m, dtype=np.int64)
         self._level = [0] * m
         self._low = [0] * m
         self._high = [0] * m
-        self._weight = [0] * m
+        self._weight = np.zeros(m, dtype=np.int64)
         self._counter_active = [False] * m
 
         # I-array: children as (left, right) ids; leaf flags per slot.
@@ -127,12 +146,12 @@ class CounterTree:
         λ = 1 this degenerates to the single root counter of Algorithm 1.
         """
         m = self.n_counters
+        self._count.fill(0)
+        self._weight.fill(0)
         for i in range(m):
-            self._count[i] = 0
             self._level[i] = 0
             self._low[i] = 0
             self._high[i] = 0
-            self._weight[i] = 0
             self._counter_active[i] = False
         for j in range(m - 1):
             self._child_l[j] = _NO_NODE
@@ -177,14 +196,16 @@ class CounterTree:
         # the *requesting* counter until the next refresh event, so a
         # permanently-over-threshold background counter cannot starve a
         # newly hot one of its harvest attempt.
-        self._harvest_blocked = [False] * m
+        self._harvest_blocked = np.zeros(m, dtype=bool)
         self._harvest_budget = HARVEST_BUDGET_PER_REFRESH
         # Batched fast path: the row_block -> counter index map is built
         # lazily, updated in place on splits/merges, and dropped here on
         # reset.  ``_map_version`` lets batch callers detect that ids
-        # they gathered earlier are stale.
+        # they gathered earlier are stale.  The sibling-leaf pairs are
+        # built on demand and dropped by every structural change.
         self._index_map: np.ndarray | None = None
         self._map_version = getattr(self, "_map_version", 0) + 1
+        self._merge_pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # Split-threshold table indexed by level, recomputed here because
         # the simulator swaps in a scaled schedule before calling reset().
         self._split_threshold_by_level = np.array(
@@ -230,7 +251,7 @@ class CounterTree:
         reset (PRCAT) or weight saturation.
         """
         idx = self.lookup(row)
-        count = self._count[idx] + 1
+        count = self._count.item(idx) + 1
         if count >= self.thresholds.refresh_threshold:
             # Refresh the counter's rows plus both adjacent rows.
             self._count[idx] = 0
@@ -238,8 +259,7 @@ class CounterTree:
             self.total_refresh_commands += 1
             self.total_rows_refreshed += cmd.row_count(self.n_rows)
             if self.track_weights:
-                for i in range(self.n_counters):
-                    self._harvest_blocked[i] = False
+                self._harvest_blocked.fill(False)
                 self._harvest_budget = HARVEST_BUDGET_PER_REFRESH
                 self._bump_weight(idx)
             return cmd
@@ -313,6 +333,7 @@ class CounterTree:
         self._leaf_r[inode] = True
         self._replace_slot(row, old_leaf=idx, new_node=inode)
         self.total_splits += 1
+        self._levels_changed(idx, new)
         if self._index_map is not None:
             # Incremental map maintenance: the new counter takes over the
             # upper half of the split range (block-aligned, since splits
@@ -320,7 +341,6 @@ class CounterTree:
             shift = self._block_shift
             self._index_map[((mid + 1) >> shift) : (high >> shift) + 1] = new
             self._map_version += 1
-            self._refresh_structural_caches()
         return new
 
     def _replace_slot(self, row: int, old_leaf: int, new_node: int) -> None:
@@ -372,22 +392,29 @@ class CounterTree:
         self._block_shift = shift
         self._index_map = index_map
         self._map_version += 1
-        self._refresh_structural_caches()
-
-    def _refresh_structural_caches(self) -> None:
-        """Per-counter arrays that only change with the tree structure."""
+        # Per-counter arrays that change only with a counter's level;
+        # :meth:`_levels_changed` patches them in place.  The scalar
+        # lookup performs 1 + level SRAM reads (a root leaf is at level 0).
         level = np.asarray(self._level, dtype=np.int64)
-        # Path length per counter: the scalar lookup performs 1 + level
-        # SRAM reads (1 when the root itself is the leaf).
-        if self._root_is_leaf:
-            self._reads_per_counter = np.ones(self.n_counters, dtype=np.int64)
-        else:
-            self._reads_per_counter = 1 + level
+        self._reads_per_counter = 1 + level
         self._split_threshold_per_counter = self._split_threshold_by_level[level]
         self._below_max_level = level < self.max_levels - 1
-        self._merge_pairs = self._sibling_leaf_pairs()
 
-    def _headroom(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def _levels_changed(self, *counters: int) -> None:
+        """Bookkeeping after a split or merge moved ``counters`` to new
+        levels: the sibling-leaf pairs are dropped (rebuilt on demand)
+        and the batch path's per-counter arrays are patched for those
+        counters only."""
+        self._merge_pairs = None
+        if self._index_map is None:
+            return
+        for c in counters:
+            level = self._level[c]
+            self._reads_per_counter[c] = 1 + level
+            self._split_threshold_per_counter[c] = self._split_threshold_by_level[level]
+            self._below_max_level[c] = level < self.max_levels - 1
+
+    def _headroom(self, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Hits each counter absorbs before its next event (never 0).
 
         An *event* is anything the bulk path cannot apply: a refresh
@@ -407,10 +434,15 @@ class CounterTree:
         hits until each doomed counter's attempt, ``T`` (out of reach
         of any bulk batch) elsewhere; ``None`` when there are none.
 
+        ``hits`` are the per-counter hits left in the caller's window.
+        The bound is computed only when some attempt lies inside them:
+        a counter that cannot reach its attempt gets the same headroom
+        and no blocked flag either way.
+
         Entries for inactive counters are meaningless (they never appear
         in a gathered id array, and their chunk hit count is always 0).
         """
-        count = np.asarray(self._count, dtype=np.int64)
+        count = self._count
         refresh_threshold = self.thresholds.refresh_threshold
         headroom = refresh_threshold - count
         harvesting = not self._free_counters
@@ -423,17 +455,19 @@ class CounterTree:
         eligible = self._below_max_level
         harvest_at = None
         if harvesting:
-            eligible = eligible & ~np.asarray(self._harvest_blocked, dtype=bool)
-            doomed = eligible & self._doomed_harvests(count, count + split_headroom)
-            if doomed.any():
-                eligible = eligible & ~doomed
-                harvest_at = np.where(doomed, split_headroom, refresh_threshold)
+            eligible = eligible & ~self._harvest_blocked
+            attempts = eligible & (hits >= split_headroom)
+            if attempts.any():
+                doomed = attempts & self._doomed_harvests(count + split_headroom)
+                if doomed.any():
+                    eligible = eligible & ~doomed
+                    harvest_at = np.where(doomed, split_headroom, refresh_threshold)
         return (
             np.where(eligible, np.minimum(headroom, split_headroom), headroom),
             harvest_at,
         )
 
-    def _doomed_harvests(self, count: np.ndarray, attempt: np.ndarray) -> np.ndarray:
+    def _doomed_harvests(self, attempt: np.ndarray) -> np.ndarray:
         """Counters whose harvest attempt at count ``attempt`` must fail.
 
         Exact for the event-free stretch up to the next scalar replay:
@@ -448,23 +482,27 @@ class CounterTree:
         least two rows, so ``reconfigure`` has no other way to fail.)
         """
         refresh_threshold = self.thresholds.refresh_threshold
-        weight = np.asarray(self._weight, dtype=np.int64)
-        _, left, right, merged = self._cold_pairs(count, weight)
-        # No candidate at all is an unbounded merged count: T exceeds
-        # every gate.
-        bound = np.full(self.n_counters, refresh_threshold, dtype=np.int64)
-        if len(merged):
-            coldest = int(np.argmin(merged))
-            bound[:] = merged[coldest]
-            second = (
-                np.partition(merged, 1)[1] if len(merged) > 1 else refresh_threshold
-            )
-            bound[[left[coldest], right[coldest]]] = second
-        # The gate of the scalar harvest in :meth:`access`.
+        _, left, right, merged = self._cold_pairs()
+        # One pass for the coldest and second-coldest merged counts; no
+        # candidate at all is an unbounded merged count (T exceeds every
+        # gate).
+        coldest = second = refresh_threshold
+        pair = None
+        for i, value in enumerate(merged.tolist()):
+            if value < coldest:
+                coldest, second, pair = value, coldest, i
+            elif value < second:
+                second = value
+        bound = np.full(self.n_counters, coldest, dtype=np.int64)
+        if pair is not None:
+            bound[left[pair]] = bound[right[pair]] = second
+        # The gate of the scalar harvest in :meth:`access`, capped at T - 1.
         gate = np.where(
-            weight >= 2, refresh_threshold - 1, np.maximum(1, attempt // 2)
+            self._weight >= 2,
+            refresh_threshold - 1,
+            np.minimum(np.maximum(1, attempt // 2), refresh_threshold - 1),
         )
-        return bound > np.minimum(gate, refresh_threshold - 1)
+        return bound > gate
 
     def map_rows_to_counters(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized lookup: the active counter index covering each row.
@@ -491,13 +529,10 @@ class CounterTree:
         cut by: a counter whose doomed harvest attempt lies inside the
         batch gets the blocked flag that attempt would have set.
         """
-        count_list = self._count
-        for c in counts.nonzero()[0].tolist():
-            count_list[c] += int(counts[c])
+        self._count += counts
         self.total_sram_reads += int(counts @ self._reads_per_counter)
         if harvest_at is not None:
-            for c in (counts >= harvest_at).nonzero()[0].tolist():
-                self._harvest_blocked[c] = True
+            self._harvest_blocked |= counts >= harvest_at
 
     # ------------------------------------------------------------------
     # DRCAT weight tracking and reconfiguration
@@ -510,20 +545,19 @@ class CounterTree:
         evidence the tree is mis-sharpened (a well-adapted tree refreshes
         hot rows from maximum-depth leaves), so it advances the weight by
         two steps; a max-depth refresh advances by one.  Other counters
-        decay by one (floor 0).
+        decay by one (floor 0).  Inactive counters hold weight 0 (a merge
+        zeroes the counter it releases), so decaying every register is
+        the same as decaying the active ones.
         """
         hot_step = 2 if self._level[hot_idx] < self.max_levels - 1 else 1
-        for i in range(self.n_counters):
-            if not self._counter_active[i]:
-                continue
-            if i == hot_idx:
-                self._weight[i] = min(WEIGHT_MAX, self._weight[i] + hot_step)
-            elif self._weight[i] > 0:
-                self._weight[i] -= 1
+        weight = self._weight
+        hot = min(WEIGHT_MAX, weight.item(hot_idx) + hot_step)
+        weight -= weight > 0
+        weight[hot_idx] = hot
 
     def weight_saturated(self, idx: int) -> bool:
         """True when counter ``idx``'s weight register is at its cap."""
-        return self._weight[idx] >= WEIGHT_MAX
+        return self._weight.item(idx) >= WEIGHT_MAX
 
     def reconfigure(self, hot_idx: int, count_gate: int | None = None) -> bool:
         """DRCAT step: merge a cold sibling pair, re-split ``hot_idx``.
@@ -579,9 +613,9 @@ class CounterTree:
             self._leaf_l[parent] = True
         self._n_active -= 1
         self.total_merges += 1
+        self._levels_changed(left)
 
-        # Split the hot counter with the freed resources.  (_split also
-        # refreshes the structural caches for the level change above.)
+        # Split the hot counter with the freed resources.
         # The merge just freed a counter and an inode, so the split
         # happens and its new counter is the hot leaf's sibling.
         sibling = self._split(hot_idx, self._low[hot_idx])
@@ -617,9 +651,7 @@ class CounterTree:
         # cold keep their stale counts until the next blanket refresh.)
         ceiling = self.thresholds.refresh_threshold - 1
         count_gate = ceiling if count_gate is None else min(ceiling, count_gate)
-        inodes, left, right, merged_count = self._cold_pairs(
-            np.asarray(self._count), np.asarray(self._weight)
-        )
+        inodes, left, right, merged_count = self._cold_pairs()
         eligible = (left != exclude) & (right != exclude) & (merged_count <= count_gate)
         chosen = eligible.nonzero()[0]
         if not len(chosen):
@@ -637,22 +669,25 @@ class CounterTree:
         the pre-split skeleton: merging lifts the surviving counter one
         level up, and lifting it above the skeleton (the balanced
         hardware baseline) would let a later refresh cover a larger
-        group than even SCA's.  Inodes come out ascending.
+        group than even SCA's.  Inodes come out ascending.  Built on
+        demand and kept until the next structural change.
         """
-        inodes = (
-            np.asarray(self._inode_active)
-            & np.asarray(self._leaf_l)
-            & np.asarray(self._leaf_r)
-        ).nonzero()[0]
-        left = np.asarray(self._child_l, dtype=np.int64)[inodes]
-        right = np.asarray(self._child_r, dtype=np.int64)[inodes]
-        level = np.asarray(self._level, dtype=np.int64)
-        keep = level[left] >= self.thresholds.presplit_levels
-        return inodes[keep], left[keep], right[keep]
+        if self._merge_pairs is None:
+            presplit = self.thresholds.presplit_levels
+            level = self._level
+            pairs = [
+                (j, left, right)
+                for j, (active, leaf_l, leaf_r, left, right) in enumerate(zip(
+                    self._inode_active, self._leaf_l, self._leaf_r,
+                    self._child_l, self._child_r,
+                ))
+                if active and leaf_l and leaf_r and level[left] >= presplit
+            ]
+            inodes, left, right = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+            self._merge_pairs = (inodes, left, right)
+        return self._merge_pairs
 
-    def _cold_pairs(
-        self, count: np.ndarray, weight: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _cold_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The merge candidates of a harvest, before its gate and exclusion.
 
         Returns ``(inodes, left, right, merged_count)`` for the sibling
@@ -660,13 +695,11 @@ class CounterTree:
         by :meth:`_find_cold_pair` and the doomed-harvest bound of
         :meth:`_headroom`, so the two can never disagree on the filter.
         """
-        if self._index_map is not None:
-            # Batch mode keeps the pairs in the structural caches.
-            inodes, left, right = self._merge_pairs
-        else:
-            inodes, left, right = self._sibling_leaf_pairs()
+        inodes, left, right = self._sibling_leaf_pairs()
+        weight = self._weight
         cold = (weight[left] == 0) & (weight[right] == 0)
         left, right = left[cold], right[cold]
+        count = self._count
         return inodes[cold], left, right, np.maximum(count[left], count[right])
 
     def _parent_of_inode(self, inode: int) -> tuple[int, bool]:
@@ -701,11 +734,11 @@ class CounterTree:
         from the captured registers.
         """
         return {
-            "count": list(self._count),
+            "count": self._count.tolist(),
             "level": list(self._level),
             "low": list(self._low),
             "high": list(self._high),
-            "weight": list(self._weight),
+            "weight": self._weight.tolist(),
             "counter_active": [int(b) for b in self._counter_active],
             "child_l": list(self._child_l),
             "child_r": list(self._child_r),
@@ -717,7 +750,7 @@ class CounterTree:
             "n_active": self._n_active,
             "root": self._root,
             "root_is_leaf": int(self._root_is_leaf),
-            "harvest_blocked": [int(b) for b in self._harvest_blocked],
+            "harvest_blocked": self._harvest_blocked.astype(np.int64).tolist(),
             "harvest_budget": self._harvest_budget,
             "totals": {
                 "splits": self.total_splits,
@@ -734,33 +767,89 @@ class CounterTree:
         The tree must have been constructed with the same ``n_rows`` and
         thresholds schedule the state was captured under; after the call
         its future behaviour is bit-identical to the captured instance.
+
+        Raises ``ValueError`` naming the field when no such tree can
+        hold the state: a per-counter field without ``M`` entries or a
+        per-inode field without ``M - 1``; a count outside ``[0, T)``, a
+        weight outside ``[0, WEIGHT_MAX]`` or a level outside ``[0, L)``;
+        an inactive counter with a count or weight; a harvest budget
+        outside ``[0, HARVEST_BUDGET_PER_REFRESH]``; a free-list entry
+        that is out of range, repeated or active; or a structure that
+        fails :meth:`check_invariants`.  The tree is unusable after a
+        rejected state.
         """
         m = self.n_counters
-        for name in ("count", "level", "low", "high", "weight"):
-            values = state[name]
-            if len(values) != m:
+        fields: dict[str, list[int]] = {}
+        for names, n, unit in (
+            (_COUNTER_FIELDS, m, "counters"),
+            (_INODE_FIELDS, m - 1, "inodes"),
+        ):
+            for name in names:
+                try:
+                    values = [int(v) for v in state[name]]
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"tree state field {name!r}: {exc}") from None
+                if len(values) != n:
+                    raise ValueError(
+                        f"tree state field {name!r} has {len(values)} "
+                        f"entries, tree has {n} {unit}"
+                    )
+                fields[name] = values
+        active = fields["counter_active"]
+        for name, high in (
+            ("count", self.thresholds.refresh_threshold),
+            ("weight", WEIGHT_MAX + 1),
+            ("level", self.max_levels),
+        ):
+            for i, value in enumerate(fields[name]):
+                if not 0 <= value < high:
+                    raise ValueError(
+                        f"tree state field {name!r}: counter {i} holds {value}, "
+                        f"outside [0, {high})"
+                    )
+                if value and name != "level" and not active[i]:
+                    raise ValueError(
+                        f"tree state field {name!r}: inactive counter {i} "
+                        f"holds {value}"
+                    )
+        budget = int(state["harvest_budget"])
+        if not 0 <= budget <= HARVEST_BUDGET_PER_REFRESH:
+            raise ValueError(
+                f"tree state field 'harvest_budget' is {budget}, outside "
+                f"[0, {HARVEST_BUDGET_PER_REFRESH}]"
+            )
+        for name, flags in (
+            ("free_counters", active),
+            ("free_inodes", fields["inode_active"]),
+        ):
+            entries = [int(v) for v in state[name]]
+            if len(set(entries)) < len(entries) or not all(
+                0 <= v < len(flags) and not flags[v] for v in entries
+            ):
                 raise ValueError(
-                    f"tree state field {name!r} has {len(values)} "
-                    f"entries, tree has {m} counters"
+                    f"tree state field {name!r} is {entries}: entries must be "
+                    f"distinct inactive indices in [0, {len(flags)})"
                 )
-        self._count = [int(v) for v in state["count"]]
-        self._level = [int(v) for v in state["level"]]
-        self._low = [int(v) for v in state["low"]]
-        self._high = [int(v) for v in state["high"]]
-        self._weight = [int(v) for v in state["weight"]]
-        self._counter_active = [bool(v) for v in state["counter_active"]]
-        self._child_l = [int(v) for v in state["child_l"]]
-        self._child_r = [int(v) for v in state["child_r"]]
-        self._leaf_l = [bool(v) for v in state["leaf_l"]]
-        self._leaf_r = [bool(v) for v in state["leaf_r"]]
-        self._inode_active = [bool(v) for v in state["inode_active"]]
-        self._free_counters = [int(v) for v in state["free_counters"]]
-        self._free_inodes = [int(v) for v in state["free_inodes"]]
+            fields[name] = entries
+
+        self._count = np.array(fields["count"], dtype=np.int64)
+        self._level = fields["level"]
+        self._low = fields["low"]
+        self._high = fields["high"]
+        self._weight = np.array(fields["weight"], dtype=np.int64)
+        self._counter_active = [bool(v) for v in active]
+        self._child_l = fields["child_l"]
+        self._child_r = fields["child_r"]
+        self._leaf_l = [bool(v) for v in fields["leaf_l"]]
+        self._leaf_r = [bool(v) for v in fields["leaf_r"]]
+        self._inode_active = [bool(v) for v in fields["inode_active"]]
+        self._free_counters = fields["free_counters"]
+        self._free_inodes = fields["free_inodes"]
         self._n_active = int(state["n_active"])
         self._root = int(state["root"])
         self._root_is_leaf = bool(state["root_is_leaf"])
-        self._harvest_blocked = [bool(v) for v in state["harvest_blocked"]]
-        self._harvest_budget = int(state["harvest_budget"])
+        self._harvest_blocked = np.array(fields["harvest_blocked"], dtype=bool)
+        self._harvest_budget = budget
         totals = state["totals"]
         self.total_splits = int(totals["splits"])
         self.total_merges = int(totals["merges"])
@@ -770,8 +859,12 @@ class CounterTree:
         # Derived batch-path structures rebuild lazily from the restored
         # registers; bump the version so stale gathered ids re-gather.
         self._index_map = None
+        self._merge_pairs = None
         self._map_version += 1
-        self.check_invariants()
+        try:
+            self.check_invariants()
+        except (AssertionError, IndexError) as exc:
+            raise ValueError(f"tree state fails the tree invariants: {exc}") from None
 
     # ------------------------------------------------------------------
     # introspection (tests, invariants, reports)
@@ -790,11 +883,11 @@ class CounterTree:
     def counter_state(self, idx: int) -> dict[str, int]:
         """Expose one counter's registers (for tests and examples)."""
         return {
-            "count": self._count[idx],
+            "count": self._count.item(idx),
             "level": self._level[idx],
             "low": self._low[idx],
             "high": self._high[idx],
-            "weight": self._weight[idx],
+            "weight": self._weight.item(idx),
             "active": int(self._counter_active[idx]),
         }
 
@@ -813,7 +906,8 @@ class CounterTree:
 
         Checks DESIGN.md invariants 1 and 3: the active counters tile
         ``[0, N)`` exactly, counter/inode accounting is conserved, and the
-        pointer structure reaches each active counter exactly once.
+        pointer structure reaches each active counter exactly once, at
+        the row range its path from the root selects.
         """
         parts = self.partition()
         if not parts:
@@ -827,35 +921,41 @@ class CounterTree:
             raise AssertionError(f"partition does not end at N-1: {parts[-1]}")
         if self._n_active + len(self._free_counters) != self.n_counters:
             raise AssertionError("counter conservation violated")
-        reached = set()
-        if self._root_is_leaf:
-            reached.add(self._root)
-        else:
-            stack = [self._root]
-            seen_inodes = set()
-            while stack:
-                node = stack.pop()
-                if node in seen_inodes:
-                    raise AssertionError(f"inode {node} reached twice")
-                seen_inodes.add(node)
-                for child, is_leaf in (
-                    (self._child_l[node], self._leaf_l[node]),
-                    (self._child_r[node], self._leaf_r[node]),
-                ):
-                    if is_leaf:
-                        if child in reached:
-                            raise AssertionError(f"leaf {child} reached twice")
-                        reached.add(child)
-                    else:
-                        stack.append(child)
-            if len(seen_inodes) != self._n_active - 1:
-                raise AssertionError(
-                    f"{len(seen_inodes)} inodes for {self._n_active} leaves"
-                )
+        # Walk the pointers with the row range each node's path selects.
+        reached = {}
+        seen_inodes = set()
+        stack = [(self._root, self._root_is_leaf, 0, self.n_rows - 1)]
+        while stack:
+            node, is_leaf, low, high = stack.pop()
+            if is_leaf:
+                if node in reached:
+                    raise AssertionError(f"leaf {node} reached twice")
+                reached[node] = (low, high)
+                continue
+            if node in seen_inodes:
+                raise AssertionError(f"inode {node} reached twice")
+            seen_inodes.add(node)
+            mid = (low + high) // 2
+            stack.append((self._child_l[node], self._leaf_l[node], low, mid))
+            stack.append((self._child_r[node], self._leaf_r[node], mid + 1, high))
+        if len(seen_inodes) != self._n_active - 1:
+            raise AssertionError(
+                f"{len(seen_inodes)} inodes for {self._n_active} leaves"
+            )
+        active_inodes = {j for j in range(self.n_counters - 1) if self._inode_active[j]}
+        if seen_inodes != active_inodes:
+            raise AssertionError(f"reachable inodes {seen_inodes} != active {active_inodes}")
+        if len(active_inodes) + len(self._free_inodes) != self.n_counters - 1:
+            raise AssertionError("inode conservation violated")
         active = {i for i in range(self.n_counters) if self._counter_active[i]}
-        if reached != active:
-            raise AssertionError(f"reachable {reached} != active {active}")
+        if set(reached) != active:
+            raise AssertionError(f"reachable {set(reached)} != active {active}")
         for lo, hi, i in parts:
+            if reached[i] != (lo, hi):
+                raise AssertionError(
+                    f"counter {i} covers [{lo}, {hi}] but its path selects "
+                    f"{list(reached[i])}"
+                )
             width = hi - lo + 1
             expected = self.n_rows >> self._level[i]
             if width != expected:

@@ -102,12 +102,9 @@ class DRCATScheme(MitigationScheme):
         so regions that stopped being hot become merge candidates again.
         """
         tree = self.tree
-        for i in range(tree.n_counters):
-            tree._count[i] = 0
-            if tree._weight[i] > 0:
-                tree._weight[i] -= 1
-        for i in range(tree.n_counters):
-            tree._harvest_blocked[i] = False
+        tree._count.fill(0)
+        tree._weight -= tree._weight > 0
+        tree._harvest_blocked.fill(False)
         self.stats.resets += 1
 
     def to_state(self) -> dict:

@@ -64,6 +64,7 @@ import json
 import math
 import os
 import random
+import threading
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -134,6 +135,9 @@ _CHUNKS_PER_WORKER = 4
 _BACKOFF_BASE_S = 0.05
 _BACKOFF_CAP_S = 2.0
 
+#: How often an idle or busy pool worker checks that its parent lives.
+_PARENT_POLL_S = 0.5
+
 #: Grace added to ``cell_timeout * chunk_size`` before a chunk future
 #: is declared hung (covers worker spawn and result IPC).
 _TIMEOUT_GRACE_S = 5.0
@@ -142,6 +146,24 @@ _TIMEOUT_GRACE_S = 5.0
 def _pool_env() -> dict[str, str | None]:
     """The parent-side values of :data:`_POOL_ENV_KEYS` (None = unset)."""
     return {key: os.environ.get(key) for key in _POOL_ENV_KEYS}
+
+
+def _pool_watch_parent() -> None:
+    """Worker-side initializer: exit as soon as the parent process dies.
+
+    A SIGKILLed parent (``repro serve``, ``repro verify``) cannot shut
+    its pool down, and the orphaned workers would keep its sockets and
+    pipes open.  A daemon thread polls ``os.getppid()``, as the server's
+    simulation workers do, and leaves with ``os._exit`` once it changes.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
 def _pool_prime() -> None:
@@ -210,7 +232,7 @@ class SweepPool:
         if cls._executor is None or cls._width < workers:
             cls.shutdown()
             cls._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers
+                max_workers=workers, initializer=_pool_watch_parent
             )
             cls._width = workers
             cls._prime(cls._executor, workers)

@@ -159,6 +159,16 @@ class TestStreamingCommands:
         assert "error: ccache state field 'memory_counters'" in \
             capsys.readouterr().out
 
+    def test_resume_malformed_tree_state_is_error(self, tmp_path, capsys):
+        import json as json_mod
+
+        snap, doc = self._half_snapshot(tmp_path, capsys, scheme="drcat")
+        tree = doc["core"]["memory"]["schemes"][0]["tree"]
+        tree["count"][tree["counter_active"].index(1)] = 10**9
+        snap.write_text(json_mod.dumps(doc))
+        assert main(["resume", str(snap)]) == 2
+        assert "error: tree state field 'count'" in capsys.readouterr().out
+
     def test_resume_engine_mismatch_is_error(self, tmp_path, capsys):
         import json as json_mod
 

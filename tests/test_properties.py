@@ -7,8 +7,9 @@ These verify the DESIGN.md invariants over randomised access sequences:
    unrefreshed activation count ever exceeds the refresh threshold;
 3. counter conservation across splits and merges;
 4. CAT under uniform access degenerates to SCA's uniform grouping;
-5. DRCAT's batched path equals its scalar loop once the counter pool is
-   exhausted, where harvest attempts (and their prediction) happen;
+5. the PRCAT/DRCAT batched path equals its scalar loop across windows,
+   epoch resets and state round trips, with the counter pool free or
+   exhausted (where DRCAT harvest attempts and their prediction happen);
 6. the counter cache's batched path equals its per-access loop across
    chunks, epoch resets and state round trips.
 """
@@ -131,25 +132,34 @@ class TestCounterConservation:
 
 
 class TestHarvestRegimeBatchEquivalence:
-    """Batched DRCAT equals the scalar loop with the pool exhausted.
+    """Batched PRCAT/DRCAT equal the scalar loop, chunk by chunk.
 
-    Skewed streams over a small pool drive the tree into the regime
-    where every split must harvest a cold pair, so the batched path
-    predicts failed attempts instead of replaying them
-    (``CounterTree._headroom``).  Any prediction that is not exact
-    shows up as a different command position, blocked flag or count.
+    Skewed streams over an 8- or 16-counter pool drive DRCAT into the
+    regime where every split must harvest a cold pair, so the batched
+    path predicts failed attempts instead of replaying them
+    (``CounterTree._headroom``); 32-counter pools keep splits free for
+    longer.  Streams span several ``BATCH_WINDOW``s, and each cut may
+    bring an epoch reset on both sides and a JSON state round trip of
+    the batched side, so event positions cached across events
+    (``core/batch.py``) meet window edges, re-gathers and rebuilt
+    caches.  Any inexact prediction or stale position shows up as a
+    different command position, blocked flag, register or statistic.
     """
 
     @settings(max_examples=60, deadline=None)
     @given(
-        m=st.sampled_from([8, 16]),
+        kind=st.sampled_from([DRCATScheme, PRCATScheme]),
+        m=st.sampled_from([8, 16, 32]),
         t=st.sampled_from([64, 128, 256]),
         n_targets=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1000, 4000),
-        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+        n=st.integers(1000, 7000),
+        cuts=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.booleans(), st.booleans()),
+            max_size=4,
+        ),
     )
-    def test_batched_equals_scalar(self, m, t, n_targets, seed, n, cuts):
+    def test_batched_equals_scalar(self, kind, m, t, n_targets, seed, n, cuts):
         n_rows = 1024
         rng = np.random.default_rng(seed)
         targets = rng.integers(0, n_rows, size=n_targets)
@@ -159,24 +169,29 @@ class TestHarvestRegimeBatchEquivalence:
             rng.integers(0, n_rows, size=n),
         ).astype(np.int64)
 
-        scalar = DRCATScheme(n_rows, t, n_counters=m, max_levels=8)
-        expected = []
-        for position, row in enumerate(rows.tolist()):
-            cmds = scalar.access(row)
-            if cmds:
-                expected.append((position, cmds))
+        def build():
+            return kind(n_rows, t, n_counters=m, max_levels=8)
 
-        batched = DRCATScheme(n_rows, t, n_counters=m, max_levels=8)
-        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
-        got = []
+        scalar, batched = build(), build()
+        # cut position -> (epoch reset, state round trip) before it
+        marks = {int(c * n): (reset, trip) for c, reset, trip in cuts}
+        bounds = sorted({0, n, *marks})
         for lo, hi in zip(bounds, bounds[1:]):
-            got.extend(
-                (lo + position, cmds)
-                for position, cmds in batched.access_batch(rows[lo:hi])
-            )
-        assert got == expected
-        assert batched.tree.to_state() == scalar.tree.to_state()
-        assert batched.stats.snapshot() == scalar.stats.snapshot()
+            reset, trip = marks.get(lo, (False, False))
+            if reset:
+                scalar.on_interval_boundary()
+                batched.on_interval_boundary()
+            if trip:
+                state = json.loads(json.dumps(batched.to_state()))
+                batched = build()
+                batched.restore_state(state)
+            expected = []
+            for position, row in enumerate(rows[lo:hi].tolist()):
+                cmds = scalar.access(row)
+                if cmds:
+                    expected.append((position, cmds))
+            assert batched.access_batch(rows[lo:hi]) == expected
+            assert batched.to_state() == scalar.to_state()
 
 
 def _ccache_chunks(n_rows: int):

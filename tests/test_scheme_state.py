@@ -20,6 +20,7 @@ from repro.analysis.prng import (
     prng_from_state,
 )
 from repro.core import make_scheme
+from repro.core.counter_tree import HARVEST_BUDGET_PER_REFRESH
 from repro.core.registry import get_scheme_info, scheme_names
 from repro.dram.bank import BankState
 from repro.dram.config import SystemConfig
@@ -106,6 +107,47 @@ CCACHE_MALFORMED = {
 }
 
 
+def _swap_ranges(state):
+    """Swap the row ranges of two active same-level counters: the ranges
+    still tile the bank, but neither matches its path from the root."""
+    active = [i for i, a in enumerate(state["counter_active"]) if a]
+    a = active[0]
+    b = next(i for i in active[1:] if state["level"][i] == state["level"][a])
+    for field in ("low", "high"):
+        values = state[field]
+        values[a], values[b] = values[b], values[a]
+
+
+#: Malformed counter-tree states: case -> (text the error names, corruption
+#: of a DRCAT state with active and inactive counters and a free pool).
+TREE_MALFORMED = {
+    "short count list": ("'count'", lambda s: s["count"].pop()),
+    "count that is not a number": ("'count'", lambda s: s["count"].__setitem__(0, "x")),
+    "short harvest_blocked": ("'harvest_blocked'", lambda s: s["harvest_blocked"].pop()),
+    "short child_l": ("'child_l'", lambda s: s["child_l"].pop()),
+    "count at T": ("'count'", lambda s: s["count"].__setitem__(
+        s["counter_active"].index(1), T)),
+    "negative count": ("'count'", lambda s: s["count"].__setitem__(
+        s["counter_active"].index(1), -1)),
+    "weight past WEIGHT_MAX": ("'weight'", lambda s: s["weight"].__setitem__(
+        s["counter_active"].index(1), 9)),
+    "level at L": ("'level'", lambda s: s["level"].__setitem__(0, 99)),
+    "count on an inactive counter": ("'count'", lambda s: s["count"].__setitem__(
+        s["counter_active"].index(0), 5)),
+    "budget past the cap": ("'harvest_budget'", lambda s: s.__setitem__(
+        "harvest_budget", HARVEST_BUDGET_PER_REFRESH + 1)),
+    "negative budget": ("'harvest_budget'", lambda s: s.__setitem__("harvest_budget", -1)),
+    "free counter out of range": ("'free_counters'", lambda s: s["free_counters"].append(999)),
+    "free counter repeated": ("'free_counters'", lambda s: s["free_counters"].append(
+        s["free_counters"][0])),
+    "free counter active": ("'free_counters'", lambda s: s["free_counters"].append(
+        s["counter_active"].index(1))),
+    "free inode out of range": ("'free_inodes'", lambda s: s["free_inodes"].append(-1)),
+    "broken invariants": ("invariants", lambda s: s.__setitem__("n_active", s["n_active"] + 1)),
+    "ranges swapped off their paths": ("path selects", _swap_ranges),
+}
+
+
 class TestTreeStateIntegrity:
     def test_restored_tree_passes_invariants(self):
         scheme = build("drcat")
@@ -132,6 +174,19 @@ class TestTreeStateIntegrity:
         state["counts"] = state["counts"][:-1]
         with pytest.raises(ValueError, match="counters"):
             build("sca").restore_state(state)
+
+    @pytest.mark.parametrize("case", sorted(TREE_MALFORMED))
+    def test_malformed_tree_state_rejected(self, case):
+        """A tree state no DRCAT tree of this geometry can hold fails
+        with a ValueError naming the field (or the broken invariant)."""
+        named, corrupt = TREE_MALFORMED[case]
+        scheme = build("drcat")
+        drive(scheme, stream(8, 200))  # splits, with two counters still free
+        state = json.loads(json.dumps(scheme.to_state()))
+        assert 0 in state["tree"]["counter_active"] and state["tree"]["free_counters"]
+        corrupt(state["tree"])
+        with pytest.raises(ValueError, match=named):
+            build("drcat").restore_state(state)
 
     @pytest.mark.parametrize("case", sorted(CCACHE_MALFORMED))
     def test_malformed_ccache_state_rejected(self, case):

@@ -499,9 +499,10 @@ class TestWorkerDeath:
                 assert data.startswith(b"HTTP/1.1 200")
 
     def test_sigkilled_server_leaves_no_worker(self, tmp_path):
-        """A plan runs first, so plan-pool workers (which outlive a
-        SIGKILLed server) hold copies of the simulation workers' pipes:
-        the workers must notice the server's death all the same."""
+        """A plan runs first, so plan-pool workers hold copies of the
+        simulation workers' pipes: the simulation workers must notice
+        the server's death all the same, and the plan-pool workers
+        (which watch their parent too) must exit as well."""
         proc, base = _serve_process(tmp_path, "--workers", "2")
         orphans = []
         try:
@@ -537,11 +538,16 @@ class TestWorkerDeath:
                 assert time.monotonic() < deadline, \
                     f"workers outlived the server: {pids}"
                 time.sleep(0.05)
+            deadline = time.monotonic() + 5
+            while not all(_exited(pid) for pid in orphans):
+                assert time.monotonic() < deadline, \
+                    f"plan-pool workers outlived the server: {orphans}"
+                time.sleep(0.05)
         finally:
             if proc.poll() is None:
                 proc.kill()
             proc.stdout.close()
-            for pid in orphans:  # the plan pool's, left behind
+            for pid in orphans:  # cleanup should an assertion fail
                 with contextlib.suppress(OSError):
                     os.kill(pid, signal.SIGKILL)
 
