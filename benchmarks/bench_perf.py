@@ -84,10 +84,10 @@ CHECK_MIN_CACHE_SPEEDUP = 2.0
 #: Minimum accepted trace-store warm speedup of the scheme-axis grid
 #: over the store-off baseline for ``--check`` (ISSUE-5 acceptance).
 CHECK_MIN_TRACE_SPEEDUP = 3.0
-#: Minimum accepted reused-pool speedup over a cold spawn+prime for
-#: ``--check``.  Deliberately modest: fork-based spawn is cheap, the
-#: floor guards the *priming* contract (a reused pool never re-pays
-#: per-worker warmup), not a large constant factor.
+#: Minimum accepted reused-pool speedup over a cold fork for
+#: ``--check``.  Deliberately modest: a fork is cheap, the floor guards
+#: the persistence contract (a reused pool never re-pays per-worker
+#: warmup), not a large constant factor.
 CHECK_MIN_POOL_REUSE = 1.1
 #: The gated sweep-throughput grid: a counter-budget scheme axis (PRA,
 #: the SCA M-sweep of Figure 10, PRCAT) crossed with the two paper
@@ -273,8 +273,8 @@ def _measure_trace_workload(workload: str) -> dict:
 def _pool_bench_plan():
     """A deliberately small pooled plan (the pool-reuse measurement).
 
-    Pool lifecycle cost — spawn plus per-worker priming — is a fixed
-    cost per cold start; against the ~seconds-long trace-sweep grid it
+    Pool lifecycle cost — forking the workers and each worker's first
+    touch of its copy-on-write memory — is a fixed cost per cold start; against the ~seconds-long trace-sweep grid it
     vanishes below timer noise, which is exactly how the reuse ratio
     regressed to 1.0 unnoticed.  A small grid keeps the simulation
     share low enough that the lifecycle difference is measurable, which
@@ -293,12 +293,13 @@ def _pool_bench_plan():
 
 
 def _measure_pool_reuse() -> dict:
-    """Cold (spawn+prime) vs reused wall-clock of a pooled plan run.
+    """Cold (fork) vs reused wall-clock of a pooled plan run.
 
     Measures what the persistent :class:`SweepPool` removes from every
-    plan after the first: a cold pass tears the pool down first and so
-    pays worker spawn plus per-worker priming (sim-stack imports); the
-    reused pass submits straight to live, primed workers.  Best-of-3
+    plan after the first: a cold pass closes the pool first and so pays
+    the worker forks plus each fresh worker's first-cell costs
+    (copy-on-write page faults, per-process caches); the reused pass
+    sends chunks straight to live, warm workers.  Best-of-3
     with the passes interleaved, so machine drift hits both sides of the
     gated ratio equally.  The trace store is pinned off so only pool
     lifecycle differs.

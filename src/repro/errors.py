@@ -14,8 +14,8 @@ Every failure surfaced by the sweep layer is classified on one axis:
 
 Exceptions outside the taxonomy are classified by
 :func:`is_retryable`: operational exception types (``OSError``,
-``TimeoutError``, ``MemoryError``, broken-executor errors) are treated
-as transient, everything else — the ``ValueError``/``TypeError`` family
+``TimeoutError``, ``MemoryError``, ``ConnectionError``) are treated as
+transient, everything else — the ``ValueError``/``TypeError`` family
 a code bug raises — as fatal.
 
 :class:`CellFailure` is the structured record one failed attempt leaves
@@ -28,7 +28,6 @@ round-trips through :meth:`CellFailure.to_dict`/``from_dict``.
 from __future__ import annotations
 
 import traceback as _traceback
-from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, field
 
 
@@ -75,7 +74,6 @@ _RETRYABLE_TYPES = (
     OSError,
     TimeoutError,
     MemoryError,
-    BrokenExecutor,  # covers BrokenProcessPool
     ConnectionError,
 )
 

@@ -5,7 +5,8 @@ The evaluation space of the paper — schemes × workloads × attacks ×
 content-hashed :class:`ExperimentSpec` records instead of per-call
 keyword soup.  :class:`Plan` expands axis grids into spec lists;
 :func:`run_plan` executes them with an on-disk per-cell result cache
-(:class:`ResultCache`) and optional process-pool fan-out.  See
+(:class:`ResultCache`) and optional fan-out onto forked worker
+processes (:class:`SweepPool`).  See
 DESIGN.md, "The experiments layer".
 """
 

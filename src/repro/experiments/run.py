@@ -15,11 +15,12 @@ prove it stays that way.  The sweep-cell result cache is bypassed in
 ``checkpoint`` mode — a cache hit would silently skip the very code path
 being exercised.
 
-Pool fan-out goes through the process-wide persistent :class:`SweepPool`
-(created on first use, grown on demand, reused by every plan in the
-process) with chunked cell scheduling; each chunk carries the parent's
-current session/trace/cache/fault environment so a long-lived pool
-never acts on stale worker-side settings.
+Pool fan-out goes through the process-wide :class:`SweepPool`
+(:mod:`repro.experiments.pool`: forked on first use, grown in place,
+reused by every plan in the process, shared with ``repro serve``'s
+run jobs) with chunked cell scheduling; each chunk carries the
+parent's current session/trace/cache/fault environment so a long-lived
+pool never acts on stale worker-side settings.
 
 Fault tolerance
 ---------------
@@ -34,12 +35,11 @@ corrupting results:
   (:func:`repro.errors.is_retryable`) are re-run with exponential
   backoff plus deterministic jitter, up to ``max_retries`` extra
   attempts.  Deterministic failures are never retried.
-* **Pool recovery** — a ``BrokenProcessPool`` (an OOM-killed or crashed
-  worker takes the whole executor down) marks only the *unfinished*
-  chunks as retryable, tears the executor down, and the next round
-  cold-starts a fresh pool; results that had already landed are kept.
-  A chunk that exceeds its ``cell_timeout`` budget is treated the same
-  way, with the hung workers terminated.
+* **Worker recovery** — a worker that dies (an OOM kill, a crash)
+  fails only the chunk it was running, retryably, and the pool forks
+  its replacement; every other chunk's results stand.  A chunk that
+  exceeds its ``cell_timeout`` budget fails the same way, its worker
+  terminated and replaced.
 * **Crash-safe resume** — completed cells flush to the
   :class:`ResultCache` *as they land*, so a killed sweep re-run against
   the same cache recomputes only the missing/failed cells.  SIGINT and
@@ -57,14 +57,11 @@ converge to bit-identical results with the harness armed.
 
 from __future__ import annotations
 
-import atexit
-import concurrent.futures
 import contextlib
 import json
 import math
 import os
 import random
-import threading
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -74,9 +71,11 @@ from repro.errors import (
     CellFailure,
     CellStatus,
     CellTimeout,
+    RemoteError,
 )
 from repro.experiments.cache import ResultCache
 from repro.experiments.plan import Plan
+from repro.experiments.pool import SweepPool, WorkerDied
 from repro.experiments.spec import ExperimentSpec
 from repro.report.config import SESSION_MODES, env_choice
 from repro.testing.faults import ENV_VAR as FAULTS_ENV_VAR
@@ -135,46 +134,14 @@ _CHUNKS_PER_WORKER = 4
 _BACKOFF_BASE_S = 0.05
 _BACKOFF_CAP_S = 2.0
 
-#: How often an idle or busy pool worker checks that its parent lives.
-_PARENT_POLL_S = 0.5
-
-#: Grace added to ``cell_timeout * chunk_size`` before a chunk future
-#: is declared hung (covers worker spawn and result IPC).
+#: Grace added to ``cell_timeout * chunk_size`` before a chunk is
+#: declared hung (covers result IPC).
 _TIMEOUT_GRACE_S = 5.0
 
 
 def _pool_env() -> dict[str, str | None]:
     """The parent-side values of :data:`_POOL_ENV_KEYS` (None = unset)."""
     return {key: os.environ.get(key) for key in _POOL_ENV_KEYS}
-
-
-def _pool_watch_parent() -> None:
-    """Worker-side initializer: exit as soon as the parent process dies.
-
-    A SIGKILLed parent (``repro serve``, ``repro verify``) cannot shut
-    its pool down, and the orphaned workers would keep its sockets and
-    pipes open.  A daemon thread polls ``os.getppid()``, as the server's
-    simulation workers do, and leaves with ``os._exit`` once it changes.
-    """
-    parent = os.getppid()
-
-    def watch() -> None:
-        while os.getppid() == parent:
-            time.sleep(_PARENT_POLL_S)
-        os._exit(1)
-
-    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
-
-
-def _pool_prime() -> None:
-    """Worker-side warmup run by :meth:`SweepPool._prime` at spawn.
-
-    Imports the modules every cell touches, so the first real chunk a
-    worker receives starts simulating immediately instead of importing
-    on the clock.
-    """
-    import repro.sim.simulator  # noqa: F401 — import cost is the point
-    import repro.sim.tracestore  # noqa: F401
 
 
 def _pool_run_chunk(specs: list, env: dict, attempt: int = 1) -> list[dict]:
@@ -205,106 +172,6 @@ def _pool_run_chunk(specs: list, env: dict, attempt: int = 1) -> list[dict]:
                 ).to_dict(),
             })
     return outcomes
-
-
-class SweepPool:
-    """The process-wide persistent worker pool behind :func:`run_plan`.
-
-    Historically every plan cold-started (and tore down) its own
-    ``ProcessPoolExecutor``; a multi-plan invocation — ``repro verify``
-    runs 14 bench modules, several with multiple plans — paid the spawn
-    cost over and over.  This pool is created on first use, grows when
-    a wider plan asks for more workers, and is reused by every
-    subsequent plan in the process; :func:`atexit` tears it down.
-
-    Workers attach to trace-store memmaps lazily (each worker opens its
-    own :class:`~repro.sim.tracestore.TraceStore` singleton on first
-    cell), so all workers of all plans share one OS page-cache copy of
-    every generated stream.
-    """
-
-    _executor: concurrent.futures.ProcessPoolExecutor | None = None
-    _width = 0
-
-    @classmethod
-    def get(cls, workers: int) -> concurrent.futures.ProcessPoolExecutor:
-        """The shared executor, (re)built with at least ``workers``."""
-        if cls._executor is None or cls._width < workers:
-            cls.shutdown()
-            cls._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_pool_watch_parent
-            )
-            cls._width = workers
-            cls._prime(cls._executor, workers)
-        return cls._executor
-
-    @staticmethod
-    def _prime(executor, workers: int) -> None:
-        """Pay per-worker one-time costs at spawn, not inside chunk one.
-
-        Each fresh worker imports the simulation stack the first time
-        it runs a cell.  Left lazy, that cost
-        lands *inside* the first chunk of the first plan — serialized
-        with real cell work, counted against ``cell_timeout`` budgets,
-        and re-paid by every plan that happens to grow the pool.
-        Priming at spawn pays it once, in parallel across workers,
-        which is what makes pool *reuse* (the whole point of a
-        persistent pool) measurably cheaper than a cold start.
-
-        Best-effort: one fast worker may pick up two prime tasks while
-        another gets none; the straggler then primes lazily as before.
-        """
-        futures = [executor.submit(_pool_prime) for _ in range(workers)]
-        for future in futures:
-            try:
-                future.result()
-            except Exception:
-                # A prime failure is never fatal: the worker (or its
-                # replacement) will simply pay the lazy path.
-                pass
-
-    @classmethod
-    def width(cls) -> int:
-        """Current worker count (0 = no pool spawned yet)."""
-        return cls._width
-
-    @classmethod
-    def shutdown(cls, cancel_futures: bool = True) -> None:
-        """Tear the pool down (next :meth:`get` cold-starts a fresh one).
-
-        Queued-but-unstarted chunks are cancelled by default: the
-        :func:`atexit` teardown must never block interpreter exit
-        behind a backlog of work nobody will collect.  Running chunks
-        are still awaited (a mid-write kill could tear store entries);
-        use :meth:`kill` when workers are known to be hung.
-        """
-        if cls._executor is not None:
-            cls._executor.shutdown(cancel_futures=cancel_futures)
-            cls._executor = None
-            cls._width = 0
-
-    @classmethod
-    def kill(cls) -> None:
-        """Terminate worker processes outright and discard the executor.
-
-        The recovery path for *hung* chunks: ``shutdown`` would wait on
-        them forever.  Store writes stay safe under termination because
-        every store publish is an atomic rename.
-        """
-        executor = cls._executor
-        if executor is None:
-            return
-        cls._executor = None
-        cls._width = 0
-        for process in list(getattr(executor, "_processes", {}).values()):
-            try:
-                process.terminate()
-            except (OSError, AttributeError):
-                pass
-        executor.shutdown(wait=False, cancel_futures=True)
-
-
-atexit.register(SweepPool.shutdown)
 
 
 @dataclass
@@ -417,10 +284,10 @@ def _flush_cell(cache: ResultCache | None, spec, result) -> bool:
 def _sigterm_as_interrupt():
     """Deliver SIGTERM as KeyboardInterrupt for the scheduler's scope.
 
-    Both signals then share one drain path: completed futures flush to
-    the cache, the pool tears down cleanly, and the interrupt
-    propagates.  Outside the main thread (or without signal support)
-    this is a no-op.
+    Both signals then share one drain path: completed cells are already
+    in the cache, the chunks still running are reclaimed, and the
+    interrupt propagates.  Outside the main thread (or without signal
+    support) this is a no-op.
     """
     import signal
     import threading
@@ -431,9 +298,10 @@ def _sigterm_as_interrupt():
     if threading.current_thread() is threading.main_thread():
         def _handler(signum, frame):
             if os.getpid() != owner_pid:
-                # A forked pool worker inherited this handler; dying
-                # loudly with KeyboardInterrupt would spray tracebacks
-                # on every SweepPool.kill().  Die like SIG_DFL instead.
+                # A pool worker forked inside this scope runs this
+                # handler until its loop restores SIG_DFL; a reclaim's
+                # SIGTERM in that window must kill it, not raise a
+                # KeyboardInterrupt there.  Die like SIG_DFL instead.
                 signal.signal(signal.SIGTERM, signal.SIG_DFL)
                 os.kill(os.getpid(), signal.SIGTERM)
                 return
@@ -458,33 +326,6 @@ class _StopRequested(Exception):
 
 #: How often a pooled wait re-checks its ``stop`` callback.
 _STOP_POLL_S = 0.25
-
-
-def _wait_future(future, budget, stop):
-    """``future.result(timeout=budget)`` that polls ``stop`` while waiting.
-
-    The budget is honored exactly (waits happen in ``_STOP_POLL_S``
-    slices that never overshoot the deadline); a truthy ``stop`` raises
-    :class:`_StopRequested` between slices.
-    """
-    if stop is None:
-        return future.result(timeout=budget)
-    deadline = None if budget is None else time.monotonic() + budget
-    while True:
-        if stop():
-            raise _StopRequested
-        slice_s = _STOP_POLL_S
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise concurrent.futures.TimeoutError
-            slice_s = min(slice_s, remaining)
-        try:
-            return future.result(timeout=slice_s)
-        except concurrent.futures.TimeoutError:
-            if deadline is None or time.monotonic() < deadline:
-                continue
-            raise
 
 
 def _run_round_serial(specs, pending, attempt, on_ok, on_fail,
@@ -514,101 +355,101 @@ def _run_round_pooled(
     specs, pending, workers, cell_timeout, attempt, on_ok, on_fail,
     stop=None,
 ) -> None:
-    """One retry round on the process pool, chunked.
+    """One retry round on the worker pool, chunked.
 
-    Every pending index receives exactly one ``on_ok``/``on_fail``
-    callback.  A broken pool fails only the chunks that had not
-    finished; a chunk exceeding its time budget fails retryably and the
-    hung workers are terminated so the next round gets a live pool.
-    A truthy ``stop`` (polled while waiting on chunks) drains like an
-    interrupt — finished chunks flush, the rest are cancelled and the
-    pool killed — but raises :class:`_StopRequested` for the scheduler
-    to absorb instead of propagating to the caller.
+    The calling thread sends chunks to idle workers and delivers each
+    chunk's outcomes as it lands.  Every pending index receives exactly
+    one ``on_ok``/``on_fail`` callback unless a stop or an interrupt
+    ends the round first.  A worker that dies fails only its own chunk
+    (:class:`WorkerDied`, retryable) and is replaced; a chunk past its
+    time budget, counted from dispatch, fails with :class:`CellTimeout`
+    and its worker is terminated and replaced.  A closed pool fails
+    the chunks it can no longer run.  A truthy ``stop`` (polled while
+    waiting) reclaims the running chunks, as an interrupt does, but
+    raises :class:`_StopRequested` for the scheduler to absorb instead
+    of propagating to the caller.
     """
+    from multiprocessing.connection import wait
+
     width = min(workers, len(pending))
     pool = SweepPool.get(width)
     size = max(1, math.ceil(len(pending) / (width * _CHUNKS_PER_WORKER)))
+    chunks = [pending[j:j + size] for j in range(0, len(pending), size)]
+    chunks.reverse()  # so pop() dispatches them in plan order
     env = _pool_env()
-    futures = [
-        (
-            pool.submit(
-                _pool_run_chunk,
-                [specs[i] for i in pending[j:j + size]],
-                env,
-                attempt,
-            ),
-            pending[j:j + size],
-        )
-        for j in range(0, len(pending), size)
-    ]
-    broken = False
-    hung = False
-    try:
-        for future, chunk in futures:
-            budget = (
-                None if cell_timeout is None
-                else cell_timeout * len(chunk) + _TIMEOUT_GRACE_S
-            )
-            t0 = time.perf_counter()
-            try:
-                outcomes = _wait_future(future, budget, stop)
-            except concurrent.futures.TimeoutError:
-                future.cancel()
-                hung = True
-                per = (time.perf_counter() - t0) / len(chunk)
-                for i in chunk:
-                    on_fail(i, CellFailure.from_exception(
-                        specs[i], attempt,
-                        CellTimeout(
-                            f"chunk exceeded its {budget:.1f}s budget "
-                            f"({cell_timeout}s/cell)"
-                        ),
-                    ), per)
-                continue
-            except concurrent.futures.BrokenExecutor as exc:
-                broken = True
-                per = (time.perf_counter() - t0) / len(chunk)
-                for i in chunk:
-                    on_fail(i, CellFailure.from_exception(
-                        specs[i], attempt, exc
-                    ), per)
-                continue
-            per = (time.perf_counter() - t0) / max(1, len(chunk))
-            for i, outcome in zip(chunk, outcomes):
-                if outcome["ok"]:
-                    on_ok(i, outcome["result"], per)
-                else:
-                    on_fail(
-                        i, CellFailure.from_dict(outcome["failure"]), per
-                    )
-    except (KeyboardInterrupt, SystemExit, _StopRequested) as exc:
-        # Drain: deliver every chunk that did finish (flushing its
-        # cells to the cache via on_ok), cancel the rest, tear the
-        # pool down, and let the interrupt propagate.
-        for future, chunk in futures:
-            if future.done() and not future.cancelled():
-                try:
-                    outcomes = future.result(timeout=0)
-                except Exception:
-                    continue
-                for i, outcome in zip(chunk, outcomes):
-                    if outcome["ok"]:
-                        on_ok(i, outcome["result"], 0.0)
+    #: worker → (owner token, chunk, dispatch time, time budget)
+    running: dict = {}
+
+    def fail(chunk, exc, elapsed) -> None:
+        for i in chunk:
+            on_fail(i, CellFailure.from_exception(specs[i], attempt, exc),
+                    elapsed / len(chunk))
+
+    def land(worker) -> None:
+        owner, chunk, started, _budget = running.pop(worker)
+        try:
+            outcomes = worker.receive()
+        except (WorkerDied, RemoteError) as exc:
+            fail(chunk, exc, time.monotonic() - started)
+            return
+        finally:
+            pool.release(owner)
+        per = (time.monotonic() - started) / len(chunk)
+        for i, outcome in zip(chunk, outcomes):
+            if outcome["ok"]:
+                on_ok(i, outcome["result"], per)
             else:
-                future.cancel()
-        if isinstance(exc, _StopRequested):
-            # Cooperative stop is deadline-bound (graceful drain must
-            # exit on time): terminate running chunks rather than wait.
-            # Mid-write kills are safe — every store publish is an
-            # atomic rename.
-            SweepPool.kill()
-        else:
-            SweepPool.shutdown(cancel_futures=True)
+                on_fail(i, CellFailure.from_dict(outcome["failure"]), per)
+
+    try:
+        while chunks or running:
+            if stop is not None and stop():
+                raise _StopRequested
+            while chunks:
+                owner = object()
+                worker = pool.acquire(
+                    owner, timeout=0 if running else _STOP_POLL_S)
+                if worker is None:
+                    break
+                chunk = chunks.pop()
+                budget = math.inf if cell_timeout is None \
+                    else cell_timeout * len(chunk) + _TIMEOUT_GRACE_S
+                running[worker] = (owner, chunk, time.monotonic(), budget)
+                worker.send("cells", [specs[i] for i in chunk], env, attempt)
+            if not running:
+                if pool.closed:
+                    break
+                continue
+            now = time.monotonic()
+            timeout = min([_STOP_POLL_S] + [
+                started + budget - now
+                for _owner, _chunk, started, budget in running.values()
+            ])
+            ready = wait([w.conn for w in running]
+                         + [w.process.sentinel for w in running],
+                         max(0.0, timeout))
+            for worker in [w for w in running
+                           if w.conn in ready or w.process.sentinel in ready]:
+                land(worker)
+            now = time.monotonic()
+            for worker, (owner, chunk, started, budget) in list(
+                    running.items()):
+                if now - started >= budget:
+                    del running[worker]
+                    pool.reclaim(owner)
+                    fail(chunk, CellTimeout(
+                        f"chunk exceeded its {budget:.1f}s budget "
+                        f"({cell_timeout}s/cell)"
+                    ), now - started)
+    except (KeyboardInterrupt, SystemExit, _StopRequested):
+        # Cells that landed are already flushed; terminate the chunks
+        # still running (mid-write kills are safe — every store
+        # publish is an atomic rename) and let the interrupt propagate.
+        for owner, _chunk, _started, _budget in running.values():
+            pool.reclaim(owner)
         raise
-    if hung:
-        SweepPool.kill()
-    elif broken:
-        SweepPool.shutdown(cancel_futures=True)
+    for chunk in chunks:
+        fail(chunk, WorkerDied("the worker pool was closed"), 0.0)
 
 
 def run_plan(
@@ -625,17 +466,18 @@ def run_plan(
 
     ``cache`` (a :class:`ResultCache`, a directory path, or None) is
     consulted per cell by spec content hash: hits skip the simulation
-    entirely, misses run — serially or on a process pool when
-    ``workers > 1`` — and flush back *as each cell completes*, so a
-    killed sweep resumes from its completed cells.  Per-cell seeding
-    makes results identical at any worker count, any hit/miss split,
-    and any retry history.
+    entirely, misses run — serially, or on the forked workers of the
+    :class:`SweepPool` when ``workers > 1`` (POSIX only) — and flush
+    back *as each cell completes*, so a killed sweep resumes from its
+    completed cells.  Per-cell seeding makes results identical at any
+    worker count, any hit/miss split, and any retry history.
 
     ``max_retries`` bounds the *extra* attempts a retryably failing
     cell gets (exponential backoff + deterministic jitter between
     rounds); deterministic failures are never retried.
     ``cell_timeout`` (seconds per cell) bounds each pooled chunk's wall
-    time; a hung chunk fails retryably and its workers are terminated.
+    time from dispatch; a hung chunk fails retryably and its worker is
+    terminated and replaced.
 
     Returns the list of per-cell results.  On a permanent cell failure
     this raises :class:`~repro.errors.CellExecutionError` (carrying the

@@ -7,9 +7,11 @@ exposes the declarative experiment layer:
 * ``POST /v1/runs`` — submit one :class:`ExperimentSpec`; identical
   in-flight submissions share one simulation (content-hash dedup) and
   completed ones are served straight from the :class:`ResultCache`.
-* ``POST /v1/plans`` — submit a :class:`Plan`; cells shard onto the
-  persistent :class:`SweepPool` through the fault-tolerant retry
-  scheduler, with per-cell :class:`SweepReport` status.
+* ``POST /v1/plans`` — submit a :class:`Plan`; chunks of its cells run
+  on the server's worker processes (the process-wide
+  :class:`SweepPool`, which runs the run jobs too) through the
+  fault-tolerant retry scheduler, with per-cell :class:`SweepReport`
+  status.
 * ``GET /v1/jobs/<id>`` — job status (and results once done).
 * ``GET /v1/jobs/<id>/events`` — per-epoch :class:`RunTotals` deltas,
   mitigation events, and job lifecycle over Server-Sent Events.

@@ -2,13 +2,12 @@
 
 :class:`ReproServer` owns the job table, the SSE hub, a
 :class:`ResultCache` shared by every job, and a small thread pool that
-*drives* jobs.  The simulation itself runs in worker processes: single
-runs execute a streaming :class:`~repro.api.Session` in one of the
-``workers`` persistent simulation workers
-(:mod:`~repro.server.workers`), which the driving thread steers epoch
-by epoch; plans shard their cells onto the process-wide
-:class:`~repro.experiments.SweepPool` through the fault-tolerant
-:func:`run_plan` scheduler.
+*drives* jobs.  The simulation itself runs in the ``workers`` worker
+processes of the process-wide :class:`~repro.experiments.SweepPool`
+(:mod:`~repro.experiments.pool`): a single run executes a streaming
+:class:`~repro.api.Session` in one worker, which the driving thread
+steers epoch by epoch, and a plan sends chunks of its cells to idle
+workers through the fault-tolerant :func:`run_plan` scheduler.
 
 Deduplication happens at two layers, both keyed by content hash:
 
@@ -62,6 +61,7 @@ from pathlib import Path
 from repro._version import __version__
 from repro.errors import describe, is_retryable
 from repro.experiments.cache import ResultCache
+from repro.experiments.pool import SweepPool, WorkerDied
 from repro.experiments.run import run_plan
 from repro.locking import lock_backend, lock_stats
 from repro.server import wire
@@ -76,7 +76,6 @@ from repro.server.hub import EventHub
 from repro.server.journal import Journal, JournaledJob
 from repro.server.jobs import JOB_STATES, Job, JobTable
 from repro.server.routes import match
-from repro.server.workers import SimWorkerPool, WorkerDied
 from repro.testing.faults import fault_point
 
 logger = logging.getLogger(__name__)
@@ -99,8 +98,8 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8765
-    #: simulation worker processes: run jobs execute one per worker,
-    #: and plan cells shard onto a SweepPool this wide
+    #: worker processes: run jobs execute one per worker, and plans
+    #: send chunks of cells to the idle ones
     workers: int = 2
     #: result-cache directory; None = a private temp dir per server
     cache_dir: str | None = None
@@ -140,8 +139,9 @@ class ReproServer:
                  clock=time.monotonic) -> None:
         self.config = config or ServerConfig()
         # Fork before any file opens or thread starts here (see
-        # repro.server.workers).
-        self._sim = SimWorkerPool(self.config.workers)
+        # repro.experiments.pool): the process-wide pool, freshly.
+        SweepPool.shutdown()
+        self._sim = SweepPool.get(self.config.workers)
         self.hub = EventHub(backlog=self.config.event_backlog)
         if self.config.cache_dir is None:
             self._cache_root = tempfile.mkdtemp(prefix="repro-serve-cache-")
@@ -158,9 +158,9 @@ class ReproServer:
             max_workers=self.config.driver_threads,
             thread_name_prefix="repro-job",
         )
-        #: one plan at a time: plans already fan out across the whole
-        #: process-wide SweepPool, so running two concurrently would
-        #: just thrash it (and SweepPool's build path is not re-entrant)
+        #: one plan at a time: run_plan keeps its fault-injection round
+        #: in os.environ (REPRO_FAULTS_ROUND), which two concurrent
+        #: plans would overwrite for each other
         self._plan_lane = threading.Lock()
         #: job_id → (execute fn, payload), kept while the job is live so
         #: requeues (stall, retryable driver failure) can relaunch it
@@ -587,7 +587,7 @@ class ReproServer:
         return requeued
 
     def _execute_run(self, job_id: str, spec, generation: int = 0) -> None:
-        """Drive one spec's Session in a simulation worker.
+        """Drive one spec's Session in a pool worker.
 
         The worker's session is the one ``run_spec`` drives, so a served
         run returns exactly what ``run_spec`` would; its observer taps
@@ -609,7 +609,7 @@ class ReproServer:
         # its lane, heartbeating and honouring a drain.
         while (session := self._sim.acquire(owner, timeout=0.25)) is None:
             self.jobs.touch(job_id, generation)
-            if self._draining.is_set():
+            if self._draining.is_set() or self._sim.closed:
                 return  # journaled "running" → restart resumes
         try:
             self._drive_run(job_id, spec, generation, session)
@@ -665,13 +665,15 @@ class ReproServer:
             self.hub.publish(job_id, name, doc)
 
     def _execute_plan(self, job_id: str, plan, generation: int = 0) -> None:
-        """Shard a plan onto the SweepPool via the retry scheduler.
+        """Run a plan on the worker pool via the retry scheduler.
 
         The scheduler's cooperative ``stop`` hook is wired to the drain
         flag: a drain stops the plan at the next cell boundary with all
         completed cells already flushed to the cache, and the journal's
         ``running`` record makes the restarted server recompute only
-        what is missing.
+        what is missing.  The scheduler polls ``stop`` while it waits,
+        for a worker the run jobs hold too, so the hook also stamps the
+        job's heartbeat, as a run driver does while it waits.
         """
         if not self.jobs.mark_running(job_id, generation):
             return
@@ -679,6 +681,11 @@ class ReproServer:
             self._cache_root, self.hub, job_id,
             on_cell=lambda: self.jobs.touch(job_id, generation),
         )
+
+        def stop() -> bool:
+            self.jobs.touch(job_id, generation)
+            return self._draining.is_set()
+
         # The plan lane can be held by a draining/zombie plan driver;
         # poll instead of blocking so a drain never deadlocks here.
         while not self._plan_lane.acquire(timeout=0.25):
@@ -693,7 +700,7 @@ class ReproServer:
                 keep_going=True,
                 max_retries=self.config.max_retries,
                 cell_timeout=self.config.cell_timeout,
-                stop=self._draining.is_set,
+                stop=stop,
             )
         except Exception as exc:  # noqa: BLE001 - job boundary
             logger.exception("plan job %s failed", job_id)
@@ -832,8 +839,8 @@ class ReproServer:
         while status/results reads stay live), cancel queued driver
         tasks (their jobs are journaled ``queued`` and will re-enqueue
         on restart), wait up to the deadline for running drivers to
-        checkpoint and stop cooperatively, terminate the simulation
-        workers, then flush and close the journal.  Even on a missed
+        checkpoint and stop cooperatively, terminate the worker pool,
+        then flush and close the journal.  Even on a missed
         deadline the on-disk state is fully resumable — every journal
         append was already fsync'd, and a run whose worker is stopped
         under it stays journaled ``running``.
@@ -858,7 +865,7 @@ class ReproServer:
 
     def close(self) -> None:
         """Stop accepting job work: driver threads wind down, and the
-        simulation workers are terminated."""
+        worker pool is terminated."""
         self._draining.set()
         self._drivers.shutdown(wait=False, cancel_futures=True)
         self._sim.close()

@@ -47,9 +47,10 @@ Kinds (what happens):
   paths when a cell budget is set);
 * ``kill-worker`` — ``os._exit(86)``, the closest stand-in for an OOM
   kill of the process that reaches the site.  Meaningful where that is
-  a worker: ``pool.worker`` (a sweep-pool worker) and
-  ``session.advance`` (a sweep-pool worker, or the simulation worker a
-  ``repro serve`` run executes in); anywhere else it kills the caller.
+  a worker of the :class:`~repro.experiments.SweepPool`:
+  ``pool.worker`` (a worker running a chunk of plan cells) and
+  ``session.advance`` (a worker running plan cells or a ``repro
+  serve`` run job); anywhere else it kills the caller.
 
 Determinism
 -----------
@@ -57,9 +58,11 @@ Each armed fault fires **exactly once per process**, on the first call
 that reaches its site, and only while the scheduler is on retry round
 zero (``REPRO_FAULTS_ROUND``, set by ``run_plan`` and threaded through
 worker chunk environments, and set to the job's requeue count by the
-simulation worker of each served-run attempt) — so recovery attempts
-run clean and every injected failure is transient by construction.  The seed feeds the
-corruption noise and delay length, keeping runs byte-reproducible.
+worker of each served-run attempt) — so recovery attempts run clean
+and every injected failure is transient by construction.  A worker
+forked to replace a killed one has not fired yet, so it fires again on
+its first round-zero cell.  The seed feeds the corruption noise and
+delay length, keeping runs byte-reproducible.
 
 The sites themselves cost one dict lookup when ``REPRO_FAULTS`` is
 unset; production runs never pay for the harness.

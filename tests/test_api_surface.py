@@ -6,6 +6,9 @@ main suites do not reach.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,23 @@ class TestPublicAPI:
         assert repro.__version__ == source
         parts = repro.__version__.split(".")
         assert len(parts) == 3 and all(p.isdigit() for p in parts)
+
+    def test_import_loads_no_process_pool_machinery(self):
+        """The CLI, the experiments layer and the simulator import
+        neither ``concurrent.futures`` nor ``multiprocessing``: the
+        worker pool imports ``multiprocessing`` only when it forks."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "import repro.sim.simulator, repro.experiments, repro.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_subpackage_exports(self):
         import repro.analysis as analysis

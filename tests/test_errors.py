@@ -1,7 +1,6 @@
 """Tests for the failure taxonomy (repro.errors)."""
 
 import pickle
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -54,7 +53,6 @@ class TestTaxonomy:
         OSError("disk"),
         TimeoutError("slow"),
         MemoryError(),
-        BrokenProcessPool("worker died"),
         ConnectionError("gone"),
     ])
     def test_operational_types_are_transient(self, exc):

@@ -28,6 +28,7 @@ from repro.experiments import (
     ExperimentSpec,
     Plan,
     SchemeSpec,
+    SweepPool,
     run_plan,
     run_spec,
 )
@@ -416,6 +417,44 @@ def _exited(pid):
     return stat.rsplit(")", 1)[1].split()[0] == "Z"
 
 
+def _wait_exited(pids, timeout=5):
+    deadline = time.monotonic() + timeout
+    while not all(_exited(pid) for pid in pids):
+        assert time.monotonic() < deadline, f"still alive: {pids}"
+        time.sleep(0.02)
+
+
+def _children(pid):
+    """The pids of ``pid``'s children (Linux ``/proc``), else skip."""
+    try:
+        return sorted(
+            int(child)
+            for task in Path(f"/proc/{pid}/task").iterdir()
+            for child in (task / "children").read_text().split()
+        )
+    except OSError:
+        pytest.skip("no /proc children lists on this host")
+
+
+def _get_json(url):
+    with urllib.request.urlopen(url, timeout=30) as resp:
+        return json.loads(resp.read())
+
+
+def _run_served_plan(base, plan):
+    """Submit ``plan`` to the server at ``base`` and wait until done."""
+    req = urllib.request.Request(
+        base + "/v1/plans",
+        data=json.dumps({"plan": plan.to_dict()}).encode(),
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(req, timeout=30) as resp:
+        job = json.loads(resp.read())["job"]
+    deadline = time.monotonic() + 120
+    while _get_json(f"{base}/v1/jobs/{job}")["status"] != "done":
+        assert time.monotonic() < deadline, "plan did not finish"
+        time.sleep(0.1)
+
+
 def _serve_process(tmp_path, *args):
     """A ``repro serve`` subprocess and its announced base URL."""
     root = Path(__file__).resolve().parents[1]
@@ -498,56 +537,112 @@ class TestWorkerDeath:
                     data += chunk
                 assert data.startswith(b"HTTP/1.1 200")
 
-    def test_sigkilled_server_leaves_no_worker(self, tmp_path):
-        """A plan runs first, so plan-pool workers hold copies of the
-        simulation workers' pipes: the simulation workers must notice
-        the server's death all the same, and the plan-pool workers
-        (which watch their parent too) must exit as well."""
-        proc, base = _serve_process(tmp_path, "--workers", "2")
-        orphans = []
+    def test_worker_that_died_idle_costs_a_run_no_requeue(self, tmp_path):
+        spec = fast_spec(seed=70)
+        expected = run_spec(spec).to_dict()
+        server = make_server(tmp_path)
         try:
-            plan = Plan.grid(fast_spec(), seed=[81, 82])
-            req = urllib.request.Request(
-                base + "/v1/plans",
-                data=json.dumps({"plan": plan.to_dict()}).encode(),
-                headers={"Content-Type": "application/json"})
-            with urllib.request.urlopen(req, timeout=30) as resp:
-                job = json.loads(resp.read())["job"]
-            deadline = time.monotonic() + 120
-            while True:
-                with urllib.request.urlopen(f"{base}/v1/jobs/{job}",
-                                            timeout=30) as resp:
-                    if json.loads(resp.read())["status"] == "done":
-                        break
-                assert time.monotonic() < deadline, "plan did not finish"
-                time.sleep(0.1)
-            with urllib.request.urlopen(base + "/v1/health",
-                                        timeout=30) as resp:
-                pids = json.loads(resp.read())["sim_workers"]["pids"]
+            pids = server._sim.stats()["pids"]
+            os.kill(pids[0], signal.SIGKILL)
+            _wait_exited(pids)
+            resp = server.handle(
+                request("POST", "/v1/runs", {"spec": spec.to_dict()})
+            )
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "done", job.error
+            assert job.requeues == 0
+            assert job.result.to_dict() == expected
+            assert server._sim.stats()["replaced"] == 1
+        finally:
+            server.close()
+
+    def test_workers_that_died_idle_cost_a_plan_no_retry(self, tmp_path):
+        plan = Plan.grid(fast_spec(), seed=[71, 72, 73])
+        expected = [r.to_dict() for r in run_plan(plan)]
+        server = make_server(tmp_path, workers=2)
+        try:
+            pids = server._sim.stats()["pids"]
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            _wait_exited(pids)
+            resp = server.handle(
+                request("POST", "/v1/plans", {"plan": plan.to_dict()})
+            )
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "done", job.error
+            assert job.report["total_attempts"] == len(plan)
+            assert job.requeues == 0
+            assert [r.to_dict() for r in job.results] == expected
+            assert server._sim.stats()["replaced"] == 2
+        finally:
+            server.close()
+
+    def test_plan_keeps_no_client_connection(self, tmp_path):
+        """A plan runs while a client holds a half-read request: its
+        cells run on the workers forked at startup, so the client still
+        sees its connection end when the server closes it."""
+        SweepPool.shutdown()  # no pool may predate the client
+        server = make_server(tmp_path, workers=2)
+        with ServerThread(server):
+            client = socket.create_connection(
+                ("127.0.0.1", server.bound_port), timeout=10)
+            with client:
+                client.sendall(b"GET /v1/health HTTP/1.1\r\nHost: t\r\n")
+                time.sleep(0.2)  # the server holds the half-read request
+                plan = Plan.grid(fast_spec(), seed=[74, 75])
+                resp = server.handle(
+                    request("POST", "/v1/plans", {"plan": plan.to_dict()})
+                )
+                job = wait_job(server, body_of(resp)["job"])
+                assert job.status == "done", job.error
+                assert job.report["counts"] == {"ok": 2}
+                client.sendall(b"\r\n")
+                data = b""
+                while chunk := client.recv(65536):  # EOF, not a timeout
+                    data += chunk
+                assert data.startswith(b"HTTP/1.1 200")
+
+    def test_sigterm_to_every_child_leaves_the_server_serving(
+        self, tmp_path
+    ):
+        """After a plan, the server's children are exactly its pool's
+        workers, and each dies of its SIGTERM alone: no signal reaches
+        the server, which keeps serving instead of draining."""
+        proc, base = _serve_process(tmp_path, "--workers", "2")
+        try:
+            _run_served_plan(base, Plan.grid(fast_spec(), seed=[76, 77]))
+            pids = _get_json(base + "/v1/health")["sim_workers"]["pids"]
+            children = _children(proc.pid)
+            assert children == pids and len(pids) == 2
+            for pid in children:
+                os.kill(pid, signal.SIGTERM)
+            _wait_exited(children)
+            time.sleep(0.5)  # a forwarded SIGTERM would be draining now
+            assert _get_json(base + "/v1/health")["status"] == "ok"
+            assert proc.poll() is None
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+
+    def test_sigkilled_server_leaves_no_worker(self, tmp_path):
+        """A plan runs first, on the same workers the runs use: every
+        worker must notice the server's death and exit."""
+        proc, base = _serve_process(tmp_path, "--workers", "2")
+        pids = []
+        try:
+            _run_served_plan(base, Plan.grid(fast_spec(), seed=[81, 82]))
+            pids = _get_json(base + "/v1/health")["sim_workers"]["pids"]
             assert len(pids) == 2
-            with contextlib.suppress(OSError):  # Linux: the plan pool too
-                orphans = [
-                    int(child)
-                    for task in Path(f"/proc/{proc.pid}/task").iterdir()
-                    for child in (task / "children").read_text().split()
-                ]
             proc.kill()
             proc.wait(timeout=30)
-            deadline = time.monotonic() + 5
-            while not all(_exited(pid) for pid in pids):
-                assert time.monotonic() < deadline, \
-                    f"workers outlived the server: {pids}"
-                time.sleep(0.05)
-            deadline = time.monotonic() + 5
-            while not all(_exited(pid) for pid in orphans):
-                assert time.monotonic() < deadline, \
-                    f"plan-pool workers outlived the server: {orphans}"
-                time.sleep(0.05)
+            _wait_exited(pids)
         finally:
             if proc.poll() is None:
                 proc.kill()
             proc.stdout.close()
-            for pid in orphans:  # cleanup should an assertion fail
+            for pid in pids:  # cleanup should an assertion fail
                 with contextlib.suppress(OSError):
                     os.kill(pid, signal.SIGKILL)
 
@@ -604,6 +699,34 @@ class TestSupervision:
             workers = server._sim.stats()
             assert workers["replaced"] == 1 and workers["busy"] == 0
             assert workers["pids"] != [hung.pid]
+        finally:
+            server.close()
+
+    def test_plan_waiting_for_busy_workers_is_not_requeued(self, tmp_path):
+        """A plan whose cells wait behind runs holding every worker for
+        longer than ``stall_timeout_s`` heartbeats while it waits, as a
+        waiting run does, so supervision leaves it alone."""
+        server = make_server(tmp_path, workers=2, stall_timeout_s=1.0)
+        try:
+            holders = [("run-a", 0), ("run-b", 0)]
+            for owner in holders:
+                assert server._sim.acquire(owner, timeout=5) is not None
+            plan = Plan.grid(fast_spec(), seed=[78, 79])
+            resp = server.handle(
+                request("POST", "/v1/plans", {"plan": plan.to_dict()})
+            )
+            job_id = body_of(resp)["job"]
+            deadline = time.monotonic() + 2.5
+            while time.monotonic() < deadline:
+                assert server.supervise_once() == []
+                time.sleep(0.1)
+            assert server.jobs.get(job_id).status == "running"
+            for owner in holders:
+                server._sim.release(owner)
+            job = wait_job(server, job_id)
+            assert job.status == "done", job.error
+            assert job.requeues == 0
+            assert job.report["counts"] == {"ok": 2}
         finally:
             server.close()
 

@@ -1,9 +1,9 @@
-"""The simulation worker pool behind served runs.
+"""The worker pool behind served runs (and pooled plans).
 
 A served run's session lives in a forked worker process; these tests
-drive :class:`SimWorkerPool` directly: the session a worker runs is
-``run_spec``'s, errors cross the pipe with their retry verdict, and a
-dead or reclaimed worker is replaced by a fresh fork.
+drive :class:`SweepPool` instances directly: the session a worker runs
+is ``run_spec``'s, errors cross the pipe with their retry verdict, and
+a dead or reclaimed worker is replaced by a fresh fork.
 """
 
 import json
@@ -13,10 +13,16 @@ import time
 import pytest
 
 from repro.errors import RemoteError, describe, is_retryable
-from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
+from repro.experiments import (
+    ExperimentSpec,
+    Plan,
+    SchemeSpec,
+    run_plan,
+    run_spec,
+)
+from repro.experiments.pool import SweepPool, WorkerDied
 from repro.server import ReproServer, ServerConfig
 from repro.server.http import Request
-from repro.server.workers import SimWorkerPool, WorkerDied
 
 
 def fast_spec(**overrides):
@@ -28,7 +34,7 @@ def fast_spec(**overrides):
 
 @pytest.fixture
 def pool():
-    pool = SimWorkerPool(1)
+    pool = SweepPool(1)
     yield pool
     pool.close()
 
@@ -95,6 +101,22 @@ def test_dead_worker_raises_and_is_replaced_on_release(pool):
         run_spec(fast_spec(seed=6)).to_dict()
 
 
+def test_worker_that_died_idle_is_replaced_on_acquire(pool):
+    """A worker that died while idle costs its next holder nothing."""
+    (idle,) = pool._idle
+    idle.process.kill()
+    idle.process.join(5)
+    assert idle.process.exitcode is not None
+    worker = pool.acquire("a", timeout=5)
+    assert worker is not idle and worker.process.is_alive()
+    spec = fast_spec(seed=7)
+    worker.open("j1", spec, None, fault_round=0)
+    assert worker.result()[0].to_dict() == run_spec(spec).to_dict()
+    pool.release("a")
+    stats = pool.stats()
+    assert stats["replaced"] == 1 and stats["pids"] == [worker.pid]
+
+
 def test_reclaim_terminates_the_stale_holder(pool):
     worker = pool.acquire(("j1", 0), timeout=5)
     assert pool.acquire(("j2", 0), timeout=0.05) is None  # pool of one
@@ -109,7 +131,7 @@ def test_reclaim_terminates_the_stale_holder(pool):
 
 
 def test_close_terminates_every_worker():
-    pool = SimWorkerPool(2)
+    pool = SweepPool(2)
     held = pool.acquire("a", timeout=5)
     processes = [held.process] + [w.process for w in pool._idle]
     pool.close()
@@ -144,6 +166,45 @@ def test_more_runs_than_workers_all_converge(tmp_path):
         assert [job.status for job in jobs] == ["done"] * len(specs)
         assert [job.result.to_dict() for job in jobs] == expected
         # A driver releases its worker just after marking its job done.
+        while server._sim.stats()["busy"]:
+            assert time.monotonic() < deadline, "a worker stayed held"
+            time.sleep(0.02)
+        stats = server._sim.stats()
+        assert len(stats["pids"]) == 2 and stats["replaced"] == 0
+    finally:
+        sys.setswitchinterval(interval)
+        server.close()
+
+
+def test_runs_and_a_plan_share_two_workers(tmp_path):
+    """Four runs and a four-cell plan contend for the same two workers:
+    every run and every cell lands once, uncrossed, and the pool ends
+    idle with no worker lost."""
+    specs = [fast_spec(seed=40 + i) for i in range(4)]
+    plan = Plan.grid(fast_spec(n_intervals=1), seed=[50, 51, 52, 53])
+    expected = [run_spec(spec).to_dict() for spec in specs]
+    expected_plan = [r.to_dict() for r in run_plan(plan)]
+    server = ReproServer(ServerConfig(port=0, workers=2, driver_threads=6,
+                                      cache_dir=str(tmp_path / "cache")))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        docs = [("/v1/plans", {"plan": plan.to_dict()})] + [
+            ("/v1/runs", {"spec": spec.to_dict()}) for spec in specs]
+        ids = []
+        for path, doc in docs:
+            response = server.handle(Request("POST", path, {}, {},
+                                             json.dumps(doc).encode()))
+            ids.append(json.loads(response.body)["job"])
+        deadline = time.monotonic() + 120
+        jobs = [server.jobs.get(job_id) for job_id in ids]
+        while not all(job.finished for job in jobs):
+            assert time.monotonic() < deadline, "jobs did not finish"
+            time.sleep(0.02)
+        assert [job.status for job in jobs] == ["done"] * len(jobs)
+        assert [r.to_dict() for r in jobs[0].results] == expected_plan
+        assert jobs[0].report["total_attempts"] == len(plan)
+        assert [job.result.to_dict() for job in jobs[1:]] == expected
         while server._sim.stats()["busy"]:
             assert time.monotonic() < deadline, "a worker stayed held"
             time.sleep(0.02)

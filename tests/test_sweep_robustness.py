@@ -227,7 +227,44 @@ class TestPoolRecovery:
         # At least one chunk rode through the broken pool and retried.
         assert report.total_attempts() > 4
 
-    def test_hung_chunk_times_out_and_pool_is_killed(
+    def test_dead_worker_fails_only_its_own_chunk(
+        self, monkeypatch, tmp_path
+    ):
+        """A worker that dies takes only the chunk it was running: the
+        other chunks land on the first attempt, and each death forks
+        one replacement."""
+        monkeypatch.setenv(
+            "REPRO_TRACE_STORE_DIR", str(tmp_path / "traces")
+        )
+        real = run_mod.run_spec
+
+        def die_on_black(spec):
+            if spec.workload == "black":
+                os._exit(86)
+            return real(spec)
+
+        SweepPool.shutdown()
+        # Workers fork after the patch, so their chunks see it.
+        monkeypatch.setattr(run_mod, "run_spec", die_on_black)
+        try:
+            report = run_plan(
+                small_plan(), workers=2, keep_going=True, max_retries=1
+            )
+            stats = SweepPool.get(2).stats()
+        finally:
+            SweepPool.shutdown()
+        assert report.counts() == {"ok": 2, "failed": 2}
+        for cell in report.cells:
+            if cell.status == "ok":
+                assert cell.attempts == 1 and not cell.failures
+            else:
+                assert cell.attempts == 2
+                assert [f.error_type for f in cell.failures] == \
+                    ["WorkerDied"] * 2
+                assert all(f.retryable for f in cell.failures)
+        assert stats["replaced"] == 4 and stats["busy"] == 0
+
+    def test_hung_chunk_times_out_and_worker_is_replaced(
         self, monkeypatch, tmp_path
     ):
         monkeypatch.setenv(
@@ -240,29 +277,18 @@ class TestPoolRecovery:
                 small_plan(), workers=2, keep_going=True,
                 max_retries=0, cell_timeout=1e-4,
             )
+            stats = SweepPool.get(2).stats()
+            width = SweepPool.width()
         finally:
             SweepPool.shutdown()
         assert not report.ok
         for cell in report.failed:
             assert cell.failures[-1].error_type == "CellTimeout"
             assert cell.failures[-1].retryable
-        # The hung pool was killed, not left behind.
-        assert SweepPool.width() == 0
-
-    def test_shutdown_cancels_queued_futures(self):
-        SweepPool.shutdown()
-        pool = SweepPool.get(1)
-        running = pool.submit(time.sleep, 0.6)
-        queued = [pool.submit(time.sleep, 0.6) for _ in range(4)]
-        t0 = time.perf_counter()
-        SweepPool.shutdown()
-        elapsed = time.perf_counter() - t0
-        # Serial execution of the backlog would take ~3s; cancellation
-        # must bound teardown to roughly the one running task.
-        assert elapsed < 2.0
-        assert any(f.cancelled() for f in queued)
-        assert running.done()
-        assert SweepPool.width() == 0
+        # Each hung worker was terminated and replaced, not left behind
+        # holding its chunk.
+        assert stats["replaced"] >= 1 and stats["busy"] == 0
+        assert width == len(stats["pids"]) == 2
 
 
 class TestSignalHandling:
