@@ -8,29 +8,40 @@ that leaves the calling process:
 * ``repro serve`` runs each run job's :class:`~repro.api.Session` in
   one worker, one job per worker at a time, so concurrent runs use
   separate cores instead of taking turns on the server's GIL with
-  HTTP and SSE.  The job's driver thread keeps everything it owns —
-  journal transitions, the per-epoch heartbeat and drain check,
-  checkpoint writes, the result-cache put and hub publishing — and
-  drives the session with commands that mirror the
-  :class:`~repro.api.Session` calls it makes.
+  HTTP and SSE.  The worker drives the session to its end without
+  waiting for the server: it writes the run's ``"serve"`` checkpoints
+  and its result-cache entry itself and sends one message per epoch.
+  The job's driver thread keeps journal transitions, the heartbeat,
+  the drain decision, hub publishing and the deletion of the resume
+  point.
 
 A caller holds a worker from :meth:`SweepPool.acquire` to
 :meth:`SweepPool.release` and speaks to it over a pipe, one command
 at a time:
 
-============  =========================================================
-``cells``     run one chunk of plan cells
-              (:func:`~repro.experiments.run._pool_run_chunk`: the
-              parent's environment applied, every cell isolated);
-              returns one outcome dict per cell
-``open``      build the session from the spec, or restore it from the
-              stored ``"serve"`` snapshot (a cold start when that does
-              not restore); returns whether it resumed
-``advance``   serve to an epoch boundary; returns the ``epoch`` and
-              ``mitigation`` event documents of the way, in order
-``snapshot``  the session's checkpoint document
-``result``    finish the run; returns its last events and the result
-============  =========================================================
+=========  ===========================================================
+``cells``  run one chunk of plan cells
+           (:func:`~repro.experiments.run._pool_run_chunk`: the
+           parent's environment applied, every cell isolated);
+           answers one outcome dict per cell
+``run``    drive one served run: build the session from the spec, or
+           restore it from the stored ``"serve"`` snapshot (a cold
+           start when that does not restore), and answer whether it
+           resumed; skip the epochs already served, advance epoch by
+           epoch, send ``("epoch", events, None)`` after each but the
+           last, and checkpoint every ``checkpoint_epochs`` epochs;
+           finish with ``result()`` and the result-cache put, and
+           answer ``("done", events, result)``, the final synthetic
+           epoch event included
+``stop``   sent while a ``run`` is in flight: the worker checkpoints at
+           the next epoch boundary and answers
+           ``("stopped", events, None)``; the command loop ignores a
+           ``stop`` that arrives after its run ended
+=========  ===========================================================
+
+Each message of a ``run`` carries the ``epoch`` and ``mitigation``
+event documents of its stretch in order, and each becomes one hub
+batch in the server.
 
 Workers are forked: a child that inherits the imported simulation
 stack is ready in about 0.01 s, against about 0.5 s for the spawn and
@@ -42,8 +53,9 @@ threaded process, so every child runs nothing but the worker loop: it
 ignores SIGINT, restores the default SIGTERM and drops the signal
 wake-up fd, points its copies of the parent's sockets at
 ``/dev/null`` and leaves through ``os._exit``, so no inherited atexit
-hook runs.  It exits when its pipe reaches EOF or its parent is gone,
-so a SIGKILLed parent leaves no worker behind.
+hook runs.  It exits when its pipe reaches EOF or its parent is gone
+(a worker in a run notices at its next epoch boundary), so a SIGKILLed
+parent leaves no worker behind.
 
 A worker that dies mid-command raises :class:`WorkerDied` in its caller
 (a :class:`~repro.errors.RetryableError`: a plan chunk is retried, a
@@ -56,6 +68,7 @@ raised inside a worker crosses the pipe as its type name, message and
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
 import signal
 import stat
@@ -64,12 +77,19 @@ import threading
 from repro.errors import RemoteError, RetryableError, is_retryable
 from repro.testing.faults import ROUND_VAR
 
-#: How often a waiting caller checks that its worker lives, and an idle
-#: worker that its parent does.
+#: How often an idle worker checks that its parent lives.
 _POLL_S = 0.5
+
+#: How often a caller waiting for its worker's next message checks that
+#: the worker lives and polls its ``stop`` callback (the server's drain
+#: flag), so a drain stops a served run within the epoch in flight.
+_WAIT_POLL_S = 0.05
 
 #: How long a stopped worker gets to exit before it is SIGKILLed.
 _STOP_TIMEOUT_S = 2.0
+
+#: The result-cache tag a served run's checkpoints are stored under.
+SNAPSHOT_TAG = "serve"
 
 
 class WorkerDied(RetryableError):
@@ -122,8 +142,6 @@ def _drop_inherited_sockets(keep: int) -> None:
 
 def _serve(conn, parent_pid: int) -> None:
     """The command loop over one pipe (see the module docstring)."""
-    session = None
-    events: list[tuple[str, dict]] = []
     while True:
         while not conn.poll(_POLL_S):
             if os.getppid() != parent_pid:
@@ -132,43 +150,74 @@ def _serve(conn, parent_pid: int) -> None:
             command, args = conn.recv()
         except EOFError:
             return
+        if command == "stop":
+            continue  # it crossed its run's last message: nothing to stop
         try:
             if command == "cells":
                 from repro.experiments.run import _pool_run_chunk
 
                 reply = _pool_run_chunk(*args)
-            elif command == "open":
-                session, resumed = _open(events, *args)
-                reply = (session.epoch_ns, session.position_ns,
-                         session.done, resumed)
-            elif command == "advance":
-                session.advance(*args)
-                reply = (_take(events), session.position_ns, session.done)
-            elif command == "snapshot":
-                reply = session.snapshot()
             else:
-                reply = (session.result(), _take(events))
-                session = None
+                reply = _run(conn, *args)
             answer = ("ok", reply)
+        except EOFError:
+            return  # the parent closed the pipe mid-run
         except Exception as exc:  # noqa: BLE001 - crosses the pipe
             answer = ("error", (type(exc).__name__, str(exc),
                                 is_retryable(exc)))
         conn.send(answer)
 
 
-def _open(events: list, job_id: str, spec, stored: dict | None,
-          fault_round: int):
-    """``(session, resumed?)`` for one attempt at a job, its taps feeding
-    ``events``.
+def _run(conn, job_id: str, spec, stored: dict | None, fault_round: int,
+         cache_root: str, checkpoint_epochs: int):
+    """Drive one served run to its end, or to a ``stop``; the last message.
 
     ``fault_round`` (the job's requeue count) becomes
     ``REPRO_FAULTS_ROUND``, so requeued attempts run clean, as
-    ``run_plan``'s recovery rounds do.
+    ``run_plan``'s recovery rounds do.  A checkpoint or result-cache
+    write that fails only costs a longer recompute or a later cache
+    miss, so neither fails the run.
     """
-    from repro.api import Session
+    from repro.experiments.cache import ResultCache
 
     os.environ[ROUND_VAR] = str(fault_round)
-    events.clear()
+    cache = ResultCache(cache_root)
+    events: list[tuple[str, dict]] = []
+    session, resumed = _open(events, job_id, spec, stored)
+    conn.send(("ok", resumed))
+
+    def checkpoint() -> None:
+        with contextlib.suppress(Exception):
+            cache.put_snapshot(spec, SNAPSHOT_TAG, session.snapshot())
+
+    n, epoch_ns = spec.n_intervals, session.epoch_ns
+    for k in range(1, n + 1):
+        # Epochs an ancestor already served are no-ops: advance serves
+        # arrivals strictly before the boundary, and the restored
+        # position is already past it.
+        if session.position_ns >= k * epoch_ns:
+            continue
+        if conn.poll():  # mid-run, the parent sends nothing but stop
+            conn.recv()
+            checkpoint()
+            return ("stopped", _take(events), None)
+        session.advance(k * epoch_ns)
+        if k < n:
+            conn.send(("ok", ("epoch", _take(events), None)))
+        if checkpoint_epochs and k % checkpoint_epochs == 0 \
+                and not session.done:
+            checkpoint()
+    result = session.result()
+    with contextlib.suppress(Exception):
+        cache.put(spec, result)
+    return ("done", _take(events), result)
+
+
+def _open(events: list, job_id: str, spec, stored: dict | None):
+    """``(session, resumed?)`` for one attempt at a job, its taps feeding
+    ``events``."""
+    from repro.api import Session
+
     session = None
     if stored is not None:
         try:
@@ -215,13 +264,10 @@ def _take(events: list) -> list:
 
 
 class Worker:
-    """A caller's handle on one worker process and the session in it.
+    """A caller's handle on one worker process.
 
-    :meth:`send` starts a command and :meth:`receive` waits for its
-    answer, so one thread can keep many workers busy; the other methods
-    mirror the :class:`~repro.api.Session` calls a run driver makes,
-    and ``epoch_ns``, ``position_ns`` and ``done`` track the worker's
-    session after each of them.
+    :meth:`send` starts a command and :meth:`receive` takes the worker's
+    messages about it, so one thread can keep many workers busy.
     """
 
     def __init__(self, process, conn) -> None:
@@ -229,9 +275,6 @@ class Worker:
         self.pid = process.pid
         self.conn = conn
         self.alive = True
-        self.epoch_ns = 0.0
-        self.position_ns = 0.0
-        self.done = False
 
     def send(self, command: str, *args) -> None:
         """Start ``command`` in the worker; :meth:`receive` answers it."""
@@ -240,10 +283,21 @@ class Worker:
         except OSError:
             pass  # a dead worker's broken pipe surfaces in receive()
 
-    def receive(self):
-        """The answer to the last command sent, once it lands."""
+    def receive(self, stop=None):
+        """The worker's next message about the command in flight.
+
+        ``stop`` (a zero-argument callable) is polled while waiting;
+        once it returns true the worker is sent ``stop``, and a served
+        run ends at its next epoch boundary.  A ``stop`` that crosses
+        the run's last message is ignored by the worker.
+        """
         try:
-            while not self.conn.poll(_POLL_S):
+            while True:
+                if stop is not None and stop():
+                    self.send("stop")
+                    stop = None
+                if self.conn.poll(_WAIT_POLL_S):
+                    break
                 if not self.process.is_alive():
                     raise EOFError
             status, reply = self.conn.recv()
@@ -257,30 +311,6 @@ class Worker:
         if status == "error":
             raise RemoteError(*reply)
         return reply
-
-    def _call(self, command: str, *args):
-        self.send(command, *args)
-        return self.receive()
-
-    def open(self, job_id: str, spec, stored: dict | None,
-             fault_round: int) -> bool:
-        """Start the job's session; True when ``stored`` restored."""
-        self.epoch_ns, self.position_ns, self.done, resumed = self._call(
-            "open", job_id, spec, stored, fault_round)
-        return resumed
-
-    def advance(self, until_ns: float) -> list[tuple[str, dict]]:
-        """Serve to ``until_ns``; the ``(name, document)`` events."""
-        events, self.position_ns, self.done = self._call("advance", until_ns)
-        return events
-
-    def snapshot(self) -> dict:
-        """The session's checkpoint document."""
-        return self._call("snapshot")
-
-    def result(self):
-        """Finish the run: ``(SimulationResult, last events)``."""
-        return self._call("result")
 
     def stop(self) -> None:
         """Terminate the process and reap it."""
@@ -443,4 +473,4 @@ class SweepPool:
 atexit.register(SweepPool.shutdown)
 
 
-__all__ = ["SweepPool", "Worker", "WorkerDied"]
+__all__ = ["SNAPSHOT_TAG", "SweepPool", "Worker", "WorkerDied"]

@@ -106,7 +106,7 @@ def run_spec(spec: ExperimentSpec):
 
 
 def _pool_cell(spec: ExperimentSpec):
-    """Module-level for pickling into worker processes."""
+    """One plan cell's simulation, in a pool worker or the serial path."""
     return run_spec(spec)
 
 
@@ -163,7 +163,7 @@ def _pool_run_chunk(specs: list, env: dict, attempt: int = 1) -> list[dict]:
     for spec in specs:
         try:
             fault_point("pool.worker")
-            outcomes.append({"ok": True, "result": run_spec(spec)})
+            outcomes.append({"ok": True, "result": _pool_cell(spec)})
         except Exception as exc:
             outcomes.append({
                 "ok": False,
@@ -353,7 +353,7 @@ def _run_round_serial(specs, pending, attempt, on_ok, on_fail,
 
 def _run_round_pooled(
     specs, pending, workers, cell_timeout, attempt, on_ok, on_fail,
-    stop=None,
+    stop=None, pool=None,
 ) -> None:
     """One retry round on the worker pool, chunked.
 
@@ -367,12 +367,14 @@ def _run_round_pooled(
     the chunks it can no longer run.  A truthy ``stop`` (polled while
     waiting) reclaims the running chunks, as an interrupt does, but
     raises :class:`_StopRequested` for the scheduler to absorb instead
-    of propagating to the caller.
+    of propagating to the caller.  ``pool`` defaults to the
+    process-wide pool, at least ``width`` wide.
     """
     from multiprocessing.connection import wait
 
     width = min(workers, len(pending))
-    pool = SweepPool.get(width)
+    if pool is None:
+        pool = SweepPool.get(width)
     size = max(1, math.ceil(len(pending) / (width * _CHUNKS_PER_WORKER)))
     chunks = [pending[j:j + size] for j in range(0, len(pending), size)]
     chunks.reverse()  # so pop() dispatches them in plan order
@@ -461,6 +463,7 @@ def run_plan(
     max_retries: int = 2,
     cell_timeout: float | None = None,
     stop=None,
+    pool: SweepPool | None = None,
 ):
     """Run every cell of a plan, fault-tolerantly; results in plan order.
 
@@ -493,6 +496,10 @@ def run_plan(
     requires ``keep_going=True`` — the ``repro serve`` graceful-drain
     path is the intended caller, and it resumes the job from the cache
     after restart.
+
+    ``pool`` (``repro serve`` passes its own) runs every round on that
+    pool, a one-cell round on one worker included, so no cell simulates
+    in the calling process.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -565,10 +572,10 @@ def run_plan(
                 for i in pending:
                     tick(i)
                 try:
-                    if workers > 1 and len(pending) > 1:
+                    if pool is not None or (workers > 1 and len(pending) > 1):
                         _run_round_pooled(
                             specs, pending, workers, cell_timeout,
-                            attempt, on_ok, on_fail, stop=stop,
+                            attempt, on_ok, on_fail, stop=stop, pool=pool,
                         )
                     else:
                         _run_round_serial(

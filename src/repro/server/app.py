@@ -5,9 +5,10 @@
 *drives* jobs.  The simulation itself runs in the ``workers`` worker
 processes of the process-wide :class:`~repro.experiments.SweepPool`
 (:mod:`~repro.experiments.pool`): a single run executes a streaming
-:class:`~repro.api.Session` in one worker, which the driving thread
-steers epoch by epoch, and a plan sends chunks of its cells to idle
-workers through the fault-tolerant :func:`run_plan` scheduler.
+:class:`~repro.api.Session` in one worker, which drives it to the end
+on one ``run`` command while the driving thread publishes its
+per-epoch events, and a plan sends chunks of its cells to idle workers
+through the fault-tolerant :func:`run_plan` scheduler.
 
 Deduplication happens at two layers, both keyed by content hash:
 
@@ -31,19 +32,20 @@ journaled (:mod:`repro.server.journal`) before work starts, and
 incarnation — finished jobs reload their results from the
 :class:`ResultCache`, unfinished jobs are re-enqueued (plans recompute
 only the cells the cache does not already hold; runs resume from the
-periodic ``"serve"`` session snapshot the driver checkpoints every
-``checkpoint_epochs`` epochs).  Recovered results are byte-identical to
-an uninterrupted run: cells by per-cell seeding, sessions by the PR-4
-snapshot/restore equivalence proof.
+periodic ``"serve"`` session snapshot the run's worker checkpoints
+every ``checkpoint_epochs`` epochs).  Recovered results are
+byte-identical to an uninterrupted run: cells by per-cell seeding,
+sessions by the session layer's snapshot/restore equivalence proof.
 
 SIGTERM/SIGINT trigger a *graceful drain* (see :meth:`drain`): new
 submissions get 503 + Retry-After while status reads stay live, running
-sessions checkpoint, running plans stop cooperatively at the next cell
-boundary, the journal flushes, and the process exits within
-``drain_deadline_s``.  A supervision loop requeues jobs whose driver
-thread stops heartbeating (a stalled run's worker is terminated and
-replaced), a run whose worker dies is requeued on a fresh worker, and
-admission control sheds load (429) when the queue is full.
+sessions checkpoint and stop at the next epoch boundary, running plans
+stop cooperatively at the next cell boundary, the journal flushes, and
+the process exits within ``drain_deadline_s``.  A supervision loop
+requeues jobs whose driver thread stops heartbeating (a stalled run's
+worker is terminated and replaced), a run whose worker dies is
+requeued on a fresh worker, and admission control sheds load (429)
+when the queue is full.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro._version import __version__
-from repro.errors import describe, is_retryable
-from repro.experiments.cache import ResultCache
-from repro.experiments.pool import SweepPool, WorkerDied
+from repro.errors import RemoteError, describe, is_retryable
+from repro.experiments.cache import ResultCache, code_fingerprint
+from repro.experiments.pool import SNAPSHOT_TAG, SweepPool, WorkerDied
 from repro.experiments.run import run_plan
 from repro.locking import lock_backend, lock_stats
 from repro.server import wire
@@ -87,9 +89,6 @@ _REQUEST_TIMEOUT_S = 30.0
 #: fingerprint-salted result partitions, so code edits that move the
 #: partition never orphan the journal).
 JOURNAL_DIR = "journal"
-
-#: The snapshot tag run-job checkpoints are stored under.
-SNAPSHOT_TAG = "serve"
 
 
 @dataclass
@@ -139,7 +138,10 @@ class ReproServer:
                  clock=time.monotonic) -> None:
         self.config = config or ServerConfig()
         # Fork before any file opens or thread starts here (see
-        # repro.experiments.pool): the process-wide pool, freshly.
+        # repro.experiments.pool): the process-wide pool, freshly.  The
+        # workers write run results and checkpoints into this process's
+        # cache partition, so they inherit its code fingerprint.
+        code_fingerprint()
         SweepPool.shutdown()
         self._sim = SweepPool.get(self.config.workers)
         self.hub = EventHub(backlog=self.config.event_backlog)
@@ -455,9 +457,10 @@ class ReproServer:
         """``GET /v1/jobs/<id>/events`` — the job's SSE stream.
 
         Replays the retained event ring, then streams live events until
-        the job finishes.  A slow consumer only loses *its own* oldest
-        events (reported via a ``dropped`` frame); it never slows the
-        simulation or other subscribers.
+        the job finishes, one socket write per batch the hub hands over.
+        A slow consumer only loses *its own* oldest events (reported via
+        a ``dropped`` frame); it never slows the simulation or other
+        subscribers.
         """
         job = self._get_job(params)
         subscription = self.hub.subscribe(job.id)
@@ -469,15 +472,18 @@ class ReproServer:
                 yield wire.sse_comment(f"repro {__version__} job {job.id}")
                 while True:
                     batch, done = await subscription.next_batch(keepalive)
+                    frames = []
                     if subscription.dropped > reported_drops:
-                        yield wire.sse_event("dropped", -1, {
+                        frames.append(wire.sse_event("dropped", -1, {
                             "job": job.id,
                             "dropped": subscription.dropped,
-                        })
+                        }))
                         reported_drops = subscription.dropped
-                    for event in batch:
-                        yield wire.sse_event(event.name, event.id,
-                                             event.data)
+                    frames += [wire.sse_event(event.name, event.id,
+                                              event.data)
+                               for event in batch]
+                    if frames:
+                        yield b"".join(frames)
                     if done:
                         return
                     if not batch:
@@ -587,15 +593,17 @@ class ReproServer:
         return requeued
 
     def _execute_run(self, job_id: str, spec, generation: int = 0) -> None:
-        """Drive one spec's Session in a pool worker.
+        """Run one spec's Session in a pool worker with one ``run`` command.
 
         The worker's session is the one ``run_spec`` drives, so a served
-        run returns exactly what ``run_spec`` would; its observer taps
-        come back as event documents this thread publishes to the hub.
-
-        The run advances epoch by epoch so the driver can heartbeat,
-        checkpoint a resumable snapshot every ``checkpoint_epochs``
-        epochs, and stop at an epoch boundary when a drain begins.  A
+        run returns exactly what ``run_spec`` would.  The worker drives
+        it to the end without waiting for this thread: it checkpoints a
+        resumable ``"serve"`` snapshot every ``checkpoint_epochs``
+        epochs, puts the result in the cache, and sends one message per
+        epoch with that epoch's event documents, which this thread
+        publishes to the hub as one batch while stamping the job's
+        heartbeat.  When a drain begins, this thread sends ``stop``: the
+        worker checkpoints and ends at the next epoch boundary.  A
         stored ``"serve"`` snapshot (from a killed or drained ancestor)
         is resumed instead of restarting from zero — byte-identical
         either way by the snapshot/restore equivalence proof.  Errors
@@ -607,65 +615,54 @@ class ReproServer:
         owner = (job_id, generation)
         # More concurrent runs than workers: wait as a plan waits for
         # its lane, heartbeating and honouring a drain.
-        while (session := self._sim.acquire(owner, timeout=0.25)) is None:
+        while (worker := self._sim.acquire(owner, timeout=0.25)) is None:
             self.jobs.touch(job_id, generation)
             if self._draining.is_set() or self._sim.closed:
                 return  # journaled "running" → restart resumes
         try:
-            self._drive_run(job_id, spec, generation, session)
+            result = self._drive_run(job_id, spec, generation, worker)
         except WorkerDied:
             if self._draining.is_set():
                 return  # the closing server stopped it: restart resumes
             raise
+        except RemoteError:
+            raise  # the worker answered, so it is idle again
+        except Exception:
+            self._sim.reclaim(owner)  # its run may still be in flight
+            raise
         finally:
             self._sim.release(owner)
-
-    def _drive_run(self, job_id: str, spec, generation: int,
-                   session) -> None:
-        stored = self.cache.get_snapshot(spec, SNAPSHOT_TAG)
-        if session.open(job_id, spec, stored,
-                        fault_round=self.jobs.get(job_id).requeues):
-            self.recovery["resumed_from_snapshot"] += 1
-        elif stored is not None:
-            logger.warning("job %s: stored snapshot unusable; "
-                           "cold-starting", job_id)
-        every = self.config.checkpoint_epochs
-        epoch_ns = session.epoch_ns
-        for k in range(1, spec.n_intervals + 1):
-            # Epochs an ancestor already served are no-ops: advance
-            # serves arrivals strictly before the boundary, and the
-            # restored position is already past it.
-            if session.position_ns >= k * epoch_ns:
-                continue
-            if self._draining.is_set():
-                self._checkpoint(spec, session)
-                return  # still journaled "running" → restart resumes
-            self._publish(job_id, session.advance(k * epoch_ns))
-            self.jobs.touch(job_id, generation)
-            if every and k % every == 0 and not session.done:
-                self._checkpoint(spec, session)
-        result, events = session.result()
-        self._publish(job_id, events)
-        with contextlib.suppress(Exception):
-            self.cache.put(spec, result)
-        if self.jobs.mark_done(job_id, generation, result=result):
+        if result is not None and self.jobs.mark_done(job_id, generation,
+                                                      result=result):
             # The run is terminal and cached; its resume point is dead
             # weight (and must not shadow a future identical spec).
             self.cache.delete_snapshot(spec, SNAPSHOT_TAG)
 
-    def _checkpoint(self, spec, session) -> None:
-        """Store the session's resume point; a failed write only costs
-        a longer recompute after a crash."""
-        snapshot = session.snapshot()
-        with contextlib.suppress(Exception):
-            self.cache.put_snapshot(spec, SNAPSHOT_TAG, snapshot)
-
-    def _publish(self, job_id: str, events) -> None:
-        for name, doc in events:
-            self.hub.publish(job_id, name, doc)
+    def _drive_run(self, job_id: str, spec, generation: int, worker):
+        """Publish a ``run`` command's messages; its result, or None when
+        a drain stopped it."""
+        stored = self.cache.get_snapshot(spec, SNAPSHOT_TAG)
+        worker.send("run", job_id, spec, stored,
+                    self.jobs.get(job_id).requeues, self._cache_root,
+                    self.config.checkpoint_epochs)
+        draining = self._draining.is_set
+        if worker.receive(draining):
+            self.recovery["resumed_from_snapshot"] += 1
+        elif stored is not None:
+            logger.warning("job %s: stored snapshot unusable; "
+                           "cold-starting", job_id)
+        while True:
+            kind, events, result = worker.receive(draining)
+            self.hub.publish_batch(job_id, events)
+            if kind != "epoch":
+                return result  # None when stopped: journaled "running"
+            self.jobs.touch(job_id, generation)
 
     def _execute_plan(self, job_id: str, plan, generation: int = 0) -> None:
         """Run a plan on the worker pool via the retry scheduler.
+
+        Every round goes to the pool, a one-cell round on a one-worker
+        server included, so no cell simulates on this thread.
 
         The scheduler's cooperative ``stop`` hook is wired to the drain
         flag: a drain stops the plan at the next cell boundary with all
@@ -701,6 +698,7 @@ class ReproServer:
                 max_retries=self.config.max_retries,
                 cell_timeout=self.config.cell_timeout,
                 stop=stop,
+                pool=self._sim,
             )
         except Exception as exc:  # noqa: BLE001 - job boundary
             logger.exception("plan job %s failed", job_id)
@@ -839,8 +837,9 @@ class ReproServer:
         while status/results reads stay live), cancel queued driver
         tasks (their jobs are journaled ``queued`` and will re-enqueue
         on restart), wait up to the deadline for running drivers to
-        checkpoint and stop cooperatively, terminate the worker pool,
-        then flush and close the journal.  Even on a missed
+        stop cooperatively (a run driver sends its worker ``stop``, and
+        the worker checkpoints), terminate the worker pool, then flush
+        and close the journal.  Even on a missed
         deadline the on-disk state is fully resumable — every journal
         append was already fsync'd, and a run whose worker is stopped
         under it stays journaled ``running``.

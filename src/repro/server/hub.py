@@ -1,10 +1,13 @@
 """Per-job event fan-out: simulation taps in, SSE subscribers out.
 
-Jobs execute on worker threads (and, for plans, pool processes) while
+Job driver threads publish what their pool workers report while
 subscribers sit in the asyncio loop; the hub is the thread-safe bridge
 between the two.  Each job owns one :class:`_Channel` — a monotonic
 event counter plus a *bounded* ring of recent events — and any number of
-:class:`Subscription` cursors reading from that ring.
+:class:`Subscription` cursors reading from that ring.  A served run's
+driver publishes each epoch's events as one batch
+(:meth:`EventHub.publish_batch`): one lock, one id per event, one wakeup
+per subscriber.
 
 The design is pull-based on purpose: publishers only append to the ring
 and set per-subscriber wakeup flags, so **publishing never blocks and
@@ -142,17 +145,30 @@ class EventHub:
         channel is closed or gone (late tap firings after job teardown
         are dropped silently — the run is already over).
         """
+        return self.publish_batch(job_id, [(name, data)])
+
+    def publish_batch(self, job_id: str, events) -> int:
+        """Append ``(name, data)`` events in order, under one lock, and
+        wake each subscriber once; never blocks.
+
+        A served run's epoch arrives as one batch, so its subscribers
+        see it as one batch and its SSE clients as one socket write.
+        Returns the last event's id, or -1 when nothing was appended.
+        """
+        if not events:
+            return -1
         with self._lock:
             channel = self._channels.get(job_id)
             if channel is None or channel.closed:
                 return -1
-            event = Event(channel.next_id, name, data)
-            channel.next_id += 1
-            channel.events.append(event)
+            for name, data in events:
+                channel.events.append(Event(channel.next_id, name, data))
+                channel.next_id += 1
+            last = channel.next_id - 1
             subs = list(channel.subs)
         for sub in subs:
             sub._wake()
-        return event.id
+        return last
 
     def close(self, job_id: str) -> None:
         """Mark a job's stream finished; subscribers drain then end."""

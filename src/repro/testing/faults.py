@@ -22,6 +22,8 @@ Sites (where the fault fires):
 ``tracestore.read``       :meth:`TraceStore.get <repro.sim.tracestore.TraceStore.get>`
 ``tracestore.write``      :meth:`TraceStore.put <repro.sim.tracestore.TraceStore.put>`
 ``cache.put``             :meth:`ResultCache.put <repro.experiments.cache.ResultCache.put>`
+                          (a served run's put runs in its worker; a plan
+                          cell's in the process that runs the plan)
 ``pool.worker``           worker-side, per cell, inside a sweep chunk
 ``session.advance``       :meth:`SessionCore.advance <repro.sim.session.SessionCore.advance>`
 ``server.journal.write``  :meth:`Journal.append <repro.server.journal.Journal.append>`
@@ -31,9 +33,10 @@ Sites (where the fault fires):
 ``server.driver``         top of a ``repro serve`` job-driver execution
                           (``raise`` exercises retryable requeue)
 ``server.checkpoint``     :meth:`ResultCache.put_snapshot
-                          <repro.experiments.cache.ResultCache.put_snapshot>`
-                          (a failed/corrupt checkpoint must degrade to
-                          a longer recompute, never a wrong result)
+                          <repro.experiments.cache.ResultCache.put_snapshot>`,
+                          in the worker that runs the served run (a
+                          failed/corrupt checkpoint must degrade to a
+                          longer recompute, never a wrong result)
 ========================  ====================================================
 
 Kinds (what happens):
@@ -48,9 +51,13 @@ Kinds (what happens):
 * ``kill-worker`` — ``os._exit(86)``, the closest stand-in for an OOM
   kill of the process that reaches the site.  Meaningful where that is
   a worker of the :class:`~repro.experiments.SweepPool`:
-  ``pool.worker`` (a worker running a chunk of plan cells) and
+  ``pool.worker`` (a worker running a chunk of plan cells),
   ``session.advance`` (a worker running plan cells or a ``repro
-  serve`` run job); anywhere else it kills the caller.
+  serve`` run job), and ``server.checkpoint`` and ``cache.put`` for a
+  served run, whose worker writes its own checkpoints and result-cache
+  entry (the job is requeued onto a fresh worker); anywhere else it
+  kills the caller — a ``cache.put`` kill during a plan kills the
+  process running the plan, which flushes each cell itself.
 
 Determinism
 -----------

@@ -13,6 +13,7 @@ import urllib.request
 
 import pytest
 
+from repro.api import Session
 from repro.experiments import ExperimentSpec, Plan, SchemeSpec, run_spec
 from repro.server import ReproServer, ServerConfig, ServerThread
 
@@ -169,30 +170,35 @@ class TestPlanSubmission:
         assert len(doc2["results"]) == 2
 
 
+def read_frames(base, job_id):
+    """Every frame of a job's SSE stream, read until the server ends it."""
+    with urllib.request.urlopen(
+        base + f"/v1/jobs/{job_id}/events", timeout=60
+    ) as resp:
+        assert resp.headers["Content-Type"].startswith("text/event-stream")
+        body = resp.read().decode()  # server closes when job ends
+    frames = []
+    event = {}
+    for line in body.splitlines():
+        if not line:
+            if event:
+                frames.append(event)
+            event = {}
+        elif line.startswith("event: "):
+            event["name"] = line[7:]
+        elif line.startswith("id: "):
+            event["id"] = int(line[4:])
+        elif line.startswith("data: "):
+            event["data"] = json.loads(line[6:])
+    return frames
+
+
 class TestEventStream:
     def test_sse_stream_orders_and_terminates(self, server):
         _srv, base = server
         spec = fast_spec(seed=51, n_intervals=3)
         _status, doc = post(base, "/v1/runs", {"spec": spec.to_dict()})
-        frames = []
-        with urllib.request.urlopen(
-            base + f"/v1/jobs/{doc['job']}/events", timeout=60
-        ) as resp:
-            assert resp.headers["Content-Type"].startswith(
-                "text/event-stream")
-            body = resp.read().decode()  # server closes when job ends
-        event = {}
-        for line in body.splitlines():
-            if not line:
-                if event:
-                    frames.append(event)
-                event = {}
-            elif line.startswith("event: "):
-                event["name"] = line[7:]
-            elif line.startswith("id: "):
-                event["id"] = int(line[4:])
-            elif line.startswith("data: "):
-                event["data"] = json.loads(line[6:])
+        frames = read_frames(base, doc["job"])
         names = [f["name"] for f in frames]
         assert "status" in names and "epoch" in names
         epochs = [f["data"]["epoch"] for f in frames
@@ -202,6 +208,33 @@ class TestEventStream:
         assert ids == sorted(ids)  # monotonic delivery
         assert frames[-1]["name"] == "status"
         assert frames[-1]["data"]["status"] == "done"
+
+    def test_sse_data_equals_an_in_process_session(self, server):
+        """The ``epoch`` and ``mitigation`` documents a served run
+        streams are, in order, those the same taps see on an in-process
+        Session of the same spec."""
+        _srv, base = server
+        spec = fast_spec(seed=53, n_intervals=3)
+        _status, doc = post(base, "/v1/runs", {"spec": spec.to_dict()})
+        job = doc["job"]
+        expected = []
+        session = Session(spec)
+        session.on_epoch(lambda event: expected.append(("epoch", {
+            "job": job, "epoch": event.epoch, "time_ns": event.time_ns,
+            "delta": event.delta.to_dict(),
+            "totals": event.totals.to_dict(),
+        })))
+        session.on_mitigation(lambda event: expected.append(("mitigation", {
+            "job": job, "time_ns": event.time_ns, "bank": event.bank,
+            "low": event.low, "high": event.high, "reason": event.reason,
+            "rows": event.rows,
+        })))
+        session.result()
+        streamed = [(f["name"], f["data"]) for f in read_frames(base, job)
+                    if f["name"] in ("epoch", "mitigation")]
+        assert any(name == "mitigation" for name, _data in streamed)
+        assert streamed == [(name, json.loads(json.dumps(data)))
+                            for name, data in expected]
 
     def test_stream_of_finished_job_replays_and_closes(self, server):
         _srv, base = server

@@ -17,6 +17,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -32,6 +33,7 @@ from repro.experiments import (
     run_plan,
     run_spec,
 )
+from repro.experiments import run as run_mod
 from repro.experiments.cache import ResultCache
 from repro.server import ReproServer, ServerConfig, ServerThread
 from repro.server.app import SNAPSHOT_TAG
@@ -306,6 +308,53 @@ class TestRunSnapshotResume:
         finally:
             server.close()
 
+    def test_drain_mid_run_checkpoints_in_the_worker_and_resumes(
+        self, tmp_path
+    ):
+        """A drain that begins mid-run stops the run at an epoch
+        boundary: the job stays journaled ``running`` beside the
+        ``"serve"`` checkpoint its worker wrote at the stop, and the
+        restarted server resumes it to ``run_spec``'s result."""
+        # About 10 ms an epoch: the stop lands with epochs to spare.
+        spec = fast_spec(seed=88, scale=96.0, n_banks=4, n_intervals=40)
+        expected = run_spec(spec).to_dict()
+        # No periodic checkpoints: the stored one is the stop's.
+        server = make_server(tmp_path, checkpoint_epochs=0)
+        draining = threading.Event()
+        publish = server.hub.publish_batch
+
+        def publish_then_drain(job_id, events):
+            publish(job_id, events)
+            if any(name == "epoch" for name, _doc in events):
+                server.begin_drain()  # on the driver thread, mid-run
+                draining.set()
+
+        server.hub.publish_batch = publish_then_drain
+        try:
+            resp = server.handle(
+                request("POST", "/v1/runs", {"spec": spec.to_dict()})
+            )
+            job_id = body_of(resp)["job"]
+            assert draining.wait(60)
+            assert server.drain(deadline_s=60) is True
+            assert server.jobs.get(job_id).status == "running"
+        finally:
+            server.close()
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.get(spec) is None  # the run did not finish
+        stored = cache.get_snapshot(spec, SNAPSHOT_TAG)
+        assert stored is not None
+        assert 0 < Session.restore(stored).position_ns < \
+            Session(spec).total_ns
+        restarted = make_server(tmp_path)
+        try:
+            job = wait_job(restarted, job_id)
+            assert job.status == "done" and job.recovered
+            assert restarted.recovery["requeued"] == 1
+            assert restarted.recovery["resumed_from_snapshot"] == 1
+            assert job.result.to_dict() == expected
+        finally:
+            restarted.close()
 
     def _cold_start_on(self, tmp_path, spec, snapshot):
         """Serve ``spec`` with ``snapshot`` stored as its resume point."""
@@ -400,6 +449,42 @@ class TestDriverFaults:
             assert job.status == "done", job.error
             assert job.requeues >= 1
             assert job.result.to_dict() == expected
+        finally:
+            server.close()
+
+
+class TestWorkerWriteFaults:
+    """A served run's checkpoints and result-cache entry are written by
+    its worker, so their fault sites fire there: a failed or torn write
+    costs nothing but a recompute, and a kill costs the worker, not the
+    server."""
+
+    @pytest.mark.parametrize("fault, requeues", [
+        ("server.checkpoint:corrupt", 0), ("server.checkpoint:raise", 0),
+        ("cache.put:raise", 0), ("server.checkpoint:kill-worker", 1),
+        ("cache.put:kill-worker", 1),
+    ])
+    def test_fault_at_a_worker_write(self, tmp_path, monkeypatch, fault,
+                                     requeues):
+        spec = fast_spec(seed=91, n_intervals=4)  # checkpoints at epoch 2
+        expected = run_spec(spec).to_dict()  # before the fault is armed
+        monkeypatch.setenv("REPRO_FAULTS", fault)
+        reset_faults()
+        server = make_server(tmp_path)
+        try:
+            resp = server.handle(
+                request("POST", "/v1/runs", {"spec": spec.to_dict()})
+            )
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "done", job.error
+            assert job.requeues == requeues
+            assert job.result.to_dict() == expected
+            health = body_of(server.handle(request("GET", "/v1/health")))
+            assert health["status"] == "ok"
+            assert health["sim_workers"]["replaced"] == requeues
+            # The worker's put failed, not the server's: nothing cached.
+            assert (server.cache.get(spec) is None) == \
+                (fault == "cache.put:raise")
         finally:
             server.close()
 
@@ -574,6 +659,64 @@ class TestWorkerDeath:
             assert job.requeues == 0
             assert [r.to_dict() for r in job.results] == expected
             assert server._sim.stats()["replaced"] == 2
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("workers, seeds", [(2, [83]), (1, [84, 85])])
+    def test_every_served_plan_cell_runs_on_a_worker(
+        self, tmp_path, monkeypatch, workers, seeds
+    ):
+        """A one-cell plan, and any plan on a one-worker server, runs
+        its cells on the pool too, never on the server's driver
+        thread."""
+        plan = Plan.grid(fast_spec(), seed=seeds)
+        expected = [r.to_dict() for r in run_plan(plan)]
+        log = tmp_path / "cell-pids"
+        cell = run_mod._pool_cell
+
+        def spy(spec):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return cell(spec)
+
+        monkeypatch.setattr(run_mod, "_pool_cell", spy)
+        server = make_server(tmp_path, workers=workers)  # forks the spy
+        try:
+            resp = server.handle(
+                request("POST", "/v1/plans", {"plan": plan.to_dict()})
+            )
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "done", job.error
+            assert [r.to_dict() for r in job.results] == expected
+            pids = [int(pid) for pid in log.read_text().split()]
+            assert len(pids) == len(seeds)
+            assert set(pids) <= set(server._sim.stats()["pids"])
+            assert os.getpid() not in pids
+        finally:
+            server.close()
+
+    def test_killed_worker_of_a_one_cell_plan_is_replaced(
+        self, tmp_path, monkeypatch
+    ):
+        """``kill-worker`` at ``session.advance`` in a one-cell plan's
+        only cell kills a worker, not the server: the cell is retried
+        on the replacement and the plan converges."""
+        plan = Plan.grid(fast_spec(), seed=[87])
+        expected = [r.to_dict() for r in run_plan(plan)]  # before arming
+        monkeypatch.setenv("REPRO_FAULTS", "session.advance:kill-worker")
+        reset_faults()
+        server = make_server(tmp_path)
+        try:
+            resp = server.handle(
+                request("POST", "/v1/plans", {"plan": plan.to_dict()})
+            )
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "done", job.error
+            assert [r.to_dict() for r in job.results] == expected
+            assert job.report["total_attempts"] == 2
+            health = body_of(server.handle(request("GET", "/v1/health")))
+            assert health["status"] == "ok"
+            assert health["sim_workers"]["replaced"] == 1
         finally:
             server.close()
 

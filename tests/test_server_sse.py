@@ -31,6 +31,28 @@ class TestOrderingAndDelivery:
 
         run(main())
 
+    def test_batch_publish_numbers_in_order_and_wakes_once(self):
+        async def main():
+            hub = EventHub()
+            hub.open("j1")
+            sub = hub.subscribe("j1")
+            wakes = []
+            wake = sub._wake
+            sub._wake = lambda: (wakes.append(1), wake())
+            hub.publish("j1", "status", {"i": 0})
+            assert hub.publish_batch(
+                "j1", [("tick", {"i": 1}), ("tick", {"i": 2})]) == 2
+            assert hub.publish_batch("j1", []) == -1  # nothing appended
+            assert wakes == [1, 1]  # one per publish call, not per event
+            batch, done = await sub.next_batch(timeout=1)
+            assert [(e.id, e.name, e.data["i"]) for e in batch] == [
+                (0, "status", 0), (1, "tick", 1), (2, "tick", 2)]
+            assert not done
+            hub.close("j1")
+            assert hub.publish_batch("j1", [("tick", {})]) == -1
+
+        run(main())
+
     def test_late_subscriber_replays_ring(self):
         async def main():
             hub = EventHub()

@@ -1,9 +1,11 @@
 """The worker pool behind served runs (and pooled plans).
 
-A served run's session lives in a forked worker process; these tests
-drive :class:`SweepPool` instances directly: the session a worker runs
-is ``run_spec``'s, errors cross the pipe with their retry verdict, and
-a dead or reclaimed worker is replaced by a fresh fork.
+A served run's session lives in a forked worker process, which drives
+it to the end on one ``run`` command; these tests speak that protocol
+to :class:`SweepPool` instances directly: the session a worker runs is
+``run_spec``'s, a ``stop`` ends it at an epoch boundary with a
+checkpoint, errors cross the pipe with their retry verdict, and a dead
+or reclaimed worker is replaced by a fresh fork.
 """
 
 import json
@@ -12,6 +14,7 @@ import time
 
 import pytest
 
+from repro.api import Session
 from repro.errors import RemoteError, describe, is_retryable
 from repro.experiments import (
     ExperimentSpec,
@@ -20,7 +23,8 @@ from repro.experiments import (
     run_plan,
     run_spec,
 )
-from repro.experiments.pool import SweepPool, WorkerDied
+from repro.experiments.cache import ResultCache
+from repro.experiments.pool import SNAPSHOT_TAG, SweepPool, WorkerDied
 from repro.server import ReproServer, ServerConfig
 from repro.server.http import Request
 
@@ -32,6 +36,15 @@ def fast_spec(**overrides):
     return ExperimentSpec(**fields)
 
 
+def slow_spec(**overrides):
+    """About 10 ms an epoch: a ``stop`` sent after the second epoch
+    lands with over thirty epochs to spare."""
+    fields = dict(scheme=SchemeSpec("drcat"), workload="libq", scale=96.0,
+                  n_banks=4, n_intervals=40)
+    fields.update(overrides)
+    return ExperimentSpec(**fields)
+
+
 @pytest.fixture
 def pool():
     pool = SweepPool(1)
@@ -39,69 +52,132 @@ def pool():
     pool.close()
 
 
-def test_worker_session_matches_run_spec(pool):
-    spec = fast_spec(seed=3)
+def serve(worker, job_id, spec, cache_root, stored=None, every=0,
+          stop_after=None):
+    """One ``run`` command: ``(resumed, last kind, messages, result)``.
+
+    ``messages`` lists each message's events; ``stop_after`` epoch
+    messages in, the worker is sent ``stop``.
+    """
+    worker.send("run", job_id, spec, stored, 0, str(cache_root), every)
+    resumed = worker.receive()
+    messages = []
+    while True:
+        stopping = stop_after is not None and len(messages) >= stop_after
+        kind, events, result = worker.receive(
+            (lambda: True) if stopping else None)
+        messages.append(events)
+        if kind != "epoch":
+            return resumed, kind, messages, result
+
+
+def epochs_of(messages):
+    return [doc["epoch"] for events in messages
+            for name, doc in events if name == "epoch"]
+
+
+def test_worker_session_matches_run_spec(pool, tmp_path):
+    spec = fast_spec(seed=3, n_intervals=3)
     worker = pool.acquire("a", timeout=5)
-    assert worker.open("j1", spec, None, fault_round=0) is False
-    epochs = []
-    for k in (1, 2):
-        events = worker.advance(k * worker.epoch_ns)
-        epochs += [doc["epoch"] for name, doc in events if name == "epoch"]
-        assert all(doc["job"] == "j1" for _name, doc in events)
-    result, last = worker.result()
-    epochs += [doc["epoch"] for name, doc in last if name == "epoch"]
-    assert epochs == [1, 2]
+    resumed, kind, messages, result = serve(worker, "j1", spec, tmp_path)
+    assert (resumed, kind) == (False, "done")
+    # One message per epoch, the last carrying the result and the final
+    # synthetic epoch event.  Epoch k's event fires when the first
+    # access of epoch k + 1 is served, so it rides with epoch k + 1.
+    assert [epochs_of([events]) for events in messages] == [[], [1], [2, 3]]
+    assert all(doc["job"] == "j1" for events in messages
+               for _name, doc in events)
+    assert result.to_dict() == run_spec(spec).to_dict()
+    # The worker put the result in the cache itself.
+    assert ResultCache(tmp_path).get(spec).to_dict() == result.to_dict()
+    pool.release("a")
+
+
+def test_resume_from_a_snapshot_and_cold_start_fallback(pool, tmp_path):
+    spec = fast_spec(seed=4, n_intervals=3)
+    session = Session(spec)
+    session.advance(2 * session.epoch_ns)
+    worker = pool.acquire("a", timeout=5)
+    resumed, _kind, messages, result = serve(
+        worker, "j1", spec, tmp_path, stored=session.snapshot())
+    assert resumed is True
+    assert epochs_of(messages) == [2, 3]  # epoch 1 was already served
+    assert result.to_dict() == run_spec(spec).to_dict()
+    resumed, _kind, messages, result = serve(
+        worker, "j1", spec, tmp_path, stored={"kind": "torn"})
+    assert resumed is False
+    assert epochs_of(messages) == [1, 2, 3]
     assert result.to_dict() == run_spec(spec).to_dict()
     pool.release("a")
 
 
-def test_resume_from_a_snapshot_and_cold_start_fallback(pool):
-    spec = fast_spec(seed=4)
+def test_stop_ends_the_run_at_an_epoch_boundary_with_a_checkpoint(
+        pool, tmp_path):
+    spec = slow_spec(seed=8)
     worker = pool.acquire("a", timeout=5)
-    worker.open("j1", spec, None, fault_round=0)
-    worker.advance(worker.epoch_ns)
-    snapshot = worker.snapshot()
-    assert worker.open("j1", spec, snapshot, fault_round=0) is True
-    assert worker.position_ns > 0
-    assert worker.result()[0].to_dict() == run_spec(spec).to_dict()
-    assert worker.open("j1", spec, {"kind": "torn"}, fault_round=0) is False
-    assert worker.position_ns == 0
+    resumed, kind, messages, result = serve(worker, "j1", spec, tmp_path,
+                                            stop_after=2)
+    assert (resumed, kind, result) == (False, "stopped", None)
+    served = epochs_of(messages)
+    assert served == list(range(1, len(served) + 1))
+    assert 1 <= len(served) < spec.n_intervals
+    # The worker checkpointed where it stopped; the run resumes there.
+    stored = ResultCache(tmp_path).get_snapshot(spec, SNAPSHOT_TAG)
+    assert stored is not None
+    resumed, kind, messages, result = serve(worker, "j1", spec, tmp_path,
+                                            stored=stored)
+    assert (resumed, kind) == (True, "done")
+    assert epochs_of(messages)[0] > served[-1]
+    assert result.to_dict() == run_spec(spec).to_dict()
     pool.release("a")
 
 
-def test_remote_error_carries_type_message_and_verdict(pool):
+def test_stop_after_the_run_ended_is_ignored(pool, tmp_path):
+    """A ``stop`` that crosses the run's last message is dropped by the
+    command loop, and the worker serves the next job."""
+    first, second = fast_spec(seed=9), fast_spec(seed=10)
+    worker = pool.acquire("a", timeout=5)
+    assert serve(worker, "j1", first, tmp_path)[1] == "done"
+    worker.send("stop")
+    _resumed, kind, _messages, result = serve(worker, "j2", second,
+                                              tmp_path)
+    assert kind == "done"
+    assert result.to_dict() == run_spec(second).to_dict()
+    pool.release("a")
+    assert pool.stats()["replaced"] == 0
+
+
+def test_remote_error_carries_type_message_and_verdict(pool, tmp_path):
     worker = pool.acquire("a", timeout=5)
     with pytest.raises(RemoteError) as info:
-        worker.open("j1", {"workload": "no-such-workload"}, None,
-                    fault_round=0)
+        serve(worker, "j1", {"workload": "no-such-workload"}, tmp_path)
     assert info.value.type_name != "RemoteError"
     assert describe(info.value).startswith(f"{info.value.type_name}: ")
     assert is_retryable(info.value) is False
     # The worker survives its session's error and serves the next job.
     spec = fast_spec(seed=5)
-    worker.open("j2", spec, None, fault_round=0)
-    assert worker.result()[0].to_dict() == run_spec(spec).to_dict()
+    result = serve(worker, "j2", spec, tmp_path)[3]
+    assert result.to_dict() == run_spec(spec).to_dict()
     pool.release("a")
     assert pool.stats()["replaced"] == 0
 
 
-def test_dead_worker_raises_and_is_replaced_on_release(pool):
+def test_dead_worker_raises_and_is_replaced_on_release(pool, tmp_path):
     worker = pool.acquire("a", timeout=5)
     worker.process.kill()
     with pytest.raises(WorkerDied) as info:
-        worker.open("j1", fast_spec(), None, fault_round=0)
+        serve(worker, "j1", fast_spec(), tmp_path)
     assert is_retryable(info.value)
     pool.release("a")
     stats = pool.stats()
     assert stats["replaced"] == 1 and stats["busy"] == 0
     assert stats["pids"] != [worker.pid]
     fresh = pool.acquire("b", timeout=5)
-    fresh.open("j2", fast_spec(seed=6), None, fault_round=0)
-    assert fresh.result()[0].to_dict() == \
-        run_spec(fast_spec(seed=6)).to_dict()
+    result = serve(fresh, "j2", fast_spec(seed=6), tmp_path)[3]
+    assert result.to_dict() == run_spec(fast_spec(seed=6)).to_dict()
 
 
-def test_worker_that_died_idle_is_replaced_on_acquire(pool):
+def test_worker_that_died_idle_is_replaced_on_acquire(pool, tmp_path):
     """A worker that died while idle costs its next holder nothing."""
     (idle,) = pool._idle
     idle.process.kill()
@@ -110,21 +186,24 @@ def test_worker_that_died_idle_is_replaced_on_acquire(pool):
     worker = pool.acquire("a", timeout=5)
     assert worker is not idle and worker.process.is_alive()
     spec = fast_spec(seed=7)
-    worker.open("j1", spec, None, fault_round=0)
-    assert worker.result()[0].to_dict() == run_spec(spec).to_dict()
+    result = serve(worker, "j1", spec, tmp_path)[3]
+    assert result.to_dict() == run_spec(spec).to_dict()
     pool.release("a")
     stats = pool.stats()
     assert stats["replaced"] == 1 and stats["pids"] == [worker.pid]
 
 
-def test_reclaim_terminates_the_stale_holder(pool):
+def test_reclaim_terminates_the_stale_holder(pool, tmp_path):
     worker = pool.acquire(("j1", 0), timeout=5)
     assert pool.acquire(("j2", 0), timeout=0.05) is None  # pool of one
+    worker.send("run", "j1", slow_spec(seed=11), None, 0, str(tmp_path), 0)
+    assert worker.receive() is False  # the run is in flight
     assert pool.reclaim(("j1", 0)) is True
     assert pool.reclaim(("j1", 0)) is False  # already given up
     assert not worker.process.is_alive()
     with pytest.raises(WorkerDied):
-        worker.snapshot()
+        while True:
+            worker.receive()  # epochs sent before the kill, then death
     pool.release(("j1", 0))  # the stale driver's release is a no-op
     assert pool.stats()["replaced"] == 1
     assert pool.acquire(("j1", 1), timeout=5) is not None
