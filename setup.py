@@ -39,6 +39,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # The batched engine compiles this C kernel on first use.
+    package_data={"repro.sim": ["kernel.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=2.1,<3"],
     extras_require={

@@ -450,7 +450,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     if args.what == "engines":
         descriptions = {
             "scalar": "per-event reference loop (the oracle)",
-            "batched": "vectorized numpy fast path, bit-identical",
+            "batched": "one compiled call per bank segment, bit-identical",
         }
         rows = [
             {"engine": name, "description": descriptions[name]}

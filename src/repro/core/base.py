@@ -141,10 +141,10 @@ class MitigationScheme(abc.ABC):
         element of ``rows`` (an int64 array): the returned
         ``(position, commands)`` pairs name every access that emitted
         commands, in stream order, and the scheme ends in the identical
-        state.  Every registered scheme overrides it with an exact fast
-        path (see :mod:`repro.core.batch`).  The default replays scalar
-        ``access`` — always correct — and serves a new registrant until
-        it has one.
+        state.  The default replays scalar ``access``, which is always
+        correct.  The batched engine serves SCA, PRA, PRCAT and DRCAT in
+        its compiled kernel instead, and the counter cache overrides
+        this with its own fast path (see :mod:`repro.core.batch`).
         """
         events: list[tuple[int, list[RefreshCommand]]] = []
         access = self.access

@@ -9,10 +9,7 @@ small group (plus two adjacent rows) around a detected aggressor.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.base import MitigationScheme, RefreshCommand
-from repro.core.batch import counter_scheme_access_batch
 from repro.core.counter_tree import CounterTree
 from repro.core.thresholds import SplitThresholds
 
@@ -53,12 +50,6 @@ class PRCATScheme(MitigationScheme):
         self.stats.refresh_commands += 1
         self.stats.rows_refreshed += cmd.row_count(self.n_rows)
         return [cmd]
-
-    def access_batch(
-        self, rows: np.ndarray
-    ) -> list[tuple[int, list[RefreshCommand]]]:
-        """Vectorized exact batch via the tree's row-block index map."""
-        return counter_scheme_access_batch(self, rows)
 
     def on_interval_boundary(self) -> None:
         """Rebuild the tree from scratch (the defining PRCAT behaviour)."""

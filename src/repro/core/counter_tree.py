@@ -73,13 +73,12 @@ class CounterTree:
     hardware would derive them from the traversal path.
 
     ``_count``, ``_weight`` and ``_harvest_blocked`` are numpy arrays
-    (int64, int64, bool) on both engines, so the batched path applies
-    hits and epoch resets as vector ops; the structural registers the
-    scalar :meth:`lookup` walks stay Python lists.  The batched path's
-    derived structures — the row-block index map, per-counter split
-    thresholds, read costs and level flags — are patched in place for
-    the counters a split or merge moves; the sibling-leaf pairs are
-    dropped by every structural change and rebuilt on demand.
+    (int64, int64, bool), so epoch resets are vector ops; the structural
+    registers the scalar :meth:`lookup` walks stay Python lists.  The
+    batched engine serves the tree in the compiled kernel, on the flat
+    copy :meth:`registers` makes and :meth:`load_registers` adopts.  The
+    sibling-leaf pairs are dropped by every structural change and
+    rebuilt on demand.
     """
 
     def __init__(
@@ -105,8 +104,8 @@ class CounterTree:
 
         # C-array and per-counter metadata.  The count and weight
         # registers (and the harvest-blocked flags below) are int64/bool
-        # arrays, so bulk applies and epoch resets are vector ops; the
-        # structural registers the scalar lookup walks stay lists.
+        # arrays, so epoch resets are vector ops; the structural
+        # registers the scalar lookup walks stay lists.
         self._count = np.zeros(m, dtype=np.int64)
         self._level = [0] * m
         self._low = [0] * m
@@ -198,20 +197,9 @@ class CounterTree:
         # newly hot one of its harvest attempt.
         self._harvest_blocked = np.zeros(m, dtype=bool)
         self._harvest_budget = HARVEST_BUDGET_PER_REFRESH
-        # Batched fast path: the row_block -> counter index map is built
-        # lazily, updated in place on splits/merges, and dropped here on
-        # reset.  ``_map_version`` lets batch callers detect that ids
-        # they gathered earlier are stale.  The sibling-leaf pairs are
-        # built on demand and dropped by every structural change.
-        self._index_map: np.ndarray | None = None
-        self._map_version = getattr(self, "_map_version", 0) + 1
+        # The sibling-leaf pairs are built on demand and dropped by every
+        # structural change.
         self._merge_pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # Split-threshold table indexed by level, recomputed here because
-        # the simulator swaps in a scaled schedule before calling reset().
-        self._split_threshold_by_level = np.array(
-            [self.thresholds.threshold_for_level(lv) for lv in range(self.max_levels)],
-            dtype=np.int64,
-        )
 
     # ------------------------------------------------------------------
     # hot path
@@ -333,14 +321,7 @@ class CounterTree:
         self._leaf_r[inode] = True
         self._replace_slot(row, old_leaf=idx, new_node=inode)
         self.total_splits += 1
-        self._levels_changed(idx, new)
-        if self._index_map is not None:
-            # Incremental map maintenance: the new counter takes over the
-            # upper half of the split range (block-aligned, since splits
-            # stop one level above single-block groups).
-            shift = self._block_shift
-            self._index_map[((mid + 1) >> shift) : (high >> shift) + 1] = new
-            self._map_version += 1
+        self._merge_pairs = None
         return new
 
     def _replace_slot(self, row: int, old_leaf: int, new_node: int) -> None:
@@ -371,168 +352,32 @@ class CounterTree:
             node = nxt
 
     # ------------------------------------------------------------------
-    # batched fast path (see DESIGN.md, "Batched engine")
+    # bulk queries (perfbench wraps these by name)
     # ------------------------------------------------------------------
-    #
-    # Every active counter owns a contiguous, power-of-two-aligned row
-    # range no smaller than ``n_rows >> (max_levels - 1)`` rows (one
-    # *block*).  The flat ``row_block -> counter`` index map therefore
-    # turns ``lookup`` into an O(1) array gather, and a whole chunk of
-    # activations into one ``np.bincount``.  Splits and merges update
-    # the map in place (their ranges are block-aligned) and bump
-    # ``_map_version`` so holders of gathered ids re-gather; ``reset``
-    # drops it for lazy rebuild from the partition.
-
-    def _build_index_map(self) -> None:
-        block_bits = self.max_levels - 1
-        shift = self._n_addr_bits - block_bits
-        index_map = np.empty(1 << block_bits, dtype=np.int64)
-        for low, high, i in self.partition():
-            index_map[low >> shift : (high >> shift) + 1] = i
-        self._block_shift = shift
-        self._index_map = index_map
-        self._map_version += 1
-        # Per-counter arrays that change only with a counter's level;
-        # :meth:`_levels_changed` patches them in place.  The scalar
-        # lookup performs 1 + level SRAM reads (a root leaf is at level 0).
-        level = np.asarray(self._level, dtype=np.int64)
-        self._reads_per_counter = 1 + level
-        self._split_threshold_per_counter = self._split_threshold_by_level[level]
-        self._below_max_level = level < self.max_levels - 1
-
-    def _levels_changed(self, *counters: int) -> None:
-        """Bookkeeping after a split or merge moved ``counters`` to new
-        levels: the sibling-leaf pairs are dropped (rebuilt on demand)
-        and the batch path's per-counter arrays are patched for those
-        counters only."""
-        self._merge_pairs = None
-        if self._index_map is None:
-            return
-        for c in counters:
-            level = self._level[c]
-            self._reads_per_counter[c] = 1 + level
-            self._split_threshold_per_counter[c] = self._split_threshold_by_level[level]
-            self._below_max_level[c] = level < self.max_levels - 1
-
-    def _headroom(self, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Hits each counter absorbs before its next event (never 0).
-
-        An *event* is anything the bulk path cannot apply: a refresh
-        (count reaches ``T``), a split (split threshold crossed with a
-        free counter available), or a DRCAT harvest attempt (split
-        threshold crossed, pool exhausted, requester unblocked and
-        budget remaining) that might succeed.  A counter sitting above
-        its split threshold with no way to act has refresh-only headroom
-        — exactly like the scalar loop, which re-checks and does nothing
-        each access.
-
-        A harvest attempt that provably fails (see
-        :meth:`_doomed_harvests`) is not an event either: its only
-        effect is the requester's ``_harvest_blocked`` flag, which
-        :meth:`apply_bulk_counts` sets when a bulk batch reaches the
-        attempt.  The second return value carries those attempts: the
-        hits until each doomed counter's attempt, ``T`` (out of reach
-        of any bulk batch) elsewhere; ``None`` when there are none.
-
-        ``hits`` are the per-counter hits left in the caller's window.
-        The bound is computed only when some attempt lies inside them:
-        a counter that cannot reach its attempt gets the same headroom
-        and no blocked flag either way.
-
-        Entries for inactive counters are meaningless (they never appear
-        in a gathered id array, and their chunk hit count is always 0).
-        """
-        count = self._count
-        refresh_threshold = self.thresholds.refresh_threshold
-        headroom = refresh_threshold - count
-        harvesting = not self._free_counters
-        if harvesting and not (self.track_weights and self._harvest_budget > 0):
-            # Pool exhausted and no harvesting: refresh-only headroom.
-            # (Inactive counters report T, which is harmless — they
-            # never appear in a gathered id array.)
-            return headroom, None
-        split_headroom = np.maximum(1, self._split_threshold_per_counter - count)
-        eligible = self._below_max_level
-        harvest_at = None
-        if harvesting:
-            eligible = eligible & ~self._harvest_blocked
-            attempts = eligible & (hits >= split_headroom)
-            if attempts.any():
-                doomed = attempts & self._doomed_harvests(count + split_headroom)
-                if doomed.any():
-                    eligible = eligible & ~doomed
-                    harvest_at = np.where(doomed, split_headroom, refresh_threshold)
-        return (
-            np.where(eligible, np.minimum(headroom, split_headroom), headroom),
-            harvest_at,
-        )
-
-    def _doomed_harvests(self, attempt: np.ndarray) -> np.ndarray:
-        """Counters whose harvest attempt at count ``attempt`` must fail.
-
-        Exact for the event-free stretch up to the next scalar replay:
-        inside it counts only rise, while weights, sibling pairs, the
-        free list and the budget change only in replays.  So the
-        smallest merged count among the merge candidates, taken now, is
-        a lower bound on every candidate's merged count at the attempt;
-        when it exceeds the requester's gate, :meth:`_find_cold_pair`
-        finds nothing.  The requester may not merge its own pair, so
-        the two members of the coldest pair are bounded by the
-        second-coldest.  (Every leaf below the maximum level spans at
-        least two rows, so ``reconfigure`` has no other way to fail.)
-        """
-        refresh_threshold = self.thresholds.refresh_threshold
-        _, left, right, merged = self._cold_pairs()
-        # One pass for the coldest and second-coldest merged counts; no
-        # candidate at all is an unbounded merged count (T exceeds every
-        # gate).
-        coldest = second = refresh_threshold
-        pair = None
-        for i, value in enumerate(merged.tolist()):
-            if value < coldest:
-                coldest, second, pair = value, coldest, i
-            elif value < second:
-                second = value
-        bound = np.full(self.n_counters, coldest, dtype=np.int64)
-        if pair is not None:
-            bound[left[pair]] = bound[right[pair]] = second
-        # The gate of the scalar harvest in :meth:`access`, capped at T - 1.
-        gate = np.where(
-            self._weight >= 2,
-            refresh_threshold - 1,
-            np.minimum(np.maximum(1, attempt // 2), refresh_threshold - 1),
-        )
-        return bound > gate
 
     def map_rows_to_counters(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized lookup: the active counter index covering each row.
 
         Pure query — unlike :meth:`lookup` it does not touch the SRAM
-        read statistics.  The result stays valid until the next
-        structural mutation (split / merge / reset).
+        read statistic.  Every active counter owns a power-of-two-aligned
+        range of at least ``n_rows >> (max_levels - 1)`` rows (a block),
+        so a block -> counter map answers it.
         """
-        if self._index_map is None:
-            self._build_index_map()
-        return self._index_map[rows >> self._block_shift]
+        shift = self._n_addr_bits - (self.max_levels - 1)
+        index_map = np.empty(1 << (self.max_levels - 1), dtype=np.int64)
+        for low, high, i in self.partition():
+            index_map[low >> shift : (high >> shift) + 1] = i
+        return index_map[rows >> shift]
 
-    def apply_bulk_counts(
-        self, counts: np.ndarray, harvest_at: np.ndarray | None
-    ) -> None:
-        """Apply an event-free batch of per-counter hit counts.
+    def apply_bulk_counts(self, counts: np.ndarray) -> None:
+        """Apply per-counter hit counts that cross no threshold.
 
-        Exact bulk equivalent of the corresponding scalar accesses:
-        counter values advance by their hit counts and the SRAM read
-        statistic grows by one traversal per access.  The caller (see
-        :func:`repro.core.batch.counter_scheme_access_batch`) guarantees
-        no counter crosses a threshold within the batch.  ``harvest_at``
-        is the second value of the :meth:`_headroom` call the batch was
-        cut by: a counter whose doomed harvest attempt lies inside the
-        batch gets the blocked flag that attempt would have set.
+        Exact bulk equivalent of the corresponding scalar accesses: the
+        counters advance by their hits and the SRAM read statistic grows
+        by one traversal (``1 + level`` reads) per access.
         """
         self._count += counts
-        self.total_sram_reads += int(counts @ self._reads_per_counter)
-        if harvest_at is not None:
-            self._harvest_blocked |= counts >= harvest_at
+        self.total_sram_reads += int(counts @ (1 + np.asarray(self._level)))
 
     # ------------------------------------------------------------------
     # DRCAT weight tracking and reconfiguration
@@ -582,14 +427,6 @@ class CounterTree:
 
         left = self._child_l[inode]
         right = self._child_r[inode]
-        if self._index_map is not None:
-            # Incremental map maintenance: the promoted left counter
-            # absorbs the right sibling's (block-aligned) range.
-            shift = self._block_shift
-            self._index_map[
-                (self._low[right] >> shift) : (self._high[right] >> shift) + 1
-            ] = left
-            self._map_version += 1
         # Promote the left counter to cover the merged range; release the
         # right counter and the inode.  max() keeps detection sound: the
         # merged region can only be refreshed earlier, never later.
@@ -613,7 +450,7 @@ class CounterTree:
             self._leaf_l[parent] = True
         self._n_active -= 1
         self.total_merges += 1
-        self._levels_changed(left)
+        self._merge_pairs = None
 
         # Split the hot counter with the freed resources.
         # The merge just freed a counter and an inode, so the split
@@ -691,9 +528,7 @@ class CounterTree:
         """The merge candidates of a harvest, before its gate and exclusion.
 
         Returns ``(inodes, left, right, merged_count)`` for the sibling
-        leaf pairs whose two weights are zero, inodes ascending.  Shared
-        by :meth:`_find_cold_pair` and the doomed-harvest bound of
-        :meth:`_headroom`, so the two can never disagree on the filter.
+        leaf pairs whose two weights are zero, inodes ascending.
         """
         inodes, left, right = self._sibling_leaf_pairs()
         weight = self._weight
@@ -728,10 +563,9 @@ class CounterTree:
         The free lists are stored *in order*: splits pop from their
         tails, so list order determines which physical counter/inode a
         future split activates — part of bit-identical resumption even
-        though it is invisible to the partition.  Derived structures
-        (the row-block index map and its per-counter caches) are
-        deliberately absent: they rebuild lazily and deterministically
-        from the captured registers.
+        though it is invisible to the partition.  The sibling-leaf pairs
+        are deliberately absent: they rebuild on demand from the
+        captured registers.
         """
         return {
             "count": self._count.tolist(),
@@ -856,15 +690,60 @@ class CounterTree:
         self.total_refresh_commands = int(totals["refresh_commands"])
         self.total_rows_refreshed = int(totals["rows_refreshed"])
         self.total_sram_reads = int(totals["sram_reads"])
-        # Derived batch-path structures rebuild lazily from the restored
-        # registers; bump the version so stale gathered ids re-gather.
-        self._index_map = None
         self._merge_pairs = None
-        self._map_version += 1
         try:
             self.check_invariants()
         except (AssertionError, IndexError) as exc:
             raise ValueError(f"tree state fails the tree invariants: {exc}") from None
+
+    def registers(self) -> np.ndarray:
+        """Every register as one flat int64 array, the layout the
+        compiled kernel (``sim/kernel.c``) serves a bank segment on.
+
+        A header of 12 scalars (both free-stack depths, the active
+        count, root, root-is-leaf flag, harvest budget, the five totals
+        and a cascade counter the kernel fills) precedes 14 arrays of
+        ``M`` entries: level, low, high, both child pointers, the two
+        free stacks (bottom first), the active flag, both leaf flags,
+        the inode flag, count, weight and harvest flag.  Per-inode
+        arrays and the stacks are zero-padded to ``M``.
+        """
+        m = self.n_counters
+        free_c, free_i = self._free_counters, self._free_inodes
+        return np.concatenate((
+            np.array([
+                len(free_c), len(free_i), self._n_active, self._root,
+                self._root_is_leaf, self._harvest_budget, self.total_splits,
+                self.total_merges, self.total_refresh_commands,
+                self.total_rows_refreshed, self.total_sram_reads, 0,
+                *self._level, *self._low, *self._high, *self._child_l, 0,
+                *self._child_r, 0, *free_c, *[0] * (m - len(free_c)),
+                *free_i, *[0] * (m - len(free_i)), *self._counter_active,
+                *self._leaf_l, 0, *self._leaf_r, 0, *self._inode_active, 0,
+            ], dtype=np.int64),
+            self._count, self._weight, self._harvest_blocked,
+        ))
+
+    def load_registers(self, regs: np.ndarray) -> int:
+        """Adopt a :meth:`registers` array a kernel call updated; returns
+        its cascade counter."""
+        (n_free_c, n_free_i, self._n_active, self._root, root_is_leaf,
+         self._harvest_budget, self.total_splits, self.total_merges,
+         self.total_refresh_commands, self.total_rows_refreshed,
+         self.total_sram_reads, cascades) = regs[:12].tolist()
+        body = regs[12:].reshape(14, self.n_counters)
+        self._root_is_leaf = bool(root_is_leaf)
+        (self._level, self._low, self._high, child_l, child_r, free_c,
+         free_i) = body[:7].tolist()
+        self._counter_active, leaf_l, leaf_r, inode_active = body[7:11].astype(bool).tolist()
+        self._child_l, self._child_r = child_l[:-1], child_r[:-1]
+        self._leaf_l, self._leaf_r = leaf_l[:-1], leaf_r[:-1]
+        self._inode_active = inode_active[:-1]
+        self._free_counters, self._free_inodes = free_c[:n_free_c], free_i[:n_free_i]
+        self._count, self._weight = body[11].copy(), body[12].copy()
+        self._harvest_blocked = body[13].astype(bool)
+        self._merge_pairs = None
+        return cascades
 
     # ------------------------------------------------------------------
     # introspection (tests, invariants, reports)

@@ -15,10 +15,7 @@ when the pattern has not changed.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.base import MitigationScheme, RefreshCommand
-from repro.core.batch import counter_scheme_access_batch
 from repro.core.counter_tree import CounterTree
 from repro.core.thresholds import SplitThresholds
 
@@ -81,17 +78,6 @@ class DRCATScheme(MitigationScheme):
                 self.stats.merges += 1
                 hot = self.tree.lookup(row)
         return [cmd]
-
-    def access_batch(
-        self, rows: np.ndarray
-    ) -> list[tuple[int, list[RefreshCommand]]]:
-        """Vectorized exact batch via the tree's row-block index map.
-
-        Refreshes, harvests, and the weight-saturation cascade all run
-        through the scalar :meth:`access` oracle; only the event-free
-        stretches between them are applied in bulk.
-        """
-        return counter_scheme_access_batch(self, rows)
 
     def on_interval_boundary(self) -> None:
         """Auto-refresh epoch: counters restart but the *shape* persists.

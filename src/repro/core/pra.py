@@ -14,11 +14,8 @@ study of LFSR weakness reuses this scheme unchanged.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.prng import PRNG, TrueRandomPRNG
 from repro.core.base import MitigationScheme, RefreshCommand
-from repro.core.batch import check_rows
 
 #: Number of random bits the PRNG emits per activation; 9 bits resolve
 #: probabilities down to ~1/512 which covers the paper's p ∈ [0.001, 0.006]
@@ -73,32 +70,6 @@ class PRAScheme(MitigationScheme):
         self.stats.refresh_commands += len(commands)
         self.stats.rows_refreshed += len(commands)
         return commands
-
-    def access_batch(
-        self, rows: np.ndarray
-    ) -> list[tuple[int, list[RefreshCommand]]]:
-        """Vectorized exact batch: one bulk PRNG draw per chunk.
-
-        ``PRNG.next_bits_batch`` consumes the generator stream exactly
-        as per-access draws would, so the firing positions — and hence
-        every downstream metric — are bit-identical to the scalar loop.
-        """
-        n = len(rows)
-        if n == 0:
-            return []
-        check_rows(rows, self.n_rows)
-        draws = self._prng.next_bits_batch(self.random_bits, n)
-        events: list[tuple[int, list[RefreshCommand]]] = []
-        n_commands = 0
-        for i in np.flatnonzero(draws < self._cut).tolist():
-            commands = self._neighbor_commands(int(rows[i]))
-            n_commands += len(commands)
-            if commands:
-                events.append((i, commands))
-        self.stats.activations += n
-        self.stats.refresh_commands += n_commands
-        self.stats.rows_refreshed += n_commands
-        return events
 
     def to_state(self) -> dict:
         """SchemeState protocol: the PRNG stream position is the state."""

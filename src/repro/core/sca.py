@@ -13,10 +13,7 @@ shows the coarse-group refresh cost that motivates CAT.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.base import MitigationScheme, RefreshCommand
-from repro.core.batch import check_rows, threshold_crossings
 
 
 class SCAScheme(MitigationScheme):
@@ -52,40 +49,6 @@ class SCAScheme(MitigationScheme):
         self.stats.refresh_commands += 1
         self.stats.rows_refreshed += cmd.row_count(self.n_rows)
         return [cmd]
-
-    def access_batch(
-        self, rows: np.ndarray
-    ) -> list[tuple[int, list[RefreshCommand]]]:
-        """Vectorized exact batch: analytic event positions, one pass.
-
-        SCA's counters are *independent* and the row → group map is
-        static, so — unlike the tree schemes, whose structure mutates at
-        events — every threshold crossing of a whole batch is computable
-        up front (:func:`~repro.core.batch.threshold_crossings`).  One
-        bincount resolves the common no-event batch.
-        """
-        n = len(rows)
-        if n == 0:
-            return []
-        check_rows(rows, self.n_rows)
-        groups = rows // self.group_size
-        end, fired = threshold_crossings(
-            groups,
-            np.asarray(self._counts, dtype=np.int64),
-            np.bincount(groups, minlength=self.n_counters),
-            self.refresh_threshold,
-        )
-        events: list[tuple[int, list[RefreshCommand]]] = []
-        for c, positions in fired:
-            low = c * self.group_size
-            cmd = RefreshCommand(low - 1, low + self.group_size, reason="threshold")
-            self.stats.refresh_commands += len(positions)
-            self.stats.rows_refreshed += len(positions) * cmd.row_count(self.n_rows)
-            events.extend((position, [cmd]) for position in positions.tolist())
-        events.sort(key=lambda event: event[0])
-        self._counts = end.tolist()
-        self.stats.activations += n
-        return events
 
     def counter_value(self, group: int) -> int:
         """Current count of group ``group`` (test/inspection hook)."""

@@ -39,7 +39,7 @@ STATIC_AMORTIZATION_BANKS = 16
 COUNTER_CACHE_EQUIVALENT_M = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CMRPOBreakdown:
     """CMRPO and its three components, all in mW (per bank)."""
 

@@ -38,6 +38,12 @@ from repro.testing.faults import corrupting, fault_point
 CACHE_VERSION = "v1"
 
 
+def source_files(package_root: Path) -> list[Path]:
+    """Every source the package runs: its Python modules and the C
+    kernel the batched engine compiles (``sim/kernel.c``)."""
+    return sorted([*package_root.rglob("*.py"), *package_root.rglob("*.c")])
+
+
 @functools.lru_cache(maxsize=1)
 def code_fingerprint() -> str:
     """Digest of every ``repro`` source file (content + relative path).
@@ -49,7 +55,7 @@ def code_fingerprint() -> str:
     """
     package_root = Path(__file__).resolve().parents[1]
     digest = hashlib.sha256()
-    for path in sorted(package_root.rglob("*.py")):
+    for path in source_files(package_root):
         digest.update(str(path.relative_to(package_root)).encode("utf-8"))
         digest.update(b"\0")
         digest.update(path.read_bytes())

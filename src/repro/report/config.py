@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 #: Engines accepted by the simulator: ``scalar`` is the per-event
-#: reference loop, ``batched`` the vectorized numpy path; the two are
+#: reference loop, ``batched`` the per-segment compiled kernel; the two are
 #: contractually bit-identical.  Defined here, in stdlib-only config, so
 #: config parsing does not import the simulation stack;
 #: :data:`repro.sim.engine.ENGINES` re-exports it.

@@ -746,7 +746,13 @@ class ReproServer:
             else:
                 if request is None:
                     return
-                response = self.handle(request)
+                found, _, _ = match(request.method, request.path)
+                if found is not None and found.handler.startswith("submit_"):
+                    # A submission journals (and fsyncs) before it answers;
+                    # a worker thread keeps that off the event loop.
+                    response = await asyncio.to_thread(self.handle, request)
+                else:
+                    response = self.handle(request)
             with contextlib.suppress(ConnectionError,
                                      asyncio.CancelledError):
                 await write_response(writer, response)

@@ -12,16 +12,17 @@ and is otherwise engine-independent.
   ``memory.access(t, b, r)`` for every access in merged time order.
 * :func:`advance_batched_streams` produces the same refresh commands at
   the same stream positions, the same bank stall accounting and the
-  same scheme statistics, but in numpy chunks instead of per-event
-  Python.
+  same scheme statistics, one bank segment at a time.
 
 Exactness of the batched driver rests on three facts (argued in
 DESIGN.md, "Batched engine"):
 
-1. **Scheme events are rare and localized.**  Between threshold
-   crossings a counting scheme is a pure per-counter accumulator, so
-   event-free stretches vectorize (``MitigationScheme.access_batch``),
-   and each event replays through the scalar oracle.
+1. **A segment is served by the oracle's own per-access steps.**  SCA,
+   PRA, PRCAT and DRCAT segments run in one call of the compiled kernel
+   (:mod:`repro.sim.kernel`), which repeats the oracle's operations in
+   its order on flat registers.  Other schemes batch through
+   ``MitigationScheme.access_batch`` and the bank's drain closed form;
+   so do the four when no C compiler is available.
 2. **Banks only couple through epoch boundaries.**  Within one epoch
    segment each bank's (scheme, timing) evolution depends only on its
    own sub-stream, so banks process independently; the only global
@@ -36,8 +37,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.base import RefreshCommand
 from repro.dram.memory_system import MemorySystem
 from repro.report.config import ENGINE_NAMES
+from repro.sim.kernel import serve_segment
 
 #: Simulation time quantum (ns).  1/4 ns is a negative power of two, so
 #: every multiple is exactly representable in float64 — as are all the
@@ -156,12 +159,17 @@ def advance_batched_streams(
             i = cursors[bank]
             if i >= len(times):
                 continue
-            j = i + int(np.searchsorted(times[i:], boundary, side="left"))
-            if until_ns is not None and until_ns < boundary:
-                j = min(
-                    j,
-                    i + int(np.searchsorted(times[i:], until_ns, side="left")),
-                )
+            limit = boundary if until_ns is None else min(boundary, until_ns)
+            # A stream's rest usually lies wholly before or after the
+            # limit: reading its ends spares a binary search, whose
+            # scattered reads of a memory-mapped trace-store stream each
+            # cost a page fault.
+            if times[-1] < limit:
+                j = len(times)
+            elif times[i] >= limit:
+                j = i
+            else:
+                j = i + int(np.searchsorted(times[i:], limit, side="left"))
             if max_accesses is not None:
                 j = min(j, i + (max_accesses - served))
             if j > i:
@@ -190,15 +198,25 @@ def _run_bank_segment(
     """Process one bank's accesses of one epoch segment."""
     bank_state = memory.banks[bank]
     scheme = memory.schemes[bank]
-    events = [] if scheme is None else scheme.access_batch(rows)
-    prev = 0
-    for position, commands in events:
-        bank_state.serve_accesses_batch(times[prev:position + 1])
-        done = bank_state.free_at_ns
-        for cmd in commands:
-            memory.apply_refresh(bank_state, done, cmd, bank=bank)
-        prev = position + 1
-    bank_state.serve_accesses_batch(times[prev:])
+    served = None if scheme is None else serve_segment(bank_state, scheme, times, rows)
+    if served is not None:
+        # The kernel applied the bank and scheme side; the memory
+        # system's totals and taps follow its events in stream order.
+        events, done, reason = served
+        memory.total_refresh_commands += events.shape[1]
+        memory.total_rows_refreshed += int(events[3].sum())
+        if memory.on_refresh is not None:
+            for at, low, high, count in zip(done.tolist(), *events[1:].tolist()):
+                memory.on_refresh(bank, at, RefreshCommand(low, high, reason), count)
+    else:
+        prev = 0
+        for position, commands in [] if scheme is None else scheme.access_batch(rows):
+            bank_state.serve_accesses_batch(times[prev:position + 1])
+            done = bank_state.free_at_ns
+            for cmd in commands:
+                memory.apply_refresh(bank_state, done, cmd, bank=bank)
+            prev = position + 1
+        bank_state.serve_accesses_batch(times[prev:])
     memory.last_completion_ns = max(
         memory.last_completion_ns, bank_state.free_at_ns
     )

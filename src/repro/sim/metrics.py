@@ -35,7 +35,7 @@ def _decode_param(value):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunTotals:
     """Raw, simulation-scale totals collected by one run."""
 
@@ -81,7 +81,7 @@ class RunTotals:
         return cls(**doc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationResult:
     """One (workload, scheme, config) experiment outcome."""
 

@@ -99,7 +99,8 @@ class TestSecondSimulatorRemoved:
         assert list(params) == ["self"]
 
 
-#: The merged-stream batched driver and two helpers nothing called.
+#: The merged-stream batched driver and two helpers nothing called, and
+#: the headroom-bisection tree loop the compiled kernel replaced.
 DELETED_NAMES = (
     ("repro.core.batch", "find_first_event"),
     ("repro.sim.engine", "run_batched"),
@@ -107,6 +108,10 @@ DELETED_NAMES = (
     ("repro.sim", "run_batched"),
     ("repro.dram.memory_system", "MemorySystem.access_batch"),
     ("repro.core.counter_tree", "CounterTree.hottest_saturated_counter"),
+    ("repro.core.batch", "counter_scheme_access_batch"),
+    ("repro.core.batch", "BATCH_WINDOW"),
+    ("repro.core.counter_tree", "CounterTree._headroom"),
+    ("repro.core.counter_tree", "CounterTree._doomed_harvests"),
 )
 
 

@@ -242,50 +242,19 @@ def test_per_bank_driver_matches_merged_access_loop():
             assert _fingerprint(memory) == expected, context
 
 
-@pytest.mark.parametrize("workload", ["comm1", "leslie", "libq"])
-def test_failed_harvests_are_predicted_not_replayed(monkeypatch, workload):
-    """Doomed DRCAT harvest attempts never reach the scalar oracle.
-
-    A replay inside ``access_batch`` that emits no command and leaves
-    the tree's index map untouched did nothing but (at most) set a
-    harvest-blocked flag.  Replaying every such attempt kept results
-    exact but cost 275-291 replays per run here; the prediction in
-    ``CounterTree._headroom`` leaves a handful.
-    """
-    from repro.core.drcat import DRCATScheme
-
-    inside = [False]
-    no_op_replays = [0]
-    access, access_batch = DRCATScheme.access, DRCATScheme.access_batch
-
-    def counting_access(self, row):
-        version = self.tree._map_version
-        cmds = access(self, row)
-        if inside[0] and not cmds and self.tree._map_version == version:
-            no_op_replays[0] += 1
-        return cmds
-
-    def flagged_access_batch(self, rows):
-        inside[0] = True
-        try:
-            return access_batch(self, rows)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(DRCATScheme, "access", counting_access)
-    monkeypatch.setattr(DRCATScheme, "access_batch", flagged_access_batch)
-    run_spec(ExperimentSpec(
-        scheme=SchemeSpec("drcat"), workload=workload,
-        scale=64.0, n_banks=1, n_intervals=2,
-    ))
-    assert no_op_replays[0] <= 10
-
-
 def test_batched_access_batch_rejects_bad_rows():
-    """The vectorized row check still rejects out-of-range rows."""
+    """The batched engine's paths reject out-of-range rows: ccache's
+    vectorized check, the per-access default, and the kernel."""
     from repro.core import make_scheme
+    from repro.dram.bank import BankState
+    from repro.dram.config import DRAMTimings
+    from repro.sim.kernel import serve_segment
 
+    rows = np.array([5, 2048], dtype=np.int64)
     for kind in ("sca", "pra", "prcat", "drcat", "ccache"):
         scheme = make_scheme(kind, 1024, 128)
-        with pytest.raises(ValueError):
-            scheme.access_batch(np.array([5, 2048], dtype=np.int64))
+        with pytest.raises(ValueError, match="row 2048 out of range"):
+            scheme.access_batch(rows)
+        if kind != "ccache":
+            with pytest.raises(ValueError, match="row 2048 out of range"):
+                serve_segment(BankState(DRAMTimings()), scheme, np.zeros(2), rows)

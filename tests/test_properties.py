@@ -7,9 +7,9 @@ These verify the DESIGN.md invariants over randomised access sequences:
    unrefreshed activation count ever exceeds the refresh threshold;
 3. counter conservation across splits and merges;
 4. CAT under uniform access degenerates to SCA's uniform grouping;
-5. the PRCAT/DRCAT batched path equals its scalar loop across windows,
-   epoch resets and state round trips, with the counter pool free or
-   exhausted (where DRCAT harvest attempts and their prediction happen);
+5. the PRCAT/DRCAT compiled kernel equals their scalar loop across
+   segments, epoch resets and state round trips, with the counter pool
+   free or exhausted (where DRCAT harvests and cascades happen);
 6. the counter cache's batched path equals its per-access loop across
    chunks, epoch resets and state round trips.
 """
@@ -20,15 +20,32 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import ActivationLedger
+from repro.core.base import ActivationLedger, RefreshCommand
 from repro.core.counter_cache import CounterCacheScheme
 from repro.core.counter_tree import CounterTree
 from repro.core.sca import SCAScheme
 from repro.core.cat import PRCATScheme
 from repro.core.drcat import DRCATScheme
 from repro.core.thresholds import SplitThresholds
+from repro.dram.bank import BankState
+from repro.dram.config import DRAMTimings
+from repro.sim.kernel import serve_segment
 
 N_ROWS = 256
+
+
+def kernel_batch(scheme, rows: np.ndarray) -> list:
+    """``access_batch`` the way the batched engine serves the scheme: one
+    compiled-kernel call (on a throwaway bank), else the scheme's own
+    batch path."""
+    served = serve_segment(BankState(DRAMTimings()), scheme, np.zeros(len(rows)), rows)
+    if served is None:
+        return scheme.access_batch(rows)
+    events, _done, reason = served
+    grouped: dict = {}
+    for position, low, high in zip(*events[:3].tolist()):
+        grouped.setdefault(position, []).append(RefreshCommand(low, high, reason))
+    return sorted(grouped.items())
 
 
 def tree_strategy():
@@ -132,18 +149,17 @@ class TestCounterConservation:
 
 
 class TestHarvestRegimeBatchEquivalence:
-    """Batched PRCAT/DRCAT equal the scalar loop, chunk by chunk.
+    """The compiled kernel serves PRCAT/DRCAT like the scalar loop,
+    segment by segment.
 
     Skewed streams over an 8- or 16-counter pool drive DRCAT into the
-    regime where every split must harvest a cold pair, so the batched
-    path predicts failed attempts instead of replaying them
-    (``CounterTree._headroom``); 32-counter pools keep splits free for
-    longer.  Streams span several ``BATCH_WINDOW``s, and each cut may
+    regime where every split must harvest a cold pair, so failed
+    harvest attempts set blocked flags and successful ones spend the
+    budget; 32-counter pools keep splits free for longer.  Each cut may
     bring an epoch reset on both sides and a JSON state round trip of
-    the batched side, so event positions cached across events
-    (``core/batch.py``) meet window edges, re-gathers and rebuilt
-    caches.  Any inexact prediction or stale position shows up as a
-    different command position, blocked flag, register or statistic.
+    the kernel side, so the flat registers cross into Python and back
+    mid-stream.  Any inexact step shows up as a different command
+    position, blocked flag, register or statistic.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -190,7 +206,7 @@ class TestHarvestRegimeBatchEquivalence:
                 cmds = scalar.access(row)
                 if cmds:
                     expected.append((position, cmds))
-            assert batched.access_batch(rows[lo:hi]) == expected
+            assert kernel_batch(batched, rows[lo:hi]) == expected
             assert batched.to_state() == scalar.to_state()
 
 

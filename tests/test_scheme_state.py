@@ -20,11 +20,13 @@ from repro.analysis.prng import (
     prng_from_state,
 )
 from repro.core import make_scheme
+from repro.core.base import RefreshCommand
 from repro.core.counter_tree import HARVEST_BUDGET_PER_REFRESH
 from repro.core.registry import get_scheme_info, scheme_names
 from repro.dram.bank import BankState
-from repro.dram.config import SystemConfig
+from repro.dram.config import DRAMTimings, SystemConfig
 from repro.dram.memory_system import MemorySystem
+from repro.sim.kernel import serve_segment
 
 N_ROWS = 4096
 T = 256
@@ -44,6 +46,20 @@ def stream(seed: int, n: int) -> list[int]:
     rows = rng.integers(0, N_ROWS, size=n)
     rows[hot] = 17
     return [int(r) for r in rows]
+
+
+def kernel_batch(scheme, rows: np.ndarray) -> list:
+    """``access_batch`` the way the batched engine serves the scheme: one
+    compiled-kernel call (on a throwaway bank), else the scheme's own
+    batch path."""
+    served = serve_segment(BankState(DRAMTimings()), scheme, np.zeros(len(rows)), rows)
+    if served is None:
+        return scheme.access_batch(rows)
+    events, _done, reason = served
+    grouped: dict = {}
+    for position, low, high in zip(*events[:3].tolist()):
+        grouped.setdefault(position, []).append(RefreshCommand(low, high, reason))
+    return sorted(grouped.items())
 
 
 def drive(scheme, rows):
@@ -74,7 +90,8 @@ class TestSchemeStateRoundTrip:
         json.dumps(scheme.to_state())  # must not raise
 
     def test_batch_path_after_restore(self, kind):
-        """access_batch on a restored scheme equals the original's."""
+        """The batched engine's path (the compiled kernel, or ccache's
+        ``access_batch``) on a restored scheme equals the original's."""
         prefix = stream(6, 3000)
         original = build(kind)
         drive(original, prefix)
@@ -83,11 +100,11 @@ class TestSchemeStateRoundTrip:
         batch = np.asarray(stream(7, 3000), dtype=np.int64)
         events_a = [
             (p, [(c.low, c.high, c.reason) for c in cmds])
-            for p, cmds in original.access_batch(batch.copy())
+            for p, cmds in kernel_batch(original, batch.copy())
         ]
         events_b = [
             (p, [(c.low, c.high, c.reason) for c in cmds])
-            for p, cmds in clone.access_batch(batch.copy())
+            for p, cmds in kernel_batch(clone, batch.copy())
         ]
         assert events_a == events_b
         assert clone.stats.snapshot() == original.stats.snapshot()

@@ -7,6 +7,7 @@ plus in-flight dedup, SSE delivery, and the error surface.
 
 import json
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -140,6 +141,37 @@ class TestRunSubmission:
         wait_done(base, doc["job"])
         _status, listing = get(base, "/v1/jobs")
         assert doc["job"] in [j["job"] for j in listing["jobs"]]
+
+
+class TestSubmitOffTheEventLoop:
+    def test_health_answers_while_a_submission_journals(self, server, monkeypatch):
+        """A slow submit journal append (its fsync) stalls only that
+        submission: a concurrent health check answers before it."""
+        from repro.server.journal import Journal
+
+        _srv, base = server
+        append = Journal.append
+
+        def slow_append(self, record):
+            if record.get("rec") == "submit":
+                time.sleep(0.6)
+            return append(self, record)
+
+        monkeypatch.setattr(Journal, "append", slow_append)
+        answered = {}
+
+        def submit():
+            status, _doc = post(base, "/v1/runs", {"spec": fast_spec(seed=4242).to_dict()})
+            answered["post"] = (status, time.monotonic())
+
+        thread = threading.Thread(target=submit)
+        thread.start()
+        time.sleep(0.2)
+        status, _doc = get(base, "/v1/health")
+        answered["health"] = (status, time.monotonic())
+        thread.join(30)
+        assert answered["post"][0] == 202 and answered["health"][0] == 200
+        assert answered["health"][1] < answered["post"][1]
 
 
 class TestPlanSubmission:
