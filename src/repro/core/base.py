@@ -60,6 +60,21 @@ class RefreshCommand:
         return max(0, c.high - c.low + 1)
 
 
+def checked_register(owner: str, field: str, value, high: int = 1 << 63) -> int:
+    """``value`` as an int when it is an integer in ``[0, high)``.
+
+    Restored registers cross into the compiled kernel as int64, so a
+    state field that is not an integer, is negative or reaches ``high``
+    (by default 2^63) raises a ``ValueError`` naming ``owner``'s field.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or not 0 <= value < high:
+        raise ValueError(
+            f"{owner} state field {field!r}: {value!r} is not an integer in [0, {high})"
+        )
+    return int(value)
+
+
 @dataclass(slots=True)
 class SchemeStats:
     """Running totals a scheme keeps about its own activity.
@@ -142,9 +157,9 @@ class MitigationScheme(abc.ABC):
         ``(position, commands)`` pairs name every access that emitted
         commands, in stream order, and the scheme ends in the identical
         state.  The default replays scalar ``access``, which is always
-        correct.  The batched engine serves SCA, PRA, PRCAT and DRCAT in
-        its compiled kernel instead, and the counter cache overrides
-        this with its own fast path (see :mod:`repro.core.batch`).
+        correct.  The batched engine serves the five built-in schemes in
+        its compiled kernel (:mod:`repro.sim.kernel`) and calls this
+        only for a registrant, or on a host without a C compiler.
         """
         events: list[tuple[int, list[RefreshCommand]]] = []
         access = self.access

@@ -15,14 +15,18 @@ thrashing, its storage dwarfs SCA_128/CAT_64, and misses add DRAM
 traffic.  Implementing it makes that comparison executable: the scheme
 plugs into the same simulator, and its stats expose hit rates and the
 extra DRAM accesses the CAT schemes avoid by construction.
+
+:meth:`CounterCacheScheme.access` is the only algorithm.  The batched
+engine's compiled kernel (``sim/kernel.c``) repeats it statement by
+statement on :meth:`~CounterCacheScheme.registers` and on the backing
+store in place, and hands the registers back at segment boundaries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import MitigationScheme, RefreshCommand
-from repro.core.batch import check_rows, threshold_crossings
+from repro.core.base import MitigationScheme, RefreshCommand, checked_register
 
 #: Energy of one counter-line fetch or write-back to the reserved DRAM
 #: region (nJ).  A counter line is one 64-byte column burst — far
@@ -34,14 +38,6 @@ COUNTER_MEMORY_ACCESS_NJ = 5.0
 #: so sequential row traffic enjoys spatial locality exactly as in the
 #: DRAM-backed design of [26].
 COUNTERS_PER_LINE = 32
-
-
-def _slots(keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each query in the (unsorted, distinct) ``keys``, and
-    whether it is there at all."""
-    order = np.argsort(keys)
-    slot = order[np.minimum(np.searchsorted(keys, queries, sorter=order), len(keys) - 1)]
-    return slot, keys[slot] == queries
 
 
 class CounterCacheScheme(MitigationScheme):
@@ -103,84 +99,6 @@ class CounterCacheScheme(MitigationScheme):
         self.stats.rows_refreshed += len(commands)
         return commands
 
-    def access_batch(
-        self, rows: np.ndarray
-    ) -> list[tuple[int, list[RefreshCommand]]]:
-        """Exact batch: closed-form refresh events plus one LRU pass.
-
-        The cache never changes a count: a miss fetches the exact count,
-        an eviction writes it back and a refresh writes 0 to both.  So
-        every touched row is an independent counter whose events follow
-        :func:`~repro.core.batch.threshold_crossings`, and the LRU only
-        decides hits, misses, write-backs and what the registers hold
-        (DESIGN.md, "Batched engine").
-        """
-        n = len(rows)
-        if n == 0:
-            return []
-        check_rows(rows, self.n_rows)
-        per_line = COUNTERS_PER_LINE
-        memory = self._memory_counters
-        touched, ids, hits = np.unique(rows, return_inverse=True, return_counts=True)
-        touched_lines = touched // per_line
-        # Start counts: the store, except for rows of cached lines, the
-        # only ones whose store value can be stale.
-        cached = {tag: counts for ways in self._sets for tag, counts in ways}
-        start = memory[touched]
-        if cached:
-            slot, hit = _slots(np.fromiter(cached, np.int64, len(cached)), touched_lines)
-            values = np.array(list(cached.values()), dtype=np.int64)
-            start[hit] = values[slot[hit], touched[hit] % per_line]
-        end, fired = threshold_crossings(ids, start, hits, self.refresh_threshold)
-        events: list[tuple[int, list[RefreshCommand]]] = []
-        last_refresh = np.full(len(touched), -1, dtype=np.int64)
-        for u, positions in fired:
-            last_refresh[u] = positions[-1]
-            commands = self._neighbour_commands(int(touched[u]))
-            if commands:
-                self.stats.refresh_commands += len(commands) * len(positions)
-                self.stats.rows_refreshed += len(commands) * len(positions)
-                events.extend((p, list(commands)) for p in positions.tolist())
-        events.sort(key=lambda event: event[0])
-        tags, evicted = self._replay_lru(rows // per_line)
-
-        # Backing store.  An evicted line holds its counts as of its last
-        # eviction (untouched rows: their start counts), unless a refresh
-        # came later and left 0; a line never evicted changes only where
-        # a refresh wrote 0.
-        last_evict = np.full(len(touched), -1, dtype=np.int64)
-        if evicted:
-            for line in evicted.keys() & cached.keys():
-                base = line * per_line
-                memory[base : base + per_line] = cached[line][: self.n_rows - base]
-            slot, hit = _slots(np.fromiter(evicted, np.int64, len(evicted)), touched_lines)
-            last_evict[hit] = np.fromiter(evicted.values(), np.int64, len(evicted))[slot[hit]]
-            before = np.bincount(ids[np.arange(n) < last_evict[ids]], minlength=len(touched))
-            written = last_evict > last_refresh
-            memory[touched[written]] = (start + before)[written] % self.refresh_threshold
-        memory[touched[last_refresh > last_evict]] = 0
-
-        # Cache: every line held at the end carries its end counts.
-        lines = [line for ways in tags for line in ways]
-        bases = np.array(lines, dtype=np.int64) * per_line
-        bounds = np.searchsorted(touched, bases).tolist()
-        ends = np.searchsorted(touched, bases + per_line).tolist()
-        touched_rows, end_counts = touched.tolist(), end.tolist()
-        counts_of = {}
-        for line, lo, hi in zip(lines, bounds, ends):
-            base = line * per_line
-            if line in cached and line not in evicted:
-                counts = cached[line]
-            else:
-                counts = memory[base : base + per_line].tolist()
-                counts += [0] * (per_line - len(counts))
-            for j in range(lo, hi):
-                counts[touched_rows[j] - base] = end_counts[j]
-            counts_of[line] = counts
-        self._sets = [[(line, counts_of[line]) for line in ways] for ways in tags]
-        self.stats.activations += n
-        return events
-
     # -- cache mechanics -------------------------------------------------
 
     def _neighbour_commands(self, row: int) -> list[RefreshCommand]:
@@ -191,38 +109,6 @@ class CounterCacheScheme(MitigationScheme):
         if row + 1 < self.n_rows:
             commands.append(RefreshCommand(row + 1, row + 1))
         return commands
-
-    def _replay_lru(self, lines: np.ndarray) -> tuple[list[list[int]], dict[int, int]]:
-        """Run one batch's line references through the LRU, tags only.
-
-        Updates the hit/miss/write-back totals and returns the final
-        per-set tag lists (MRU first) with the last eviction position
-        of every line evicted in the batch.
-        """
-        n_sets, n_ways = self.n_sets, self.n_ways
-        order = np.argsort(lines % n_sets, kind="stable")
-        lines = lines[order]
-        # Within a set, a repeat of the MRU line is a hit that changes
-        # nothing; the loop sees only the references that may.
-        keep = np.ones(len(lines), dtype=bool)
-        keep[1:] = lines[1:] != lines[:-1]
-        tags = [[tag for tag, _ in ways] for ways in self._sets]
-        filled = sum(map(len, tags))
-        evicted: dict[int, int] = {}
-        evictions = 0
-        for position, line in zip(order[keep].tolist(), lines[keep].tolist()):
-            ways = tags[line % n_sets]
-            if line in ways:
-                ways.remove(line)
-            elif len(ways) == n_ways:
-                evicted[ways.pop()] = position
-                evictions += 1
-            ways.insert(0, line)
-        misses = evictions + sum(map(len, tags)) - filled
-        self.hits += len(lines) - misses
-        self.misses += misses
-        self.writebacks += evictions
-        return tags, evicted
 
     def _line_of(self, row: int) -> int:
         return row // COUNTERS_PER_LINE
@@ -268,6 +154,36 @@ class CounterCacheScheme(MitigationScheme):
                 break
         self._memory_counters[row] = count
 
+    # -- kernel registers --------------------------------------------------
+
+    def registers(self) -> np.ndarray:
+        """The cache as one flat int64 array, the layout the compiled
+        kernel (``sim/kernel.c``) serves a bank segment on.
+
+        The hit, miss and write-back totals and each set's way count
+        precede ``n_ways`` ways per set, each a tag followed by its
+        line's ``COUNTERS_PER_LINE`` counts, most recently used first
+        and zero-padded.  The backing store crosses as it is.
+        """
+        stride = 1 + COUNTERS_PER_LINE
+        regs = np.zeros(3 + self.n_sets * (1 + self.n_ways * stride), dtype=np.int64)
+        regs[:3] = self.hits, self.misses, self.writebacks
+        regs[3 : 3 + self.n_sets] = [len(ways) for ways in self._sets]
+        body = regs[3 + self.n_sets :].reshape(self.n_sets, self.n_ways, stride)
+        for index, ways in enumerate(self._sets):
+            for way, (tag, counts) in enumerate(ways):
+                body[index, way] = [tag, *counts]
+        return regs
+
+    def load_registers(self, regs: np.ndarray) -> None:
+        """Adopt a :meth:`registers` array a kernel call updated."""
+        self.hits, self.misses, self.writebacks = regs[:3].tolist()
+        fill = regs[3 : 3 + self.n_sets].tolist()
+        body = regs[3 + self.n_sets :].reshape(self.n_sets, self.n_ways, -1).tolist()
+        self._sets = [
+            [(way[0], way[1:]) for way in ways[:filled]] for ways, filled in zip(body, fill)
+        ]
+
     # -- checkpointable state (SchemeState protocol; see repro.api) ------
 
     def to_state(self) -> dict:
@@ -298,20 +214,23 @@ class CounterCacheScheme(MitigationScheme):
         """SchemeState protocol: overwrite cache + backing store.
 
         Raises ``ValueError`` naming the field when the state cannot come
-        from a cache of this geometry: a row outside the bank, a count
+        from a cache of this geometry: a ``memory_counters`` entry that
+        is not a ``[row, count]`` pair, a row outside the bank, a count
         outside ``[0, T)``, too many ways, a tag outside the bank, in
-        the wrong set or cached twice, or a count line of the wrong size.
+        the wrong set or cached twice, a count line of the wrong size,
+        or a hit, miss or write-back total that is not an integer in
+        ``[0, 2^63)``.
         """
         threshold = self.refresh_threshold
         counters = np.zeros(self.n_rows, dtype=np.int64)
         for entry in state["memory_counters"]:
-            i, c = (int(v) for v in entry)
-            if not (0 <= i < self.n_rows and 0 <= c < threshold):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ValueError(
-                    f"ccache state field 'memory_counters': entry {[i, c]} needs a row "
-                    f"in [0, {self.n_rows}) and a count in [0, {threshold})"
+                    f"ccache state field 'memory_counters': entry {entry!r} "
+                    "is not a [row, count] pair"
                 )
-            counters[i] = c
+            row = checked_register("ccache", "memory_counters", entry[0], self.n_rows)
+            counters[row] = checked_register("ccache", "memory_counters", entry[1], threshold)
         sets = [
             [(int(tag), [int(c) for c in counts]) for tag, counts in ways]
             for ways in state["sets"]
@@ -343,11 +262,13 @@ class CounterCacheScheme(MitigationScheme):
                         f"{COUNTERS_PER_LINE} counts in [0, {threshold}), "
                         f"got {counts}"
                     )
+        totals = [
+            checked_register("ccache", name, state[name])
+            for name in ("hits", "misses", "writebacks")
+        ]
         self._memory_counters = counters
         self._sets = sets
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
-        self.writebacks = int(state["writebacks"])
+        self.hits, self.misses, self.writebacks = totals
         self.stats.restore(state["stats"])
 
     # -- epoch / introspection -------------------------------------------

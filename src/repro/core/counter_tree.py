@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import RefreshCommand
+from repro.core.base import RefreshCommand, checked_register
 from repro.core.thresholds import SplitThresholds
 
 #: Weight register saturation limit (2-bit registers in the paper).
@@ -608,8 +608,9 @@ class CounterTree:
         weight outside ``[0, WEIGHT_MAX]`` or a level outside ``[0, L)``;
         an inactive counter with a count or weight; a harvest budget
         outside ``[0, HARVEST_BUDGET_PER_REFRESH]``; a free-list entry
-        that is out of range, repeated or active; or a structure that
-        fails :meth:`check_invariants`.  The tree is unusable after a
+        that is out of range, repeated or active; a total that is not an
+        integer in ``[0, 2^63)``; or a structure that fails
+        :meth:`check_invariants`.  The tree is unusable after a
         rejected state.
         """
         m = self.n_counters
@@ -684,12 +685,11 @@ class CounterTree:
         self._root_is_leaf = bool(state["root_is_leaf"])
         self._harvest_blocked = np.array(fields["harvest_blocked"], dtype=bool)
         self._harvest_budget = budget
-        totals = state["totals"]
-        self.total_splits = int(totals["splits"])
-        self.total_merges = int(totals["merges"])
-        self.total_refresh_commands = int(totals["refresh_commands"])
-        self.total_rows_refreshed = int(totals["rows_refreshed"])
-        self.total_sram_reads = int(totals["sram_reads"])
+        (self.total_splits, self.total_merges, self.total_refresh_commands,
+         self.total_rows_refreshed, self.total_sram_reads) = (
+            checked_register("tree", "totals", state["totals"][name])
+            for name in ("splits", "merges", "refresh_commands", "rows_refreshed", "sram_reads")
+        )
         self._merge_pairs = None
         try:
             self.check_invariants()

@@ -13,7 +13,7 @@ shows the coarse-group refresh cost that motivates CAT.
 
 from __future__ import annotations
 
-from repro.core.base import MitigationScheme, RefreshCommand
+from repro.core.base import MitigationScheme, RefreshCommand, checked_register
 
 
 class SCAScheme(MitigationScheme):
@@ -63,12 +63,19 @@ class SCAScheme(MitigationScheme):
         }
 
     def restore_state(self, state: dict) -> None:
-        """SchemeState protocol: overwrite counters + stats."""
-        counts = [int(c) for c in state["counts"]]
+        """SchemeState protocol: overwrite counters + stats.
+
+        Raises ``ValueError`` naming ``counts`` unless the state holds
+        one integer count in ``[0, T)`` per counter.
+        """
+        counts = [
+            checked_register("sca", "counts", c, self.refresh_threshold)
+            for c in state["counts"]
+        ]
         if len(counts) != self.n_counters:
             raise ValueError(
-                f"state carries {len(counts)} counters, scheme has "
-                f"{self.n_counters}"
+                f"sca state field 'counts': state carries {len(counts)} "
+                f"counters, scheme has {self.n_counters}"
             )
         self._counts = counts
         self.stats.restore(state["stats"])

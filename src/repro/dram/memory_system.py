@@ -96,10 +96,10 @@ class MemorySystem:
         """Apply one scheme-emitted refresh command to a bank.
 
         Part of the public surface: the batched engine
-        (:mod:`repro.sim.engine`) applies the events of schemes the
-        compiled kernel does not serve through this exact path, so it
-        must stay in lock-step with :meth:`access`'s scalar behaviour
-        (backlog accounting, totals, the ``on_refresh`` tap).
+        (:mod:`repro.sim.engine`) applies the events of a registrant, or
+        of any scheme on a host without a C compiler, through this exact
+        path, so it must stay in lock-step with :meth:`access`'s scalar
+        behaviour (backlog accounting, totals, the ``on_refresh`` tap).
         """
         rows = cmd.row_count(self.config.rows_per_bank)
         bank_state.serve_refresh(time_ns, rows)

@@ -17,12 +17,12 @@ and is otherwise engine-independent.
 Exactness of the batched driver rests on three facts (argued in
 DESIGN.md, "Batched engine"):
 
-1. **A segment is served by the oracle's own per-access steps.**  SCA,
-   PRA, PRCAT and DRCAT segments run in one call of the compiled kernel
-   (:mod:`repro.sim.kernel`), which repeats the oracle's operations in
-   its order on flat registers.  Other schemes batch through
-   ``MitigationScheme.access_batch`` and the bank's drain closed form;
-   so do the four when no C compiler is available.
+1. **A segment is served by the oracle's own per-access steps.**  The
+   five built-in schemes' segments run in one call of the compiled
+   kernel (:mod:`repro.sim.kernel`), which repeats the oracle's
+   operations in its order on flat registers.  A registrant, or any
+   scheme on a host without a C compiler, is served per access through
+   ``MitigationScheme.access_batch`` and ``BankState.serve_accesses_batch``.
 2. **Banks only couple through epoch boundaries.**  Within one epoch
    segment each bank's (scheme, timing) evolution depends only on its
    own sub-stream, so banks process independently; the only global
@@ -30,7 +30,8 @@ DESIGN.md, "Batched engine"):
 3. **Quantized time makes float arithmetic exact.**  All arrival times
    are floored to the quarter-nanosecond grid (:data:`TIME_QUANTUM_NS`),
    on which every timing expression is exactly representable in
-   float64; vectorized re-association therefore changes nothing.
+   float64, so the kernel's double operations, run in the oracle's
+   order, round nowhere.
 """
 
 from __future__ import annotations
@@ -209,6 +210,7 @@ def _run_bank_segment(
             for at, low, high, count in zip(done.tolist(), *events[1:].tolist()):
                 memory.on_refresh(bank, at, RefreshCommand(low, high, reason), count)
     else:
+        # A registrant, or no C compiler: the scheme and the bank per access.
         prev = 0
         for position, commands in [] if scheme is None else scheme.access_batch(rows):
             bank_state.serve_accesses_batch(times[prev:position + 1])

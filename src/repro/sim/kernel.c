@@ -4,32 +4,36 @@
  * repro_serve_segment() serves one bank's accesses of one epoch segment
  * exactly as the scalar oracle (MemorySystem.access) does, one access
  * at a time: BankState.serve_access with its _drain_until, then the
- * scheme's access (SCAScheme, PRAScheme, or PRCATScheme/DRCATScheme over
- * CounterTree), then BankState.serve_refresh for every command the
- * access emitted, at that access's completion time.  Each function
- * below mirrors the Python method of the same name statement by
- * statement, except lookup, which reads a block map instead of
- * descending the pointer tree.  Integer registers are exact; the float
- * registers stay on the quarter-ns grid, where every double operation
- * is exact as long as it runs in the oracle's order, so the library is
- * built with -ffp-contract=off (no a*b+c fused into an FMA) and never
- * with -ffast-math (no reassociation).
+ * scheme's access (SCAScheme, PRAScheme, PRCATScheme/DRCATScheme over
+ * CounterTree, or CounterCacheScheme), then BankState.serve_refresh for
+ * every command the access emitted, at that access's completion time.
+ * Each function below mirrors the Python method of the same name
+ * statement by statement, except lookup, which reads a block map
+ * instead of descending the pointer tree, and the counter cache's
+ * _store, which writes through the count lookup_increment returned
+ * instead of searching the set again.  Integer registers are exact;
+ * the float registers stay on the quarter-ns grid, where every double
+ * operation is exact as long as it runs in the oracle's order, so the
+ * library is built with -ffp-contract=off (no a*b+c fused into an FMA)
+ * and never with -ffast-math (no reassociation).
  *
- * Registers cross as flat arrays laid out by repro.sim.kernel and
- * CounterTree.registers().  The call stops early when the event buffer
- * could overflow and reports where it stopped, so the caller can drain
- * the buffer and continue.
+ * Registers cross as flat arrays laid out by repro.sim.kernel,
+ * CounterTree.registers() and CounterCacheScheme.registers().  The call
+ * stops early when the event buffer could overflow and reports where it
+ * stopped, so the caller can drain the buffer and continue.
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
-enum { SCA = 0, PRA = 1, PRCAT = 2, DRCAT = 3 };
+enum { SCA = 0, PRA = 1, PRCAT = 2, DRCAT = 3, CCACHE = 4 };
 
 /* cfg[]: the static configuration (read only). */
 enum {
     C_KIND, C_ROWS, C_T, C_ESCALATE, C_WEIGHT_MAX, C_WEIGHT_SPLIT, C_BUDGET,
     C_GROUP = 7, C_GROUP_SHIFT,       /* SCA: rows per group, its log2 or -1 */
     C_CUT = 7,                        /* PRA: draws below it refresh */
+    C_SETS = 7, C_WAYS, C_LINE,       /* ccache: geometry, counters per line */
     C_M = 7, C_LEVELS, C_PRESPLIT, C_ADDR_BITS, C_WEIGHTS, C_CASCADE,
     C_SPLIT_AT                        /* CAT: split threshold per level */
 };
@@ -39,6 +43,10 @@ enum {
     H_FREE_C, H_FREE_I, H_ACTIVE, H_ROOT, H_ROOT_LEAF, H_BUDGET, H_SPLITS,
     H_MERGES, H_REFRESHES, H_ROWS, H_READS, H_CASCADES, H_SIZE
 };
+
+/* The counter-cache register header; each set's way count follows it,
+ * then n_ways ways per set of [tag, line counts], MRU first. */
+enum { R_HITS, R_MISSES, R_WRITEBACKS, R_SIZE };
 
 typedef struct {
     double t_rc, t_op, free_at, busy, stall;
@@ -57,6 +65,11 @@ typedef struct {
     int64_t *block_map, block_shift;
     int err;
 } Tree;
+
+typedef struct {
+    int64_t n_sets, n_ways, line, n_rows;
+    int64_t *h, *fill, *ways, *memory; /* memory: the backing store */
+} Cache;
 
 static int64_t row_count(int64_t low, int64_t high, int64_t n_rows)
 {
@@ -329,23 +342,70 @@ static int tree_access(Tree *t, int64_t row, int64_t *low, int64_t *high)
     return 0;
 }
 
+/* -- the counter cache (repro.core.counter_cache.CounterCacheScheme) */
+
+/* _lookup_increment: the row's count, incremented in its line, which is
+ * now the MRU way of its set. */
+static int64_t *lookup_increment(Cache *c, int64_t row)
+{
+    int64_t line = row / c->line, offset = row - line * c->line, stride = 1 + c->line;
+    int64_t *ways = c->ways + line % c->n_sets * c->n_ways * stride;
+    int64_t *fill = c->fill + line % c->n_sets, way[stride];
+    for (int64_t i = 0; i < *fill; i++) {
+        if (ways[i * stride] == line) {
+            c->h[R_HITS] += 1;
+            ways[i * stride + 1 + offset] += 1;
+            if (i) { /* ways.insert(0, ways.pop(i)) */
+                memcpy(way, ways + i * stride, sizeof way);
+                memmove(ways + stride, ways, i * sizeof way);
+                memcpy(ways, way, sizeof way);
+            }
+            return ways + 1 + offset;
+        }
+    }
+    /* Miss: fetch the whole counter line, zero-padded past the bank. */
+    c->h[R_MISSES] += 1;
+    int64_t base = line * c->line;
+    way[0] = line;
+    for (int64_t j = 0; j < c->line; j++)
+        way[1 + j] = base + j < c->n_rows ? c->memory[base + j] : 0;
+    way[1 + offset] += 1;
+    if (*fill >= c->n_ways) {
+        /* The LRU way goes; its write-back stops at the bank's end. */
+        *fill -= 1;
+        int64_t *victim = ways + *fill * stride, vbase = victim[0] * c->line;
+        for (int64_t j = 0; j < c->line && vbase + j < c->n_rows; j++)
+            c->memory[vbase + j] = victim[1 + j];
+        c->h[R_WRITEBACKS] += 1;
+    }
+    memmove(ways + stride, ways, *fill * sizeof way);
+    memcpy(ways, way, sizeof way);
+    *fill += 1;
+    return ways + 1 + offset;
+}
+
 /*
  * Serve accesses [start, n) of one bank segment.  Returns the number of
  * refresh commands written to ev (four rows of cap entries: access
  * position, low, high, rows refreshed) and ev_done (the access's
  * completion time), -1 on a broken tree or -2 when out of memory.
  * *stop receives the position after the last access served: n, or
- * earlier when fewer than two event slots were left.
+ * earlier when fewer than two event slots were left.  aux holds PRA's
+ * pre-drawn bits, or the counter cache's backing store (updated in place).
  */
 int64_t repro_serve_segment(const int64_t *cfg, int64_t *regs, double *bank_f,
                             int64_t *bank_i, const double *times, const int64_t *rows,
-                            const int64_t *draws, int64_t start, int64_t n,
+                            int64_t *aux, int64_t start, int64_t n,
                             int64_t *ev, double *ev_done, int64_t cap, int64_t *stop)
 {
     Bank b = {bank_f[0], bank_f[1], bank_f[2], bank_f[3], bank_f[4],
               bank_i[0], bank_i[1], bank_i[2], bank_i[3], cfg[C_ESCALATE]};
     int64_t kind = cfg[C_KIND], n_rows = cfg[C_ROWS], T = cfg[C_T];
     Tree t = {0};
+    Cache c = {0};
+    if (kind == CCACHE)
+        c = (Cache){cfg[C_SETS], cfg[C_WAYS], cfg[C_LINE], n_rows, regs, regs + R_SIZE,
+                    regs + R_SIZE + cfg[C_SETS], aux};
     if (kind == PRCAT || kind == DRCAT) {
         int64_t m = cfg[C_M];
         t.m = m;
@@ -385,7 +445,7 @@ int64_t repro_serve_segment(const int64_t *cfg, int64_t *regs, double *bank_f,
     }
     int64_t k = 0, i;
     for (i = start; i < n && k + 2 <= cap && !t.err; i++) {
-        int64_t row = rows[i], low[2], high[2], n_cmds = 0;
+        int64_t row = rows[i], low[2], high[2], n_cmds = 0, neighbours = 0;
         double done = serve_access(&b, times[i]);
         if (kind == SCA) {
             int64_t shift = cfg[C_GROUP_SHIFT];
@@ -400,15 +460,13 @@ int64_t repro_serve_segment(const int64_t *cfg, int64_t *regs, double *bank_f,
                 n_cmds = 1;
             }
         } else if (kind == PRA) {
-            if (draws[i] < cfg[C_CUT]) {
-                if (row - 1 >= 0) {
-                    low[n_cmds] = high[n_cmds] = row - 1;
-                    n_cmds++;
-                }
-                if (row + 1 < n_rows) {
-                    low[n_cmds] = high[n_cmds] = row + 1;
-                    n_cmds++;
-                }
+            neighbours = aux[i] < cfg[C_CUT];
+        } else if (kind == CCACHE) {
+            int64_t *count = lookup_increment(&c, row);
+            if (*count >= T) {
+                *count = 0; /* _store(row, 0) */
+                c.memory[row] = 0;
+                neighbours = 1;
             }
         } else if (tree_access(&t, row, &low[0], &high[0])) {
             n_cmds = 1;
@@ -425,11 +483,21 @@ int64_t repro_serve_segment(const int64_t *cfg, int64_t *regs, double *bank_f,
                 }
             }
         }
-        for (int64_t c = 0; c < n_cmds; c++, k++) {
-            int64_t refreshed = row_count(low[c], high[c], n_rows);
+        if (neighbours) { /* the in-range row±1 single-row commands */
+            if (row - 1 >= 0) {
+                low[n_cmds] = high[n_cmds] = row - 1;
+                n_cmds++;
+            }
+            if (row + 1 < n_rows) {
+                low[n_cmds] = high[n_cmds] = row + 1;
+                n_cmds++;
+            }
+        }
+        for (int64_t j = 0; j < n_cmds; j++, k++) {
+            int64_t refreshed = row_count(low[j], high[j], n_rows);
             ev[k] = i;
-            ev[cap + k] = low[c];
-            ev[2 * cap + k] = high[c];
+            ev[cap + k] = low[j];
+            ev[2 * cap + k] = high[j];
             ev[3 * cap + k] = refreshed;
             ev_done[k] = done;
             serve_refresh(&b, done, refreshed);

@@ -1,12 +1,12 @@
 """Build, cache and call the compiled bank-segment kernel (``kernel.c``).
 
-The batched engine serves SCA, PRA, PRCAT and DRCAT bank segments
-through :func:`serve_segment`: one C call per segment that follows the
-scalar oracle access by access on flat register arrays (DESIGN.md,
-"Batched engine").  Nothing here runs at import time.  On first use
-the library is compiled with the system C compiler into a per-user
-cache directory, keyed by the hash of the source and the flags and
-published by atomic rename, then loaded with ctypes.  Without a
+The batched engine serves SCA, PRA, PRCAT, DRCAT and counter-cache bank
+segments through :func:`serve_segment`: one C call per segment that
+follows the scalar oracle access by access on flat register arrays
+(DESIGN.md, "Batched engine").  Nothing here runs at import time.  On
+first use the library is compiled with the system C compiler into a
+per-user cache directory, keyed by the hash of the source and the flags
+and published by atomic rename, then loaded with ctypes.  Without a
 working compiler one notice is logged and :func:`serve_segment`
 declines, so the engine serves those schemes per access instead.
 """
@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import counter_tree
-from repro.core.batch import check_rows
+from repro.core import counter_cache, counter_tree
 from repro.core.cat import PRCATScheme
+from repro.core.counter_cache import CounterCacheScheme
 from repro.core.drcat import DRCATScheme
 from repro.core.pra import PRAScheme
 from repro.core.sca import SCAScheme
@@ -36,13 +36,20 @@ SOURCE = Path(__file__).with_name("kernel.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 #: Kernel scheme codes (``enum`` in ``kernel.c``); subclasses are not
 #: served, since they may override ``access``.
-_KINDS = {SCAScheme: 0, PRAScheme: 1, PRCATScheme: 2, DRCATScheme: 3}
+_KINDS = {SCAScheme: 0, PRAScheme: 1, PRCATScheme: 2, DRCATScheme: 3, CounterCacheScheme: 4}
 #: Events one call may buffer before it returns to be drained.
 _EVENT_CAP = 1 << 16
 
 logger = logging.getLogger(__name__)
 #: The loaded entry point; ``False`` once it proved unavailable.
 _entry = None
+
+
+def check_rows(rows: np.ndarray, n_rows: int) -> None:
+    """Vectorized equivalent of the scalar per-access row range check."""
+    if len(rows) and (int(rows.min()) < 0 or int(rows.max()) >= n_rows):
+        bad = rows[(rows < 0) | (rows >= n_rows)][0]
+        raise ValueError(f"row {int(bad)} out of range for bank with {n_rows} rows")
 
 
 def find_compiler() -> str | None:
@@ -104,7 +111,7 @@ def _load():
             stderr = getattr(exc, "stderr", b"") or b""
             logger.warning(
                 "compiled kernel unavailable (%s%s); the batched engine "
-                "serves SCA, PRA, PRCAT and DRCAT per access",
+                "serves every scheme per access",
                 exc, f": {stderr.decode(errors='replace').strip()}" if stderr else "",
             )
             _entry = False
@@ -132,7 +139,7 @@ def serve_segment(bank_state, scheme, times: np.ndarray, rows: np.ndarray):
         return None
     n = len(rows)
     check_rows(rows, scheme.n_rows)
-    draws = None
+    aux = None  # PRA's pre-drawn bits, or the counter cache's backing store
     threshold = scheme.refresh_threshold
     if kind == 0:
         group = scheme.group_size
@@ -141,9 +148,13 @@ def serve_segment(bank_state, scheme, times: np.ndarray, rows: np.ndarray):
     elif kind == 1:
         params = [scheme._cut]
         regs = np.zeros(1, dtype=np.int64)
-        draws = np.ascontiguousarray(
+        aux = np.ascontiguousarray(
             scheme._prng.next_bits_batch(scheme.random_bits, n), dtype=np.int64
         )
+    elif kind == 4:
+        params = [scheme.n_sets, scheme.n_ways, counter_cache.COUNTERS_PER_LINE]
+        regs = scheme.registers()
+        aux = scheme._memory_counters
     else:
         tree = scheme.tree
         thresholds = tree.thresholds
@@ -170,7 +181,7 @@ def serve_segment(bank_state, scheme, times: np.ndarray, rows: np.ndarray):
                        bank_state.rows_refreshed, bank_state.escalations], dtype=np.int64)
     times = np.ascontiguousarray(times, dtype=np.float64)
     rows = np.ascontiguousarray(rows, dtype=np.int64)
-    if len(times) != n or (draws is not None and len(draws) != n):
+    if len(times) != n or (kind == 1 and len(aux) != n):
         raise ValueError(f"a segment needs one arrival time (and draw) per row, {n} rows")
     cap = min(2 * n, _EVENT_CAP) + 2
     stop = np.zeros(1, dtype=np.int64)
@@ -182,7 +193,7 @@ def serve_segment(bank_state, scheme, times: np.ndarray, rows: np.ndarray):
         count = entry(
             config.ctypes.data, regs.ctypes.data, bank_f.ctypes.data,
             bank_i.ctypes.data, times.ctypes.data, rows.ctypes.data,
-            None if draws is None else draws.ctypes.data, position, n,
+            None if aux is None else aux.ctypes.data, position, n,
             events.ctypes.data, done.ctypes.data, cap, stop.ctypes.data,
         )
         if count == -2:
@@ -205,7 +216,9 @@ def serve_segment(bank_state, scheme, times: np.ndarray, rows: np.ndarray):
     stats.rows_refreshed += int(events[3].sum())
     if kind == 0:
         scheme._counts = regs.tolist()
-    elif kind >= 2:
+    elif kind == 4:
+        scheme.load_registers(regs)
+    elif kind in (2, 3):
         cascades = scheme.tree.load_registers(regs)
         if kind == 3:
             stats.splits += cascades

@@ -1,12 +1,14 @@
 """Tests for the bank timing model (refresh backlog + stall accounting)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.dram.bank as bank_module
+from repro.core.sca import SCAScheme
 from repro.dram.bank import BACKLOG_ESCALATION_ROWS, BankState
 from repro.dram.config import DRAMTimings
+from repro.sim.kernel import serve_segment
 
 #: ``t_rc`` and the row-op time, in quarter-ns quanta.
 R_Q = int(DRAMTimings().t_rc * 4)
@@ -110,31 +112,37 @@ class TestEpochReset:
         assert bank.rows_refreshed == 500
 
 
+def serve_in_kernel(bank, arrivals):
+    """Serve ``arrivals`` through the compiled kernel's bank model, beside
+    a scheme that never fires (SCA with an unreachable threshold); the
+    per-access loop on a host without a C compiler."""
+    scheme = SCAScheme(64, 1 << 40, 1)
+    rows = np.zeros(len(arrivals), dtype=np.int64)
+    if serve_segment(bank, scheme, np.asarray(arrivals, dtype=np.float64), rows) is None:
+        bank.serve_accesses_batch(np.asarray(arrivals))
+
+
 class TestBatchDrainEquivalence:
-    """serve_accesses_batch == per-access serve_access, bit-for-bit.
+    """The kernel's bank model == per-access serve_access, bit-for-bit.
 
     A drain phase mixes idle, burst and on-horizon (collision) accesses
-    and ends in an exhaustion or a full drain; the closed form (grid
-    input, backlog >= 64) and the scalar loop must both reproduce the
-    scalar oracle exactly for every mix.
+    and ends in an exhaustion or a full drain; the kernel must reproduce
+    the scalar oracle exactly for every mix, on the quarter-ns grid and
+    off it.
     """
 
     def _assert_equivalent(self, arrivals, backlog, f0):
-        import numpy as np
-
-        oracle, batched = make_bank(), make_bank()
-        for bank in (oracle, batched):
+        oracle, served = make_bank(), make_bank()
+        for bank in (oracle, served):
             bank.refresh_backlog_rows = backlog
             bank.free_at_ns = f0
         for arrival in arrivals.tolist():
             oracle.serve_access(arrival)
-        batched.serve_accesses_batch(np.asarray(arrivals))
-        assert oracle.to_state() == batched.to_state()
+        serve_in_kernel(served, arrivals)
+        assert oracle.to_state() == served.to_state()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_burst_dominated_streams(self, seed):
-        import numpy as np
-
         rng = np.random.default_rng(seed)
         n = int(rng.integers(200, 2500))
         gaps = rng.integers(1, 400, size=n)
@@ -146,8 +154,6 @@ class TestBatchDrainEquivalence:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_idle_dominated_streams(self, seed):
-        import numpy as np
-
         rng = np.random.default_rng(1000 + seed)
         n = int(rng.integers(200, 4000))
         gaps = rng.integers(300, 4000, size=n)
@@ -162,8 +168,6 @@ class TestBatchDrainEquivalence:
         )
 
     def test_exact_backlog_exhaustion_mid_run(self):
-        import numpy as np
-
         # Gaps drain exactly 3 row-ops per access: with backlog = 3k the
         # run ends by exhaustion, not by a burst or full drain.
         t_op = DRAMTimings().row_refresh_ns
@@ -179,8 +183,6 @@ class TestBatchDrainEquivalence:
         The arrivals are built against the per-access oracle, which
         serves them as they are made; returns ``(oracle, arrivals)``.
         """
-        import numpy as np
-
         t_rc = DRAMTimings().t_rc
         t_op = DRAMTimings().row_refresh_ns
         oracle = make_bank()
@@ -219,25 +221,13 @@ class TestBatchDrainEquivalence:
         return oracle, np.asarray(arrivals)
 
     @pytest.mark.parametrize("ending", ["exhaustion", "full_drain"])
-    def test_collision_stream_drains_in_one_pass(self, ending, monkeypatch):
-        # One _drain_run call serves the whole phase: a probe-and-replay
-        # drain would call it once per collision or probe window and
-        # replay the terminal accesses in Python.
-        calls = []
-        drain_run = bank_module._drain_run
-
-        def counted(*args):
-            calls.append(args)
-            return drain_run(*args)
-
-        monkeypatch.setattr(bank_module, "_drain_run", counted)
+    def test_collision_stream_drains_in_one_pass(self, ending):
         oracle, arrivals = self._collision_stream(ending)
-        batched = make_bank()
-        batched.refresh_backlog_rows = 1026
-        batched.free_at_ns = 1000 * DRAMTimings().t_rc
-        batched.serve_accesses_batch(arrivals)
-        assert len(calls) == 1
-        assert oracle.to_state() == batched.to_state()
+        served = make_bank()
+        served.refresh_backlog_rows = 1026
+        served.free_at_ns = 1000 * DRAMTimings().t_rc
+        serve_in_kernel(served, arrivals)
+        assert oracle.to_state() == served.to_state()
         assert oracle.stall_ns > 0
 
     @settings(max_examples=150, deadline=None)
@@ -256,21 +246,17 @@ class TestBatchDrainEquivalence:
         offset=st.integers(-4 * R_Q, 4 * R_Q),
     )
     def test_drain_phase_matches_scalar_loop(self, gaps, backlog, f0, offset):
-        import numpy as np
-
         quanta = np.maximum(f0 + offset + np.cumsum(gaps), 0)
         self._assert_equivalent(quanta * 0.25, backlog, f0 * 0.25)
 
     def test_off_grid_timings_fall_back_to_scalar(self):
-        import numpy as np
-
         timings = DRAMTimings(t_rc=48.33)  # not a quarter-ns multiple
         oracle = BankState(timings)
-        batched = BankState(timings)
-        for bank in (oracle, batched):
+        served = BankState(timings)
+        for bank in (oracle, served):
             bank.refresh_backlog_rows = 4000
         arrivals = np.cumsum(np.full(300, 400.0))
         for arrival in arrivals.tolist():
             oracle.serve_access(arrival)
-        batched.serve_accesses_batch(arrivals)
-        assert oracle.to_state() == batched.to_state()
+        serve_in_kernel(served, arrivals)
+        assert oracle.to_state() == served.to_state()

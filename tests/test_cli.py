@@ -159,6 +159,17 @@ class TestStreamingCommands:
         assert "error: ccache state field 'memory_counters'" in \
             capsys.readouterr().out
 
+    def test_resume_sca_count_past_int64_is_error(self, tmp_path, capsys):
+        """A count the kernel's int64 registers cannot hold fails the
+        restore, instead of overflowing when the run goes on."""
+        import json as json_mod
+
+        snap, doc = self._half_snapshot(tmp_path, capsys, scheme="sca")
+        doc["core"]["memory"]["schemes"][0]["counts"][0] = 2**70
+        snap.write_text(json_mod.dumps(doc))
+        assert main(["resume", str(snap)]) == 2
+        assert "error: sca state field 'counts'" in capsys.readouterr().out
+
     def test_resume_malformed_tree_state_is_error(self, tmp_path, capsys):
         import json as json_mod
 

@@ -66,7 +66,8 @@ class TestSchemeKwargSoupRemoved:
 
 
 #: The request-level replay stack (CPU front end, controller, address
-#: decode, refresh accountant) and the keyword facade over run_spec.
+#: decode, refresh accountant), the keyword facade over run_spec, and the
+#: helpers of the Python batch paths the compiled kernel replaced.
 DELETED_MODULES = (
     "repro.cpu",
     "repro.sim.runner",
@@ -74,6 +75,7 @@ DELETED_MODULES = (
     "repro.dram.controller",
     "repro.dram.address",
     "repro.dram.refresh",
+    "repro.core.batch",
 )
 
 
@@ -99,8 +101,10 @@ class TestSecondSimulatorRemoved:
         assert list(params) == ["self"]
 
 
-#: The merged-stream batched driver and two helpers nothing called, and
-#: the headroom-bisection tree loop the compiled kernel replaced.
+#: The merged-stream batched driver and two helpers nothing called, the
+#: headroom-bisection tree loop, and the counter cache's batch path and
+#: the bank's drain closed form, all replaced by the compiled kernel.
+#: A name in a module of DELETED_MODULES is gone with its module.
 DELETED_NAMES = (
     ("repro.core.batch", "find_first_event"),
     ("repro.sim.engine", "run_batched"),
@@ -112,17 +116,35 @@ DELETED_NAMES = (
     ("repro.core.batch", "BATCH_WINDOW"),
     ("repro.core.counter_tree", "CounterTree._headroom"),
     ("repro.core.counter_tree", "CounterTree._doomed_harvests"),
+    ("repro.core.batch", "threshold_crossings"),
+    ("repro.dram.bank", "_drain_run"),
+    ("repro.dram.bank", "DRAIN_VECTOR_MIN_BACKLOG"),
+    ("repro.core.counter_cache", "CounterCacheScheme._replay_lru"),
+    ("repro.core.counter_cache", "_slots"),
 )
 
 
 class TestDeadBatchedDriversRemoved:
     @pytest.mark.parametrize(("module", "name"), DELETED_NAMES)
     def test_name_removed(self, module, name):
+        if module in DELETED_MODULES:
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+            return
         owner, _, attr = name.rpartition(".")
         target = importlib.import_module(module)
         if owner:
             target = getattr(target, owner)
         assert not hasattr(target, attr)
+
+    def test_counter_cache_inherits_the_per_access_batch(self):
+        """The counter cache defines no batch path of its own; the
+        compiled kernel serves it, else the per-access default."""
+        from repro.core.base import MitigationScheme
+        from repro.core.counter_cache import CounterCacheScheme
+
+        assert "access_batch" not in vars(CounterCacheScheme)
+        assert CounterCacheScheme.access_batch is MitigationScheme.access_batch
 
 
 class TestRefreshCommandSpan:

@@ -243,8 +243,8 @@ def test_per_bank_driver_matches_merged_access_loop():
 
 
 def test_batched_access_batch_rejects_bad_rows():
-    """The batched engine's paths reject out-of-range rows: ccache's
-    vectorized check, the per-access default, and the kernel."""
+    """The batched engine's paths reject out-of-range rows: the
+    per-access default and the kernel."""
     from repro.core import make_scheme
     from repro.dram.bank import BankState
     from repro.dram.config import DRAMTimings
@@ -255,6 +255,5 @@ def test_batched_access_batch_rejects_bad_rows():
         scheme = make_scheme(kind, 1024, 128)
         with pytest.raises(ValueError, match="row 2048 out of range"):
             scheme.access_batch(rows)
-        if kind != "ccache":
-            with pytest.raises(ValueError, match="row 2048 out of range"):
-                serve_segment(BankState(DRAMTimings()), scheme, np.zeros(2), rows)
+        with pytest.raises(ValueError, match="row 2048 out of range"):
+            serve_segment(BankState(DRAMTimings()), scheme, np.zeros(2), rows)

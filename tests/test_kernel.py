@@ -1,12 +1,14 @@
 """The compiled bank-segment kernel against the scalar oracle.
 
-The differential suite draws bank streams for SCA, PRA, PRCAT and DRCAT
-and serves them both ways: per access through ``MemorySystem.access``
-(the oracle) and one segment at a time through the batched engine's
-``_run_bank_segment`` (the kernel).  Small counter pools make the trees
-split, harvest and cascade, and a lowered harvest budget runs it dry;
-dense arrivals, large groups and a lowered escalation cap push bank
-backlogs past ``BACKLOG_ESCALATION_ROWS``.
+The differential suite draws bank streams for SCA, PRA, PRCAT, DRCAT and
+the counter cache and serves them both ways: per access through
+``MemorySystem.access`` (the oracle) and one segment at a time through
+the batched engine's ``_run_bank_segment`` (the kernel).  Small counter
+pools make the trees split, harvest and cascade, and a lowered harvest
+budget runs it dry; caches of 1-4 sets and ways evict lines that come
+back, in banks that end inside a line; dense arrivals, large groups and
+a lowered escalation cap push bank backlogs past
+``BACKLOG_ESCALATION_ROWS``.
 Each drawn cut may bring an epoch boundary and a JSON round trip of the
 kernel side's state.  Refresh events (time, range, reason, rows),
 registers, statistics and SRAM reads must match exactly.
@@ -30,11 +32,13 @@ from hypothesis import strategies as st
 
 from repro.core import counter_tree
 from repro.core.cat import PRCATScheme
+from repro.core.counter_cache import CounterCacheScheme
 from repro.core.drcat import DRCATScheme
 from repro.core.pra import PRAScheme
 from repro.core.sca import SCAScheme
 from repro.dram import bank as bank_module
-from repro.dram.config import SystemConfig
+from repro.dram.bank import BankState
+from repro.dram.config import DRAMTimings, SystemConfig
 from repro.dram.memory_system import MemorySystem
 from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
 from repro.experiments.cache import source_files
@@ -54,6 +58,12 @@ GAP_PROFILES = [(8, 2, 1, 1, 0), (1, 1, 1, 1, 1), (0, 1, 2, 2, 1), (1, 0, 0, 0, 
 @st.composite
 def scheme_factories(draw, kind: str):
     """A scheme of ``kind`` with a small pool, and its bank size."""
+    if kind == "ccache":
+        # Small T so counts cross; 48 and 65519 rows end inside a line.
+        n_rows = draw(st.sampled_from([48, 1024, 65519]))
+        t = draw(st.sampled_from([2, 5, 32]))
+        sets, ways = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        return n_rows, lambda _: CounterCacheScheme(n_rows, t, n_sets=sets, n_ways=ways)
     n_rows = draw(st.sampled_from([1024, 65536]))
     t = draw(st.sampled_from([32, 64, 128]))
     if kind == "sca":
@@ -91,8 +101,10 @@ def _stream(seed: int, n: int, n_rows: int, gap_weights: tuple):
 
 
 def _memory(factory, n_rows: int, log: list) -> MemorySystem:
+    """One protected bank of at least ``n_rows`` rows (a power of two)."""
     memory = MemorySystem(
-        SystemConfig(rows_per_bank=n_rows), factory, epoch_s=1e6, active_banks=1
+        SystemConfig(rows_per_bank=1 << (n_rows - 1).bit_length()), factory,
+        epoch_s=1e6, active_banks=1,
     )
     memory.on_refresh = lambda *event: log.append(event)
     return memory
@@ -125,7 +137,7 @@ def _serve_both(factory, n_rows, times, rows, marks, escalate_at, budget):
 
 
 class TestKernelMatchesOracle:
-    @pytest.mark.parametrize("kind", ["sca", "pra", "prcat", "drcat"])
+    @pytest.mark.parametrize("kind", ["sca", "pra", "prcat", "drcat", "ccache"])
     @settings(max_examples=40, deadline=None)
     @given(
         data=st.data(),
@@ -155,8 +167,26 @@ class TestKernelMatchesOracle:
                     {150: (False, True)}, escalate_at=4,
                     budget=counter_tree.HARVEST_BUDGET_PER_REFRESH)
 
+    def test_counter_cache_stays_inside_its_backing_store(self):
+        """A bank that ends inside a line: the kernel fetches that line
+        zero-padded and writes back only its rows in the bank, so the
+        memory after the backing store is never read or written."""
+        n_rows = 1000  # the last line holds 8 rows
+        rows = np.array([999, 0, 998, 0, 999, 40, 999] * 20, dtype=np.int64)
+        oracle = CounterCacheScheme(n_rows, 4, n_sets=1, n_ways=1)
+        served = CounterCacheScheme(n_rows, 4, n_sets=1, n_ways=1)
+        guarded = np.full(n_rows + 64, -7, dtype=np.int64)
+        guarded[:n_rows] = 0
+        served._memory_counters = guarded[:n_rows]
+        for row in rows.tolist():
+            oracle.access(row)
+        if kernel.serve_segment(BankState(DRAMTimings()), served, np.zeros(len(rows)),
+                                rows) is None:
+            pytest.skip("no C compiler")
+        assert served.to_state() == oracle.to_state()
+        assert (guarded[n_rows:] == -7).all()
 
-    @pytest.mark.parametrize("kind", ["sca", "pra", "drcat"])
+    @pytest.mark.parametrize("kind", ["sca", "pra", "drcat", "ccache"])
     def test_a_full_event_buffer_is_drained_and_the_call_resumed(self, kind):
         """With room for only a few events per call, a segment is served
         in several calls that resume where the last one stopped."""
@@ -164,6 +194,7 @@ class TestKernelMatchesOracle:
             "sca": (1024, lambda n: SCAScheme(n, 32, 16)),
             "pra": (1024, lambda n: PRAScheme(n, 32, 0.6)),
             "drcat": (1024, lambda n: DRCATScheme(n, 32, n_counters=8, max_levels=6)),
+            "ccache": (1000, lambda _: CounterCacheScheme(1000, 3, n_sets=2, n_ways=2)),
         }[kind]
         times, rows = _stream(7, 3000, n_rows, GAP_PROFILES[0])
         with mock.patch.object(kernel, "_EVENT_CAP", 3):
@@ -184,7 +215,7 @@ def test_without_a_compiler_batched_runs_per_access(tmp_path, monkeypatch, caplo
     monkeypatch.setattr(kernel, "find_compiler", lambda: None)
     monkeypatch.setattr(kernel, "_entry", None)
     with caplog.at_level(logging.WARNING, logger="repro.sim.kernel"):
-        for scheme in ("sca", "pra", "prcat", "drcat"):
+        for scheme in ("sca", "pra", "prcat", "drcat", "ccache"):
             docs = [
                 json.dumps(run_spec(_spec(scheme, engine)).to_dict(), sort_keys=True)
                 for engine in ("scalar", "batched")
@@ -196,7 +227,7 @@ def test_without_a_compiler_batched_runs_per_access(tmp_path, monkeypatch, caplo
     assert kernel._entry is False
 
 
-@pytest.mark.parametrize("kind", ["sca", "pra", "prcat", "drcat"])
+@pytest.mark.parametrize("kind", ["sca", "pra", "prcat", "drcat", "ccache"])
 def test_out_of_range_rows_raise_the_oracle_error(kind):
     from repro.core import make_scheme
 

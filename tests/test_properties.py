@@ -10,8 +10,8 @@ These verify the DESIGN.md invariants over randomised access sequences:
 5. the PRCAT/DRCAT compiled kernel equals their scalar loop across
    segments, epoch resets and state round trips, with the counter pool
    free or exhausted (where DRCAT harvests and cascades happen);
-6. the counter cache's batched path equals its per-access loop across
-   chunks, epoch resets and state round trips.
+6. the counter cache's compiled kernel equals its per-access loop
+   across chunks, epoch resets and state round trips.
 """
 
 import json
@@ -36,8 +36,8 @@ N_ROWS = 256
 
 def kernel_batch(scheme, rows: np.ndarray) -> list:
     """``access_batch`` the way the batched engine serves the scheme: one
-    compiled-kernel call (on a throwaway bank), else the scheme's own
-    batch path."""
+    compiled-kernel call (on a throwaway bank), else the per-access
+    default."""
     served = serve_segment(BankState(DRAMTimings()), scheme, np.zeros(len(rows)), rows)
     if served is None:
         return scheme.access_batch(rows)
@@ -240,15 +240,15 @@ def _once(*patterns):
 
 
 class TestCounterCacheBatchEquivalence:
-    """Invariant 6: ``CounterCacheScheme.access_batch`` equals per-access
-    ``access`` in events, ``to_state()`` (registers and stats) and
-    hit/miss/write-back totals.
+    """Invariant 6: the counter cache served by the compiled kernel
+    (:func:`kernel_batch`) equals per-access ``access`` in events,
+    ``to_state()`` (registers and stats) and hit/miss/write-back totals.
 
     Repeated patterns from a small pool make counts cross T, lines come
     back after their eviction and small caches evict.  Without a reset
     or round trip, the next chunk starts with cached lines whose store
-    counts are stale.  The explicit examples pin one stream per rule of
-    the batched path (DESIGN.md, "Batched engine"); the first is a
+    counts are stale.  The explicit examples pin one write-back or
+    refetch case each (the comment above each names it); the first is a
     counterexample this test shrank.
     """
 
@@ -282,7 +282,7 @@ class TestCounterCacheBatchEquivalence:
                 cmds = scalar.access(row)
                 if cmds:
                     expected.append((position, cmds))
-            assert batched.access_batch(np.array(rows, dtype=np.int64)) == expected
+            assert kernel_batch(batched, np.array(rows, dtype=np.int64)) == expected
             assert batched.to_state() == scalar.to_state()
             if reset:
                 scalar.on_interval_boundary()

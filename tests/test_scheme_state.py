@@ -50,8 +50,8 @@ def stream(seed: int, n: int) -> list[int]:
 
 def kernel_batch(scheme, rows: np.ndarray) -> list:
     """``access_batch`` the way the batched engine serves the scheme: one
-    compiled-kernel call (on a throwaway bank), else the scheme's own
-    batch path."""
+    compiled-kernel call (on a throwaway bank), else the per-access
+    default."""
     served = serve_segment(BankState(DRAMTimings()), scheme, np.zeros(len(rows)), rows)
     if served is None:
         return scheme.access_batch(rows)
@@ -90,8 +90,8 @@ class TestSchemeStateRoundTrip:
         json.dumps(scheme.to_state())  # must not raise
 
     def test_batch_path_after_restore(self, kind):
-        """The batched engine's path (the compiled kernel, or ccache's
-        ``access_batch``) on a restored scheme equals the original's."""
+        """The batched engine's path (the compiled kernel) on a restored
+        scheme equals the original's."""
         prefix = stream(6, 3000)
         original = build(kind)
         drive(original, prefix)
@@ -121,6 +121,22 @@ CCACHE_MALFORMED = {
     ),
     "tag cached twice": ("sets", lambda s: s["sets"][0].__setitem__(1, s["sets"][0][0])),
     "5-entry count list": ("sets", lambda s: s["sets"][1][0].__setitem__(1, [1, 2, 3, 4, 5])),
+    "memory entry that is not a pair": (
+        "memory_counters", lambda s: s["memory_counters"].append([1]),
+    ),
+    "negative misses": ("misses", lambda s: s.__setitem__("misses", -1)),
+    "fractional hits": ("hits", lambda s: s.__setitem__("hits", 2.7)),
+    "hits past int64": ("hits", lambda s: s.__setitem__("hits", 2**70)),
+    "writebacks as a string": ("writebacks", lambda s: s.__setitem__("writebacks", "7")),
+}
+
+#: Malformed SCA states: case -> corruption; each must name 'counts'.
+SCA_MALFORMED = {
+    "count past int64": lambda s: s["counts"].__setitem__(0, 2**70),
+    "negative count": lambda s: s["counts"].__setitem__(0, -3),
+    "count at T": lambda s: s["counts"].__setitem__(0, T),
+    "fractional count": lambda s: s["counts"].__setitem__(0, 2.5),
+    "short count list": lambda s: s["counts"].pop(),
 }
 
 
@@ -205,6 +221,27 @@ class TestTreeStateIntegrity:
         with pytest.raises(ValueError, match=named):
             build("drcat").restore_state(state)
 
+    @pytest.mark.parametrize("case", sorted(SCA_MALFORMED))
+    def test_malformed_sca_state_rejected(self, case):
+        """SCA counts cross into the compiled kernel as int64: a count
+        that is not an integer in [0, T) fails with a ValueError naming
+        the field."""
+        scheme = build("sca")
+        drive(scheme, stream(8, 200))
+        state = json.loads(json.dumps(scheme.to_state()))
+        SCA_MALFORMED[case](state)
+        with pytest.raises(ValueError, match="'counts'"):
+            build("sca").restore_state(state)
+
+    @pytest.mark.parametrize("field", ["splits", "sram_reads"])
+    def test_tree_total_past_int64_rejected(self, field):
+        scheme = build("drcat")
+        drive(scheme, stream(8, 200))
+        state = json.loads(json.dumps(scheme.to_state()))
+        state["tree"]["totals"][field] = 2**70
+        with pytest.raises(ValueError, match="'totals'"):
+            build("drcat").restore_state(state)
+
     @pytest.mark.parametrize("case", sorted(CCACHE_MALFORMED))
     def test_malformed_ccache_state_rejected(self, case):
         """A counter-cache state no 1024-row, 2-set, 2-way cache can
@@ -240,6 +277,14 @@ class TestPrngState:
 
 
 class TestSubstrateState:
+    @pytest.mark.parametrize("value", [2**70, -1, 1.5, "3"],
+                             ids=["past int64", "negative", "fractional", "string"])
+    def test_bank_integer_register_rejected(self, value):
+        state = BankState(DRAMTimings()).to_state()
+        state["refresh_backlog_rows"] = value
+        with pytest.raises(ValueError, match="'refresh_backlog_rows'"):
+            BankState(DRAMTimings()).restore_state(state)
+
     def test_bank_state_round_trip(self):
         bank = BankState(SystemConfig().timings)
         bank.serve_access(10.0)
