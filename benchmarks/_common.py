@@ -10,9 +10,11 @@ following the versioned schema in :mod:`repro.report.schema` — the form
 ``repro verify`` diffs against the golden store.  Artifacts embed the
 producing plan in their additive ``spec`` header.
 
-Simulation fidelity knobs are environment-tunable and validated by
-:class:`repro.report.config.BenchConfig` (a malformed value fails with
-a message naming the variable):
+Every helper takes the bench's :class:`repro.report.config.BenchConfig`:
+``repro verify`` builds one per fidelity and hands it to each bench's
+``artifacts(config)``; a bench run under pytest reads the environment
+with :func:`bench_config`.  The knobs (a malformed value fails with a
+message naming the variable):
 
 * ``REPRO_BENCH_SCALE`` — threshold/intensity scale divisor (default 24;
   lower = closer to full scale but slower);
@@ -26,16 +28,17 @@ a message naming the variable):
   source edit invalidates it automatically);
 * ``REPRO_BENCH_CACHE_DIR`` — cache location (default
   ``benchmarks/results/sweep_cache``);
-* ``REPRO_TRACE_STORE`` / ``REPRO_TRACE_STORE_DIR`` — the
-  content-addressed activation-trace store (default on, under
-  ``<cache dir>/traces``): scheme-axis grid cells share one stream
-  generation pass via memory-mapped entries (see
-  :mod:`repro.sim.tracestore`).
+* ``REPRO_SESSION_MODE``, ``REPRO_TRACE_STORE`` /
+  ``REPRO_TRACE_STORE_DIR`` and ``REPRO_FAULTS`` — the config's
+  :class:`~repro.report.config.RunContext`, which every plan runs under
+  (the trace store is on by default, under ``<cache dir>/traces``:
+  scheme-axis grid cells share one stream generation pass via
+  memory-mapped entries, see :mod:`repro.sim.tracestore`).
 
-The environment is re-read lazily on every call, so one process can run
-several fidelities (``repro verify`` relies on this).  Sweeps shared by
-several figures (e.g. Figure 8 and Figure 9 use the same 18-workload
-runs) are additionally memoised in-process per (threshold, knobs).
+Configs are hashable, so ``functools.cache`` memoises per config the
+sweep several figures share (Figure 8 and Figure 9 use the same
+18-workload runs) and the plan builders that take a config, and one
+process can run several fidelities side by side.
 """
 
 from __future__ import annotations
@@ -55,9 +58,6 @@ from repro.report.schema import Artifact, build_artifact, dump_artifact
 from repro.sim.metrics import format_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Default sweep-cell cache store (override with REPRO_BENCH_CACHE_DIR).
-DEFAULT_CACHE_DIR = RESULTS_DIR / "sweep_cache"
 
 #: The paper's per-threshold PRA probabilities (Figure 1 reliability).
 PRA_P_FOR_T = {65536: 0.001, 32768: 0.002, 16384: 0.003, 8192: 0.005}
@@ -79,13 +79,12 @@ def fig8_schemes(refresh_threshold: int) -> list[SchemeSpec]:
 
 
 def bench_config() -> BenchConfig:
-    """The validated ``REPRO_BENCH_*`` configuration, re-read per call."""
+    """The validated ``REPRO_BENCH_*`` configuration of the environment."""
     return BenchConfig.from_env()
 
 
-def base_spec(**overrides) -> ExperimentSpec:
-    """An ExperimentSpec carrying the environment's economy knobs."""
-    config = bench_config()
+def base_spec(config: BenchConfig, **overrides) -> ExperimentSpec:
+    """An ExperimentSpec carrying the config's economy knobs."""
     fields = dict(
         scheme=SchemeSpec("drcat"),
         scale=config.scale,
@@ -97,90 +96,43 @@ def base_spec(**overrides) -> ExperimentSpec:
     return ExperimentSpec(**fields)
 
 
-def bench_cache() -> ResultCache | None:
-    """The sweep-cell cache the environment selects (None = disabled)."""
-    config = bench_config()
-    if not config.cache:
-        return None
-    return ResultCache(config.cache_dir or DEFAULT_CACHE_DIR)
+def run_bench_plan(config: BenchConfig, plan: Plan) -> list:
+    """Run one bench plan with the config's workers, cache and context."""
+    cache = ResultCache(config.cache_dir) if config.cache else None
+    return run_plan(plan, workers=config.workers, cache=cache,
+                    ctx=config.context)
 
 
-def run_bench_plan(plan: Plan) -> list:
-    """Run one bench plan with the environment's workers and cache."""
-    return run_plan(plan, workers=bench_config().workers, cache=bench_cache())
-
-
-def plan_memo(builder):
-    """Memoise a bench's plan builder per (args, result-relevant knobs).
-
-    A bench builds its plan twice — once to run, once for ``emit``'s
-    provenance header.  Keying on the env knobs guarantees both calls
-    see the *same* Plan object (no drift window if the environment
-    mutates in between, no redundant grid expansion), while distinct
-    fidelities within one process still get distinct plans.
-    """
-    cache: dict = {}
-
-    @functools.wraps(builder)
-    def wrapper(*args):
-        config = bench_config()
-        key = (args, config.scale, config.n_intervals, config.n_banks,
-               config.engine, config.session)
-        if key not in cache:
-            cache[key] = builder(*args)
-        return cache[key]
-
-    return wrapper
-
-
-def fig8_sweep(refresh_threshold: int):
-    """The 18-workload × 5-scheme sweep behind Figures 8 and 9.
-
-    Returns ``{(workload, label): SimulationResult}``.  The grid is one
-    :class:`Plan`; cells fan out over ``REPRO_BENCH_WORKERS`` processes
-    and hit the on-disk result cache, and per-cell seeding keeps
-    results identical at any worker count.  Results are additionally
-    memoised in-process per (threshold, result-relevant knobs) — the
-    worker count and fidelity label do not affect results and are
-    excluded from the key.
-    """
-    config = bench_config()
-    return _fig8_sweep_cached(
-        refresh_threshold,
-        config.scale,
-        config.n_intervals,
-        config.n_banks,
-        config.engine,
-        config.session,
-    )
-
-
-@plan_memo
-def fig8_plan(refresh_threshold: int) -> Plan:
-    """The declarative grid :func:`fig8_sweep` runs (for spec headers).
-
-    Memoised per env knobs, so the sweep and ``emit``'s provenance
-    header share one Plan object.
-    """
+def fig8_plan(refresh_threshold: int,
+              config: BenchConfig | None = None) -> Plan:
+    """The declarative grid :func:`fig8_sweep` runs (for spec headers);
+    ``config`` defaults to :func:`bench_config`."""
     from repro.workloads.suites import WORKLOAD_ORDER
 
     return Plan.grid(
-        base_spec(refresh_threshold=refresh_threshold),
+        base_spec(config or bench_config(),
+                  refresh_threshold=refresh_threshold),
         scheme=fig8_schemes(refresh_threshold),
         workload=list(WORKLOAD_ORDER),
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _fig8_sweep_cached(refresh_threshold: int, scale: float,
-                       n_intervals: int, n_banks: int, engine: str,
-                       session: str):
-    plan = fig8_plan(refresh_threshold)
-    results = run_bench_plan(plan)
-    return dict(zip(plan.keys(), results))
+@functools.cache
+def fig8_sweep(config: BenchConfig, refresh_threshold: int):
+    """The 18-workload × 5-scheme sweep behind Figures 8 and 9.
+
+    Returns ``{(workload, label): SimulationResult}``.  The grid is one
+    :class:`Plan`; cells fan out over the config's workers and hit the
+    on-disk result cache, and per-cell seeding keeps results identical
+    at any worker count.  Memoised per config, so the four figures that
+    read it share one run.
+    """
+    plan = fig8_plan(refresh_threshold, config)
+    return dict(zip(plan.keys(), run_bench_plan(config, plan)))
 
 
 def emit(
+    config: BenchConfig,
     name: str,
     title: str,
     rows: list[dict],
@@ -205,7 +157,6 @@ def emit(
     table = format_table(rows, columns)
     text = f"== {title} ==\n{table}\n"
     print("\n" + text)
-    config = bench_config()
     params = {
         "n_banks": config.n_banks,
         "n_intervals": config.n_intervals,

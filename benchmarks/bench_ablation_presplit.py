@@ -7,7 +7,7 @@ front.  This ablation measures both effects: the mean SRAM reads per
 lookup and the refresh rows, as λ varies.
 """
 
-from _common import emit
+from _common import bench_config, emit
 
 from repro.core.counter_tree import CounterTree
 from repro.core.thresholds import SplitThresholds
@@ -42,9 +42,9 @@ def build_rows():
     return [run_lambda(lam) for lam in (1, 2, 4, 6)]
 
 
-def emit_rows(rows):
+def emit_rows(config, rows):
     return emit(
-        "ablation_presplit",
+        config, "ablation_presplit",
         "Ablation: pre-split depth λ (M=64, L=11, blackscholes-like)",
         rows,
         [
@@ -60,14 +60,14 @@ def emit_rows(rows):
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_rows(build_rows())]
+    return [emit_rows(config, build_rows())]
 
 
 def test_ablation_presplit_depth(benchmark):
     rows = benchmark.pedantic(build_rows, iterations=1, rounds=1)
-    emit_rows(rows)
+    emit_rows(bench_config(), rows)
     by_lambda = {row["lambda"]: row for row in rows}
     # Deeper pre-split shortens traversals (the paper's L - λ + 1 bound).
     assert (

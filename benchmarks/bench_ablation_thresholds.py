@@ -10,7 +10,9 @@ geometric one, and on uniform workloads both degenerate to SCA-like
 behaviour.
 """
 
-from _common import base_spec, emit, mean, plan_memo, run_bench_plan
+import functools
+
+from _common import base_spec, bench_config, emit, mean, run_bench_plan
 
 from repro.experiments import Plan, SchemeSpec
 
@@ -18,11 +20,11 @@ SKEWED = ("black", "face", "mum")
 UNIFORM = ("libq", "str")
 
 
-@plan_memo
-def build_plan() -> Plan:
+@functools.cache
+def build_plan(config) -> Plan:
     """The strategy x workload grid (PRCAT_64, default T)."""
     return Plan.grid(
-        base_spec(),
+        base_spec(config),
         scheme=[
             SchemeSpec.create(
                 "prcat", strategy, threshold_strategy=strategy
@@ -33,9 +35,9 @@ def build_plan() -> Plan:
     )
 
 
-def build_rows():
-    plan = build_plan()
-    cells = list(zip(plan.keys(), run_bench_plan(plan)))
+def build_rows(config):
+    plan = build_plan(config)
+    cells = list(zip(plan.keys(), run_bench_plan(config, plan)))
     rows = []
     for strategy in ("model", "geometric"):
         row = {"strategy": strategy}
@@ -56,9 +58,9 @@ def build_rows():
     return rows
 
 
-def emit_rows(rows):
+def emit_rows(config, rows):
     return emit(
-        "ablation_thresholds",
+        config, "ablation_thresholds",
         "Ablation: split-threshold schedule strategy (PRCAT_64, T=32K)",
         rows,
         [
@@ -68,18 +70,18 @@ def emit_rows(rows):
             "uniform_cmrpo_pct",
             "uniform_rows_per_interval",
         ],
-        plan=build_plan(),
+        plan=build_plan(config),
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_rows(build_rows())]
+    return [emit_rows(config, build_rows(config))]
 
 
 def test_ablation_threshold_strategy(benchmark):
-    rows = benchmark.pedantic(build_rows, iterations=1, rounds=1)
-    emit_rows(rows)
+    rows = benchmark.pedantic(build_rows, args=(bench_config(),), iterations=1, rounds=1)
+    emit_rows(bench_config(), rows)
     by_strategy = {row["strategy"]: row for row in rows}
     model = by_strategy["model"]
     geometric = by_strategy["geometric"]

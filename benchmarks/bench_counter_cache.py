@@ -9,8 +9,10 @@ DRCAT on skewed and streaming workloads and reports refresh rows, hit
 rates, and the counter-fetch energy CAT avoids by construction.
 """
 
+import functools
+
 import numpy as np
-from _common import base_spec, bench_config, emit, plan_memo, run_bench_plan
+from _common import base_spec, bench_config, emit, run_bench_plan
 
 from repro.core.counter_cache import CounterCacheScheme
 from repro.dram.bank import BankState
@@ -24,9 +26,8 @@ WORKLOADS = ("black", "comm1", "libq")
 T = 32768
 
 
-def run_counter_cache(workload: str) -> dict:
+def run_counter_cache(config, workload: str) -> dict:
     """Drive the counter cache directly with one bank-interval stream."""
-    config = bench_config()
     spec = get_workload(workload)
     n_rows = 65536
     # 8x8 lines of 32 counters = the 32KB / 2048-counter reference point.
@@ -53,11 +54,11 @@ def run_counter_cache(workload: str) -> dict:
     }
 
 
-@plan_memo
-def build_plan() -> Plan:
+@functools.cache
+def build_plan(config) -> Plan:
     """The simulated reference points (the cache itself runs bare)."""
     return Plan.grid(
-        base_spec(refresh_threshold=T),
+        base_spec(config, refresh_threshold=T),
         workload=list(WORKLOADS),
         scheme=[
             SchemeSpec.create("sca", "SCA_128", n_counters=128),
@@ -66,12 +67,12 @@ def build_plan() -> Plan:
     )
 
 
-def build_rows():
-    plan = build_plan()
-    results = dict(zip(plan.keys(), run_bench_plan(plan)))
+def build_rows(config):
+    plan = build_plan(config)
+    results = dict(zip(plan.keys(), run_bench_plan(config, plan)))
     rows = []
     for workload in WORKLOADS:
-        cache = run_counter_cache(workload)
+        cache = run_counter_cache(config, workload)
         sca = results[(workload, "SCA_128")]
         drcat = results[(workload, "DRCAT_64")]
         rows.append(
@@ -89,9 +90,9 @@ def build_rows():
     return rows
 
 
-def emit_rows(rows):
+def emit_rows(config, rows):
     return emit(
-        "counter_cache",
+        config, "counter_cache",
         "Extension: counter cache [26] (2048 entries) vs SCA_128 / DRCAT_64",
         rows,
         [
@@ -103,18 +104,18 @@ def emit_rows(rows):
             "drcat64_rows",
         ],
         parameters={"refresh_threshold": T},
-        plan=build_plan(),
+        plan=build_plan(config),
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_rows(build_rows())]
+    return [emit_rows(config, build_rows(config))]
 
 
 def test_counter_cache_comparison(benchmark):
-    rows = benchmark.pedantic(build_rows, iterations=1, rounds=1)
-    emit_rows(rows)
+    rows = benchmark.pedantic(build_rows, args=(bench_config(),), iterations=1, rounds=1)
+    emit_rows(bench_config(), rows)
     by_wl = {row["workload"]: row for row in rows}
     # Exact per-row counting refreshes the *fewest* victim rows — that
     # was never the counter cache's weakness...

@@ -11,7 +11,7 @@ majority of SCA_64's mitigation energy at T=16K, where SCA's refresh
 energy blows up.
 """
 
-from _common import FIG8_LABELS, emit, fig8_plan
+from _common import FIG8_LABELS, bench_config, emit, fig8_plan
 
 from bench_power_breakdown import THRESHOLDS, scheme_breakdowns
 
@@ -21,10 +21,10 @@ COLUMNS = ["scheme", "T", "energy_nj", "savings_vs_SCA_64",
            "savings_vs_PRA"]
 
 
-def build_rows():
+def build_rows(config):
     rows = []
     for threshold in THRESHOLDS:
-        means = scheme_breakdowns(threshold)
+        means = scheme_breakdowns(config, threshold)
         energy = {
             label: mitigation_energy_nj(means[label].total_mw)
             for label in FIG8_LABELS
@@ -42,25 +42,25 @@ def build_rows():
     return rows
 
 
-def emit_rows(rows):
+def emit_rows(config, rows):
     return emit(
-        "energy_savings",
+        config, "energy_savings",
         "Energy: per-interval mitigation-energy saving vs baselines (%)",
         rows,
         COLUMNS,
         parameters={"thresholds": ",".join(str(t) for t in THRESHOLDS)},
-        plan=fig8_plan(THRESHOLDS[0]) + fig8_plan(THRESHOLDS[1]),
+        plan=fig8_plan(THRESHOLDS[0], config) + fig8_plan(THRESHOLDS[1], config),
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_rows(build_rows())]
+    return [emit_rows(config, build_rows(config))]
 
 
 def test_energy_savings(benchmark):
-    rows = benchmark.pedantic(build_rows, iterations=1, rounds=1)
-    emit_rows(rows)
+    rows = benchmark.pedantic(build_rows, args=(bench_config(),), iterations=1, rounds=1)
+    emit_rows(bench_config(), rows)
     by_key = {(row["scheme"], row["T"]): row for row in rows}
     for t in THRESHOLDS:
         # Baselines against themselves are exactly zero.

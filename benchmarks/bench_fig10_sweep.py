@@ -12,7 +12,9 @@ L grid (7/9/11/13) to keep runtime sane; REPRO_BENCH_* env knobs raise
 fidelity.
 """
 
-from _common import base_spec, emit, mean, plan_memo, run_bench_plan
+import functools
+
+from _common import base_spec, bench_config, emit, mean, run_bench_plan
 
 from repro.experiments import Plan, SchemeSpec
 
@@ -26,8 +28,8 @@ def valid_levels(m: int, l: int) -> bool:
     return l > m.bit_length() - 1
 
 
-@plan_memo
-def build_plan(refresh_threshold) -> Plan:
+@functools.cache
+def build_plan(config, refresh_threshold) -> Plan:
     """The declarative M x L x workload grid (invalid L cells omitted)."""
     schemes = [
         SchemeSpec.create("sca", f"SCA_{m}", n_counters=m) for m in M_VALUES
@@ -40,17 +42,17 @@ def build_plan(refresh_threshold) -> Plan:
         if valid_levels(m, l)
     ]
     return Plan.grid(
-        base_spec(refresh_threshold=refresh_threshold),
+        base_spec(config, refresh_threshold=refresh_threshold),
         scheme=schemes,
         workload=list(WORKLOADS),
     )
 
 
-def build_rows(refresh_threshold):
-    plan = build_plan(refresh_threshold)
+def build_rows(config, refresh_threshold):
+    plan = build_plan(config, refresh_threshold)
     by_label: dict[str, list[float]] = {}
     for (workload, label), result in zip(
-        plan.keys(), run_bench_plan(plan)
+        plan.keys(), run_bench_plan(config, plan)
     ):
         by_label.setdefault(label, []).append(result.cmrpo)
     rows = []
@@ -77,28 +79,28 @@ def _min_drcat(row):
     return min(vals) if vals else float("inf")
 
 
-def emit_threshold(refresh_threshold, rows):
+def emit_threshold(config, refresh_threshold, rows):
     t = refresh_threshold // 1024
     return emit(
-        f"fig10_sweep_t{t}k",
+        config, f"fig10_sweep_t{t}k",
         f"Figure 10 (T={t}K): mean CMRPO (%) vs M and max depth L",
         rows,
         ["M", "SCA"] + [f"DRCAT_L{l}" for l in L_VALUES],
         parameters={"refresh_threshold": refresh_threshold},
-        plan=build_plan(refresh_threshold),
+        plan=build_plan(config, refresh_threshold),
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify`` (both thresholds)."""
-    return [emit_threshold(t, build_rows(t)) for t in (32768, 16384)]
+    return [emit_threshold(config, t, build_rows(config, t)) for t in (32768, 16384)]
 
 
 def test_fig10_counter_depth_sweep_t32k(benchmark):
     rows = benchmark.pedantic(
-        build_rows, args=(32768,), iterations=1, rounds=1
+        build_rows, args=(bench_config(), 32768), iterations=1, rounds=1
     )
-    emit_threshold(32768, rows)
+    emit_threshold(bench_config(), 32768, rows)
     by_m = {row["M"]: row for row in rows}
     # Paper shape (a): at M=512 static power dominates -> depth barely
     # matters and DRCAT loses its edge over SCA.
@@ -119,10 +121,10 @@ def test_fig10_counter_depth_sweep_t32k(benchmark):
 
 def test_fig10_counter_depth_sweep_t16k(benchmark):
     rows16 = benchmark.pedantic(
-        build_rows, args=(16384,), iterations=1, rounds=1
+        build_rows, args=(bench_config(), 16384), iterations=1, rounds=1
     )
-    emit_threshold(16384, rows16)
-    rows32 = build_rows(32768)
+    emit_threshold(bench_config(), 16384, rows16)
+    rows32 = build_rows(bench_config(), 32768)
     by16 = {row["M"]: row for row in rows16}
     by32 = {row["M"]: row for row in rows32}
     # Paper shape (d): lowering T inflates SCA's CMRPO at its optimum far

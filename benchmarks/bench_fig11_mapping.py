@@ -7,7 +7,9 @@ relieves pressure for every scheme.  Quad-core systems use 128K-row
 banks and double the counters (SCA_256 / CAT_128) per the paper.
 """
 
-from _common import PRA_P_FOR_T, base_spec, emit, mean, plan_memo, run_bench_plan
+import functools
+
+from _common import PRA_P_FOR_T, base_spec, bench_config, emit, mean, run_bench_plan
 
 from repro.experiments import Plan, SchemeSpec
 
@@ -32,14 +34,15 @@ def _config_schemes(pra_p, sca_m, cat_m):
     ]
 
 
-@plan_memo
-def build_plan(refresh_threshold) -> Plan:
+@functools.cache
+def build_plan(config, refresh_threshold) -> Plan:
     """One grid per iso-area configuration row, concatenated."""
     pra_p = PRA_P_FOR_T[refresh_threshold]
     plan = None
     for name, traffic_mult, sca_m, cat_m in CONFIG_ROWS:
         grid = Plan.grid(
             base_spec(
+                config,
                 system=name,
                 intensity_scale=traffic_mult,
                 refresh_threshold=refresh_threshold,
@@ -51,9 +54,9 @@ def build_plan(refresh_threshold) -> Plan:
     return plan
 
 
-def build_rows(refresh_threshold):
-    plan = build_plan(refresh_threshold)
-    results = run_bench_plan(plan)
+def build_rows(config, refresh_threshold):
+    plan = build_plan(config, refresh_threshold)
+    results = run_bench_plan(config, plan)
     rows = []
     cells_per_config = 4 * len(WORKLOADS)
     for i, (name, _mult, _sca_m, _cat_m) in enumerate(CONFIG_ROWS):
@@ -72,28 +75,28 @@ def build_rows(refresh_threshold):
     return rows
 
 
-def emit_threshold(refresh_threshold, rows):
+def emit_threshold(config, refresh_threshold, rows):
     t = refresh_threshold // 1024
     return emit(
-        f"fig11_mapping_t{t}k",
+        config, f"fig11_mapping_t{t}k",
         f"Figure 11 (T={t}K): CMRPO (%) vs cores and mapping policy",
         rows,
         ["config", "PRA", "SCA", "PRCAT", "DRCAT"],
         parameters={"refresh_threshold": refresh_threshold},
-        plan=build_plan(refresh_threshold),
+        plan=build_plan(config, refresh_threshold),
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify`` (both thresholds)."""
-    return [emit_threshold(t, build_rows(t)) for t in (16384, 32768)]
+    return [emit_threshold(config, t, build_rows(config, t)) for t in (16384, 32768)]
 
 
 def test_fig11_mapping_and_cores_t16k(benchmark):
     rows = benchmark.pedantic(
-        build_rows, args=(16384,), iterations=1, rounds=1
+        build_rows, args=(bench_config(), 16384), iterations=1, rounds=1
     )
-    emit_threshold(16384, rows)
+    emit_threshold(bench_config(), 16384, rows)
     by_config = {row["config"]: row for row in rows}
     quad2 = by_config["quad-core/2channels"]
     quad4 = by_config["quad-core/4channels"]
@@ -110,9 +113,9 @@ def test_fig11_mapping_and_cores_t16k(benchmark):
 
 def test_fig11_mapping_and_cores_t32k(benchmark):
     rows = benchmark.pedantic(
-        build_rows, args=(32768,), iterations=1, rounds=1
+        build_rows, args=(bench_config(), 32768), iterations=1, rounds=1
     )
-    emit_threshold(32768, rows)
+    emit_threshold(bench_config(), 32768, rows)
     by_config = {row["config"]: row for row in rows}
     quad2 = by_config["quad-core/2channels"]
     assert quad2["DRCAT"] < quad2["SCA"]

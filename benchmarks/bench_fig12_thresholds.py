@@ -7,7 +7,9 @@ for 64K-16K and below 10% at 8K with doubled counters; SCA grows
 steeply as T shrinks; DRCAT <= PRCAT throughout.
 """
 
-from _common import PRA_P_FOR_T, base_spec, emit, mean, plan_memo, run_bench_plan
+import functools
+
+from _common import PRA_P_FOR_T, base_spec, bench_config, emit, mean, run_bench_plan
 
 from repro.experiments import Plan, SchemeSpec
 
@@ -22,14 +24,14 @@ THRESHOLD_CONFIGS = [
 ]
 
 
-@plan_memo
-def build_plan() -> Plan:
+@functools.cache
+def build_plan(config) -> Plan:
     """One iso-area grid per threshold row, concatenated."""
     plan = None
     for t, sca_m, cat_m in THRESHOLD_CONFIGS:
         pra_p = PRA_P_FOR_T[t]
         grid = Plan.grid(
-            base_spec(refresh_threshold=t),
+            base_spec(config, refresh_threshold=t),
             scheme=[
                 SchemeSpec.create("pra", "PRA", probability=pra_p),
                 SchemeSpec.create("sca", "SCA", n_counters=sca_m),
@@ -42,9 +44,9 @@ def build_plan() -> Plan:
     return plan
 
 
-def build_rows():
-    plan = build_plan()
-    results = run_bench_plan(plan)
+def build_rows(config):
+    plan = build_plan(config)
+    results = run_bench_plan(config, plan)
     cells = list(zip(plan.specs, plan.keys(), results))
     rows = []
     for t, sca_m, cat_m in THRESHOLD_CONFIGS:
@@ -67,25 +69,25 @@ def build_rows():
     return rows
 
 
-def emit_rows(rows):
+def emit_rows(config, rows):
     return emit(
-        "fig12_thresholds",
+        config, "fig12_thresholds",
         "Figure 12: mean CMRPO (%) vs refresh threshold (iso-area)",
         rows,
         ["T", "PRA", "SCA", "PRCAT", "DRCAT"],
         parameters={"workloads": ",".join(WORKLOADS)},
-        plan=build_plan(),
+        plan=build_plan(config),
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_rows(build_rows())]
+    return [emit_rows(config, build_rows(config))]
 
 
 def test_fig12_threshold_sensitivity(benchmark):
-    rows = benchmark.pedantic(build_rows, iterations=1, rounds=1)
-    emit_rows(rows)
+    rows = benchmark.pedantic(build_rows, args=(bench_config(),), iterations=1, rounds=1)
+    emit_rows(bench_config(), rows)
     by_t = {row["T"]: row for row in rows}
     # Paper shape: DRCAT < 5% down to 16K; < 10% at 8K (doubled M).  Our
     # drift model is harsher than the paper's traces (hot sets relocate

@@ -8,9 +8,10 @@ schemes stay below ~1%; T=8K is *lower* than 16K because the counter
 budget doubles.
 """
 
-from _common import base_spec, emit, mean, plan_memo, run_bench_plan
+from _common import base_spec, bench_config, emit, mean, run_bench_plan
 
 from repro.experiments import Plan, SchemeSpec
+from repro.report.config import BenchConfig
 from repro.workloads.attacks import ATTACK_KERNELS
 
 #: (T, SCA M, CAT M) per the paper's Figure 13 groups.
@@ -20,17 +21,19 @@ MODES = ("heavy", "medium", "light")
 KERNELS = ATTACK_KERNELS[:4]
 
 
-@plan_memo
-def build_plan() -> Plan:
+def build_plan(config: BenchConfig | None = None) -> Plan:
     """Attack grids: (scheme x mode x kernel) per iso-area threshold row.
 
     Attack cells are ordinary ExperimentSpecs with ``kind="attack"``;
     the kernel and mix mode are plan axes like any other spec field.
+    ``config`` defaults to :func:`~_common.bench_config`.
     """
+    config = config or bench_config()
     plan = None
     for t, sca_m, cat_m in THRESHOLD_CONFIGS:
         grid = Plan.grid(
             base_spec(
+                config,
                 kind="attack",
                 attack_kernel=KERNELS[0].name,
                 attack_mode=MODES[0],
@@ -49,9 +52,9 @@ def build_plan() -> Plan:
     return plan
 
 
-def build_rows():
-    plan = build_plan()
-    results = run_bench_plan(plan)
+def build_rows(config):
+    plan = build_plan(config)
+    results = run_bench_plan(config, plan)
     cells = list(zip(plan.specs, results))
     rows = []
     for t, _sca_m, _cat_m in THRESHOLD_CONFIGS:
@@ -69,26 +72,26 @@ def build_rows():
     return rows
 
 
-def emit_rows(rows):
+def emit_rows(config, rows):
     return emit(
-        "fig13_attacks",
+        config, "fig13_attacks",
         "Figure 13: mean ETO (%) under kernel attacks "
         f"({len(KERNELS)} kernels per cell)",
         rows,
         ["T", "mode", "SCA", "PRCAT", "DRCAT"],
         parameters={"n_kernels": len(KERNELS)},
-        plan=build_plan(),
+        plan=build_plan(config),
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_rows(build_rows())]
+    return [emit_rows(config, build_rows(config))]
 
 
 def test_fig13_kernel_attacks(benchmark):
-    rows = benchmark.pedantic(build_rows, iterations=1, rounds=1)
-    emit_rows(rows)
+    rows = benchmark.pedantic(build_rows, args=(bench_config(),), iterations=1, rounds=1)
+    emit_rows(bench_config(), rows)
     cell = {(row["T"], row["mode"]): row for row in rows}
     # Heavier attacks cost more for SCA at every threshold.
     for t in ("32K", "16K", "8K"):

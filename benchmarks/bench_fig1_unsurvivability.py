@@ -6,7 +6,7 @@ Section III-A Monte-Carlo result that an LFSR-driven PRA collapses to
 unacceptable failure rates.
 """
 
-from _common import emit
+from _common import bench_config, emit
 
 from repro.analysis.prng import TrueRandomPRNG
 from repro.analysis.unsurvivability import (
@@ -34,9 +34,9 @@ def build_figure1_rows():
     return rows
 
 
-def emit_grid(rows):
+def emit_grid(config, rows):
     return emit(
-        "fig1_unsurvivability",
+        config, "fig1_unsurvivability",
         "Figure 1: PRA 5-year unsurvivability (Chipkill = 1E-4)",
         rows,
         ["T"] + [f"p={p}" for p in PROBABILITIES] + ["beats_chipkill"],
@@ -48,7 +48,7 @@ def emit_grid(rows):
 
 def test_fig1_unsurvivability_grid(benchmark):
     rows = benchmark.pedantic(build_figure1_rows, iterations=1, rounds=1)
-    emit_grid(rows)
+    emit_grid(bench_config(), rows)
     grid = figure1_grid(probabilities=PROBABILITIES)
     # Paper shape: T=32K survives at p >= 0.002; smaller T needs larger p.
     assert grid[32768][0.002] < CHIPKILL_UNSURVIVABILITY
@@ -77,9 +77,9 @@ def run_lfsr_study():
     }
 
 
-def emit_lfsr(data):
+def emit_lfsr(config, data):
     return emit(
-        "fig1_lfsr_study",
+        config, "fig1_lfsr_study",
         "Section III-A: LFSR vs TRNG window failure rates "
         f"(T={data['refresh_threshold']}, p={data['p']})",
         [
@@ -111,14 +111,14 @@ def emit_lfsr(data):
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_grid(build_figure1_rows()), emit_lfsr(run_lfsr_study())]
+    return [emit_grid(config, build_figure1_rows()), emit_lfsr(config, run_lfsr_study())]
 
 
 def test_fig1_lfsr_monte_carlo(benchmark):
     data = benchmark.pedantic(run_lfsr_study, iterations=1, rounds=1)
-    emit_lfsr(data)
+    emit_lfsr(bench_config(), data)
     # Paper shape: the LFSR's correlated draws fail far more often.
     assert data["lfsr16_rate"] > data["closed_form"]
     assert data["lfsr9_rate"] == 1.0

@@ -8,7 +8,7 @@ M = 128, and SCA128 undercuts the counter caches by >= 1.5 orders of
 magnitude.
 """
 
-from _common import emit
+from _common import bench_config, emit
 
 from repro.analysis.sca_energy import (
     counter_cache_energy_nj,
@@ -41,9 +41,9 @@ def build_rows(points):
     return rows
 
 
-def emit_rows(rows):
+def emit_rows(config, rows):
     return emit(
-        "fig2_sca_energy",
+        config, "fig2_sca_energy",
         "Figure 2: SCA energy overhead vs #counters (nJ per 64 ms interval)",
         rows,
         ["M", "counter_nJ", "refresh_nJ", "total_nJ"],
@@ -54,16 +54,16 @@ def emit_rows(rows):
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_rows(build_rows(build_sweep()))]
+    return [emit_rows(config, build_rows(build_sweep()))]
 
 
 def test_fig2_sca_energy_breakdown(benchmark):
     points = benchmark.pedantic(build_sweep, iterations=1, rounds=1)
     cache2 = counter_cache_energy_nj("2KB", ACCESSES_PER_INTERVAL)
     cache8 = counter_cache_energy_nj("8KB", ACCESSES_PER_INTERVAL)
-    emit_rows(build_rows(points))
+    emit_rows(bench_config(), build_rows(points))
     by_m = {p.n_counters: p for p in points}
     # Paper shapes:
     assert optimal_m(points) in (64, 128, 256), "minimum should sit near 128"

@@ -7,7 +7,7 @@ their concentration statistics.
 """
 
 import numpy as np
-from _common import emit
+from _common import bench_config, emit
 
 from repro.workloads.suites import get_workload, row_frequency_histogram
 
@@ -44,9 +44,9 @@ def build_rows(hists):
     return rows
 
 
-def emit_rows(rows):
+def emit_rows(config, rows):
     return emit(
-        "fig3_row_frequency",
+        config, "fig3_row_frequency",
         "Figure 3: row access frequency in a 64K-row bank (one interval)",
         rows,
         [
@@ -64,14 +64,14 @@ def emit_rows(rows):
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_rows(build_rows(build_histograms()))]
+    return [emit_rows(config, build_rows(build_histograms()))]
 
 
 def test_fig3_row_frequency(benchmark):
     hists = benchmark.pedantic(build_histograms, iterations=1, rounds=1)
-    emit_rows(build_rows(hists))
+    emit_rows(bench_config(), build_rows(hists))
     # Paper shape: blackscholes and facesim are dominated by a small
     # group of rows; libquantum is not.
     assert concentration(hists["black"], 64) > 0.5

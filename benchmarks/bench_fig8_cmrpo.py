@@ -8,15 +8,15 @@ below SCA's and PRA's; at T=16K SCA_64 degrades sharply (paper: 22%)
 while DRCAT barely moves (4 -> 4.5%).
 """
 
-from _common import FIG8_LABELS, emit, fig8_plan, fig8_sweep, mean
+from _common import FIG8_LABELS, bench_config, emit, fig8_plan, fig8_sweep, mean
 
 from repro.workloads.suites import WORKLOAD_ORDER
 
 LABELS = FIG8_LABELS
 
 
-def build_rows(refresh_threshold):
-    results = fig8_sweep(refresh_threshold)
+def build_rows(config, refresh_threshold):
+    results = fig8_sweep(config, refresh_threshold)
     rows = []
     for workload in WORKLOAD_ORDER:
         row = {"workload": workload}
@@ -30,28 +30,28 @@ def build_rows(refresh_threshold):
     return rows
 
 
-def emit_threshold(refresh_threshold, rows):
+def emit_threshold(config, refresh_threshold, rows):
     t = refresh_threshold // 1024
     return emit(
-        f"fig8_cmrpo_t{t}k",
+        config, f"fig8_cmrpo_t{t}k",
         f"Figure 8 (T={t}K): CMRPO per workload (%)",
         rows,
         ["workload"] + LABELS,
         parameters={"refresh_threshold": refresh_threshold},
-        plan=fig8_plan(refresh_threshold),
+        plan=fig8_plan(refresh_threshold, config),
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify`` (both thresholds)."""
-    return [emit_threshold(t, build_rows(t)) for t in (32768, 16384)]
+    return [emit_threshold(config, t, build_rows(config, t)) for t in (32768, 16384)]
 
 
 def test_fig8_cmrpo_t32k(benchmark):
     rows = benchmark.pedantic(
-        build_rows, args=(32768,), iterations=1, rounds=1
+        build_rows, args=(bench_config(), 32768), iterations=1, rounds=1
     )
-    emit_threshold(32768, rows)
+    emit_threshold(bench_config(), 32768, rows)
     means = rows[-1]
     # Paper shape: CAT schemes beat SCA_64 and PRA by a wide margin.
     assert means["DRCAT_64"] < 0.6 * means["SCA_64"]
@@ -64,11 +64,11 @@ def test_fig8_cmrpo_t32k(benchmark):
 
 def test_fig8_cmrpo_t16k(benchmark):
     rows = benchmark.pedantic(
-        build_rows, args=(16384,), iterations=1, rounds=1
+        build_rows, args=(bench_config(), 16384), iterations=1, rounds=1
     )
-    emit_threshold(16384, rows)
+    emit_threshold(bench_config(), 16384, rows)
     means = rows[-1]
-    means32 = build_rows(32768)[-1]
+    means32 = build_rows(bench_config(), 32768)[-1]
     # Paper shape: halving T hits SCA hard, CAT only slightly.
     sca_growth = means["SCA_64"] - means32["SCA_64"]
     drcat_growth = means["DRCAT_64"] - means32["DRCAT_64"]

@@ -10,15 +10,15 @@ PRCAT_64 0.23%, DRCAT_64 0.16%; at T=16K: 0.39 / 3.42 / 1.38 / 0.49 /
 the CAT schemes best, and T=16K uniformly worse than T=32K.
 """
 
-from _common import FIG8_LABELS, emit, fig8_plan, fig8_sweep, mean
+from _common import FIG8_LABELS, bench_config, emit, fig8_plan, fig8_sweep, mean
 
 from repro.workloads.suites import WORKLOAD_ORDER
 
 LABELS = FIG8_LABELS
 
 
-def build_rows(refresh_threshold):
-    results = fig8_sweep(refresh_threshold)
+def build_rows(config, refresh_threshold):
+    results = fig8_sweep(config, refresh_threshold)
     rows = []
     for workload in WORKLOAD_ORDER:
         row = {"workload": workload}
@@ -32,28 +32,28 @@ def build_rows(refresh_threshold):
     return rows
 
 
-def emit_threshold(refresh_threshold, rows):
+def emit_threshold(config, refresh_threshold, rows):
     t = refresh_threshold // 1024
     return emit(
-        f"fig9_eto_t{t}k",
+        config, f"fig9_eto_t{t}k",
         f"Figure 9 (T={t}K): ETO per workload (%)",
         rows,
         ["workload"] + LABELS,
         parameters={"refresh_threshold": refresh_threshold},
-        plan=fig8_plan(refresh_threshold),
+        plan=fig8_plan(refresh_threshold, config),
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify`` (both thresholds)."""
-    return [emit_threshold(t, build_rows(t)) for t in (32768, 16384)]
+    return [emit_threshold(config, t, build_rows(config, t)) for t in (32768, 16384)]
 
 
 def test_fig9_eto_t32k(benchmark):
     rows = benchmark.pedantic(
-        build_rows, args=(32768,), iterations=1, rounds=1
+        build_rows, args=(bench_config(), 32768), iterations=1, rounds=1
     )
-    emit_threshold(32768, rows)
+    emit_threshold(bench_config(), 32768, rows)
     means = rows[-1]
     # Paper shape: SCA_64 is the worst; CAT at least ~2x better.
     assert means["SCA_64"] == max(means[l] for l in LABELS)
@@ -65,11 +65,11 @@ def test_fig9_eto_t32k(benchmark):
 
 def test_fig9_eto_t16k(benchmark):
     rows = benchmark.pedantic(
-        build_rows, args=(16384,), iterations=1, rounds=1
+        build_rows, args=(bench_config(), 16384), iterations=1, rounds=1
     )
-    emit_threshold(16384, rows)
+    emit_threshold(bench_config(), 16384, rows)
     means16 = rows[-1]
-    means32 = build_rows(32768)[-1]
+    means32 = build_rows(bench_config(), 32768)[-1]
     # Halving T increases every deterministic scheme's ETO.
     for label in ("SCA_64", "SCA_128"):
         assert means16[label] > means32[label]

@@ -10,7 +10,8 @@ sweep-cell result cache (ISSUE-3), and the sweep-throughput section
 store disabled (the PR-4 cold baseline), cold (populating), and warm
 (every stream memmap-served) — plus the persistent-pool reuse gain.
 
-The engine and result-cache sections pin ``REPRO_TRACE_STORE=0`` so
+The engine, result-cache and pool sections run under a
+:class:`~repro.report.config.RunContext` with the trace store off so
 their numbers stay comparable with earlier runs; only the dedicated
 sweep sections exercise the store.
 
@@ -38,11 +39,10 @@ store-off cold baseline.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -61,6 +61,7 @@ from repro.experiments.spec import (  # noqa: E402
     DEFAULT_INTERVALS,
     DEFAULT_SCALE,
 )
+from repro.report.config import RunContext  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -101,26 +102,8 @@ TRACE_SWEEP_M = (32, 64, 128, 256, 512)
 TRACE_SWEEP_THRESHOLDS = (32768, 16384)
 
 
-@contextlib.contextmanager
-def _scoped_env(values: dict):
-    """Apply env overrides for one measurement (None = unset)."""
-    saved = {k: os.environ.get(k) for k in values}
-    for key, value in values.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-    try:
-        yield
-    finally:
-        for key, old in saved.items():
-            if old is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = old
-
-
-def _measure(engine: str, scheme: str, repeats: int) -> tuple[float, int]:
+def _measure(engine: str, scheme: str, repeats: int,
+             ctx: RunContext) -> tuple[float, int]:
     """Best wall-clock and access count of one ``run_spec`` call."""
     spec = ExperimentSpec(
         scheme=SchemeSpec(scheme), workload=PROFILE_WORKLOAD, engine=engine
@@ -129,7 +112,7 @@ def _measure(engine: str, scheme: str, repeats: int) -> tuple[float, int]:
     accesses = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        result = run_spec(spec)
+        result = run_spec(spec, ctx)
         best = min(best, time.perf_counter() - start)
         accesses = result.totals.accesses
     return best, accesses
@@ -156,7 +139,7 @@ def _trace_sweep_plan(workloads=TRACE_SWEEP_WORKLOADS):
     ), len(workloads)
 
 
-def _measure_trace_sweep(smoke: bool) -> dict:
+def _measure_trace_sweep(smoke: bool, off: RunContext) -> dict:
     """Store-off vs cold-store vs warm-store wall-clock of one grid.
 
     All passes run serially with the result cache off, so the numbers
@@ -176,6 +159,7 @@ def _measure_trace_sweep(smoke: bool) -> dict:
 
     plan, n_streams = _trace_sweep_plan()
     root = tempfile.mkdtemp(prefix="repro-trace-bench-")
+    on = replace(off, trace_store=root)
 
     def timed(fn):
         # GC pauses land arbitrarily inside a ~100 ms pass and are the
@@ -191,28 +175,24 @@ def _measure_trace_sweep(smoke: bool) -> dict:
             gc.enable()
 
     try:
-        with _scoped_env({"REPRO_TRACE_STORE_DIR": root}):
-            with _scoped_env({"REPRO_TRACE_STORE": "1"}):
-                tracestore._STORES.clear()
-                cold_s, cold_results = timed(lambda: run_plan(plan))
-            # Best-of-3 for the gated passes, with warm and off rounds
-            # *interleaved* so machine drift (a CI runner warming up,
-            # background load) hits both sides of the ratio equally;
-            # taking the minimum of both sides is conservative (it
-            # lowers the numerator as much as the denominator).
-            warm_times: list[float] = []
-            off_times: list[float] = []
-            warm_results = off_results = None
-            for _ in range(3):
-                with _scoped_env({"REPRO_TRACE_STORE": "1"}):
-                    elapsed, results = timed(lambda: run_plan(plan))
-                    warm_times.append(elapsed)
-                    warm_results = warm_results or results
-                with _scoped_env({"REPRO_TRACE_STORE": "0"}):
-                    elapsed, results = timed(lambda: run_plan(plan))
-                    off_times.append(elapsed)
-                    off_results = off_results or results
-            warm_s, off_s = min(warm_times), min(off_times)
+        tracestore._STORES.clear()
+        cold_s, cold_results = timed(lambda: run_plan(plan, ctx=on))
+        # Best-of-3 for the gated passes, with warm and off rounds
+        # *interleaved* so machine drift (a CI runner warming up,
+        # background load) hits both sides of the ratio equally;
+        # taking the minimum of both sides is conservative (it
+        # lowers the numerator as much as the denominator).
+        warm_times: list[float] = []
+        off_times: list[float] = []
+        warm_results = off_results = None
+        for _ in range(3):
+            elapsed, results = timed(lambda: run_plan(plan, ctx=on))
+            warm_times.append(elapsed)
+            warm_results = warm_results or results
+            elapsed, results = timed(lambda: run_plan(plan, ctx=off))
+            off_times.append(elapsed)
+            off_results = off_results or results
+        warm_s, off_s = min(warm_times), min(off_times)
         identical = all(
             a.to_dict() == b.to_dict() == c.to_dict()
             for a, b, c in zip(off_results, cold_results, warm_results)
@@ -233,13 +213,13 @@ def _measure_trace_sweep(smoke: bool) -> dict:
     }
     if not smoke:
         report["extra_workloads"] = {
-            workload: _measure_trace_workload(workload)
+            workload: _measure_trace_workload(workload, off)
             for workload in TRACE_SWEEP_EXTRA_WORKLOADS
         }
     return report
 
 
-def _measure_trace_workload(workload: str) -> dict:
+def _measure_trace_workload(workload: str, off: RunContext) -> dict:
     """Ungated off/warm ratio of one extra workload's scheme-axis grid."""
     import shutil
     import tempfile
@@ -248,18 +228,16 @@ def _measure_trace_workload(workload: str) -> dict:
 
     plan, _ = _trace_sweep_plan((workload,))
     root = tempfile.mkdtemp(prefix="repro-trace-bench-")
+    on = replace(off, trace_store=root)
     try:
-        with _scoped_env({"REPRO_TRACE_STORE_DIR": root,
-                          "REPRO_TRACE_STORE": "1"}):
-            tracestore._STORES.clear()
-            run_plan(plan)
-            start = time.perf_counter()
-            run_plan(plan)
-            warm_s = time.perf_counter() - start
-        with _scoped_env({"REPRO_TRACE_STORE": "0"}):
-            start = time.perf_counter()
-            run_plan(plan)
-            off_s = time.perf_counter() - start
+        tracestore._STORES.clear()
+        run_plan(plan, ctx=on)
+        start = time.perf_counter()
+        run_plan(plan, ctx=on)
+        warm_s = time.perf_counter() - start
+        start = time.perf_counter()
+        run_plan(plan, ctx=off)
+        off_s = time.perf_counter() - start
     finally:
         tracestore._STORES.clear()
         shutil.rmtree(root, ignore_errors=True)
@@ -292,7 +270,7 @@ def _pool_bench_plan():
     )
 
 
-def _measure_pool_reuse() -> dict:
+def _measure_pool_reuse(off: RunContext) -> dict:
     """Cold (fork) vs reused wall-clock of a pooled plan run.
 
     Measures what the persistent :class:`SweepPool` removes from every
@@ -309,16 +287,15 @@ def _measure_pool_reuse() -> dict:
     plan = _pool_bench_plan()
     cold_times: list[float] = []
     reused_times: list[float] = []
-    with _scoped_env({"REPRO_TRACE_STORE": "0"}):
-        for _ in range(3):
-            SweepPool.shutdown()
-            start = time.perf_counter()
-            run_plan(plan, workers=2)
-            cold_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            run_plan(plan, workers=2)
-            reused_times.append(time.perf_counter() - start)
+    for _ in range(3):
         SweepPool.shutdown()
+        start = time.perf_counter()
+        run_plan(plan, workers=2, ctx=off)
+        cold_times.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        run_plan(plan, workers=2, ctx=off)
+        reused_times.append(time.perf_counter() - start)
+    SweepPool.shutdown()
     cold_s, reused_s = min(cold_times), min(reused_times)
     return {
         "n_cells": len(plan),
@@ -348,29 +325,27 @@ def run_bench(smoke: bool = False, repeats: int = 3) -> dict:
         },
         "schemes": {},
     }
-    with _scoped_env({"REPRO_TRACE_STORE": "0"}):
-        # Engine + result-cache sections run store-off so their numbers
-        # stay comparable with the PR-1/PR-3 trajectory.
-        for scheme in SCHEMES:
-            scalar_s, accesses = _measure("scalar", scheme, repeats)
-            batched_s, _ = _measure("batched", scheme, repeats)
-            report["schemes"][scheme] = {
-                "accesses": accesses,
-                "scalar_s": round(scalar_s, 4),
-                "batched_s": round(batched_s, 4),
-                "scalar_accesses_per_s": round(accesses / scalar_s),
-                "batched_accesses_per_s": round(accesses / batched_s),
-                "speedup_vs_scalar": round(scalar_s / batched_s, 2),
-            }
-        if not smoke:
-            start = time.perf_counter()
-            run_plan(_mini_sweep_plan())
-            report["fig8_mini_sweep_s"] = round(
-                time.perf_counter() - start, 3
-            )
-        report["sweep_cache"] = _measure_cache_speedup()
-    report["trace_sweep"] = _measure_trace_sweep(smoke)
-    report["sweep_pool"] = _measure_pool_reuse()
+    # Engine + result-cache sections run store-off so their numbers
+    # stay comparable with the PR-1/PR-3 trajectory.
+    off = replace(RunContext.from_env(), trace_store=None)
+    for scheme in SCHEMES:
+        scalar_s, accesses = _measure("scalar", scheme, repeats, off)
+        batched_s, _ = _measure("batched", scheme, repeats, off)
+        report["schemes"][scheme] = {
+            "accesses": accesses,
+            "scalar_s": round(scalar_s, 4),
+            "batched_s": round(batched_s, 4),
+            "scalar_accesses_per_s": round(accesses / scalar_s),
+            "batched_accesses_per_s": round(accesses / batched_s),
+            "speedup_vs_scalar": round(scalar_s / batched_s, 2),
+        }
+    if not smoke:
+        start = time.perf_counter()
+        run_plan(_mini_sweep_plan(), ctx=off)
+        report["fig8_mini_sweep_s"] = round(time.perf_counter() - start, 3)
+    report["sweep_cache"] = _measure_cache_speedup(off)
+    report["trace_sweep"] = _measure_trace_sweep(smoke, off)
+    report["sweep_pool"] = _measure_pool_reuse(off)
     return report
 
 
@@ -382,7 +357,7 @@ def _mini_sweep_plan() -> Plan:
     )
 
 
-def _measure_cache_speedup() -> dict:
+def _measure_cache_speedup(off: RunContext) -> dict:
     """Cold vs warm wall-clock of a plan rerun through the result cache.
 
     Measures exactly what ``repro verify`` gains on a rerun after an
@@ -397,10 +372,10 @@ def _measure_cache_speedup() -> dict:
     try:
         cache = ResultCache(root)
         start = time.perf_counter()
-        cold_results = run_plan(plan, cache=cache)
+        cold_results = run_plan(plan, cache=cache, ctx=off)
         cold_s = time.perf_counter() - start
         start = time.perf_counter()
-        warm_results = run_plan(plan, cache=ResultCache(root))
+        warm_results = run_plan(plan, cache=ResultCache(root), ctx=off)
         warm_s = time.perf_counter() - start
         identical = all(
             a.to_dict() == b.to_dict()

@@ -12,7 +12,7 @@ schemes keep every component small and their totals sit well below
 SCA_64's.
 """
 
-from _common import FIG8_LABELS, emit, fig8_plan, fig8_sweep
+from _common import FIG8_LABELS, bench_config, emit, fig8_plan, fig8_sweep
 
 from repro.energy.cmrpo import mean_breakdown
 from repro.workloads.suites import WORKLOAD_ORDER
@@ -23,9 +23,9 @@ COLUMNS = ["scheme", "T", "dynamic_mw", "static_mw", "refresh_mw",
            "total_mw"]
 
 
-def scheme_breakdowns(refresh_threshold):
+def scheme_breakdowns(config, refresh_threshold):
     """{label: 18-workload mean CMRPOBreakdown} at one threshold."""
-    results = fig8_sweep(refresh_threshold)
+    results = fig8_sweep(config, refresh_threshold)
     return {
         label: mean_breakdown(
             results[(workload, label)].cmrpo_breakdown
@@ -35,10 +35,10 @@ def scheme_breakdowns(refresh_threshold):
     }
 
 
-def build_rows():
+def build_rows(config):
     rows = []
     for threshold in THRESHOLDS:
-        means = scheme_breakdowns(threshold)
+        means = scheme_breakdowns(config, threshold)
         for label in FIG8_LABELS:
             b = means[label]
             rows.append({
@@ -52,25 +52,25 @@ def build_rows():
     return rows
 
 
-def emit_rows(rows):
+def emit_rows(config, rows):
     return emit(
-        "power_breakdown",
+        config, "power_breakdown",
         "Power: mean CMRPO component breakdown (mW per bank)",
         rows,
         COLUMNS,
         parameters={"thresholds": ",".join(str(t) for t in THRESHOLDS)},
-        plan=fig8_plan(THRESHOLDS[0]) + fig8_plan(THRESHOLDS[1]),
+        plan=fig8_plan(THRESHOLDS[0], config) + fig8_plan(THRESHOLDS[1], config),
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_rows(build_rows())]
+    return [emit_rows(config, build_rows(config))]
 
 
 def test_power_breakdown(benchmark):
-    rows = benchmark.pedantic(build_rows, iterations=1, rounds=1)
-    emit_rows(rows)
+    rows = benchmark.pedantic(build_rows, args=(bench_config(),), iterations=1, rounds=1)
+    emit_rows(bench_config(), rows)
     by_key = {(row["scheme"], row["T"]): row for row in rows}
     for row in rows:
         # Components are non-negative and sum to the reported total.

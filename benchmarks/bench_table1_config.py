@@ -4,7 +4,7 @@ Prints the simulated system's configuration and checks it against the
 paper's Table I values.
 """
 
-from _common import emit
+from _common import bench_config, emit
 
 from repro.dram.config import DUAL_CORE_2CH, NAMED_CONFIGS
 
@@ -27,9 +27,9 @@ def build_rows():
     return rows
 
 
-def emit_rows(rows):
+def emit_rows(config, rows):
     return emit(
-        "table1_config",
+        config, "table1_config",
         "Table I: system configurations",
         rows,
         [
@@ -46,14 +46,14 @@ def emit_rows(rows):
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_rows(build_rows())]
+    return [emit_rows(config, build_rows())]
 
 
 def test_table1_system_config(benchmark):
     rows = benchmark.pedantic(build_rows, iterations=1, rounds=1)
-    emit_rows(rows)
+    emit_rows(bench_config(), rows)
     c = DUAL_CORE_2CH
     assert c.n_cores == 2 and c.core_freq_ghz == 3.2
     assert c.bus_freq_mhz == 800.0

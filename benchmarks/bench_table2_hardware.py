@@ -7,7 +7,7 @@ over PRCAT, PRA's 9-bit draw energy).
 """
 
 import pytest
-from _common import emit
+from _common import bench_config, emit
 
 from repro.energy.hardware_model import (
     DRCAT_LATENCY_NS,
@@ -33,7 +33,7 @@ def build_rows():
     return rows
 
 
-def emit_hardware(rows):
+def emit_hardware(config, rows):
     columns = ["M"]
     for scheme in ("drcat", "prcat", "sca"):
         columns += [
@@ -42,17 +42,17 @@ def emit_hardware(rows):
             f"{scheme}_area_mm2",
         ]
     return emit(
-        "table2_hardware", "Table II: per-bank energy and area", rows, columns,
+        config, "table2_hardware", "Table II: per-bank energy and area", rows, columns,
         spec={"analytic": "table2",
               "grid": {"M": list(TABLE2_M),
                        "scheme": ["drcat", "prcat", "sca"]}},
     )
 
 
-def emit_prng():
+def emit_prng(config):
     prng = pra_hardware()
     return emit(
-        "table2_prng",
+        config, "table2_prng",
         "Table II (right): PRNG specification for PRA",
         [
             {
@@ -74,16 +74,16 @@ def emit_prng():
     )
 
 
-def artifacts():
+def artifacts(config):
     """JSON artifacts for ``repro verify``."""
-    return [emit_hardware(build_rows()), emit_prng()]
+    return [emit_hardware(config, build_rows()), emit_prng(config)]
 
 
 def test_table2_hardware(benchmark):
     rows = benchmark.pedantic(build_rows, iterations=1, rounds=1)
-    emit_hardware(rows)
+    emit_hardware(bench_config(), rows)
     prng = pra_hardware()
-    emit_prng()
+    emit_prng(bench_config())
     # Paper relations.
     assert iso_area_counters("prcat", 64, "sca") == 128
     drcat64 = scheme_hardware("drcat", 64)

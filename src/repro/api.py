@@ -60,6 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.base import RefreshCommand
+from repro.report.config import RunContext
 from repro.sim.engine import TIME_QUANTUM_NS
 from repro.sim.metrics import RunTotals, SimulationResult
 from repro.sim.session import SessionCore
@@ -114,9 +115,13 @@ class Session:
 
     Construct via :func:`open_session` (or directly); drive with
     :meth:`step` / :meth:`advance`; finish with :meth:`result`.
+    ``context`` selects the trace store the run reads and fills
+    (default: :meth:`RunContext.from_env
+    <repro.report.config.RunContext.from_env>`).
     """
 
-    def __init__(self, spec, *, _core_state: dict | None = None) -> None:
+    def __init__(self, spec, context: RunContext | None = None, *,
+                 _core_state: dict | None = None) -> None:
         from repro.experiments.spec import ExperimentSpec
 
         if isinstance(spec, dict):
@@ -124,9 +129,10 @@ class Session:
         self.spec = spec
         self.sim = TraceDrivenSimulator(spec)
         if _core_state is None:
-            self._core = SessionCore(self.sim)
+            self._core = SessionCore(self.sim, context)
         else:
-            self._core = SessionCore.from_state(self.sim, _core_state)
+            self._core = SessionCore.from_state(self.sim, _core_state,
+                                                context)
         self._epoch_taps: list[Callable[[EpochEvent], None]] = []
         self._mitigation_taps: list[Callable[[MitigationEvent], None]] = []
         # Baseline totals as of the last epoch boundary, updated on
@@ -445,7 +451,8 @@ class Session:
         }
 
     @classmethod
-    def restore(cls, snapshot: dict) -> "Session":
+    def restore(cls, snapshot: dict,
+                context: RunContext | None = None) -> "Session":
         """Rebuild a live session from a :meth:`snapshot` document.
 
         Raises :class:`SessionError` for a document that is not a
@@ -467,7 +474,8 @@ class Session:
                 "the snapshot with this build"
             )
         try:
-            return cls(snapshot["spec"], _core_state=snapshot["core"])
+            return cls(snapshot["spec"], context,
+                       _core_state=snapshot["core"])
         except KeyError as exc:
             raise SessionError(
                 f"malformed snapshot: missing field {exc.args[0]!r}"
@@ -507,13 +515,13 @@ class Session:
         return path
 
     @classmethod
-    def load(cls, path) -> "Session":
+    def load(cls, path, context: RunContext | None = None) -> "Session":
         """Resume a session saved by :meth:`save`."""
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise SessionError(f"{path}: not valid JSON ({exc})") from None
-        return cls.restore(doc)
+        return cls.restore(doc, context)
 
 
 def open_session(spec, **overrides) -> Session:

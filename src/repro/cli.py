@@ -57,7 +57,7 @@ from repro.experiments import (
     run_plan,
     run_spec,
 )
-from repro.report.config import FIDELITIES, SESSION_MODES
+from repro.report.config import FIDELITIES, SESSION_MODES, RunContext
 from repro.report.verify import run_verify
 from repro.sim.engine import ENGINES
 from repro.sim.metrics import format_table
@@ -185,6 +185,7 @@ def _run_plan_cli(plan, args):
             keep_going=want_report,
             max_retries=args.max_retries,
             cell_timeout=args.cell_timeout,
+            ctx=args.ctx,
         )
     except CellExecutionError as exc:
         results = (exc.report.results if exc.report is not None
@@ -228,9 +229,9 @@ def _stream_taps(session) -> None:
 
 def _run_streaming(args: argparse.Namespace, spec, label: str) -> int:
     """``repro run --stream`` / ``--snapshot-at``: session-driven run."""
-    from repro.api import open_session
+    from repro.api import Session
 
-    session = open_session(spec)
+    session = Session(spec, args.ctx)
     if args.stream:
         _stream_taps(session)
     if args.snapshot_at is not None:
@@ -269,7 +270,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         label = args.scheme
     if args.stream or args.snapshot_at is not None or args.snapshot_to:
         return _run_streaming(args, spec, label)
-    result = run_spec(spec)
+    result = run_spec(spec, args.ctx)
     return _print_result(args, label, result, spec)
 
 
@@ -278,7 +279,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     from repro.api import Session, SessionError
 
     try:
-        session = Session.load(args.snapshot)
+        session = Session.load(args.snapshot, args.ctx)
     except (SessionError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}")
         return 2
@@ -295,7 +296,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     results = {}
     for scheme in ("pra", "sca", "prcat", "drcat"):
-        result = run_spec(_spec_from_args(args, scheme, args.workload))
+        result = run_spec(_spec_from_args(args, scheme, args.workload),
+                          args.ctx)
         results[scheme] = result
         rows.append(_result_row(scheme, result))
     if args.json:
@@ -313,7 +315,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         args, args.scheme, args.benign,
         kind="attack", attack_kernel=args.kernel, attack_mode=args.mode,
     )
-    result = run_spec(spec)
+    result = run_spec(spec, args.ctx)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0
@@ -500,7 +502,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.figures import render_directory
-    from repro.report.verify import default_benchmarks_dir
+    from repro.report.config import default_benchmarks_dir
 
     bench_dir = default_benchmarks_dir()
     if args.source:
@@ -562,32 +564,14 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _result_store_root(args: argparse.Namespace):
-    """The sweep-cell result-cache root the benches would use."""
-    import os
-    from pathlib import Path
-
-    from repro.report.verify import default_benchmarks_dir
-
-    if args.cache_dir:
-        return Path(args.cache_dir)
-    env_dir = os.environ.get("REPRO_BENCH_CACHE_DIR")
-    if env_dir:
-        return Path(env_dir)
-    bench_dir = default_benchmarks_dir()
-    if bench_dir is None:
-        return None
-    return bench_dir / "results" / "sweep_cache"
-
-
 def _result_store_stats(root) -> dict:
     """Entry/byte/partition counts of the sweep-cell result store."""
     from repro.experiments.cache import CACHE_VERSION, code_fingerprint
 
     active = f"{CACHE_VERSION}-{code_fingerprint()}"
-    stats = {"root": str(root) if root else None, "entries": 0,
+    stats = {"root": str(root), "entries": 0,
              "bytes": 0, "partitions": 0, "stale_partitions": 0}
-    if root is None or not root.is_dir():
+    if not root.is_dir():
         return stats
     for partition in root.iterdir():
         # The trace store and the serve job journal nest under this
@@ -616,16 +600,12 @@ def _journal_stats(result_root, gc: bool = True) -> dict:
     result cache — so stats/clear GC them the same way both commands
     sweep orphaned ``.tmp`` files.
     """
-    from pathlib import Path
-
     from repro.server.journal import Journal
 
-    stats = {"root": None, "segments": 0, "bytes": 0, "records": 0,
-             "live_jobs": 0, "finished_jobs": 0, "gc_removed": 0}
-    if result_root is None:
-        return stats
-    journal_dir = Path(result_root) / "journal"
-    stats["root"] = str(journal_dir)
+    journal_dir = result_root / "journal"
+    stats = {"root": str(journal_dir), "segments": 0, "bytes": 0,
+             "records": 0, "live_jobs": 0, "finished_jobs": 0,
+             "gc_removed": 0}
     if not journal_dir.is_dir():
         return stats
     journal = Journal(journal_dir)
@@ -666,13 +646,14 @@ def cmd_cache(args: argparse.Namespace) -> int:
     import shutil
     from pathlib import Path
 
-    from repro.sim.tracestore import TraceStore, default_root
-
     from repro.experiments.cache import sweep_orphan_tmp
+    from repro.report.config import store_roots
+    from repro.sim.tracestore import TraceStore
 
-    trace_parent = Path(args.trace_dir) if args.trace_dir else default_root()
+    result_root, trace_parent = store_roots(args.cache_dir)
+    if args.trace_dir:
+        trace_parent = Path(args.trace_dir)
     trace_store = TraceStore(trace_parent)
-    result_root = _result_store_root(args)
 
     # Orphaned *.tmp files are leftovers of atomic writes interrupted
     # mid-rename (crash, kill -9); both stats and clear sweep them.
@@ -685,7 +666,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
             cleared.append(f"tmp: {tmp_removed} orphaned .tmp file(s) swept")
         if args.results or both:
             stats = _result_store_stats(result_root)
-            if result_root is not None and result_root.is_dir():
+            if result_root.is_dir():
                 for partition in list(result_root.iterdir()):
                     if partition.is_dir() and partition.name not in (
                         "traces", "journal"
@@ -1103,4 +1084,5 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro``."""
     args = build_parser().parse_args(argv)
+    args.ctx = RunContext.from_env()
     return args.func(args)

@@ -216,10 +216,12 @@ class CounterCacheScheme(MitigationScheme):
         Raises ``ValueError`` naming the field when the state cannot come
         from a cache of this geometry: a ``memory_counters`` entry that
         is not a ``[row, count]`` pair, a row outside the bank, a count
-        outside ``[0, T)``, too many ways, a tag outside the bank, in
-        the wrong set or cached twice, a count line of the wrong size,
-        or a hit, miss or write-back total that is not an integer in
-        ``[0, 2^63)``.
+        outside ``[0, T)``, ``sets`` that is not one list of ``[tag,
+        counts]`` pairs per set, too many ways, a tag that is not an
+        integer line of the bank, in the wrong set or cached twice, a
+        count line of the wrong size or with a count that is not an
+        integer in ``[0, T)``, or a hit, miss or write-back total that is
+        not an integer in ``[0, 2^63)``.
         """
         threshold = self.refresh_threshold
         counters = np.zeros(self.n_rows, dtype=np.int64)
@@ -231,37 +233,48 @@ class CounterCacheScheme(MitigationScheme):
                 )
             row = checked_register("ccache", "memory_counters", entry[0], self.n_rows)
             counters[row] = checked_register("ccache", "memory_counters", entry[1], threshold)
-        sets = [
-            [(int(tag), [int(c) for c in counts]) for tag, counts in ways]
-            for ways in state["sets"]
-        ]
-        if len(sets) != self.n_sets:
+        seq = (list, tuple)
+        raw_sets = state["sets"]
+        if not isinstance(raw_sets, seq) or len(raw_sets) != self.n_sets:
             raise ValueError(
-                f"ccache state field 'sets': state carries {len(sets)} sets, "
-                f"cache has {self.n_sets}"
+                f"ccache state field 'sets': {raw_sets!r} is not a list of "
+                f"{self.n_sets} sets"
             )
         n_lines = -(-self.n_rows // COUNTERS_PER_LINE)
-        for index, ways in enumerate(sets):
-            tags = [tag for tag, _ in ways]
+        sets = []
+        for index, ways in enumerate(raw_sets):
+            if not isinstance(ways, seq) or not all(
+                isinstance(way, seq) and len(way) == 2
+                and isinstance(way[1], seq) for way in ways
+            ):
+                raise ValueError(
+                    f"ccache state field 'sets': set {index} is not a list "
+                    f"of [tag, counts] pairs: {ways!r}"
+                )
+            tags = [checked_register("ccache", "sets", tag, n_lines)
+                    for tag, _ in ways]
             if len(ways) > self.n_ways or len(set(tags)) < len(tags):
                 raise ValueError(
                     f"ccache state field 'sets': set {index} holds tags {tags}, "
                     f"at most {self.n_ways} distinct"
                 )
-            for tag, counts in ways:
-                if not 0 <= tag < n_lines or tag % self.n_sets != index:
+            for tag, (_, counts) in zip(tags, ways):
+                if tag % self.n_sets != index:
                     raise ValueError(
                         f"ccache state field 'sets': tag {tag} does not belong "
                         f"in set {index} of a {n_lines}-line bank"
                     )
-                if len(counts) != COUNTERS_PER_LINE or not all(
-                    0 <= c < threshold for c in counts
-                ):
+                if len(counts) != COUNTERS_PER_LINE:
                     raise ValueError(
                         f"ccache state field 'sets': line {tag} needs "
                         f"{COUNTERS_PER_LINE} counts in [0, {threshold}), "
                         f"got {counts}"
                     )
+            sets.append([
+                (tag, [checked_register("ccache", "sets", c, threshold)
+                       for c in counts])
+                for tag, (_, counts) in zip(tags, ways)
+            ])
         totals = [
             checked_register("ccache", name, state[name])
             for name in ("hits", "misses", "writebacks")

@@ -21,10 +21,12 @@ at a time:
 
 =========  ===========================================================
 ``cells``  run one chunk of plan cells
-           (:func:`~repro.experiments.run._pool_run_chunk`: the
-           parent's environment applied, every cell isolated);
-           answers one outcome dict per cell
-``run``    drive one served run: build the session from the spec, or
+           (:func:`~repro.experiments.run._pool_run_chunk`: under the
+           plan's :class:`~repro.report.config.RunContext`, every cell
+           isolated); answers one outcome dict per cell
+``run``    drive one served run under the server's
+           :class:`~repro.report.config.RunContext`: build the session
+           from the spec, or
            restore it from the stored ``"serve"`` snapshot (a cold
            start when that does not restore), and answer whether it
            resumed; skip the epochs already served, advance epoch by
@@ -75,7 +77,7 @@ import stat
 import threading
 
 from repro.errors import RemoteError, RetryableError, is_retryable
-from repro.testing.faults import ROUND_VAR
+from repro.testing.faults import fault_scope
 
 #: How often an idle worker checks that its parent lives.
 _POLL_S = 0.5
@@ -168,52 +170,51 @@ def _serve(conn, parent_pid: int) -> None:
         conn.send(answer)
 
 
-def _run(conn, job_id: str, spec, stored: dict | None, fault_round: int,
-         cache_root: str, checkpoint_epochs: int):
+def _run(conn, job_id: str, spec, stored: dict | None, requeues: int,
+         cache_root: str, checkpoint_epochs: int, ctx):
     """Drive one served run to its end, or to a ``stop``; the last message.
 
-    ``fault_round`` (the job's requeue count) becomes
-    ``REPRO_FAULTS_ROUND``, so requeued attempts run clean, as
-    ``run_plan``'s recovery rounds do.  A checkpoint or result-cache
-    write that fails only costs a longer recompute or a later cache
-    miss, so neither fails the run.
+    The run's fault round is the job's requeue count, so requeued
+    attempts run clean, as ``run_plan``'s recovery rounds do.  A
+    checkpoint or result-cache write that fails only costs a longer
+    recompute or a later cache miss, so neither fails the run.
     """
     from repro.experiments.cache import ResultCache
 
-    os.environ[ROUND_VAR] = str(fault_round)
     cache = ResultCache(cache_root)
     events: list[tuple[str, dict]] = []
-    session, resumed = _open(events, job_id, spec, stored)
-    conn.send(("ok", resumed))
+    with fault_scope(ctx.faults, requeues):
+        session, resumed = _open(events, job_id, spec, stored, ctx)
+        conn.send(("ok", resumed))
 
-    def checkpoint() -> None:
+        def checkpoint() -> None:
+            with contextlib.suppress(Exception):
+                cache.put_snapshot(spec, SNAPSHOT_TAG, session.snapshot())
+
+        n, epoch_ns = spec.n_intervals, session.epoch_ns
+        for k in range(1, n + 1):
+            # Epochs an ancestor already served are no-ops: advance
+            # serves arrivals strictly before the boundary, and the
+            # restored position is already past it.
+            if session.position_ns >= k * epoch_ns:
+                continue
+            if conn.poll():  # mid-run, the parent sends nothing but stop
+                conn.recv()
+                checkpoint()
+                return ("stopped", _take(events), None)
+            session.advance(k * epoch_ns)
+            if k < n:
+                conn.send(("ok", ("epoch", _take(events), None)))
+            if checkpoint_epochs and k % checkpoint_epochs == 0 \
+                    and not session.done:
+                checkpoint()
+        result = session.result()
         with contextlib.suppress(Exception):
-            cache.put_snapshot(spec, SNAPSHOT_TAG, session.snapshot())
-
-    n, epoch_ns = spec.n_intervals, session.epoch_ns
-    for k in range(1, n + 1):
-        # Epochs an ancestor already served are no-ops: advance serves
-        # arrivals strictly before the boundary, and the restored
-        # position is already past it.
-        if session.position_ns >= k * epoch_ns:
-            continue
-        if conn.poll():  # mid-run, the parent sends nothing but stop
-            conn.recv()
-            checkpoint()
-            return ("stopped", _take(events), None)
-        session.advance(k * epoch_ns)
-        if k < n:
-            conn.send(("ok", ("epoch", _take(events), None)))
-        if checkpoint_epochs and k % checkpoint_epochs == 0 \
-                and not session.done:
-            checkpoint()
-    result = session.result()
-    with contextlib.suppress(Exception):
-        cache.put(spec, result)
+            cache.put(spec, result)
     return ("done", _take(events), result)
 
 
-def _open(events: list, job_id: str, spec, stored: dict | None):
+def _open(events: list, job_id: str, spec, stored: dict | None, ctx):
     """``(session, resumed?)`` for one attempt at a job, its taps feeding
     ``events``."""
     from repro.api import Session
@@ -221,12 +222,12 @@ def _open(events: list, job_id: str, spec, stored: dict | None):
     session = None
     if stored is not None:
         try:
-            session = Session.restore(stored)
+            session = Session.restore(stored, ctx)
         except Exception:  # noqa: BLE001 - corrupt snapshot: cold start
             session = None
     resumed = session is not None
     if session is None:
-        session = Session(spec)
+        session = Session(spec, ctx)
 
     @session.on_epoch
     def _epoch(event) -> None:

@@ -1,8 +1,10 @@
 """Executing specs and plans, with caching, fan-out and fault tolerance.
 
 Every spec runs through one path: :func:`run_spec` opens a
-:class:`repro.api.Session` and drives it to completion.
-``REPRO_SESSION_MODE`` only decides whether that run is cut once:
+:class:`repro.api.Session` and drives it to completion.  Both take a
+:class:`~repro.report.config.RunContext` (default: parsed from the
+environment at the call), whose session mode (``REPRO_SESSION_MODE``)
+only decides whether that run is cut once:
 
 * ``direct`` (default) — run straight through;
 * ``checkpoint`` — run half the simulated horizon, snapshot, round-trip
@@ -18,9 +20,9 @@ being exercised.
 Pool fan-out goes through the process-wide :class:`SweepPool`
 (:mod:`repro.experiments.pool`: forked on first use, grown in place,
 reused by every plan in the process, shared with ``repro serve``'s
-run jobs) with chunked cell scheduling; each chunk carries the
-parent's current session/trace/cache/fault environment so a long-lived
-pool never acts on stale worker-side settings.
+run jobs) with chunked cell scheduling; each chunk carries the plan's
+:class:`~repro.report.config.RunContext` and its attempt number, so a
+long-lived pool never acts on settings its workers inherited.
 
 Fault tolerance
 ---------------
@@ -50,9 +52,12 @@ corrupting results:
   instead of raising on the first permanently failed cell.
 
 The deterministic fault-injection harness
-(:mod:`repro.testing.faults`, armed via ``REPRO_FAULTS``) drives each
-of these paths on demand; the fault-injection test suite asserts sweeps
-converge to bit-identical results with the harness armed.
+(:mod:`repro.testing.faults`, armed via ``REPRO_FAULTS`` and carried in
+the context) drives each of these paths on demand; each retry round
+runs in a :func:`~repro.testing.faults.fault_scope` at its round
+number, so injected faults hold fire once recovery starts.  The
+fault-injection test suite asserts sweeps converge to bit-identical
+results with the harness armed.
 """
 
 from __future__ import annotations
@@ -77,53 +82,31 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.plan import Plan
 from repro.experiments.pool import SweepPool, WorkerDied
 from repro.experiments.spec import ExperimentSpec
-from repro.report.config import SESSION_MODES, env_choice
-from repro.testing.faults import ENV_VAR as FAULTS_ENV_VAR
-from repro.testing.faults import ROUND_VAR as FAULTS_ROUND_VAR
-from repro.testing.faults import fault_point
+from repro.report.config import RunContext
+from repro.testing.faults import fault_point, fault_scope
 
 
-def session_mode() -> str:
-    """The validated ``REPRO_SESSION_MODE`` execution path."""
-    return env_choice(os.environ, "REPRO_SESSION_MODE",
-                      default="direct", choices=SESSION_MODES)
-
-
-def run_spec(spec: ExperimentSpec):
-    """Run one experiment; returns a
-    :class:`~repro.sim.metrics.SimulationResult`."""
+def run_spec(spec: ExperimentSpec, ctx: RunContext | None = None):
+    """Run one experiment under ``ctx`` (default: the environment's);
+    returns a :class:`~repro.sim.metrics.SimulationResult`."""
     from repro.api import Session
 
-    mode = session_mode()
-    session = Session(spec)
-    if mode == "checkpoint":
+    if ctx is None:
+        ctx = RunContext.from_env()
+    session = Session(spec, ctx)
+    if ctx.session == "checkpoint":
         # Mid-run cut: half the simulated horizon — mid-interval for
         # single-interval runs, the interior boundary region otherwise.
         session.advance(session.total_ns / 2.0)
         doc = json.loads(json.dumps(session.snapshot()))
-        session = Session.restore(doc)
+        session = Session.restore(doc, ctx)
     return session.result()
 
 
-def _pool_cell(spec: ExperimentSpec):
+def _pool_cell(spec: ExperimentSpec, ctx: RunContext):
     """One plan cell's simulation, in a pool worker or the serial path."""
-    return run_spec(spec)
+    return run_spec(spec, ctx)
 
-
-#: Environment knobs a worker must re-read per chunk: a *persistent*
-#: pool outlives environment changes in the parent (``repro verify``
-#: scopes REPRO_SESSION_MODE per run; benches toggle the trace store;
-#: the scheduler advances the fault-injection round), so every chunk
-#: carries the parent's current values instead of trusting whatever the
-#: worker inherited at spawn time.
-_POOL_ENV_KEYS = (
-    "REPRO_SESSION_MODE",
-    "REPRO_TRACE_STORE",
-    "REPRO_TRACE_STORE_DIR",
-    "REPRO_BENCH_CACHE_DIR",
-    FAULTS_ENV_VAR,
-    FAULTS_ROUND_VAR,
-)
 
 #: Target chunks per worker: large enough to amortize per-task spec
 #: pickling and IPC, small enough to keep the pool load-balanced.
@@ -139,38 +122,30 @@ _BACKOFF_CAP_S = 2.0
 _TIMEOUT_GRACE_S = 5.0
 
 
-def _pool_env() -> dict[str, str | None]:
-    """The parent-side values of :data:`_POOL_ENV_KEYS` (None = unset)."""
-    return {key: os.environ.get(key) for key in _POOL_ENV_KEYS}
+def _pool_run_chunk(specs: list, ctx: RunContext,
+                    attempt: int = 1) -> list[dict]:
+    """Worker-side: run one chunk cell by cell under the plan's context.
 
-
-def _pool_run_chunk(specs: list, env: dict, attempt: int = 1) -> list[dict]:
-    """Worker-side: apply the parent's env, run one chunk cell by cell.
-
-    Each cell is isolated: the return value is one outcome dict per
-    spec — ``{"ok": True, "result": ...}`` or ``{"ok": False,
-    "failure": <CellFailure dict>}`` — so a poisoned cell cannot void
-    its chunk-mates' completed work.  Failures travel as plain dicts
-    (tracebacks captured worker-side) because exception objects pickle
-    unreliably.
+    The chunk's fault round is its ``attempt`` less one.  Each cell is
+    isolated: the return value is one outcome dict per spec — ``{"ok":
+    True, "result": ...}`` or ``{"ok": False, "failure": <CellFailure
+    dict>}`` — so a poisoned cell cannot void its chunk-mates'
+    completed work.  Failures travel as plain dicts (tracebacks
+    captured worker-side) because exception objects pickle unreliably.
     """
-    for key, value in env.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
     outcomes: list[dict] = []
-    for spec in specs:
-        try:
-            fault_point("pool.worker")
-            outcomes.append({"ok": True, "result": _pool_cell(spec)})
-        except Exception as exc:
-            outcomes.append({
-                "ok": False,
-                "failure": CellFailure.from_exception(
-                    spec, attempt, exc
-                ).to_dict(),
-            })
+    with fault_scope(ctx.faults, attempt - 1):
+        for spec in specs:
+            try:
+                fault_point("pool.worker")
+                outcomes.append({"ok": True, "result": _pool_cell(spec, ctx)})
+            except Exception as exc:
+                outcomes.append({
+                    "ok": False,
+                    "failure": CellFailure.from_exception(
+                        spec, attempt, exc
+                    ).to_dict(),
+                })
     return outcomes
 
 
@@ -328,7 +303,7 @@ class _StopRequested(Exception):
 _STOP_POLL_S = 0.25
 
 
-def _run_round_serial(specs, pending, attempt, on_ok, on_fail,
+def _run_round_serial(specs, pending, attempt, on_ok, on_fail, ctx,
                       stop=None) -> None:
     """One retry round, in-process: per-cell isolation, no pool.
 
@@ -340,7 +315,7 @@ def _run_round_serial(specs, pending, attempt, on_ok, on_fail,
             return
         t0 = time.perf_counter()
         try:
-            result = _pool_cell(specs[i])
+            result = _pool_cell(specs[i], ctx)
         except Exception as exc:
             on_fail(
                 i,
@@ -352,7 +327,7 @@ def _run_round_serial(specs, pending, attempt, on_ok, on_fail,
 
 
 def _run_round_pooled(
-    specs, pending, workers, cell_timeout, attempt, on_ok, on_fail,
+    specs, pending, workers, cell_timeout, attempt, on_ok, on_fail, ctx,
     stop=None, pool=None,
 ) -> None:
     """One retry round on the worker pool, chunked.
@@ -378,7 +353,6 @@ def _run_round_pooled(
     size = max(1, math.ceil(len(pending) / (width * _CHUNKS_PER_WORKER)))
     chunks = [pending[j:j + size] for j in range(0, len(pending), size)]
     chunks.reverse()  # so pop() dispatches them in plan order
-    env = _pool_env()
     #: worker → (owner token, chunk, dispatch time, time budget)
     running: dict = {}
 
@@ -417,7 +391,7 @@ def _run_round_pooled(
                 budget = math.inf if cell_timeout is None \
                     else cell_timeout * len(chunk) + _TIMEOUT_GRACE_S
                 running[worker] = (owner, chunk, time.monotonic(), budget)
-                worker.send("cells", [specs[i] for i in chunk], env, attempt)
+                worker.send("cells", [specs[i] for i in chunk], ctx, attempt)
             if not running:
                 if pool.closed:
                     break
@@ -464,8 +438,13 @@ def run_plan(
     cell_timeout: float | None = None,
     stop=None,
     pool: SweepPool | None = None,
+    ctx: RunContext | None = None,
 ):
     """Run every cell of a plan, fault-tolerantly; results in plan order.
+
+    Every cell runs under ``ctx`` (default: :meth:`RunContext.from_env
+    <repro.report.config.RunContext.from_env>` at the call), in this
+    process or carried to the pool workers with each chunk.
 
     ``cache`` (a :class:`ResultCache`, a directory path, or None) is
     consulted per cell by spec content hash: hits skip the simulation
@@ -507,8 +486,10 @@ def run_plan(
         raise ValueError("stop= requires keep_going=True: a stopped "
                          "plan yields a partial report, not results")
     specs = tuple(plan.specs if isinstance(plan, Plan) else plan)
+    if ctx is None:
+        ctx = RunContext.from_env()
     cache = ResultCache.coerce(cache)
-    if cache is not None and session_mode() == "checkpoint":
+    if cache is not None and ctx.session == "checkpoint":
         # A cache hit would skip the checkpoint path entirely,
         # making the equivalence gate vacuous; always simulate.
         cache = None
@@ -538,60 +519,48 @@ def run_plan(
         cells[i].elapsed_s += elapsed
         _flush_cell(cache, specs[i], result)
 
-    faults_on = bool(os.environ.get(FAULTS_ENV_VAR))
-    saved_round = os.environ.get(FAULTS_ROUND_VAR)
-    try:
-        with _sigterm_as_interrupt():
-            round_no = 0
-            while pending and round_no <= max_retries:
-                if stop is not None and stop():
-                    break
-                if round_no and _backoff_wait(round_no, len(pending), stop):
-                    break
-                if faults_on:
-                    # Injected faults hold fire past round zero so every
-                    # armed failure is transient by construction; the
-                    # chunk env threads the round to pool workers.
-                    os.environ[FAULTS_ROUND_VAR] = str(round_no)
-                attempt = round_no + 1
-                retry_budget_left = round_no < max_retries
-                next_pending: list[int] = []
+    with _sigterm_as_interrupt():
+        round_no = 0
+        while pending and round_no <= max_retries:
+            if stop is not None and stop():
+                break
+            if round_no and _backoff_wait(round_no, len(pending), stop):
+                break
+            attempt = round_no + 1
+            retry_budget_left = round_no < max_retries
+            next_pending: list[int] = []
 
-                def on_fail(i: int, failure: CellFailure,
-                            elapsed: float) -> None:
-                    cells[i].failures.append(failure)
-                    cells[i].elapsed_s += elapsed
-                    if failure.retryable and retry_budget_left:
-                        next_pending.append(i)
-                    else:
-                        cells[i].status = "failed"
+            def on_fail(i: int, failure: CellFailure,
+                        elapsed: float) -> None:
+                cells[i].failures.append(failure)
+                cells[i].elapsed_s += elapsed
+                if failure.retryable and retry_budget_left:
+                    next_pending.append(i)
+                else:
+                    cells[i].status = "failed"
 
-                def tick(i: int) -> None:
-                    cells[i].attempts = attempt
-
-                for i in pending:
-                    tick(i)
-                try:
+            for i in pending:
+                cells[i].attempts = attempt
+            try:
+                # Injected faults hold fire past round zero, so every
+                # armed failure is transient by construction.
+                with fault_scope(ctx.faults, round_no):
                     if pool is not None or (workers > 1 and len(pending) > 1):
                         _run_round_pooled(
                             specs, pending, workers, cell_timeout,
-                            attempt, on_ok, on_fail, stop=stop, pool=pool,
+                            attempt, on_ok, on_fail, ctx, stop=stop,
+                            pool=pool,
                         )
                     else:
                         _run_round_serial(
-                            specs, pending, attempt, on_ok, on_fail,
+                            specs, pending, attempt, on_ok, on_fail, ctx,
                             stop=stop,
                         )
-                except _StopRequested:
-                    pending = next_pending
-                    break
+            except _StopRequested:
                 pending = next_pending
-                round_no += 1
-    finally:
-        if saved_round is None:
-            os.environ.pop(FAULTS_ROUND_VAR, None)
-        else:
-            os.environ[FAULTS_ROUND_VAR] = saved_round
+                break
+            pending = next_pending
+            round_no += 1
 
     report = SweepReport(cells=cells, results=results)
     if keep_going:

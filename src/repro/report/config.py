@@ -1,10 +1,22 @@
-"""Validated bench configuration: env knobs and named fidelities.
+"""Validated run settings: env knobs, run contexts and named fidelities.
 
-The benchmark harness is tuned through ``REPRO_BENCH_*`` environment
-variables.  This module is the single place they are parsed: values are
-validated eagerly and a malformed setting fails with a message naming
-the variable, the offending value, and what was expected — instead of a
-``ValueError: invalid literal`` five frames deep in a bench.
+Runs are tuned through ``REPRO_*`` environment variables.  This module
+is the single place they are parsed, once per entry point (the CLI,
+``ReproServer`` start-up, ``repro verify``, or a library call that is
+passed no settings): values are validated eagerly
+and a malformed setting fails with a message naming the variable, the
+offending value, and what was expected — instead of a ``ValueError:
+invalid literal`` five frames deep in a bench.  The parsed settings are
+frozen values that travel with the work:
+
+* :class:`RunContext` — how one run executes (session mode, trace
+  store, armed fault plan), passed from ``run_plan`` to every cell and
+  pool chunk, to ``run_spec`` and :class:`~repro.api.Session`, and to
+  a served run's worker;
+* :class:`BenchConfig` — the ``REPRO_BENCH_*`` fidelity knobs of a
+  figure bench, carrying the :class:`RunContext` its plans run under;
+* :func:`store_roots` — where the sweep-cell result cache and the
+  activation-trace store live.
 
 A *fidelity* is a named (scale, intervals, banks) point:
 
@@ -17,9 +29,14 @@ A *fidelity* is a named (scale, intervals, banks) point:
 
 from __future__ import annotations
 
+import functools
 import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Mapping
+
+from repro.testing.faults import parse_faults
 
 #: Engines accepted by the simulator: ``scalar`` is the per-event
 #: reference loop, ``batched`` the per-segment compiled kernel; the two are
@@ -28,7 +45,7 @@ from typing import Mapping
 #: :data:`repro.sim.engine.ENGINES` re-exports it.
 ENGINE_NAMES = ("scalar", "batched")
 
-#: How ``run_spec`` drives its session (``REPRO_SESSION_MODE``):
+#: How ``run_spec`` drives its session (:attr:`RunContext.session`):
 #: straight through, or cut at half horizon by a snapshot, a JSON
 #: round-trip and a restore — bit-identical by contract (see
 #: :mod:`repro.experiments.run`).
@@ -127,6 +144,81 @@ def env_choice(env: Mapping[str, str], name: str, default: str,
     return raw
 
 
+@functools.cache
+def default_benchmarks_dir() -> Path | None:
+    """This checkout's ``benchmarks/`` directory (None when installed)."""
+    candidate = Path(__file__).resolve().parents[3] / "benchmarks"
+    return candidate if candidate.is_dir() else None
+
+
+def store_roots(cache_dir: str | None = None,
+                env: Mapping[str, str] | None = None) -> tuple[Path, Path]:
+    """``(sweep-cache root, trace-store root)``.
+
+    The sweep-cell result cache lives at ``cache_dir`` (``--cache-dir``),
+    else ``REPRO_BENCH_CACHE_DIR``, else ``benchmarks/results/sweep_cache``
+    of this checkout, else (an installed package) a per-user temporary
+    directory.  The trace store lives at ``REPRO_TRACE_STORE_DIR``, else
+    in ``traces/`` under the cache root, so one CI cache path covers
+    both stores.
+    """
+    if env is None:
+        env = os.environ
+    chosen = cache_dir or env.get("REPRO_BENCH_CACHE_DIR")
+    bench_dir = default_benchmarks_dir()
+    if chosen:
+        root = Path(chosen)
+    elif bench_dir is not None:
+        root = bench_dir / "results" / "sweep_cache"
+    else:
+        # Per-user, not world-shared: another local user could otherwise
+        # pre-plant entries or squat the directory.
+        root = Path(tempfile.gettempdir()) / f"repro-sweep-cache-{os.getuid()}"
+    return root, Path(env.get("REPRO_TRACE_STORE_DIR") or root / "traces")
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """The settings a run executes under, as one frozen value.
+
+    ``session`` is how ``run_spec`` drives its session (one of
+    :data:`SESSION_MODES`); ``trace_store`` is the activation-trace
+    store's directory, or None when the store is off; ``faults`` is the
+    armed fault plan, a ``REPRO_FAULTS`` value (``""``: none armed; see
+    :mod:`repro.testing.faults`).  A context is passed by value along
+    every path a run takes — ``run_plan`` to its cells and pool chunks,
+    ``run_spec``, :class:`~repro.api.Session`, a served run's worker —
+    so a forked worker never acts on settings it inherited.
+    """
+
+    session: str = "direct"
+    trace_store: str | None = None
+    faults: str = ""
+
+    @classmethod
+    def from_env(cls, env: Mapping[str, str] | None = None) -> "RunContext":
+        """Parse ``REPRO_SESSION_MODE``, ``REPRO_TRACE_STORE``,
+        ``REPRO_TRACE_STORE_DIR`` and ``REPRO_FAULTS``.
+
+        The trace store is on unless ``REPRO_TRACE_STORE`` turns it
+        off, where :func:`store_roots` puts it.  A malformed fault plan
+        raises :class:`~repro.testing.faults.FaultConfigError` here.
+        """
+        if env is None:
+            env = os.environ
+        trace_store = None
+        if env_bool(env, "REPRO_TRACE_STORE", default=True):
+            trace_store = str(store_roots(env=env)[1])
+        faults = env.get("REPRO_FAULTS", "").strip()
+        parse_faults(faults)
+        return cls(
+            session=env_choice(env, "REPRO_SESSION_MODE", default="direct",
+                               choices=SESSION_MODES),
+            trace_store=trace_store,
+            faults=faults,
+        )
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """One resolved set of bench knobs (hashable: used as a cache key)."""
@@ -137,14 +229,15 @@ class BenchConfig:
     engine: str
     workers: int
     fidelity: str
-    #: spec execution path (``REPRO_SESSION_MODE``): part of the memo
-    #: keys so one process can gate several paths without cross-talk.
-    session: str = "direct"
+    #: the settings every plan of the bench runs under; its session
+    #: mode is part of the cache keys, so one process can gate several
+    #: paths without cross-talk
+    context: RunContext
     #: sweep-cell result cache (see :mod:`repro.experiments.cache`):
-    #: enabled by default; ``REPRO_BENCH_CACHE=0`` disables,
-    #: ``REPRO_BENCH_CACHE_DIR`` overrides the store location.
-    cache: bool = True
-    cache_dir: str = ""
+    #: enabled by default; ``REPRO_BENCH_CACHE=0`` disables, and
+    #: :func:`store_roots` decides the location
+    cache: bool
+    cache_dir: str
 
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None) -> "BenchConfig":
@@ -168,10 +261,9 @@ class BenchConfig:
                               choices=ENGINE_NAMES),
             workers=workers,
             fidelity=env.get("REPRO_BENCH_FIDELITY", "") or "custom",
-            session=env_choice(env, "REPRO_SESSION_MODE", default="direct",
-                               choices=SESSION_MODES),
+            context=RunContext.from_env(env),
             cache=env_bool(env, "REPRO_BENCH_CACHE", default=True),
-            cache_dir=env.get("REPRO_BENCH_CACHE_DIR", ""),
+            cache_dir=str(store_roots(env=env)[0]),
         )
 
 
@@ -208,3 +300,11 @@ def fidelity_env(
         )
     env["REPRO_SESSION_MODE"] = session
     return env
+
+
+def fidelity_config(fidelity: str, engine: str | None = None,
+                    session: str | None = None) -> BenchConfig:
+    """The environment's bench config with a named fidelity (plus
+    overrides) pinned over it — what ``repro verify`` runs under."""
+    return BenchConfig.from_env(
+        {**os.environ, **fidelity_env(fidelity, engine, session)})

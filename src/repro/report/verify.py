@@ -1,8 +1,10 @@
 """``repro verify`` — regenerate every figure and gate it on goldens.
 
-Runs the full figure/table bench suite at a named fidelity (setting the
-``REPRO_BENCH_*`` environment the benches read), collects the JSON
-artifacts each bench emits, and compares them against the checked-in
+Runs the full figure/table bench suite at a named fidelity (one
+:class:`~repro.report.config.BenchConfig`: the environment's knobs with
+the fidelity's pinned over them, handed to each bench's
+``artifacts(config)``), collects the JSON artifacts each bench emits,
+and compares them against the checked-in
 golden store ``benchmarks/golden/<fidelity>/<name>.json``.  Any
 difference beyond the declared tolerance policy renders a per-figure
 diff and the command exits nonzero — the self-gating loop CI and local
@@ -14,15 +16,18 @@ comparing; the resulting files are meant to be reviewed and committed.
 
 from __future__ import annotations
 
-import contextlib
 import importlib
-import os
 import sys
 import time
 from pathlib import Path
 
 from repro.report.compare import compare_artifacts, render_diff
-from repro.report.config import FIDELITIES, fidelity_env
+from repro.report.config import (
+    FIDELITIES,
+    BenchConfig,
+    default_benchmarks_dir,
+    fidelity_config,
+)
 from repro.report.schema import Artifact, SchemaError, dump_artifact, load_artifact
 
 #: Bench modules registered with the verifier, in run order (cheap
@@ -53,39 +58,16 @@ BENCH_MODULES: tuple[str, ...] = (
 EXIT_OK, EXIT_DIFF, EXIT_USAGE = 0, 1, 2
 
 
-def default_benchmarks_dir() -> Path | None:
-    """Locate ``benchmarks/`` for an in-repo checkout, if present."""
-    override = os.environ.get("REPRO_BENCH_DIR")
-    if override:
-        return Path(override)
-    candidate = Path(__file__).resolve().parents[3] / "benchmarks"
-    return candidate if candidate.is_dir() else None
-
-
 def default_golden_dir(benchmarks_dir: Path) -> Path:
     """The golden-store root under one benchmarks directory."""
     return benchmarks_dir / "golden"
 
 
-@contextlib.contextmanager
-def _scoped_env(values: dict[str, str]):
-    """Apply env overrides for the duration of one verify run."""
-    saved = {k: os.environ.get(k) for k in values}
-    os.environ.update(values)
-    try:
-        yield
-    finally:
-        for key, old in saved.items():
-            if old is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = old
-
-
 def collect_artifacts(
-    benchmarks_dir: Path, modules: tuple[str, ...]
+    benchmarks_dir: Path, modules: tuple[str, ...], config: BenchConfig
 ) -> list[tuple[str, list[Artifact]]]:
-    """Import each bench module and run its ``artifacts()`` entry point."""
+    """Import each bench module and run its ``artifacts(config)`` entry
+    point."""
     bench_path = str(benchmarks_dir)
     inserted = bench_path not in sys.path
     if inserted:
@@ -114,7 +96,7 @@ def collect_artifacts(
                 raise SchemaError(
                     f"bench module {stem} has no artifacts() entry point"
                 )
-            out.append((stem, list(module.artifacts())))
+            out.append((stem, list(module.artifacts(config))))
         return out
     finally:
         if inserted and bench_path in sys.path:
@@ -164,14 +146,14 @@ def run_verify(
         default_benchmarks_dir()
     if bench_dir is None or not bench_dir.is_dir():
         say("error: cannot locate the benchmarks/ directory "
-            "(pass --benchmarks-dir or set REPRO_BENCH_DIR)\n")
+            "(pass --benchmarks-dir)\n")
         return EXIT_USAGE
     store = Path(golden_dir) if golden_dir else default_golden_dir(bench_dir)
     store = store / fidelity
 
+    config = fidelity_config(fidelity, engine, session)
     t0 = time.perf_counter()
-    with _scoped_env(fidelity_env(fidelity, engine, session)):
-        collected = collect_artifacts(bench_dir, modules)
+    collected = collect_artifacts(bench_dir, modules, config)
     elapsed = time.perf_counter() - t0
     artifacts = [a for _, arts in collected for a in arts]
 
@@ -196,15 +178,13 @@ def run_verify(
                 f"{', '.join(pruned)}\n")
         return EXIT_OK
 
-    from repro.sim.tracestore import store_enabled
-    from repro.testing.faults import faults_summary
-
+    context = config.context
     failures = 0
     say(f"\n== repro verify — fidelity={fidelity} "
-        f"engine={engine or 'batched'} "
-        f"session={session or 'direct'} "
-        f"trace-store={'on' if store_enabled() else 'off'} "
-        f"faults={faults_summary()} ==\n")
+        f"engine={config.engine} "
+        f"session={context.session} "
+        f"trace-store={'on' if context.trace_store else 'off'} "
+        f"faults={context.faults or 'off'} ==\n")
     for stem, arts in collected:
         for artifact in arts:
             golden_path = store / f"{artifact.name}.json"

@@ -65,7 +65,8 @@ from repro.errors import RemoteError, describe, is_retryable
 from repro.experiments.cache import ResultCache, code_fingerprint
 from repro.experiments.pool import SNAPSHOT_TAG, SweepPool, WorkerDied
 from repro.experiments.run import run_plan
-from repro.locking import lock_backend, lock_stats
+from repro.locking import lock_stats
+from repro.report.config import RunContext
 from repro.server import wire
 from repro.server.http import (
     HttpError,
@@ -102,7 +103,7 @@ class ServerConfig:
     workers: int = 2
     #: result-cache directory; None = a private temp dir per server
     cache_dir: str | None = None
-    #: job-driving threads (concurrent runs; plans serialize, see below)
+    #: job-driving threads (concurrent runs and plans)
     driver_threads: int = 4
     max_jobs: int = 256
     job_ttl_s: float = 3600.0
@@ -137,6 +138,8 @@ class ReproServer:
     def __init__(self, config: ServerConfig | None = None, *,
                  clock=time.monotonic) -> None:
         self.config = config or ServerConfig()
+        #: the settings every job runs under, parsed once at start-up
+        self.context = RunContext.from_env()
         # Fork before any file opens or thread starts here (see
         # repro.experiments.pool): the process-wide pool, freshly.  The
         # workers write run results and checkpoints into this process's
@@ -160,10 +163,6 @@ class ReproServer:
             max_workers=self.config.driver_threads,
             thread_name_prefix="repro-job",
         )
-        #: one plan at a time: run_plan keeps its fault-injection round
-        #: in os.environ (REPRO_FAULTS_ROUND), which two concurrent
-        #: plans would overwrite for each other
-        self._plan_lane = threading.Lock()
         #: job_id → (execute fn, payload), kept while the job is live so
         #: requeues (stall, retryable driver failure) can relaunch it
         self._work: dict[str, tuple] = {}
@@ -326,8 +325,6 @@ class ReproServer:
     def _h_health(self, request: Request, params: dict) -> Response:
         """``GET /v1/health`` — the ``repro verify`` header, as JSON."""
         from repro.sim.engine import ENGINES
-        from repro.sim.tracestore import default_root, store_enabled
-        from repro.testing.faults import faults_summary
 
         self.jobs.gc()
         doc = wire.envelope({
@@ -337,16 +334,16 @@ class ReproServer:
             "uptime_s": round(time.time() - self.started_unix, 3),
             "engines": {name: "available" for name in ENGINES},
             "trace_store": {
-                "enabled": store_enabled(),
-                "root": str(default_root()),
+                "enabled": self.context.trace_store is not None,
+                "root": self.context.trace_store,
             },
             "result_cache": {
                 "root": str(self.cache.root),
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
-                "lock_backend": lock_backend(),
+                "lock_backend": "flock",
             },
-            "faults": faults_summary(),
+            "faults": self.context.faults or "off",
             "jobs": self.jobs.counts(),
             "dedup": {"inflight": len(self.jobs.registry),
                       "shared": self.jobs.registry.shared},
@@ -613,8 +610,8 @@ class ReproServer:
         if not self.jobs.mark_running(job_id, generation):
             return
         owner = (job_id, generation)
-        # More concurrent runs than workers: wait as a plan waits for
-        # its lane, heartbeating and honouring a drain.
+        # More concurrent jobs than workers: wait, heartbeating and
+        # honouring a drain.
         while (worker := self._sim.acquire(owner, timeout=0.25)) is None:
             self.jobs.touch(job_id, generation)
             if self._draining.is_set() or self._sim.closed:
@@ -644,7 +641,7 @@ class ReproServer:
         stored = self.cache.get_snapshot(spec, SNAPSHOT_TAG)
         worker.send("run", job_id, spec, stored,
                     self.jobs.get(job_id).requeues, self._cache_root,
-                    self.config.checkpoint_epochs)
+                    self.config.checkpoint_epochs, self.context)
         draining = self._draining.is_set
         if worker.receive(draining):
             self.recovery["resumed_from_snapshot"] += 1
@@ -662,7 +659,9 @@ class ReproServer:
         """Run a plan on the worker pool via the retry scheduler.
 
         Every round goes to the pool, a one-cell round on a one-worker
-        server included, so no cell simulates on this thread.
+        server included, so no cell simulates on this thread.  Plans run
+        side by side, each round under the server's context at its own
+        fault round.
 
         The scheduler's cooperative ``stop`` hook is wired to the drain
         flag: a drain stops the plan at the next cell boundary with all
@@ -683,12 +682,6 @@ class ReproServer:
             self.jobs.touch(job_id, generation)
             return self._draining.is_set()
 
-        # The plan lane can be held by a draining/zombie plan driver;
-        # poll instead of blocking so a drain never deadlocks here.
-        while not self._plan_lane.acquire(timeout=0.25):
-            self.jobs.touch(job_id, generation)
-            if self._draining.is_set():
-                return  # journaled "running" → restart re-enqueues
         try:
             report = run_plan(
                 plan,
@@ -699,14 +692,13 @@ class ReproServer:
                 cell_timeout=self.config.cell_timeout,
                 stop=stop,
                 pool=self._sim,
+                ctx=self.context,
             )
         except Exception as exc:  # noqa: BLE001 - job boundary
             logger.exception("plan job %s failed", job_id)
             self.jobs.mark_failed(job_id, f"{type(exc).__name__}: {exc}",
                                   generation)
             return
-        finally:
-            self._plan_lane.release()
         if report.pending:
             # A drain stopped the plan mid-flight: leave the job in its
             # journaled "running" state for the next incarnation.

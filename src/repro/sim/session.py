@@ -62,6 +62,7 @@ from repro.testing.faults import fault_point
 from repro.workloads.synthetic import interarrival_times_ns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.report.config import RunContext
     from repro.sim.simulator import TraceDrivenSimulator
 
 #: The stream driver of each engine (one signature, one contract).
@@ -77,10 +78,12 @@ class SessionCore:
     ``sim`` is the configured simulator (spec, system, scheme factory);
     the core serves its
     :meth:`~repro.sim.simulator.TraceDrivenSimulator.stream_plan` and
-    keys the trace store by :func:`~repro.sim.tracestore.stream_key_doc`.
+    keys the trace store ``context`` selects (None: the environment's)
+    by :func:`~repro.sim.tracestore.stream_key_doc`.
     """
 
-    def __init__(self, sim: "TraceDrivenSimulator") -> None:
+    def __init__(self, sim: "TraceDrivenSimulator",
+                 context: "RunContext | None") -> None:
         self.sim = sim
         self.label, self.full_intensity, self.rows_fn = sim.stream_plan()
         self._driver = _DRIVERS[sim.engine]
@@ -106,7 +109,7 @@ class SessionCore:
         self._interval_rng: dict | None = None
         self._injections: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         # Content-addressed generation sharing (None = always generate).
-        self._trace_store = open_store()
+        self._trace_store = open_store(context)
         if self._trace_store is not None:
             self._trace_key_doc = stream_key_doc(sim)
             self._trace_key = stream_key(self._trace_key_doc)
@@ -378,7 +381,8 @@ class SessionCore:
         return doc
 
     @classmethod
-    def from_state(cls, sim: "TraceDrivenSimulator", state: dict) -> "SessionCore":
+    def from_state(cls, sim: "TraceDrivenSimulator", state: dict,
+                   context: "RunContext | None") -> "SessionCore":
         """Rebuild a core captured by :meth:`to_state` (same spec).
 
         Sets the arrival RNG to the recorded pre-interval state and
@@ -396,7 +400,7 @@ class SessionCore:
                 f"snapshot was taken on the {state['engine']!r} engine, "
                 f"spec selects {sim.engine!r}"
             )
-        core = cls(sim)
+        core = cls(sim, context)
         core.memory.restore_state(state["memory"])
         rng_state = state["rng"]["pcg64"]
         interval = int(state["interval"])

@@ -43,10 +43,11 @@ rewritten.  Writes are atomic (`tempfile` + ``os.replace``), with the
 meta sidecar written last so its presence implies complete arrays.  An
 unwritable store degrades to a no-op, never an error.
 
-``REPRO_TRACE_STORE=0`` disables the store entirely;
-``REPRO_TRACE_STORE_DIR`` overrides its location (default: ``traces/``
-inside the sweep-cell result-cache directory, so CI cache keys covering
-the result cache cover the streams too).
+A run's :class:`~repro.report.config.RunContext` selects the store:
+``REPRO_TRACE_STORE=0`` disables it entirely; ``REPRO_TRACE_STORE_DIR``
+overrides its location (default: ``traces/`` inside the sweep-cell
+result-cache directory, see :func:`~repro.report.config.store_roots`,
+so CI cache keys covering the result cache cover the streams too).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments.cache import CACHE_VERSION, code_fingerprint
-from repro.report.config import env_bool
+from repro.report.config import RunContext
 from repro.testing.faults import corrupting, fault_point
 
 #: On-disk entry layout version (bump on incompatible changes; part of
@@ -74,51 +75,20 @@ STORE_VERSION = 1
 RAM_CACHE_ENTRIES = 64
 
 
-def default_root() -> Path:
-    """Where trace entries live when ``REPRO_TRACE_STORE_DIR`` is unset.
-
-    Prefers a ``traces/`` subdirectory of the sweep-cell result-cache
-    location (env override, then the in-repo default), so one CI cache
-    path covers both stores; falls back to a per-user temp directory
-    for installed-package use.
-    """
-    override = os.environ.get("REPRO_TRACE_STORE_DIR")
-    if override:
-        return Path(override)
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR")
-    if cache_dir:
-        return Path(cache_dir) / "traces"
-    from repro.report.verify import default_benchmarks_dir
-
-    bench_dir = default_benchmarks_dir()
-    if bench_dir is not None:
-        return bench_dir / "results" / "sweep_cache" / "traces"
-    # Per-user temp fallback: a world-shared path would let another
-    # local user pre-plant entries or squat the directory.
-    getuid = getattr(os, "getuid", None)
-    owner = str(getuid()) if getuid else os.environ.get("USERNAME", "user")
-    return Path(tempfile.gettempdir()) / f"repro-trace-store-{owner}"
-
-
-def store_enabled() -> bool:
-    """The validated ``REPRO_TRACE_STORE`` toggle (default on)."""
-    return env_bool(os.environ, "REPRO_TRACE_STORE", default=True)
-
-
-#: Per-process singletons keyed by resolved root, so every SessionCore
-#: pointing at one root shares one in-process entry cache.
+#: Per-process singletons keyed by root, so every SessionCore pointing
+#: at one root shares one in-process entry cache.
 _STORES: dict[str, "TraceStore"] = {}
 
 
-def open_store() -> "TraceStore | None":
-    """The environment-selected store, or None when disabled."""
-    if not store_enabled():
+def open_store(context: RunContext | None = None) -> "TraceStore | None":
+    """The store ``context`` selects (default: the environment's), or
+    None when the store is off."""
+    root = (context or RunContext.from_env()).trace_store
+    if root is None:
         return None
-    root = default_root()
-    key = str(root)
-    store = _STORES.get(key)
+    store = _STORES.get(root)
     if store is None:
-        store = _STORES[key] = TraceStore(root)
+        store = _STORES[root] = TraceStore(root)
     return store
 
 

@@ -1,7 +1,8 @@
 """Deterministic test harnesses (fault injection, failure drills).
 
 Nothing in this package affects production behaviour unless explicitly
-armed through the environment; see :mod:`repro.testing.faults`.
+armed (``REPRO_FAULTS``, carried by a run's ``RunContext``); see
+:mod:`repro.testing.faults`.
 """
 
 from repro.testing.faults import (
@@ -11,8 +12,7 @@ from repro.testing.faults import (
     FaultSpec,
     corrupting,
     fault_point,
-    faults_armed,
-    faults_summary,
+    fault_scope,
     parse_faults,
     reset_faults,
 )
@@ -24,8 +24,7 @@ __all__ = [
     "FaultSpec",
     "corrupting",
     "fault_point",
-    "faults_armed",
-    "faults_summary",
+    "fault_scope",
     "parse_faults",
     "reset_faults",
 ]

@@ -16,6 +16,10 @@ triples::
     REPRO_FAULTS="tracestore.write:raise:3,pool.worker:kill-worker" \
         repro sweep --workers 2 --keep-going ...
 
+Entry points parse it into :attr:`RunContext.faults
+<repro.report.config.RunContext>`, which carries the plan to the pool
+workers with every chunk and served run.
+
 Sites (where the fault fires):
 
 ========================  ====================================================
@@ -62,22 +66,26 @@ Kinds (what happens):
 Determinism
 -----------
 Each armed fault fires **exactly once per process**, on the first call
-that reaches its site, and only while the scheduler is on retry round
-zero (``REPRO_FAULTS_ROUND``, set by ``run_plan`` and threaded through
-worker chunk environments, and set to the job's requeue count by the
-worker of each served-run attempt) — so recovery attempts run clean
-and every injected failure is transient by construction.  A worker
-forked to replace a killed one has not fired yet, so it fires again on
-its first round-zero cell.  The seed feeds the corruption noise and
-delay length, keeping runs byte-reproducible.
+that reaches its site, and only on retry round zero — so recovery
+attempts run clean and every injected failure is transient by
+construction.  The round is a value, not a setting: :func:`fault_scope`
+arms a fault plan at a round for the calling thread, around each
+``run_plan`` round (its round number), each pool chunk (derived from
+the chunk's ``attempt``) and each served run (the job's requeue count).
+Outside any scope the plan is ``REPRO_FAULTS`` and the round is zero.
+A worker forked to replace a killed one has not fired yet, so it fires
+again on its first round-zero cell.  The seed feeds the corruption
+noise and delay length, keeping runs byte-reproducible.
 
-The sites themselves cost one dict lookup when ``REPRO_FAULTS`` is
-unset; production runs never pay for the harness.
+The sites themselves cost one thread-local and one dict lookup when no
+fault is armed; production runs never pay for the harness.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 import time
 
 from repro.errors import InjectedFault
@@ -97,7 +105,6 @@ FAULT_SITES = (
 FAULT_KINDS = ("raise", "corrupt", "delay", "kill-worker")
 
 ENV_VAR = "REPRO_FAULTS"
-ROUND_VAR = "REPRO_FAULTS_ROUND"
 
 #: Exit code an injected worker kill dies with (distinguishable from
 #: genuine crashes in CI logs).
@@ -161,13 +168,16 @@ def parse_faults(raw: str) -> tuple[FaultSpec, ...]:
     return tuple(specs)
 
 
-#: Per-process harness state: the raw env string last parsed, the armed
-#: specs, and which of them already fired (faults are one-shot).
+#: Per-process harness state: the plan last parsed, its armed specs,
+#: and which of them already fired (faults are one-shot).
 _state: dict = {"raw": None, "specs": (), "fired": set()}
 
+#: The calling thread's ``(plan, round)`` while a :func:`fault_scope`
+#: is open.
+_scope = threading.local()
 
-def _armed() -> tuple[FaultSpec, ...]:
-    raw = os.environ.get(ENV_VAR, "")
+
+def _armed(raw: str) -> tuple[FaultSpec, ...]:
     if raw != _state["raw"]:
         _state["raw"] = raw
         _state["specs"] = parse_faults(raw)
@@ -182,34 +192,26 @@ def reset_faults() -> None:
     _state["fired"] = set()
 
 
-def faults_armed() -> bool:
-    """Whether any fault is currently armed."""
-    return bool(os.environ.get(ENV_VAR)) and bool(_armed())
-
-
-def faults_summary() -> str:
-    """The armed-fault description for status headers (``off`` if none)."""
-    raw = os.environ.get(ENV_VAR, "").strip()
-    return raw if raw else "off"
-
-
-def _recovery_round() -> bool:
-    """True once the scheduler is past round zero (faults hold fire)."""
-    raw = os.environ.get(ROUND_VAR, "")
+@contextlib.contextmanager
+def fault_scope(plan: str, round_no: int):
+    """Arm ``plan`` (a ``REPRO_FAULTS`` value) at retry round
+    ``round_no`` for the calling thread; faults hold fire past round
+    zero.  Scopes nest; leaving one restores the outer scope."""
+    outer = getattr(_scope, "current", None)
+    _scope.current = (plan, round_no)
     try:
-        return int(raw) > 0 if raw else False
-    except ValueError:
-        return False
+        yield
+    finally:
+        _scope.current = outer
 
 
 def _take(site: str, kinds: tuple[str, ...]) -> FaultSpec | None:
     """The first matching un-fired fault for ``site``, marked fired."""
-    if not os.environ.get(ENV_VAR):
+    plan, round_no = getattr(_scope, "current", None) or \
+        (os.environ.get(ENV_VAR, ""), 0)
+    if not plan or round_no > 0:
         return None
-    specs = _armed()
-    if not specs or _recovery_round():
-        return None
-    for spec in specs:
+    for spec in _armed(plan):
         if spec.site == site and spec.kind in kinds \
                 and spec.key not in _state["fired"]:
             _state["fired"].add(spec.key)
@@ -261,7 +263,6 @@ def corrupting(site: str, data):
 
 __all__ = [
     "ENV_VAR",
-    "ROUND_VAR",
     "KILL_EXIT_CODE",
     "FAULT_SITES",
     "FAULT_KINDS",
@@ -269,8 +270,7 @@ __all__ = [
     "FaultSpec",
     "parse_faults",
     "reset_faults",
-    "faults_armed",
-    "faults_summary",
+    "fault_scope",
     "fault_point",
     "corrupting",
 ]

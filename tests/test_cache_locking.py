@@ -8,6 +8,8 @@ per-store advisory lock.
 """
 
 import concurrent.futures
+import contextlib
+import fcntl
 import json
 import os
 import threading
@@ -19,13 +21,10 @@ from repro.experiments import ExperimentSpec, ResultCache, SchemeSpec
 from repro.experiments.run import run_spec
 from repro.locking import (
     LOCK_SUFFIX,
-    STALE_ENV_VAR,
     LockTimeout,
     advisory_lock,
-    lock_backend,
     lock_stats,
     reset_lock_stats,
-    stale_lock_s,
 )
 
 FAST = dict(scale=128.0, n_banks=1, n_intervals=1)
@@ -37,33 +36,40 @@ def fast_spec(**overrides):
     return ExperimentSpec(**fields)
 
 
-BACKENDS = ["lockdir"]
-if lock_backend() == "flock":
-    BACKENDS.append("flock")
+@contextlib.contextmanager
+def _held_elsewhere(target):
+    """flock ``target``'s lock file on a second descriptor: the lock is
+    per open file, so this process's own acquires contend with it."""
+    fd = os.open(target.parent / (target.name + LOCK_SUFFIX),
+                 os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestAdvisoryLock:
-    def test_acquire_release_cycle(self, tmp_path, backend):
+    def test_acquire_release_cycle(self, tmp_path):
         target = tmp_path / "store"
-        with advisory_lock(target, backend=backend):
+        with advisory_lock(target):
             pass
-        with advisory_lock(target, backend=backend):  # re-acquirable
+        with advisory_lock(target):  # re-acquirable
             pass
 
-    def test_lock_artifact_lives_beside_target(self, tmp_path, backend):
+    def test_lock_artifact_lives_beside_target(self, tmp_path):
         target = tmp_path / "store"
-        with advisory_lock(target, backend=backend):
+        with advisory_lock(target):
             assert (tmp_path / ("store" + LOCK_SUFFIX)).exists()
 
-    def test_mutual_exclusion_across_threads(self, tmp_path, backend):
+    def test_mutual_exclusion_across_threads(self, tmp_path):
         target = tmp_path / "store"
         active = []
         overlaps = []
 
         def worker():
             for _ in range(20):
-                with advisory_lock(target, backend=backend):
+                with advisory_lock(target):
                     active.append(1)
                     if len(active) > 1:
                         overlaps.append(True)
@@ -77,13 +83,13 @@ class TestAdvisoryLock:
             t.join()
         assert not overlaps
 
-    def test_contended_lock_times_out(self, tmp_path, backend):
+    def test_contended_lock_times_out(self, tmp_path):
         target = tmp_path / "store"
         release = threading.Event()
         held = threading.Event()
 
         def holder():
-            with advisory_lock(target, backend=backend):
+            with advisory_lock(target):
                 held.set()
                 release.wait(10)
 
@@ -91,19 +97,12 @@ class TestAdvisoryLock:
         t.start()
         try:
             assert held.wait(5)
-            if backend == "flock":
-                # flock is per-open-file, so contend from a second
-                # process instead of a thread (same-process fds on one
-                # inode do conflict, but keep the test honest).
-                start = time.monotonic()
-                with pytest.raises(LockTimeout):
-                    _flock_in_subprocess(target, timeout=0.3)
-                assert time.monotonic() - start < 5
-            else:
-                with pytest.raises(LockTimeout):
-                    with advisory_lock(target, timeout=0.3,
-                                       backend=backend):
-                        pass
+            # Contend from a second process: flock conflicts between
+            # open files of one process too, but keep the test honest.
+            start = time.monotonic()
+            with pytest.raises(LockTimeout):
+                _flock_in_subprocess(target, timeout=0.3)
+            assert time.monotonic() - start < 5
         finally:
             release.set()
             t.join()
@@ -117,8 +116,7 @@ def _flock_in_subprocess(target, timeout):
         "import sys\n"
         "from repro.locking import advisory_lock, LockTimeout\n"
         "try:\n"
-        f"    with advisory_lock({str(target)!r}, timeout={timeout},"
-        " backend='flock'):\n"
+        f"    with advisory_lock({str(target)!r}, timeout={timeout}):\n"
         "        pass\n"
         "except LockTimeout:\n"
         "    sys.exit(42)\n"
@@ -140,57 +138,6 @@ def _pythonpath():
     return f"{src}{os.pathsep}{existing}" if existing else src
 
 
-class TestLockdirStaleBreaking:
-    def test_stale_lockdir_is_broken(self, tmp_path, monkeypatch):
-        import repro.locking as locking
-
-        target = tmp_path / "store"
-        stale = tmp_path / ("store" + LOCK_SUFFIX)
-        os.mkdir(stale)  # abandoned by a "killed" writer
-        monkeypatch.setattr(locking, "STALE_LOCK_S", 0.05)
-        time.sleep(0.1)
-        with advisory_lock(target, timeout=5, backend="lockdir"):
-            pass  # acquired despite the pre-existing dir
-
-    def test_fresh_lockdir_is_respected(self, tmp_path):
-        target = tmp_path / "store"
-        os.mkdir(tmp_path / ("store" + LOCK_SUFFIX))
-        with pytest.raises(LockTimeout):
-            with advisory_lock(target, timeout=0.2, backend="lockdir"):
-                pass
-
-
-class TestStaleAgeConfig:
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(STALE_ENV_VAR, raising=False)
-        assert stale_lock_s() == 60.0
-
-    def test_env_override_is_honored(self, monkeypatch):
-        monkeypatch.setenv(STALE_ENV_VAR, "2.5")
-        assert stale_lock_s() == 2.5
-
-    def test_env_override_breaks_locks_at_configured_age(
-        self, tmp_path, monkeypatch
-    ):
-        target = tmp_path / "store"
-        os.mkdir(tmp_path / ("store" + LOCK_SUFFIX))
-        monkeypatch.setenv(STALE_ENV_VAR, "0.05")
-        time.sleep(0.1)
-        with advisory_lock(target, timeout=5, backend="lockdir"):
-            pass  # the abandoned dir aged out under the override
-
-    @pytest.mark.parametrize("raw", ["soon", "", " ", "0", "-3", "nan"])
-    def test_malformed_or_nonpositive_values_fail_loudly(
-        self, monkeypatch, raw
-    ):
-        monkeypatch.setenv(STALE_ENV_VAR, raw)
-        if not raw.strip():  # empty counts as unset, not malformed
-            assert stale_lock_s() == 60.0
-            return
-        with pytest.raises(ValueError, match="REPRO_LOCK_STALE_S"):
-            stale_lock_s()
-
-
 class TestLockStats:
     @pytest.fixture(autouse=True)
     def _fresh_counters(self):
@@ -199,7 +146,7 @@ class TestLockStats:
         reset_lock_stats()
 
     def test_acquires_are_counted(self, tmp_path):
-        with advisory_lock(tmp_path / "store", backend="lockdir"):
+        with advisory_lock(tmp_path / "store"):
             pass
         stats = lock_stats()
         assert stats["acquires"] == 1
@@ -208,31 +155,20 @@ class TestLockStats:
 
     def test_timeouts_and_contention_are_counted(self, tmp_path):
         target = tmp_path / "store"
-        os.mkdir(tmp_path / ("store" + LOCK_SUFFIX))  # held elsewhere
-        with pytest.raises(LockTimeout):
-            with advisory_lock(target, timeout=0.2, backend="lockdir"):
-                pass
+        with _held_elsewhere(target):
+            with pytest.raises(LockTimeout):
+                with advisory_lock(target, timeout=0.2):
+                    pass
         stats = lock_stats()
         assert stats["timeouts"] == 1
         assert stats["contended"] == 1
-
-    def test_stale_breaks_are_counted(self, tmp_path, monkeypatch):
-        target = tmp_path / "store"
-        os.mkdir(tmp_path / ("store" + LOCK_SUFFIX))
-        monkeypatch.setenv(STALE_ENV_VAR, "0.05")
-        time.sleep(0.1)
-        with advisory_lock(target, timeout=5, backend="lockdir"):
-            pass
-        assert lock_stats()["stale_broken"] == 1
+        assert stats["acquires"] == 0
 
     def test_reset_zeroes_every_counter(self, tmp_path):
-        with advisory_lock(tmp_path / "store", backend="lockdir"):
+        with advisory_lock(tmp_path / "store"):
             pass
         reset_lock_stats()
-        assert lock_stats() == {
-            "acquires": 0, "contended": 0, "timeouts": 0,
-            "stale_broken": 0,
-        }
+        assert lock_stats() == {"acquires": 0, "contended": 0, "timeouts": 0}
 
 
 # -- multi-process publish stress -------------------------------------------

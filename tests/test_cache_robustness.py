@@ -9,7 +9,7 @@ from repro.api import Session
 from repro.experiments import ExperimentSpec, ResultCache, SchemeSpec
 from repro.experiments.cache import sweep_orphan_tmp
 from repro.experiments.run import run_spec
-from repro.testing.faults import ENV_VAR, ROUND_VAR, reset_faults
+from repro.testing.faults import ENV_VAR, reset_faults
 
 FAST = dict(scale=128.0, n_banks=1, n_intervals=1)
 
@@ -23,7 +23,6 @@ def fast_spec(**overrides):
 @pytest.fixture(autouse=True)
 def clean_faults(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
-    monkeypatch.delenv(ROUND_VAR, raising=False)
     reset_faults()
     yield
     reset_faults()

@@ -231,10 +231,9 @@ class TestRobustnessFlags:
 
     @pytest.fixture(autouse=True)
     def clean_faults(self, monkeypatch):
-        from repro.testing.faults import ENV_VAR, ROUND_VAR, reset_faults
+        from repro.testing.faults import ENV_VAR, reset_faults
 
         monkeypatch.delenv(ENV_VAR, raising=False)
-        monkeypatch.delenv(ROUND_VAR, raising=False)
         reset_faults()
         yield
         reset_faults()

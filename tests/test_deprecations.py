@@ -124,8 +124,28 @@ DELETED_NAMES = (
 )
 
 
+#: The environment plumbing a RunContext replaced (run settings travel
+#: as a value, the fault round is a scope), and the lock fallbacks that
+#: POSIX-only locking dropped.
+DELETED_ENV_NAMES = (
+    ("repro.report.verify", "_scoped_env"),
+    ("repro.experiments.run", "_POOL_ENV_KEYS"),
+    ("repro.experiments.run", "_pool_env"),
+    ("repro.experiments.run", "session_mode"),
+    ("repro.testing.faults", "ROUND_VAR"),
+    ("repro.testing.faults", "faults_armed"),
+    ("repro.testing.faults", "faults_summary"),
+    ("repro.sim.tracestore", "default_root"),
+    ("repro.sim.tracestore", "store_enabled"),
+    ("repro.locking", "stale_lock_s"),
+    ("repro.locking", "STALE_LOCK_S"),
+    ("repro.locking", "STALE_ENV_VAR"),
+    ("repro.locking", "lock_backend"),
+)
+
+
 class TestDeadBatchedDriversRemoved:
-    @pytest.mark.parametrize(("module", "name"), DELETED_NAMES)
+    @pytest.mark.parametrize(("module", "name"), DELETED_NAMES + DELETED_ENV_NAMES)
     def test_name_removed(self, module, name):
         if module in DELETED_MODULES:
             with pytest.raises(ModuleNotFoundError):

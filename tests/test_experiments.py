@@ -278,9 +278,9 @@ class TestResultCache:
 
         real = run_mod.run_spec
 
-        def counting(spec):
+        def counting(spec, ctx):
             calls["n"] += 1
-            return real(spec)
+            return real(spec, ctx)
 
         monkeypatch.setattr(run_mod, "run_spec", counting)
         warm_cache = ResultCache(tmp_path)

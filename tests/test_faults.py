@@ -13,17 +13,16 @@ import pytest
 from repro.errors import InjectedFault
 from repro.experiments import ExperimentSpec, Plan, SchemeSpec, run_plan
 from repro.experiments.run import SweepPool, SweepReport
+from repro.report.config import RunContext
 from repro.testing.faults import (
     ENV_VAR,
     FAULT_KINDS,
     FAULT_SITES,
-    ROUND_VAR,
     FaultConfigError,
     FaultSpec,
     corrupting,
     fault_point,
-    faults_armed,
-    faults_summary,
+    fault_scope,
     parse_faults,
     reset_faults,
 )
@@ -49,7 +48,6 @@ def small_plan():
 def clean_faults(monkeypatch):
     """Disarm and forget fired-fault state around every test."""
     monkeypatch.delenv(ENV_VAR, raising=False)
-    monkeypatch.delenv(ROUND_VAR, raising=False)
     reset_faults()
     yield
     reset_faults()
@@ -95,14 +93,12 @@ class TestHarness:
     def test_disarmed_is_a_noop(self):
         fault_point("session.advance")
         assert corrupting("cache.put", "payload") == "payload"
-        assert not faults_armed()
-        assert faults_summary() == "off"
+        assert RunContext.from_env().faults == ""
 
     def test_raise_fires_exactly_once(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "session.advance:raise:1")
         reset_faults()
-        assert faults_armed()
-        assert faults_summary() == "session.advance:raise:1"
+        assert RunContext.from_env().faults == "session.advance:raise:1"
         with pytest.raises(InjectedFault, match="session.advance"):
             fault_point("session.advance")
         fault_point("session.advance")  # one-shot: second call is clean
@@ -115,14 +111,43 @@ class TestHarness:
         with pytest.raises(InjectedFault):
             fault_point("tracestore.write")
 
-    def test_recovery_rounds_hold_fire(self, monkeypatch):
+    def test_recovery_rounds_hold_fire(self):
+        with fault_scope("session.advance:raise", 1):
+            fault_point("session.advance")  # armed, but past round zero
+        with fault_scope("session.advance:raise", 0):
+            with pytest.raises(InjectedFault):
+                fault_point("session.advance")
+
+    def test_scope_arms_its_plan_and_restores_the_outer_one(
+        self, monkeypatch
+    ):
+        with fault_scope("session.advance:raise", 0):
+            with fault_scope("", 0):
+                fault_point("session.advance")  # the inner plan is empty
+            with pytest.raises(InjectedFault):
+                fault_point("session.advance")
+        fault_point("tracestore.read")  # no scope, REPRO_FAULTS unset
+
+    def test_round_is_per_thread(self, monkeypatch):
+        """A recovery round in one thread leaves another at round zero."""
+        import threading
+
         monkeypatch.setenv(ENV_VAR, "session.advance:raise")
         reset_faults()
-        monkeypatch.setenv(ROUND_VAR, "1")
-        fault_point("session.advance")  # armed, but past round zero
-        monkeypatch.setenv(ROUND_VAR, "0")
-        with pytest.raises(InjectedFault):
-            fault_point("session.advance")
+        raised = []
+
+        def other() -> None:
+            try:
+                fault_point("session.advance")
+            except InjectedFault:
+                raised.append(True)
+
+        with fault_scope("session.advance:raise", 1):
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join()
+            fault_point("session.advance")  # held: this thread is past zero
+        assert raised == [True]
 
     def test_rearming_resets_fired_state(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "session.advance:raise:1")
@@ -244,3 +269,20 @@ class TestInjectionMatrixPooled:
         finally:
             SweepPool.shutdown()
         _assert_converged(report, baseline)
+
+    def test_the_context_carries_the_plan_to_running_workers(
+        self, baseline, tmp_path
+    ):
+        """Workers forked while nothing was armed fire the plan that a
+        chunk's context carries, on round zero only."""
+        SweepPool.shutdown()
+        SweepPool.get(2)
+        ctx = RunContext(trace_store=str(tmp_path / "tr"),
+                         faults="pool.worker:raise:44")
+        try:
+            report = run_plan(small_plan(), workers=2, keep_going=True,
+                              max_retries=2, ctx=ctx)
+        finally:
+            SweepPool.shutdown()
+        _assert_converged(report, baseline)
+        assert report.total_attempts() > len(report.cells)

@@ -128,6 +128,14 @@ CCACHE_MALFORMED = {
     "fractional hits": ("hits", lambda s: s.__setitem__("hits", 2.7)),
     "hits past int64": ("hits", lambda s: s.__setitem__("hits", 2**70)),
     "writebacks as a string": ("writebacks", lambda s: s.__setitem__("writebacks", "7")),
+    "way that is not a pair": ("sets", lambda s: s["sets"][0].__setitem__(0, [1])),
+    "count as a string": ("sets", lambda s: s["sets"][1][0][1].__setitem__(0, "x")),
+    "sets that is not a list": ("sets", lambda s: s.__setitem__("sets", 5)),
+    "fractional tag": (
+        "sets", lambda s: next(w for w in s["sets"][0] if w[0] == 2).__setitem__(0, 2.5),
+    ),
+    "fractional count": ("sets", lambda s: s["sets"][1][0][1].__setitem__(0, 1.7)),
+    "boolean count": ("sets", lambda s: s["sets"][1][0][1].__setitem__(0, True)),
 }
 
 #: Malformed SCA states: case -> corruption; each must name 'counts'.

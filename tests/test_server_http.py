@@ -72,8 +72,7 @@ class TestHealth:
         # The same facts `repro verify` prints in its header line.
         assert set(doc["engines"]) == {"scalar", "batched"}
         assert "trace_store" in doc and "enabled" in doc["trace_store"]
-        assert doc["result_cache"]["lock_backend"] in (
-            "flock", "msvcrt", "lockdir")
+        assert doc["result_cache"]["lock_backend"] == "flock"
         assert set(doc["jobs"]) == {"queued", "running", "done", "failed"}
         assert "faults" in doc
         # The simulation workers runs execute in (one, at --workers 1).

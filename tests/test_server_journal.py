@@ -23,7 +23,6 @@ from repro.testing.faults import reset_faults
 @pytest.fixture(autouse=True)
 def _clean_faults(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_FAULTS_ROUND", raising=False)
     reset_faults()
     yield
     reset_faults()

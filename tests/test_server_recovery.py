@@ -47,7 +47,6 @@ FAST = dict(scale=128.0, n_banks=1, n_intervals=1)
 @pytest.fixture(autouse=True)
 def _clean_faults(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_FAULTS_ROUND", raising=False)
     reset_faults()
     yield
     reset_faults()
@@ -674,10 +673,10 @@ class TestWorkerDeath:
         log = tmp_path / "cell-pids"
         cell = run_mod._pool_cell
 
-        def spy(spec):
+        def spy(spec, ctx):
             with open(log, "a", encoding="utf-8") as handle:
                 handle.write(f"{os.getpid()}\n")
-            return cell(spec)
+            return cell(spec, ctx)
 
         monkeypatch.setattr(run_mod, "_pool_cell", spy)
         server = make_server(tmp_path, workers=workers)  # forks the spy
@@ -788,6 +787,52 @@ class TestWorkerDeath:
             for pid in pids:  # cleanup should an assertion fail
                 with contextlib.suppress(OSError):
                     os.kill(pid, signal.SIGKILL)
+
+
+class TestConcurrentPlans:
+    def test_two_plans_run_side_by_side(self, tmp_path, monkeypatch):
+        """Plan A's cell waits for plan B's cell to have run, so A can
+        only finish when B runs beside it on the other worker; both
+        equal ``run_plan``.  (Job status cannot show the overlap: a
+        plan is marked running as soon as its driver starts.)"""
+        plan_a = Plan.grid(fast_spec(), seed=[301])
+        plan_b = Plan.grid(fast_spec(), seed=[302])
+        expected_a = [r.to_dict() for r in run_plan(plan_a)]
+        expected_b = [r.to_dict() for r in run_plan(plan_b)]
+        started, b_ran = tmp_path / "a-started", tmp_path / "b-ran"
+        cell = run_mod._pool_cell
+
+        def gated(spec, ctx):
+            if spec.seed == 301:
+                started.touch()
+                deadline = time.monotonic() + 30
+                while not b_ran.exists():
+                    if time.monotonic() > deadline:
+                        raise ValueError("plan B never ran beside plan A")
+                    time.sleep(0.02)
+            else:
+                b_ran.touch()
+            return cell(spec, ctx)
+
+        monkeypatch.setattr(run_mod, "_pool_cell", gated)
+        server = make_server(tmp_path, workers=2)  # forks the gate
+        try:
+            resp_a = server.handle(
+                request("POST", "/v1/plans", {"plan": plan_a.to_dict()}))
+            deadline = time.monotonic() + 30
+            while not started.exists():  # A holds a worker before B
+                assert time.monotonic() < deadline, "plan A never started"
+                time.sleep(0.02)
+            resp_b = server.handle(
+                request("POST", "/v1/plans", {"plan": plan_b.to_dict()}))
+            job_a = wait_job(server, body_of(resp_a)["job"])
+            job_b = wait_job(server, body_of(resp_b)["job"])
+            assert job_a.status == "done", job_a.error
+            assert job_b.status == "done", job_b.error
+            assert [r.to_dict() for r in job_a.results] == expected_a
+            assert [r.to_dict() for r in job_b.results] == expected_b
+        finally:
+            server.close()
 
 
 class TestSupervision:
@@ -975,9 +1020,7 @@ class TestJobListing:
                 "replayed", "requeued", "restored_done",
                 "resumed_from_snapshot",
             }
-            assert set(doc["locks"]) == {
-                "acquires", "contended", "timeouts", "stale_broken",
-            }
+            assert set(doc["locks"]) == {"acquires", "contended", "timeouts"}
             workers = doc["sim_workers"]
             assert set(workers) == {"size", "busy", "pids", "replaced"}
             assert workers["size"] == len(workers["pids"]) == 1

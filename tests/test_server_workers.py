@@ -25,6 +25,7 @@ from repro.experiments import (
 )
 from repro.experiments.cache import ResultCache
 from repro.experiments.pool import SNAPSHOT_TAG, SweepPool, WorkerDied
+from repro.report.config import RunContext
 from repro.server import ReproServer, ServerConfig
 from repro.server.http import Request
 
@@ -59,7 +60,8 @@ def serve(worker, job_id, spec, cache_root, stored=None, every=0,
     ``messages`` lists each message's events; ``stop_after`` epoch
     messages in, the worker is sent ``stop``.
     """
-    worker.send("run", job_id, spec, stored, 0, str(cache_root), every)
+    worker.send("run", job_id, spec, stored, 0, str(cache_root), every,
+                RunContext.from_env())
     resumed = worker.receive()
     messages = []
     while True:
@@ -196,7 +198,8 @@ def test_worker_that_died_idle_is_replaced_on_acquire(pool, tmp_path):
 def test_reclaim_terminates_the_stale_holder(pool, tmp_path):
     worker = pool.acquire(("j1", 0), timeout=5)
     assert pool.acquire(("j2", 0), timeout=0.05) is None  # pool of one
-    worker.send("run", "j1", slow_spec(seed=11), None, 0, str(tmp_path), 0)
+    worker.send("run", "j1", slow_spec(seed=11), None, 0, str(tmp_path), 0,
+                RunContext.from_env())
     assert worker.receive() is False  # the run is in flight
     assert pool.reclaim(("j1", 0)) is True
     assert pool.reclaim(("j1", 0)) is False  # already given up

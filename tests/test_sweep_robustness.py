@@ -22,7 +22,7 @@ from repro.experiments import (
     run_plan,
 )
 from repro.experiments.run import SweepPool, _backoff_s, _sigterm_as_interrupt
-from repro.testing.faults import ENV_VAR, ROUND_VAR, reset_faults
+from repro.testing.faults import ENV_VAR, reset_faults
 
 FAST = dict(scale=128.0, n_banks=1, n_intervals=1)
 
@@ -44,7 +44,6 @@ def small_plan():
 @pytest.fixture(autouse=True)
 def clean_faults(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
-    monkeypatch.delenv(ROUND_VAR, raising=False)
     reset_faults()
     yield
     reset_faults()
@@ -54,10 +53,10 @@ def poison(workload, exc_factory):
     """A ``_pool_cell`` stand-in that fails cells of one workload."""
     real = run_mod.run_spec
 
-    def cell(spec):
+    def cell(spec, ctx):
         if spec.workload == workload:
             raise exc_factory()
-        return real(spec)
+        return real(spec, ctx)
 
     return cell
 
@@ -83,11 +82,11 @@ class TestIsolationAndRetry:
         real = run_mod.run_spec
         calls = {"n": 0}
 
-        def flaky(spec):
+        def flaky(spec, ctx):
             if spec.workload == "black" and calls["n"] < 2:
                 calls["n"] += 1
                 raise OSError("transient store trouble")
-            return real(spec)
+            return real(spec, ctx)
 
         monkeypatch.setattr(run_mod, "_pool_cell", flaky)
         report = run_plan(small_plan(), keep_going=True, max_retries=2)
@@ -238,10 +237,10 @@ class TestPoolRecovery:
         )
         real = run_mod.run_spec
 
-        def die_on_black(spec):
+        def die_on_black(spec, ctx):
             if spec.workload == "black":
                 os._exit(86)
-            return real(spec)
+            return real(spec, ctx)
 
         SweepPool.shutdown()
         # Workers fork after the patch, so their chunks see it.
