@@ -1066,8 +1066,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds a SIGTERM/SIGINT drain may take to "
                             "checkpoint running work before hard exit")
     p_srv.add_argument("--stall-timeout", type=float, default=120.0,
-                       help="seconds without a driver heartbeat before "
-                            "a running job is requeued")
+                       help="seconds a run's worker may send nothing "
+                            "before it is replaced and the job requeued")
     p_srv.add_argument("--max-queued", type=int, default=64,
                        help="queued-job bound before submissions get 429")
     p_srv.set_defaults(func=cmd_serve)

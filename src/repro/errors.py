@@ -50,7 +50,9 @@ class InjectedFault(RetryableError):
 
 
 class CellTimeout(RetryableError):
-    """A sweep chunk exceeded its per-cell time budget."""
+    """A worker sent nothing within its budget: a sweep chunk ran past
+    its per-cell time budget, or a served run's worker went silent for
+    the server's stall timeout."""
 
 
 class RemoteError(ReproError):

@@ -22,10 +22,8 @@ from repro.experiments.spec import (
     load_spec,
 )
 from repro.experiments.run import SweepPool, SweepReport, run_plan, run_spec
-from repro.experiments.shared import SharedWorkRegistry
 
 __all__ = [
-    "SharedWorkRegistry",
     "SPEC_VERSION",
     "DEFAULT_SEED",
     "CACHE_VERSION",

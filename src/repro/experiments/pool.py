@@ -11,9 +11,9 @@ that leaves the calling process:
   HTTP and SSE.  The worker drives the session to its end without
   waiting for the server: it writes the run's ``"serve"`` checkpoints
   and its result-cache entry itself and sends one message per epoch.
-  The job's driver thread keeps journal transitions, the heartbeat,
-  the drain decision, hub publishing and the deletion of the resume
-  point.
+  The job's driver thread keeps journal transitions, the drain
+  decision, the bound on a silent worker, hub publishing and the
+  deletion of the resume point.
 
 A caller holds a worker from :meth:`SweepPool.acquire` to
 :meth:`SweepPool.release` and speaks to it over a pipe, one command
@@ -61,10 +61,12 @@ parent leaves no worker behind.
 
 A worker that dies mid-command raises :class:`WorkerDied` in its caller
 (a :class:`~repro.errors.RetryableError`: a plan chunk is retried, a
-served run requeued), and the pool forks a replacement.  An exception
-raised inside a worker crosses the pipe as its type name, message and
-:func:`~repro.errors.is_retryable` verdict, and is re-raised as a
-:class:`~repro.errors.RemoteError`.
+served run requeued), and the pool forks a replacement.  A worker
+that sends nothing within its caller's budget raises
+:class:`~repro.errors.CellTimeout` (retryable too), and its caller
+reclaims it.  An exception raised inside a worker crosses the pipe as
+its type name, message and :func:`~repro.errors.is_retryable` verdict,
+and is re-raised as a :class:`~repro.errors.RemoteError`.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ import os
 import signal
 import stat
 import threading
+import time
 
-from repro.errors import RemoteError, RetryableError, is_retryable
+from repro.errors import CellTimeout, RemoteError, RetryableError, is_retryable
 from repro.testing.faults import fault_scope
 
 #: How often an idle worker checks that its parent lives.
@@ -284,14 +287,17 @@ class Worker:
         except OSError:
             pass  # a dead worker's broken pipe surfaces in receive()
 
-    def receive(self, stop=None):
+    def receive(self, stop=None, timeout: float | None = None):
         """The worker's next message about the command in flight.
 
         ``stop`` (a zero-argument callable) is polled while waiting;
         once it returns true the worker is sent ``stop``, and a served
         run ends at its next epoch boundary.  A ``stop`` that crosses
-        the run's last message is ignored by the worker.
+        the run's last message is ignored by the worker.  No message
+        within ``timeout`` seconds raises :class:`CellTimeout`; the
+        worker may still be busy, so the caller reclaims it.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         try:
             while True:
                 if stop is not None and stop():
@@ -301,6 +307,9 @@ class Worker:
                     break
                 if not self.process.is_alive():
                     raise EOFError
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise CellTimeout(
+                        f"worker {self.pid} sent nothing for {timeout:g}s")
             status, reply = self.conn.recv()
         except (EOFError, OSError):
             self.alive = False
@@ -332,10 +341,10 @@ class SweepPool:
     :func:`atexit` closes it.  Forked workers share one OS page-cache
     copy of every trace-store memmap.
 
-    A caller holds a worker under an owner key — a served run's ``(job
-    id, generation)``, a plan chunk's own token — from :meth:`acquire`
-    to :meth:`release`; a worker found dead on acquire or release, or
-    reclaimed from its holder, is replaced by a fresh fork.
+    A caller holds a worker under an owner key — a served run's job id,
+    a plan chunk's own token — from :meth:`acquire` to :meth:`release`;
+    a worker found dead on acquire or release, or reclaimed from its
+    holder, is replaced by a fresh fork.
     """
 
     #: the process-wide pool behind :meth:`get`
@@ -434,9 +443,8 @@ class SweepPool:
     def reclaim(self, owner) -> bool:
         """Terminate the worker ``owner`` holds and fork its replacement.
 
-        For a stalled served run or a hung plan chunk: the stuck work
-        dies with its worker, and the stale holder's next command raises
-        :class:`WorkerDied`.
+        For a served run whose worker went silent or a plan chunk past
+        its budget: the stuck work dies with its worker.
         """
         with self._cond:
             worker = self._held.pop(owner, None)

@@ -15,9 +15,8 @@ Deduplication happens at two layers, both keyed by content hash:
 * **completed** work — the submit handlers consult the result cache
   first; a full hit becomes a job that is born ``done`` (zero
   simulation, provable via the cache hit/miss counters);
-* **in-flight** work — the job table's
-  :class:`~repro.experiments.shared.SharedWorkRegistry` attaches
-  concurrent identical submissions to the one job already executing.
+* **in-flight** work — the job table attaches concurrent identical
+  submissions to the one job already executing.
 
 Every handler is synchronous and pure enough to call directly from
 tests (``server.handle(Request(...)) -> Response``); only the SSE
@@ -41,11 +40,10 @@ SIGTERM/SIGINT trigger a *graceful drain* (see :meth:`drain`): new
 submissions get 503 + Retry-After while status reads stay live, running
 sessions checkpoint and stop at the next epoch boundary, running plans
 stop cooperatively at the next cell boundary, the journal flushes, and
-the process exits within ``drain_deadline_s``.  A supervision loop
-requeues jobs whose driver thread stops heartbeating (a stalled run's
-worker is terminated and replaced), a run whose worker dies is
-requeued on a fresh worker, and admission control sheds load (429)
-when the queue is full.
+the process exits within ``drain_deadline_s``.  Each job has one
+driver thread at a time.  A run whose worker dies, or sends nothing for
+``stall_timeout_s``, is requeued on a fresh worker by its own driver,
+and admission control sheds load (429) when the queue is full.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro._version import __version__
-from repro.errors import RemoteError, describe, is_retryable
+from repro.errors import CellTimeout, RemoteError, describe, is_retryable
 from repro.experiments.cache import ResultCache, code_fingerprint
 from repro.experiments.pool import SNAPSHOT_TAG, SweepPool, WorkerDied
 from repro.experiments.run import run_plan
@@ -122,13 +120,13 @@ class ServerConfig:
     #: graceful-drain budget: running work gets this long to checkpoint
     #: and stop before the process exits anyway
     drain_deadline_s: float = 20.0
-    #: a running job whose heartbeat is older than this is presumed
-    #: stalled and requeued under a fresh generation
+    #: a run whose worker sends no message for this long is presumed
+    #: hung: the worker is replaced and the job requeued
     stall_timeout_s: float = 120.0
     #: admission control: reject (429) when this many jobs are queued
     max_queued: int = 64
-    #: how many times a job may be requeued (stall or retryable driver
-    #: failure) before it is marked failed
+    #: how many times a job may be requeued (a silent worker or another
+    #: retryable driver failure) before it is marked failed
     max_job_requeues: int = 2
 
 
@@ -163,10 +161,6 @@ class ReproServer:
             max_workers=self.config.driver_threads,
             thread_name_prefix="repro-job",
         )
-        #: job_id → (execute fn, payload), kept while the job is live so
-        #: requeues (stall, retryable driver failure) can relaunch it
-        self._work: dict[str, tuple] = {}
-        self._work_lock = threading.Lock()
         self._draining = threading.Event()
         #: driver threads currently executing a job (drain waits on 0)
         self._active_drivers = 0
@@ -189,9 +183,10 @@ class ReproServer:
         Recovery matrix, per replayed job state:
 
         ========== =====================================================
-        queued     re-enqueue (re-parse the journaled document)
-        running    re-enqueue; run jobs resume from their ``"serve"``
-                   snapshot, plan jobs recompute only uncached cells
+        queued     re-enqueue (re-parse the journaled document); run
+                   jobs resume from their ``"serve"`` snapshot, plan
+                   jobs recompute only uncached cells
+        running    the same (only older journals hold this record)
         done       reload results from the ResultCache — or re-enqueue
                    when the cache no longer holds them
         failed     restore as failed (``recovered=true``)
@@ -270,8 +265,7 @@ class ReproServer:
             logger.exception("journal compaction failed; recovering "
                              "on the uncompacted journal")
         for job, payload, execute in relaunch:
-            self._launch(job.id, execute, payload,
-                         generation=job.generation)
+            self._launch(job.id, execute, payload)
 
     def _parse_recovered(self, entry: JournaledJob):
         """(payload, execute fn) for one journaled document."""
@@ -345,11 +339,10 @@ class ReproServer:
             },
             "faults": self.context.faults or "off",
             "jobs": self.jobs.counts(),
-            "dedup": {"inflight": len(self.jobs.registry),
-                      "shared": self.jobs.registry.shared},
+            "dedup": self.jobs.dedup(),
             "workers": self.config.workers,
             "sim_workers": self._sim.stats(),
-            "journal": self.journal.stats().to_dict(),
+            "journal": self.journal.usage(),
             "recovery": dict(self.recovery),
             "locks": lock_stats(),
             "draining": self._draining.is_set(),
@@ -497,99 +490,47 @@ class ReproServer:
 
     # -- job execution (driver threads) ------------------------------------
 
-    def _launch(self, job_id: str, fn, payload, generation: int = 0) -> None:
-        """Register a job's work and hand it to a driver thread.
-
-        The (fn, payload) pair is remembered while the job is live so a
-        requeue — stall supervision or a retryable driver failure — can
-        relaunch it under a fresh generation without the submission.
-        """
-        with self._work_lock:
-            self._work[job_id] = (fn, payload)
-        self._spawn(job_id, generation)
-
-    def _spawn(self, job_id: str, generation: int) -> None:
-        with self._work_lock:
-            work = self._work.get(job_id)
-        if work is None:  # job finished between requeue and relaunch
-            return
-        fn, payload = work
+    def _launch(self, job_id: str, fn, payload) -> None:
+        """Hand a job to a driver thread: its one driver at a time."""
 
         def run() -> None:
             with self._active_lock:
                 self._active_drivers += 1
             try:
                 fault_point("server.driver")
-                fn(job_id, payload, generation)
+                fn(job_id, payload)
             except Exception as exc:  # noqa: BLE001 - job boundary
-                self._driver_failed(job_id, generation, exc)
+                self._driver_failed(job_id, fn, payload, exc)
             finally:
-                job = self.jobs.get(job_id)
-                if job is None or job.finished:
-                    with self._work_lock:
-                        self._work.pop(job_id, None)
                 with self._active_lock:
                     self._active_drivers -= 1
 
         self._drivers.submit(run)
 
-    def _driver_failed(self, job_id: str, generation: int,
+    def _driver_failed(self, job_id: str, fn, payload,
                        exc: Exception) -> None:
-        """A driver thread died: requeue retryably, else fail the job."""
-        logger.exception("job %s died in the driver (generation %d)",
-                         job_id, generation)
+        """A driver raised: requeue and relaunch retryably, else fail.
+
+        A silent worker (:class:`CellTimeout`) was reclaimed by the run's
+        driver; its requeue is counted as ``supervisor_requeues``.
+        """
+        logger.exception("job %s died in the driver", job_id)
         job = self.jobs.get(job_id)
         if (
             job is not None and not job.finished
-            and generation == job.generation
             and is_retryable(exc)
             and job.requeues < self.config.max_job_requeues
             and not self._draining.is_set()
+            and self.jobs.requeue(job_id)
         ):
-            new_generation = self.jobs.requeue(job_id)
-            if new_generation is not None:
-                self._spawn(job_id, new_generation)
-                return
-        with contextlib.suppress(Exception):
-            self.jobs.mark_failed(job_id, describe(exc), generation)
-
-    def supervise_once(self) -> list[str]:
-        """One supervision pass: requeue stalled jobs; returns their ids.
-
-        A running job whose heartbeat went quiet for ``stall_timeout_s``
-        has a hung driver thread (Python threads cannot be killed).
-        The job is requeued under a new generation — the zombie thread's
-        later stamps are stale-generation no-ops, and its stray cache
-        writes are benign because determinism makes the bytes identical.
-        A run's hung session dies with its worker process, which is
-        replaced.  Out-of-budget jobs are failed instead of requeued
-        forever.
-        """
-        if self._draining.is_set():
-            return []
-        requeued: list[str] = []
-        for job in self.jobs.stalled(self.config.stall_timeout_s):
-            if job.requeues >= self.config.max_job_requeues:
-                with contextlib.suppress(Exception):
-                    self.jobs.mark_failed(
-                        job.id,
-                        f"driver stalled (no heartbeat for "
-                        f"{self.config.stall_timeout_s:.0f}s) and the "
-                        f"requeue budget is spent", job.generation,
-                    )
-                continue
-            stale = job.generation
-            new_generation = self.jobs.requeue(job.id)
-            if new_generation is not None:
-                logger.warning("job %s stalled; requeued as generation %d",
-                               job.id, new_generation)
-                self._sim.reclaim((job.id, stale))
+            if isinstance(exc, CellTimeout):
                 self.recovery["supervisor_requeues"] += 1
-                self._spawn(job.id, new_generation)
-                requeued.append(job.id)
-        return requeued
+            self._launch(job_id, fn, payload)
+            return
+        with contextlib.suppress(Exception):
+            self.jobs.mark_failed(job_id, describe(exc))
 
-    def _execute_run(self, job_id: str, spec, generation: int = 0) -> None:
+    def _execute_run(self, job_id: str, spec) -> None:
         """Run one spec's Session in a pool worker with one ``run`` command.
 
         The worker's session is the one ``run_spec`` drives, so a served
@@ -598,26 +539,25 @@ class ReproServer:
         resumable ``"serve"`` snapshot every ``checkpoint_epochs``
         epochs, puts the result in the cache, and sends one message per
         epoch with that epoch's event documents, which this thread
-        publishes to the hub as one batch while stamping the job's
-        heartbeat.  When a drain begins, this thread sends ``stop``: the
-        worker checkpoints and ends at the next epoch boundary.  A
-        stored ``"serve"`` snapshot (from a killed or drained ancestor)
-        is resumed instead of restarting from zero — byte-identical
-        either way by the snapshot/restore equivalence proof.  Errors
-        go to :meth:`_driver_failed`: retryable ones (a dead worker
-        among them) requeue the job, others fail it.
+        publishes to the hub as one batch.  When a drain begins, this
+        thread sends ``stop``: the worker checkpoints and ends at the
+        next epoch boundary.  A worker that sends nothing for
+        ``stall_timeout_s`` raises :class:`CellTimeout` and is
+        reclaimed.  A stored ``"serve"`` snapshot (from a killed,
+        drained or silent ancestor) is resumed instead of restarting
+        from zero — byte-identical either way by the snapshot/restore
+        equivalence proof.  Errors go to :meth:`_driver_failed`:
+        retryable ones (a dead or silent worker among them) requeue the
+        job, others fail it.
         """
-        if not self.jobs.mark_running(job_id, generation):
+        if not self.jobs.mark_running(job_id):
             return
-        owner = (job_id, generation)
-        # More concurrent jobs than workers: wait, heartbeating and
-        # honouring a drain.
-        while (worker := self._sim.acquire(owner, timeout=0.25)) is None:
-            self.jobs.touch(job_id, generation)
+        # More concurrent jobs than workers: wait, honouring a drain.
+        while (worker := self._sim.acquire(job_id, timeout=0.25)) is None:
             if self._draining.is_set() or self._sim.closed:
-                return  # journaled "running" → restart resumes
+                return  # journaled as submitted → restart resumes
         try:
-            result = self._drive_run(job_id, spec, generation, worker)
+            result = self._drive_run(job_id, spec, worker)
         except WorkerDied:
             if self._draining.is_set():
                 return  # the closing server stopped it: restart resumes
@@ -625,17 +565,17 @@ class ReproServer:
         except RemoteError:
             raise  # the worker answered, so it is idle again
         except Exception:
-            self._sim.reclaim(owner)  # its run may still be in flight
+            self._sim.reclaim(job_id)  # its run may still be in flight
             raise
         finally:
-            self._sim.release(owner)
-        if result is not None and self.jobs.mark_done(job_id, generation,
+            self._sim.release(job_id)
+        if result is not None and self.jobs.mark_done(job_id,
                                                       result=result):
             # The run is terminal and cached; its resume point is dead
             # weight (and must not shadow a future identical spec).
             self.cache.delete_snapshot(spec, SNAPSHOT_TAG)
 
-    def _drive_run(self, job_id: str, spec, generation: int, worker):
+    def _drive_run(self, job_id: str, spec, worker):
         """Publish a ``run`` command's messages; its result, or None when
         a drain stopped it."""
         stored = self.cache.get_snapshot(spec, SNAPSHOT_TAG)
@@ -643,19 +583,19 @@ class ReproServer:
                     self.jobs.get(job_id).requeues, self._cache_root,
                     self.config.checkpoint_epochs, self.context)
         draining = self._draining.is_set
-        if worker.receive(draining):
+        budget = self.config.stall_timeout_s
+        if worker.receive(draining, budget):
             self.recovery["resumed_from_snapshot"] += 1
         elif stored is not None:
             logger.warning("job %s: stored snapshot unusable; "
                            "cold-starting", job_id)
         while True:
-            kind, events, result = worker.receive(draining)
+            kind, events, result = worker.receive(draining, budget)
             self.hub.publish_batch(job_id, events)
             if kind != "epoch":
-                return result  # None when stopped: journaled "running"
-            self.jobs.touch(job_id, generation)
+                return result  # None when stopped: restart resumes
 
-    def _execute_plan(self, job_id: str, plan, generation: int = 0) -> None:
+    def _execute_plan(self, job_id: str, plan) -> None:
         """Run a plan on the worker pool via the retry scheduler.
 
         Every round goes to the pool, a one-cell round on a one-worker
@@ -665,23 +605,13 @@ class ReproServer:
 
         The scheduler's cooperative ``stop`` hook is wired to the drain
         flag: a drain stops the plan at the next cell boundary with all
-        completed cells already flushed to the cache, and the journal's
-        ``running`` record makes the restarted server recompute only
-        what is missing.  The scheduler polls ``stop`` while it waits,
-        for a worker the run jobs hold too, so the hook also stamps the
-        job's heartbeat, as a run driver does while it waits.
+        completed cells already flushed to the cache, and the restarted
+        server, which re-enqueues the unfinished job, recomputes only
+        what is missing.  Each cell stays bounded by ``cell_timeout``.
         """
-        if not self.jobs.mark_running(job_id, generation):
+        if not self.jobs.mark_running(job_id):
             return
-        eventing = _EventingCache(
-            self._cache_root, self.hub, job_id,
-            on_cell=lambda: self.jobs.touch(job_id, generation),
-        )
-
-        def stop() -> bool:
-            self.jobs.touch(job_id, generation)
-            return self._draining.is_set()
-
+        eventing = _EventingCache(self._cache_root, self.hub, job_id)
         try:
             report = run_plan(
                 plan,
@@ -690,27 +620,25 @@ class ReproServer:
                 keep_going=True,
                 max_retries=self.config.max_retries,
                 cell_timeout=self.config.cell_timeout,
-                stop=stop,
+                stop=self._draining.is_set,
                 pool=self._sim,
                 ctx=self.context,
             )
         except Exception as exc:  # noqa: BLE001 - job boundary
             logger.exception("plan job %s failed", job_id)
-            self.jobs.mark_failed(job_id, f"{type(exc).__name__}: {exc}",
-                                  generation)
+            self.jobs.mark_failed(job_id, f"{type(exc).__name__}: {exc}")
             return
         if report.pending:
-            # A drain stopped the plan mid-flight: leave the job in its
-            # journaled "running" state for the next incarnation.
+            # A drain stopped the plan mid-flight: leave the job
+            # unfinished in the journal for the next incarnation.
             return
         payload = {"results": report.results, "report": report.to_dict()}
         if report.ok:
-            self.jobs.mark_done(job_id, generation, **payload)
+            self.jobs.mark_done(job_id, **payload)
         else:
             failed = len(report.failed)
             self.jobs.mark_failed(
-                job_id, f"{failed} cell(s) permanently failed", generation,
-            )
+                job_id, f"{failed} cell(s) permanently failed")
             with contextlib.suppress(Exception):
                 job = self.jobs.get(job_id)
                 if job is not None:
@@ -792,35 +720,21 @@ class ReproServer:
                   f"{self._cache_root})", flush=True)
         if ready is not None:
             ready.set()
-        supervisor = asyncio.ensure_future(self._supervise_forever())
-        try:
-            async with server:
-                if not handle_signals:
-                    await server.serve_forever()
-                    return True  # pragma: no cover - cancelled instead
-                await stop.wait()
-                if announce:
-                    print("repro serve: draining "
-                          f"(deadline {self.config.drain_deadline_s:.0f}s)",
-                          flush=True)
-                clean = await asyncio.to_thread(self.drain)
-                if announce:
-                    print("repro serve: drained cleanly" if clean else
-                          "repro serve: drain deadline expired; "
-                          "journal is flushed, exiting hard", flush=True)
-                return clean
-        finally:
-            supervisor.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await supervisor
-
-    async def _supervise_forever(self) -> None:
-        """Background stall detection while the server runs."""
-        period = max(1.0, min(5.0, self.config.stall_timeout_s / 4))
-        while True:
-            await asyncio.sleep(period)
-            with contextlib.suppress(Exception):
-                self.supervise_once()
+        async with server:
+            if not handle_signals:
+                await server.serve_forever()
+                return True  # pragma: no cover - cancelled instead
+            await stop.wait()
+            if announce:
+                print("repro serve: draining "
+                      f"(deadline {self.config.drain_deadline_s:.0f}s)",
+                      flush=True)
+            clean = await asyncio.to_thread(self.drain)
+            if announce:
+                print("repro serve: drained cleanly" if clean else
+                      "repro serve: drain deadline expired; "
+                      "journal is flushed, exiting hard", flush=True)
+            return clean
 
     # -- drain & teardown --------------------------------------------------
 
@@ -840,7 +754,7 @@ class ReproServer:
         and close the journal.  Even on a missed
         deadline the on-disk state is fully resumable — every journal
         append was already fsync'd, and a run whose worker is stopped
-        under it stays journaled ``running``.
+        under it stays unfinished in the journal.
         """
         self.begin_drain()
         deadline = time.monotonic() + (
@@ -932,37 +846,26 @@ class _EventingCache(ResultCache):
     can correlate cells with the submitted plan.
     """
 
-    def __init__(self, root: str, hub: EventHub, job_id: str,
-                 on_cell=None) -> None:
+    def __init__(self, root: str, hub: EventHub, job_id: str) -> None:
         super().__init__(root)
         self._hub = hub
         self._job_id = job_id
-        #: optional per-cell callback — the plan driver wires its job
-        #: heartbeat here, so supervision sees cell-level progress
-        self._on_cell = on_cell
 
-    def _cell_landed(self) -> None:
-        if self._on_cell is not None:
-            with contextlib.suppress(Exception):
-                self._on_cell()
+    def _cell(self, spec, status: str) -> None:
+        self._hub.publish(self._job_id, "cell", {
+            "job": self._job_id, "spec_hash": spec.content_hash(),
+            "status": status,
+        })
 
     def get(self, spec):
         hit = super().get(spec)
         if hit is not None:
-            self._hub.publish(self._job_id, "cell", {
-                "job": self._job_id, "spec_hash": spec.content_hash(),
-                "status": "cached",
-            })
-            self._cell_landed()
+            self._cell(spec, "cached")
         return hit
 
     def put(self, spec, result):
         path = super().put(spec, result)
-        self._hub.publish(self._job_id, "cell", {
-            "job": self._job_id, "spec_hash": spec.content_hash(),
-            "status": "done",
-        })
-        self._cell_landed()
+        self._cell(spec, "done")
         return path
 
 

@@ -7,10 +7,11 @@ truth the status endpoint reads and the executor writes, guarded by one
 lock because readers (asyncio handlers) and writers (worker threads)
 live on different threads.
 
-**Content-hash dedup** rides on the experiment layer's
-:class:`~repro.experiments.shared.SharedWorkRegistry`: while a hash is
-in flight, every further submission of the same hash is attached to the
-existing job — one simulation, many watchers.  (Completed work is the
+**Content-hash dedup**: while a hash is in flight, every further
+submission of the same hash is attached to the existing job — one
+simulation, many watchers.  The in-flight map lives under the table's
+own lock, so claiming a hash and inserting its job are one step and two
+identical submissions can never both own it.  (Completed work is the
 :class:`ResultCache`'s department: the executor consults it before
 simulating, so re-submitting finished work costs a cache read, not a
 run.)
@@ -21,16 +22,14 @@ the table exceeds ``max_jobs``.  Queued/running jobs are never evicted.
 The injected ``clock`` makes eviction deterministic under test.
 
 **Durability** is delegated: when the table is built with a
-:class:`~repro.server.journal.Journal`, every submission and lifecycle
+:class:`~repro.server.journal.Journal`, every submission and terminal
 transition is journaled *before* it is acted on, and on restart the
 server replays the journal and re-inserts the survivors via
 :meth:`JobTable.adopt` (which re-claims the dedup hash for live jobs
-and flags them ``recovered``).  **Supervision** rides on per-job
-heartbeats: driver threads :meth:`touch` their job as they make
-progress, :meth:`stalled` surfaces running jobs whose heartbeat went
-quiet, and :meth:`requeue` sends a stalled or retryably-failed job back
-to ``queued`` under a new *generation* — stamps from the old (possibly
-still running, unkillable) driver thread are stale-generation no-ops.
+and flags them ``recovered``).  ``running`` and requeues are not
+journaled: recovery re-enqueues a running job exactly as a queued one.
+A job has one driver at a time; :meth:`requeue` sends a retryably
+failed job back to ``queued`` for that driver to launch again.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-
-from repro.experiments.shared import SharedWorkRegistry
 
 #: Job lifecycle states, in order.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -67,14 +64,9 @@ class Job:
     error: str | None = None
     #: True when this job was rebuilt from the journal after a restart.
     recovered: bool = False
-    #: Bumped every requeue; driver threads carry the generation they
-    #: were launched under, so a superseded (hung, then replaced) thread
-    #: cannot stamp the job's fresh attempt.
-    generation: int = 0
-    #: how many times this job went running → queued (stall/retry)
+    #: how many times this job went running → queued (a silent worker
+    #: or another retryable failure); a served run's fault round
     requeues: int = 0
-    #: table-clock stamp of the driver's last sign of life (supervision)
-    heartbeat_s: float | None = None
     #: run jobs: the SimulationResult; plan jobs: list (None per failed
     #: cell).  Held as live objects; serialized on demand.
     result: object | None = None
@@ -133,7 +125,10 @@ class JobTable:
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._seq = 0
-        self.registry: SharedWorkRegistry[str] = SharedWorkRegistry()
+        #: content hash → id of the live job that owns it
+        self._inflight: dict[str, str] = {}
+        #: submissions attached to an in-flight job (zero new work)
+        self._shared = 0
 
     def _journal_state(self, job: Job) -> None:
         if self.journal is not None:
@@ -158,36 +153,30 @@ class JobTable:
         it *before* this returns, so a crash at any later point can
         re-execute the job from the document alone.
         """
-        while True:
-            with self._lock:
-                self._seq += 1
-                candidate_id = f"j{self._seq:05d}-{content_hash[:8]}"
-            job_id, owner = self.registry.claim(content_hash, candidate_id)
-            if owner:
-                break
-            with self._lock:
-                existing = self._jobs.get(job_id)
-                if existing is not None and not existing.finished:
-                    existing.attached += 1
-            if existing is not None and not existing.finished:
-                self._hub.publish(job_id, "attached",
-                                  {"job": job_id,
-                                   "attached": existing.attached})
-                return existing, False
-            # Stale claim: the owner finished (or was GC'd) between the
-            # claim and this read without releasing.  Clear and retry
-            # rather than wedging the hash forever.
-            self.registry.release(content_hash, job_id)
-        job = Job(
-            id=candidate_id, kind=kind, content_hash=content_hash,
-            n_cells=n_cells, created_s=self._clock(),
-        )
         with self._lock:
-            self._jobs[candidate_id] = job
+            owner_id = self._inflight.get(content_hash)
+            if owner_id is not None:
+                job = self._jobs[owner_id]
+                job.attached += 1
+                self._shared += 1
+                attached = job.attached
+            else:
+                self._seq += 1
+                job = Job(
+                    id=f"j{self._seq:05d}-{content_hash[:8]}", kind=kind,
+                    content_hash=content_hash, n_cells=n_cells,
+                    created_s=self._clock(),
+                )
+                self._jobs[job.id] = job
+                self._inflight[content_hash] = job.id
+                self._hub.open(job.id)
+        if owner_id is not None:
+            self._hub.publish(job.id, "attached",
+                              {"job": job.id, "attached": attached})
+            return job, False
         if self.journal is not None and doc is not None:
             self.journal.record_submit(job.id, kind, content_hash,
                                        n_cells, doc)
-        self._hub.open(candidate_id)
         self._publish_status(job)
         return job, True
 
@@ -212,91 +201,61 @@ class JobTable:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def mark_running(self, job_id: str,
-                     generation: int | None = None) -> bool:
-        """queued → running (executor thread picked the job up).
+    def mark_running(self, job_id: str) -> bool:
+        """queued → running (a driver thread picked the job up); False
+        when the job is gone or already terminal.
 
-        A ``generation`` that no longer matches (the job was requeued
-        away from a stalled thread) makes this a no-op returning False.
+        Not journaled: recovery re-enqueues a running job exactly as a
+        queued one.
         """
         with self._lock:
             job = self._jobs.get(job_id)
-            if job is None or job.finished or (
-                generation is not None and generation != job.generation
-            ):
+            if job is None or job.finished:
                 return False
             job.status = "running"
-            job.started_s = job.heartbeat_s = self._clock()
-        self._journal_state(job)
+            job.started_s = self._clock()
         self._publish_status(job)
         return True
 
-    def touch(self, job_id: str, generation: int | None = None) -> bool:
-        """Stamp the job's heartbeat (driver made progress); False when
-        the job is gone, finished, or ``generation`` is stale."""
+    def _finish(self, job_id: str, status: str, **payload) -> Job | None:
         with self._lock:
             job = self._jobs.get(job_id)
-            if job is None or job.finished or (
-                generation is not None and generation != job.generation
-            ):
-                return False
-            job.heartbeat_s = self._clock()
-            return True
-
-    def _finish(self, job_id: str, status: str,
-                generation: int | None = None, **payload) -> Job | None:
-        with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None or job.finished or (
-                generation is not None and generation != job.generation
-            ):
+            if job is None or job.finished:
                 return None
             job.status = status
             job.finished_s = self._clock()
             for key, value in payload.items():
                 setattr(job, key, value)
-        self.registry.release(job.content_hash, job_id)
+            del self._inflight[job.content_hash]  # every live job owns it
         self._journal_state(job)
         self._publish_status(job)
         self._hub.close(job_id)
         return job
 
-    def mark_done(self, job_id: str, generation: int | None = None,
-                  **payload) -> Job | None:
-        """running → done; releases the dedup claim, closes the stream.
+    def mark_done(self, job_id: str, **payload) -> Job | None:
+        """running → done; releases the dedup claim, closes the stream."""
+        return self._finish(job_id, "done", **payload)
 
-        Returns None (and changes nothing) for a stale ``generation`` —
-        a superseded driver thread finishing late cannot overwrite the
-        requeued attempt.  Benign either way: determinism means both
-        attempts produce identical bytes.
-        """
-        return self._finish(job_id, "done", generation, **payload)
-
-    def mark_failed(self, job_id: str, error: str,
-                    generation: int | None = None) -> Job | None:
+    def mark_failed(self, job_id: str, error: str) -> Job | None:
         """running → failed; later identical submissions start fresh."""
-        return self._finish(job_id, "failed", generation, error=error)
+        return self._finish(job_id, "failed", error=error)
 
-    def requeue(self, job_id: str) -> int | None:
-        """Send a live job back to ``queued`` under a new generation.
+    def requeue(self, job_id: str) -> bool:
+        """Send a live job back to ``queued`` for another attempt.
 
-        Used for stalled drivers (supervision) and retryable driver
-        failures.  The dedup claim is *kept* — the job still owns its
-        hash; only the executing thread is replaced.  Returns the new
-        generation, or None when the job is gone or already terminal.
+        The dedup claim is *kept* — the job still owns its hash.  Not
+        journaled, like ``running``.  False when the job is gone or
+        already terminal.
         """
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None or job.finished:
-                return None
+                return False
             job.status = "queued"
-            job.generation += 1
             job.requeues += 1
             job.started_s = None
-            job.heartbeat_s = None
-        self._journal_state(job)
         self._publish_status(job)
-        return job.generation
+        return True
 
     def adopt(self, job: Job) -> bool:
         """Insert a journal-recovered job; returns whether it is viable.
@@ -310,14 +269,13 @@ class JobTable:
         """
         job.recovered = True
         viable = True
-        if not job.finished:
-            _, owner = self.registry.claim(job.content_hash, job.id)
-            if not owner:
+        with self._lock:
+            if not job.finished and self._inflight.setdefault(
+                    job.content_hash, job.id) != job.id:
                 job.status = "failed"
                 job.error = "recovery: content hash already owned"
                 job.finished_s = self._clock()
                 viable = False
-        with self._lock:
             try:
                 seq = int(job.id[1:].split("-", 1)[0])
             except ValueError:
@@ -329,17 +287,6 @@ class JobTable:
         if job.finished:
             self._hub.close(job.id)
         return viable
-
-    def stalled(self, timeout_s: float) -> list[Job]:
-        """Running jobs whose heartbeat went quiet for ``timeout_s``."""
-        now = self._clock()
-        with self._lock:
-            return [
-                job for job in self._jobs.values()
-                if job.status == "running"
-                and (job.heartbeat_s or job.started_s or 0.0)
-                <= now - timeout_s
-            ]
 
     def _publish_status(self, job: Job) -> None:
         self._hub.publish(job.id, "status", {
@@ -371,6 +318,11 @@ class JobTable:
             for job in self._jobs.values():
                 out[job.status] = out.get(job.status, 0) + 1
         return out
+
+    def dedup(self) -> dict[str, int]:
+        """In-flight hashes and attached submissions (health surface)."""
+        with self._lock:
+            return {"inflight": len(self._inflight), "shared": self._shared}
 
     # -- GC ----------------------------------------------------------------
 

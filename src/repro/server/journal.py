@@ -3,11 +3,13 @@
 The job table (:mod:`repro.server.jobs`) is in-memory; a killed
 ``repro serve`` process historically forgot every queued and running
 job.  The journal fixes that with the standard write-ahead discipline:
-every accepted submission and every state transition is appended — as
-one CRC-framed, fsync'd record — to a segment file under
+every accepted submission and every terminal transition is appended —
+as one CRC-framed, fsync'd record — to a segment file under
 ``<cache-dir>/journal/`` *before* the transition is acted on, and on
 startup the server replays the journal to rebuild the table and
-re-enqueue unfinished work (see ``ReproServer._recover``).
+re-enqueue unfinished work (see ``ReproServer._recover``).  A job that
+never reached a terminal record is unfinished, whether it was queued,
+running or requeued, so those transitions are not written.
 
 Framing
 -------
@@ -23,8 +25,9 @@ record is a JSON object with a ``rec`` discriminator:
   — one accepted submission, ``doc`` being the exact wire document
   (spec or plan) needed to re-execute it;
 * ``{"rec": "state", "job", "status", "unix", ["error"], ["cached"]}``
-  — one lifecycle transition (``running``/``queued``/``done``/
-  ``failed``; ``queued`` records a requeue).
+  — one terminal transition (``done``/``failed``).  Journals written
+  before those were the only ones also hold ``running`` and ``queued``
+  (requeue) records; replay still folds them.
 
 Torn tails
 ----------
@@ -196,7 +199,8 @@ def _segment_header(index: int) -> dict:
 
 @dataclass
 class JournalStats:
-    """What ``repro cache stats`` and ``/v1/health`` report."""
+    """What ``repro cache stats`` reports (``/v1/health`` reports only
+    :meth:`Journal.usage`)."""
 
     segments: int = 0
     bytes: int = 0
@@ -454,14 +458,23 @@ class Journal:
 
     # -- stats --------------------------------------------------------------
 
-    def stats(self) -> JournalStats:
-        """Segment/record/job counts for status surfaces."""
-        stats = JournalStats(writes=self.writes,
-                             write_errors=self.write_errors)
-        for path in self.segments():
-            stats.segments += 1
+    def usage(self) -> dict:
+        """Segments, bytes and append counters: a stat of each segment
+        file, no read, so ``/v1/health`` costs the same however long
+        the journal grew."""
+        segments = self.segments()
+        size = 0
+        for path in segments:
             with contextlib.suppress(OSError):
-                stats.bytes += path.stat().st_size
+                size += path.stat().st_size
+        return {"segments": len(segments), "bytes": size,
+                "writes": self.writes, "write_errors": self.write_errors}
+
+    def stats(self) -> JournalStats:
+        """Segment/record/job counts for ``repro cache stats``; reads
+        and folds every segment."""
+        stats = JournalStats(**self.usage())
+        for path in self.segments():
             stats.records += len(self._read_segment(path))
         for job in self.replay().values():
             if job.finished:

@@ -66,8 +66,9 @@ class TestSchemeKwargSoupRemoved:
 
 
 #: The request-level replay stack (CPU front end, controller, address
-#: decode, refresh accountant), the keyword facade over run_spec, and the
-#: helpers of the Python batch paths the compiled kernel replaced.
+#: decode, refresh accountant), the keyword facade over run_spec, the
+#: helpers of the Python batch paths the compiled kernel replaced, and
+#: the shared-work registry the job table absorbed.
 DELETED_MODULES = (
     "repro.cpu",
     "repro.sim.runner",
@@ -76,6 +77,7 @@ DELETED_MODULES = (
     "repro.dram.address",
     "repro.dram.refresh",
     "repro.core.batch",
+    "repro.experiments.shared",
 )
 
 
@@ -144,8 +146,24 @@ DELETED_ENV_NAMES = (
 )
 
 
+#: The stall supervisor and what guarded against a second driver of one
+#: job: a served job has one driver, which bounds its own worker.
+DELETED_SUPERVISION_NAMES = (
+    ("repro.experiments", "SharedWorkRegistry"),
+    ("repro.server.app", "ReproServer.supervise_once"),
+    ("repro.server.app", "ReproServer._supervise_forever"),
+    ("repro.server.app", "ReproServer._spawn"),
+    ("repro.server.jobs", "JobTable.touch"),
+    ("repro.server.jobs", "JobTable.stalled"),
+    ("repro.server.jobs", "Job.generation"),
+    ("repro.server.jobs", "Job.heartbeat_s"),
+)
+
+
 class TestDeadBatchedDriversRemoved:
-    @pytest.mark.parametrize(("module", "name"), DELETED_NAMES + DELETED_ENV_NAMES)
+    @pytest.mark.parametrize(("module", "name"),
+                             DELETED_NAMES + DELETED_ENV_NAMES
+                             + DELETED_SUPERVISION_NAMES)
     def test_name_removed(self, module, name):
         if module in DELETED_MODULES:
             with pytest.raises(ModuleNotFoundError):

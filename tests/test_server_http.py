@@ -80,6 +80,29 @@ class TestHealth:
         assert set(workers) == {"size", "busy", "pids", "replaced"}
         assert workers["size"] == len(workers["pids"]) == 1
 
+    def test_health_reads_no_journal_segment(self, server, monkeypatch):
+        """Health runs on the event loop, so its journal block is a stat
+        of the segment files: a journal that cannot be read (or is
+        merely long) costs it nothing."""
+        from repro.server.journal import Journal
+
+        _srv, base = server
+        _status, doc = post(base, "/v1/runs",
+                            {"spec": fast_spec(seed=4343).to_dict()})
+        wait_done(base, doc["job"])
+
+        def unreadable(self, path):
+            raise AssertionError("health read a journal segment")
+
+        monkeypatch.setattr(Journal, "_read_segment", unreadable)
+        status, doc = get(base, "/v1/health")
+        assert status == 200
+        journal = doc["journal"]
+        assert set(journal) == {"segments", "bytes", "writes",
+                                "write_errors"}
+        assert journal["segments"] >= 1 and journal["bytes"] > 0
+        assert journal["writes"] >= 2
+
 
 class TestRunSubmission:
     def test_submit_poll_results_equivalence(self, server):

@@ -1,11 +1,13 @@
 """Job-table lifecycle tests: submit → running → done/failed → GC,
-plus in-flight content-hash dedup via the shared-work registry."""
+plus in-flight content-hash dedup under the table's one lock."""
+
+import sys
+import threading
 
 import pytest
 
-from repro.experiments import SharedWorkRegistry
 from repro.server import EventHub
-from repro.server.jobs import JOB_STATES, JobTable
+from repro.server.jobs import JOB_STATES, Job, JobTable
 
 
 class FakeClock:
@@ -25,34 +27,6 @@ def table():
 
 
 HASH = "a" * 16
-
-
-class TestSharedWorkRegistry:
-    def test_first_claim_owns(self):
-        reg = SharedWorkRegistry()
-        ticket, owner = reg.claim(HASH, "t1")
-        assert ticket == "t1" and owner
-
-    def test_second_claim_attaches(self):
-        reg = SharedWorkRegistry()
-        reg.claim(HASH, "t1")
-        ticket, owner = reg.claim(HASH, "t2")
-        assert ticket == "t1" and not owner
-        assert reg.shared == 1
-
-    def test_release_frees_the_key(self):
-        reg = SharedWorkRegistry()
-        reg.claim(HASH, "t1")
-        reg.release(HASH, "t1")
-        _ticket, owner = reg.claim(HASH, "t3")
-        assert owner
-
-    def test_release_requires_owner_ticket(self):
-        reg = SharedWorkRegistry()
-        reg.claim(HASH, "t1")
-        reg.release(HASH, "not-the-owner")  # ignored
-        _ticket, owner = reg.claim(HASH, "t2")
-        assert not owner
 
 
 class TestLifecycle:
@@ -94,6 +68,80 @@ class TestDedup:
         assert owner1 and not owner2
         assert second is first
         assert first.attached == 1
+        assert table.dedup() == {"inflight": 1, "shared": 1}
+
+    def test_a_submit_racing_an_identical_one_attaches_to_it(self):
+        """Thread A's submit pauses inside the table (its clock waits
+        until thread B's identical submit has returned, at most 0.5 s):
+        exactly one of the two owns the hash, and the other is attached
+        to the same job."""
+        a_inside, b_returned = threading.Event(), threading.Event()
+
+        def clock():
+            if threading.current_thread().name == "submit-a":
+                a_inside.set()
+                b_returned.wait(0.5)
+            return 0.0
+
+        table = JobTable(EventHub(), clock=clock)
+        out = {}
+
+        def submit(name):
+            out[name] = table.submit("run", HASH, 1)
+            if name == "b":
+                b_returned.set()
+
+        a = threading.Thread(target=submit, args=("a",), name="submit-a")
+        a.start()
+        assert a_inside.wait(5)
+        b = threading.Thread(target=submit, args=("b",), name="submit-b")
+        b.start()
+        a.join(5)
+        b.join(5)
+        (job_a, owner_a), (job_b, owner_b) = out["a"], out["b"]
+        assert sorted([owner_a, owner_b]) == [False, True]
+        assert job_a is job_b and job_a.attached == 1
+        assert table.dedup() == {"inflight": 1, "shared": 1}
+
+    def test_threads_submitting_few_hashes_get_one_owner_each(self):
+        table = JobTable(EventHub(), max_jobs=64)
+        hashes = [f"{i:x}" * 16 for i in range(3)]
+        threads_n, rounds = 8, 40
+        results, results_lock = [], threading.Lock()
+
+        def submit_all():
+            for _ in range(rounds):
+                for content_hash in hashes:
+                    out = table.submit("run", content_hash, 1)
+                    with results_lock:
+                        results.append(out)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit_all)
+                       for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        owners = [job for job, owner in results if owner]
+        assert sorted(job.content_hash for job in owners) == sorted(hashes)
+        assert all(job.attached == threads_n * rounds - 1 for job in owners)
+        assert table.dedup() == {
+            "inflight": 3, "shared": len(hashes) * (threads_n * rounds - 1)}
+
+    def test_a_recovered_duplicate_leaves_the_owner_its_hash(self, table):
+        owner, _ = table.submit("run", HASH, 1)
+        duplicate = Job(id="j00099-aaaaaaaa", kind="run",
+                        content_hash=HASH, n_cells=1)
+        assert table.adopt(duplicate) is False
+        assert table.get(duplicate.id).status == "failed"
+        again, is_owner = table.submit("run", HASH, 1)
+        assert not is_owner and again is owner
 
     def test_finished_hash_starts_a_fresh_job(self, table):
         first, _ = table.submit("run", HASH, 1)

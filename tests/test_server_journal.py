@@ -9,10 +9,15 @@ truncated, or corrupted, never to an error or a wrong table.
 """
 
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.server.journal import (
+    TERMINAL,
     Journal,
     JournaledJob,
     replay_records,
@@ -169,6 +174,89 @@ class TestReplay:
         ]
         jobs = replay_records(records)
         assert jobs["j1"].kind == "run" and jobs["j1"].n_cells == 1
+
+
+JOB_IDS = [f"j{i:05d}-abababab" for i in (1, 2, 3)]
+
+#: a job no drawn record submits: its state records are always dropped
+GHOST = "j00099-abababab"
+
+
+@st.composite
+def journals(draw):
+    """Record lists a server can write: submits and terminal states, a
+    job's states after its first submit (extra submits and terminal
+    records included, which replay must absorb)."""
+    records, submitted = [], []
+    for unix in range(draw(st.integers(0, 10))):
+        if draw(st.booleans()):
+            job = draw(st.sampled_from(JOB_IDS))
+            if job not in submitted:
+                submitted.append(job)
+            records.append({
+                "rec": "submit", "job": job,
+                "kind": draw(st.sampled_from(["run", "plan"])),
+                "hash": "ab" * 32, "cells": draw(st.integers(1, 4)),
+                "doc": {"spec": {"seed": draw(st.integers(0, 9))}},
+                "unix": float(unix),
+            })
+            continue
+        record = {"rec": "state",
+                  "job": draw(st.sampled_from(submitted + [GHOST])),
+                  "status": draw(st.sampled_from(TERMINAL)),
+                  "unix": float(unix)}
+        if draw(st.booleans()):
+            record["error"] = draw(st.sampled_from(["boom", "CellTimeout: x"]))
+        if draw(st.booleans()):
+            record["cached"] = True
+        records.append(record)
+    return records
+
+
+def frame_ends(data):
+    """The end offset of each frame in an uncut segment (header first),
+    read from the length fields alone."""
+    ends, offset = [], 0
+    while offset < len(data):
+        (length,) = struct.unpack_from("<I", data, offset)
+        offset += 8 + length
+        ends.append(offset)
+    return ends
+
+
+class TestReplayProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(records=journals(), segment_bytes=st.sampled_from([96, 400, 1 << 20]),
+           cut=st.integers(0, 1 << 12))
+    def test_a_cut_tail_replays_the_records_wholly_before_it(
+        self, records, segment_bytes, cut
+    ):
+        with tempfile.TemporaryDirectory() as root:
+            journal = Journal(Path(root) / "journal", fsync=False,
+                              max_segment_bytes=segment_bytes)
+            for record in records:
+                assert journal.append(record)
+            journal.close()
+            kept = records
+            segments = journal.segments()
+            if segments:
+                data = segments[-1].read_bytes()
+                cut %= len(data) + 1
+                segments[-1].write_bytes(data[:cut])
+                header_end, *record_ends = frame_ends(data)
+                earlier = len(records) - len(record_ends)
+                whole = 0 if cut < header_end else \
+                    sum(end <= cut for end in record_ends)
+                kept = records[:earlier + whole]
+            replayed = journal.replay()
+        assert list(replayed.items()) == list(replay_records(kept).items())
+
+    @settings(max_examples=80, deadline=None)
+    @given(records=journals())
+    def test_replaying_twice_equals_replaying_once(self, records):
+        once = replay_records(records)
+        twice = replay_records(records + records)
+        assert list(twice.items()) == list(once.items())
 
 
 class TestCompactionAndGc:

@@ -1,4 +1,4 @@
-"""Crash-safe service layer: recovery, drain, supervision, backpressure.
+"""Crash-safe service layer: recovery, drain, silent workers, backpressure.
 
 These tests exercise the restart-transparency contract without a real
 kill where possible: they write the journal a dead server would have
@@ -33,6 +33,7 @@ from repro.experiments import (
     run_plan,
     run_spec,
 )
+from repro.experiments import pool as pool_mod
 from repro.experiments import run as run_mod
 from repro.experiments.cache import ResultCache
 from repro.server import ReproServer, ServerConfig, ServerThread
@@ -835,68 +836,96 @@ class TestConcurrentPlans:
             server.close()
 
 
+def _silent_first_attempt(monkeypatch, pid_file):
+    """Patch the worker's ``_run`` (before a pool forks) so that a
+    served run's first attempt writes its pid and then sends nothing."""
+    run = pool_mod._run
+
+    def silent(conn, job_id, spec, stored, requeues, *rest):
+        if requeues == 0:
+            pid_file.write_text(str(os.getpid()))
+            time.sleep(60)
+        return run(conn, job_id, spec, stored, requeues, *rest)
+
+    monkeypatch.setattr(pool_mod, "_run", silent)
+
+
 class TestSupervision:
-    class _Result:
-        def to_dict(self):
-            return {"fake": True}
+    """A run's driver bounds its own worker: a worker silent for
+    ``stall_timeout_s`` is replaced and the job requeued by that
+    driver; there is no supervisor and no second driver."""
 
-    def test_stalled_job_is_requeued(self, tmp_path):
-        clock = [0.0]
-        server = ReproServer(
-            ServerConfig(port=0, cache_dir=str(tmp_path / "cache"),
-                         stall_timeout_s=10.0),
-            clock=lambda: clock[0],
-        )
+    def test_stalled_job_is_requeued(self, tmp_path, monkeypatch):
+        spec = fast_spec(seed=93)
+        expected = run_spec(spec).to_dict()
+        pid_file = tmp_path / "silent-pid"
+        _silent_first_attempt(monkeypatch, pid_file)
+        server = make_server(tmp_path, stall_timeout_s=1.0)
         try:
-            job, owner = server.jobs.submit("run", "ab" * 32, 1)
-            assert owner
-            finish = self._Result()
-
-            def work(job_id, payload, generation):
-                server.jobs.mark_done(job_id, generation, result=finish)
-
-            with server._work_lock:
-                server._work[job.id] = (work, None)
-            server.jobs.mark_running(job.id)
-            clock[0] = 5.0
-            assert server.supervise_once() == []  # heartbeat still fresh
-            clock[0] = 20.0
-            assert server.supervise_once() == [job.id]
-            final = wait_job(server, job.id)
-            assert final.status == "done" and final.requeues == 1
-            assert server.recovery["supervisor_requeues"] == 1
+            resp = server.handle(
+                request("POST", "/v1/runs", {"spec": spec.to_dict()})
+            )
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "done", job.error
+            assert job.requeues == 1
+            assert job.result.to_dict() == expected
+            health = body_of(server.handle(request("GET", "/v1/health")))
+            assert health["sim_workers"]["replaced"] == 1
+            assert health["recovery"]["supervisor_requeues"] == 1
+            # A requeue is not journaled: submit, then the terminal state.
+            assert [(r["rec"], r.get("status"))
+                    for r in server.journal.records()] == \
+                [("submit", None), ("state", "done")]
         finally:
             server.close()
 
-    def test_stalled_run_worker_is_terminated_and_replaced(self, tmp_path):
-        """A hung run cannot pin its worker: the stale generation's
-        worker is terminated and a fresh one takes its place."""
-        clock = [0.0]
-        server = ReproServer(
-            ServerConfig(port=0, workers=1, stall_timeout_s=10.0,
-                         cache_dir=str(tmp_path / "cache")),
-            clock=lambda: clock[0],
-        )
+    def test_stalled_run_worker_is_terminated_and_replaced(
+        self, tmp_path, monkeypatch
+    ):
+        """The silent worker does not outlive its job's attempt: it is
+        terminated, and the pool serves on with a fresh fork."""
+        spec = fast_spec(seed=94)
+        pid_file = tmp_path / "silent-pid"
+        _silent_first_attempt(monkeypatch, pid_file)
+        server = make_server(tmp_path, stall_timeout_s=1.0)
         try:
-            job, _owner = server.jobs.submit("run", "12" * 32, 1)
-            server.jobs.mark_running(job.id)
-            hung = server._sim.acquire((job.id, 0), timeout=5)
-            clock[0] = 20.0
-            assert server.supervise_once() == [job.id]
-            assert not hung.process.is_alive()
+            resp = server.handle(
+                request("POST", "/v1/runs", {"spec": spec.to_dict()})
+            )
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "done", job.error
+            silent = int(pid_file.read_text())
+            _wait_exited([silent])
+            workers = server._sim.stats()
+            assert workers["busy"] == 0 and workers["size"] == 1
+            assert silent not in workers["pids"]
+        finally:
+            server.close()
+
+    def test_stalled_job_out_of_budget_fails(self, tmp_path, monkeypatch):
+        _silent_first_attempt(monkeypatch, tmp_path / "silent-pid")
+        server = make_server(tmp_path, stall_timeout_s=1.0,
+                             max_job_requeues=0)
+        try:
+            resp = server.handle(request(
+                "POST", "/v1/runs", {"spec": fast_spec(seed=95).to_dict()}))
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "failed"
+            assert job.error.startswith("CellTimeout: ")
+            assert job.requeues == 0
+            assert server.recovery["supervisor_requeues"] == 0
             workers = server._sim.stats()
             assert workers["replaced"] == 1 and workers["busy"] == 0
-            assert workers["pids"] != [hung.pid]
         finally:
             server.close()
 
     def test_plan_waiting_for_busy_workers_is_not_requeued(self, tmp_path):
         """A plan whose cells wait behind runs holding every worker for
-        longer than ``stall_timeout_s`` heartbeats while it waits, as a
-        waiting run does, so supervision leaves it alone."""
+        longer than ``stall_timeout_s`` is left alone: the stall bound
+        covers a run's own worker only."""
         server = make_server(tmp_path, workers=2, stall_timeout_s=1.0)
         try:
-            holders = [("run-a", 0), ("run-b", 0)]
+            holders = ["run-a", "run-b"]
             for owner in holders:
                 assert server._sim.acquire(owner, timeout=5) is not None
             plan = Plan.grid(fast_spec(), seed=[78, 79])
@@ -904,51 +933,16 @@ class TestSupervision:
                 request("POST", "/v1/plans", {"plan": plan.to_dict()})
             )
             job_id = body_of(resp)["job"]
-            deadline = time.monotonic() + 2.5
-            while time.monotonic() < deadline:
-                assert server.supervise_once() == []
-                time.sleep(0.1)
-            assert server.jobs.get(job_id).status == "running"
+            time.sleep(2.5)
+            job = server.jobs.get(job_id)
+            assert job.status == "running" and job.requeues == 0
             for owner in holders:
                 server._sim.release(owner)
             job = wait_job(server, job_id)
             assert job.status == "done", job.error
             assert job.requeues == 0
             assert job.report["counts"] == {"ok": 2}
-        finally:
-            server.close()
-
-    def test_stalled_job_out_of_budget_fails(self, tmp_path):
-        clock = [0.0]
-        server = ReproServer(
-            ServerConfig(port=0, cache_dir=str(tmp_path / "cache"),
-                         stall_timeout_s=10.0, max_job_requeues=0),
-            clock=lambda: clock[0],
-        )
-        try:
-            job, _owner = server.jobs.submit("run", "cd" * 32, 1)
-            server.jobs.mark_running(job.id)
-            clock[0] = 20.0
-            assert server.supervise_once() == []
-            assert server.jobs.get(job.id).status == "failed"
-            assert "stalled" in server.jobs.get(job.id).error
-        finally:
-            server.close()
-
-    def test_stale_generation_cannot_finish_the_job(self, tmp_path):
-        server = make_server(tmp_path)
-        try:
-            job, _owner = server.jobs.submit("run", "ef" * 32, 1)
-            server.jobs.mark_running(job.id, 0)
-            new_generation = server.jobs.requeue(job.id)
-            assert new_generation == 1
-            # The zombie thread (generation 0) cannot stamp anything.
-            assert server.jobs.mark_done(job.id, 0,
-                                         result=object()) is None
-            assert server.jobs.touch(job.id, 0) is False
-            assert server.jobs.get(job.id).status == "queued"
-            # The live generation can.
-            assert server.jobs.mark_running(job.id, new_generation)
+            assert server.recovery["supervisor_requeues"] == 0
         finally:
             server.close()
 
@@ -1026,6 +1020,27 @@ class TestJobListing:
             assert workers["size"] == len(workers["pids"]) == 1
             assert workers["busy"] == workers["replaced"] == 0
             assert doc["draining"] is False
+        finally:
+            server.close()
+
+
+class TestJournalRecords:
+    def test_a_served_run_journals_submit_then_done(self, tmp_path):
+        """``running`` changes no recovery, so it is not journaled: a
+        simulated run costs two journal records, both fsync'd."""
+        server = make_server(tmp_path)
+        try:
+            spec = fast_spec(seed=96)
+            resp = server.handle(
+                request("POST", "/v1/runs", {"spec": spec.to_dict()})
+            )
+            job = wait_job(server, body_of(resp)["job"])
+            assert job.status == "done", job.error
+            records = server.journal.records()
+            assert [(r["rec"], r.get("status")) for r in records] == \
+                [("submit", None), ("state", "done")]
+            assert {r["job"] for r in records} == {job.id}
+            assert server.journal.writes == 2
         finally:
             server.close()
 
