@@ -60,6 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.base import RefreshCommand
+from repro.experiments.cache import publish
 from repro.report.config import RunContext
 from repro.sim.engine import TIME_QUANTUM_NS
 from repro.sim.metrics import RunTotals, SimulationResult
@@ -493,26 +494,11 @@ class Session:
         snapshot at the destination — the previous snapshot, if any,
         survives intact.
         """
-        import os
-        import tempfile
-
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(self.snapshot(), separators=(",", ":")) + "\n"
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+        data = (json.dumps(self.snapshot(), separators=(",", ":"))
+                + "\n").encode("utf-8")
+        return publish(path, lambda handle: handle.write(data))
 
     @classmethod
     def load(cls, path, context: RunContext | None = None) -> "Session":

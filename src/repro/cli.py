@@ -564,185 +564,60 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _result_store_stats(root) -> dict:
-    """Entry/byte/partition counts of the sweep-cell result store."""
-    from repro.experiments.cache import CACHE_VERSION, code_fingerprint
-
-    active = f"{CACHE_VERSION}-{code_fingerprint()}"
-    stats = {"root": str(root), "entries": 0,
-             "bytes": 0, "partitions": 0, "stale_partitions": 0}
-    if not root.is_dir():
-        return stats
-    for partition in root.iterdir():
-        # The trace store and the serve job journal nest under this
-        # root by default; both report separately.
-        if not partition.is_dir() or partition.name in ("traces",
-                                                        "journal"):
-            continue
-        stats["partitions"] += 1
-        if partition.name != active:
-            stats["stale_partitions"] += 1
-        for path in partition.rglob("*"):
-            try:
-                stats["bytes"] += path.stat().st_size
-            except OSError:
-                continue
-            if partition.name == active and path.suffix == ".json":
-                stats["entries"] += 1
-    return stats
-
-
-def _journal_stats(result_root, gc: bool = True) -> dict:
-    """Serve job-journal segment stats (plus fully-applied-segment GC).
-
-    The journal lives at ``<cache-root>/journal``.  Segments every job
-    of which is terminal are fully applied — their results live in the
-    result cache — so stats/clear GC them the same way both commands
-    sweep orphaned ``.tmp`` files.
-    """
-    from repro.server.journal import Journal
-
-    journal_dir = result_root / "journal"
-    stats = {"root": str(journal_dir), "segments": 0, "bytes": 0,
-             "records": 0, "live_jobs": 0, "finished_jobs": 0,
-             "gc_removed": 0}
-    if not journal_dir.is_dir():
-        return stats
-    journal = Journal(journal_dir)
-    if gc:
-        stats["gc_removed"] = journal.gc()
-    snapshot = journal.stats()
-    stats["segments"] = snapshot.segments
-    stats["bytes"] = snapshot.bytes
-    stats["records"] = snapshot.records
-    stats["live_jobs"] = snapshot.live_jobs
-    stats["finished_jobs"] = snapshot.finished_jobs
-    return stats
-
-
-def _trace_store_stats(parent, store) -> dict:
-    """Active-partition stats plus stale-partition accounting."""
-    stats = store.stats()
-    stats["partitions"] = 0
-    stats["stale_partitions"] = 0
-    if parent.is_dir():
-        active = store.root.name
-        for partition in parent.iterdir():
-            if not partition.is_dir():
-                continue
-            stats["partitions"] += 1
-            if partition.name != active:
-                stats["stale_partitions"] += 1
-                for path in partition.rglob("*"):
-                    try:
-                        stats["bytes"] += path.stat().st_size
-                    except OSError:
-                        continue
-    return stats
-
-
 def cmd_cache(args: argparse.Namespace) -> int:
-    """``repro cache``: sweep-cell + trace-store maintenance."""
-    import shutil
+    """``repro cache``: result, trace and journal store maintenance."""
     from pathlib import Path
 
-    from repro.experiments.cache import sweep_orphan_tmp
+    from repro.experiments.cache import ResultCache, sweep_orphan_tmp
     from repro.report.config import store_roots
+    from repro.server.journal import JOURNAL_DIR, Journal
     from repro.sim.tracestore import TraceStore
 
-    result_root, trace_parent = store_roots(args.cache_dir)
+    result_root, trace_root = store_roots(args.cache_dir)
     if args.trace_dir:
-        trace_parent = Path(args.trace_dir)
-    trace_store = TraceStore(trace_parent)
+        trace_root = Path(args.trace_dir)
+    stores = {
+        "results": ResultCache(result_root),
+        "traces": TraceStore(trace_root),
+        "journal": Journal(result_root / JOURNAL_DIR),
+    }
 
     # Orphaned *.tmp files are leftovers of atomic writes interrupted
     # mid-rename (crash, kill -9); both stats and clear sweep them.
-    tmp_removed = sweep_orphan_tmp(result_root) + sweep_orphan_tmp(trace_parent)
+    tmp_removed = sweep_orphan_tmp(result_root) + sweep_orphan_tmp(trace_root)
 
     if args.action == "clear":
-        both = not args.results and not args.traces
-        cleared = []
         if tmp_removed:
-            cleared.append(f"tmp: {tmp_removed} orphaned .tmp file(s) swept")
-        if args.results or both:
-            stats = _result_store_stats(result_root)
-            if result_root.is_dir():
-                for partition in list(result_root.iterdir()):
-                    if partition.is_dir() and partition.name not in (
-                        "traces", "journal"
-                    ):
-                        shutil.rmtree(partition, ignore_errors=True)
-            cleared.append(f"results: {stats['entries']} entr(ies) "
-                           f"({stats['partitions']} partition(s)) removed "
-                           f"from {stats['root']}")
-        if both:
-            # A full clear wipes the serve job journal too: with the
-            # results gone there is nothing its jobs could recover to
-            # without re-simulating anyway.
-            journal_stats = _journal_stats(result_root, gc=False)
-            if journal_stats["segments"]:
-                shutil.rmtree(Path(journal_stats["root"]),
-                              ignore_errors=True)
-            cleared.append(
-                f"journal: {journal_stats['segments']} segment(s) "
-                f"({journal_stats['records']} record(s)) removed from "
-                f"{journal_stats['root']}"
-            )
-        if args.traces or both:
-            stats = _trace_store_stats(trace_parent, trace_store)
-            trace_store._ram.clear()
-            shutil.rmtree(trace_parent, ignore_errors=True)
-            cleared.append(
-                f"traces: {stats['entries']} entr(ies) "
-                f"({stats['partitions']} partition(s)) removed from "
-                f"{trace_parent}"
-            )
-        for line in cleared:
-            print(line)
+            print(f"tmp: {tmp_removed} orphaned .tmp file(s) swept")
+        # A full clear wipes the serve job journal too: with the
+        # results gone there is nothing its jobs could recover to
+        # without re-simulating anyway.
+        chosen = [name for name in ("results", "traces")
+                  if getattr(args, name)] or list(stores)
+        for name in chosen:
+            before = stores[name].stats()
+            stores[name].clear()
+            print(f"{name}: {before['entries']} entr(ies) removed from "
+                  f"{before['root']}")
         return 0
 
-    result_stats = _result_store_stats(result_root)
-    journal_stats = _journal_stats(result_root)
-    trace_stats = _trace_store_stats(trace_parent, trace_store)
+    stats = {name: store.stats() for name, store in stores.items()}
     if args.json:
-        print(json.dumps({"results": result_stats, "traces": trace_stats,
-                          "journal": journal_stats,
-                          "tmp_removed": tmp_removed},
-                         indent=2))
+        print(json.dumps({**stats, "tmp_removed": tmp_removed}, indent=2))
         return 0
-    rows = [
-        {
-            "store": "results",
-            "entries": result_stats["entries"],
-            "MiB": round(result_stats["bytes"] / 2**20, 2),
-            "root": result_stats["root"] or "(no benchmarks dir)",
-        },
-        {
-            "store": "journal",
-            "entries": journal_stats["records"],
-            "MiB": round(journal_stats["bytes"] / 2**20, 2),
-            "root": journal_stats["root"] or "(no benchmarks dir)",
-        },
-        {
-            "store": "traces",
-            "entries": trace_stats["entries"],
-            "MiB": round(trace_stats["bytes"] / 2**20, 2),
-            "root": trace_stats["root"],
-        },
-    ]
+    rows = [{"store": name, "entries": doc["entries"],
+             "MiB": round(doc["bytes"] / 2**20, 2), "root": doc["root"]}
+            for name, doc in stats.items()]
     print(format_table(rows, ["store", "entries", "MiB", "root"]))
-    if journal_stats["gc_removed"]:
-        print(f"note: removed {journal_stats['gc_removed']} fully-applied "
-              "journal segment(s) (all jobs terminal)")
-    if journal_stats["live_jobs"]:
-        print(f"note: journal holds {journal_stats['live_jobs']} "
+    if stats["journal"]["live_jobs"]:
+        print(f"note: journal holds {stats['journal']['live_jobs']} "
               "unfinished job(s); the next repro serve on this "
               "--cache-dir will resume them")
-    for kind, stats in (("result", result_stats), ("trace", trace_stats)):
-        if stats["stale_partitions"]:
-            print(f"note: {stats['stale_partitions']} stale {kind} "
+    for name in ("results", "traces"):
+        if stats[name]["stale_partitions"]:
+            print(f"note: {stats[name]['stale_partitions']} stale {name} "
                   f"partition(s) from older code (repro cache clear "
-                  f"--{'results' if kind == 'result' else 'traces'})")
+                  f"--{name})")
     if tmp_removed:
         print(f"note: swept {tmp_removed} orphaned .tmp file(s) left by "
               "interrupted atomic writes")
@@ -1084,5 +959,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for ``python -m repro``."""
     args = build_parser().parse_args(argv)
-    args.ctx = RunContext.from_env()
+    # sweep, plan, serve and cache take --cache-dir; the trace store
+    # nests under it.
+    args.ctx = RunContext.from_env(
+        cache_dir=getattr(args, "cache_dir", None))
     return args.func(args)

@@ -13,19 +13,26 @@ Entries store the producing spec alongside the result; a hash collision
 or hand-edited file is detected and treated as a miss.  Corrupt entries
 are likewise misses, never errors.
 
-Publishes are atomic (``mkstemp`` + ``os.replace``) *and* serialized
-across processes by a per-store advisory lock (see
+Publishes are atomic (:func:`publish`: temp file + ``os.replace``)
+*and* serialized across processes by a per-store advisory lock (see
 :mod:`repro.locking`), so any number of concurrent writers — ``repro
 serve`` workers, parallel sweeps, ad-hoc CLI runs — can share one store
 directory without ever interleaving partial entries.
+
+This module also holds what every store shares: :func:`publish`, the
+one atomic file write, and :class:`PartitionedStore`, the partition
+layout the result cache and the trace store both use.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import os
+import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -36,6 +43,10 @@ from repro.testing.faults import corrupting, fault_point
 #: Manual salt: bump when cached-result semantics change in a way the
 #: code fingerprint cannot see (e.g. an external data file).
 CACHE_VERSION = "v1"
+
+#: A partition's name: ``CACHE_VERSION-<code fingerprint>``.  Any
+#: version matches, so partitions older code wrote count as stale.
+PARTITION_NAME = re.compile(r"v\d+-[0-9a-f]{16}")
 
 
 def source_files(package_root: Path) -> list[Path]:
@@ -63,13 +74,116 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
-class ResultCache:
-    """Filesystem-backed (spec → SimulationResult) store."""
+def publish(path: Path, write, *, fsync: bool = False) -> Path:
+    """Atomically replace ``path`` with what ``write`` writes.
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root) / f"{CACHE_VERSION}-{code_fingerprint()}"
+    ``write(handle)`` fills a binary temp file beside ``path`` (so a
+    trace array goes straight from its buffer to the file), which is
+    then renamed over ``path``: a reader sees the old file or the
+    complete new one, never a torn one.  ``fsync`` makes the content
+    durable before the rename (the journal's compaction needs that;
+    the caches do not).  On any failure the temp file is removed and
+    the error propagates; a writer killed mid-write leaves ``*.tmp``
+    residue for :func:`sweep_orphan_tmp`.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem,
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            write(handle)
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return path
+
+
+def sweep_orphan_tmp(root: "Path | str | None") -> int:
+    """Delete ``*.tmp`` residue under ``root``; returns the count removed.
+
+    Every store write in the repro stack goes through :func:`publish`
+    (temp file → write → ``os.replace``); a writer killed before the
+    rename leaves an orphaned ``*.tmp`` file that nothing will ever
+    read or rename.  ``repro cache stats``/``clear`` call this over the
+    result and trace roots so killed sweeps don't leak disk forever.
+    Files a live writer still owns are safe: losing a tmp file only
+    makes that writer's ``os.replace`` fail, which every store already
+    treats as an ignorable write failure.
+    """
+    if root is None:
+        return 0
+    root = Path(root)
+    if not root.is_dir():
+        return 0
+    removed = 0
+    for path in root.rglob("*.tmp"):
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            continue
+    return removed
+
+
+class PartitionedStore:
+    """A store whose entries live in code-fingerprint partitions.
+
+    ``parent`` holds one partition per code version that wrote to it,
+    each named ``CACHE_VERSION-<fingerprint>`` (:data:`PARTITION_NAME`);
+    ``root`` is the running code's.  :meth:`stats` and :meth:`clear`
+    touch only directories so named, so the stores can share a parent
+    with each other and with anything else.
+    """
+
+    def __init__(self, parent: str | Path) -> None:
+        self.parent = Path(parent)
+        self.root = self.parent / f"{CACHE_VERSION}-{code_fingerprint()}"
         self.hits = 0
         self.misses = 0
+
+    def _partitions(self) -> list[Path]:
+        try:
+            return [path for path in self.parent.iterdir()
+                    if path.is_dir() and PARTITION_NAME.fullmatch(path.name)]
+        except OSError:
+            return []
+
+    def _count(self, names: list[str]) -> dict:
+        """Entry counts of the active partition, from its file names."""
+        raise NotImplementedError
+
+    def stats(self) -> dict:
+        """Entries of the active partition; partitions and bytes of all."""
+        stats = {"root": str(self.parent), "partitions": 0,
+                 "stale_partitions": 0, "bytes": 0}
+        names: list[str] = []
+        for partition in self._partitions():
+            files = list(partition.iterdir())
+            stats["partitions"] += 1
+            if partition.name == self.root.name:
+                names = [path.name for path in files]
+            else:
+                stats["stale_partitions"] += 1
+            for path in files:
+                with contextlib.suppress(OSError):
+                    stats["bytes"] += path.stat().st_size
+        stats.update(self._count(names))
+        return stats
+
+    def clear(self) -> int:
+        """Delete every partition; returns the active one's entries."""
+        removed = self.stats()["entries"]
+        for partition in self._partitions():
+            shutil.rmtree(partition, ignore_errors=True)
+        return removed
+
+
+class ResultCache(PartitionedStore):
+    """Filesystem-backed (spec → SimulationResult) store."""
 
     @classmethod
     def coerce(cls, cache) -> "ResultCache | None":
@@ -127,7 +241,7 @@ class ResultCache:
 
     def _write(self, path: Path, doc: dict,
                corrupt_site: str | None = None) -> Path:
-        """Publish one entry: advisory lock + atomic temp-file rename.
+        """Publish one entry: advisory lock + :func:`publish`.
 
         The rename alone makes a single publish atomic; the per-store
         advisory lock (:func:`repro.locking.advisory_lock`) additionally
@@ -146,22 +260,16 @@ class ResultCache:
         text = json.dumps(doc, separators=(",", ":"))
         if corrupt_site is not None:
             text = corrupting(corrupt_site, text)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        data = text.encode("utf-8")
+        # The lock file lives in the partition, so taking the lock
+        # creates the partition directory.
         with advisory_lock(self.root / ".publish"):
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=path.stem, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                os.replace(tmp, path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        return path
+            return publish(path, lambda handle: handle.write(data))
+
+    def _count(self, names: list[str]) -> dict:
+        entries = [name for name in names if name.endswith(".json")]
+        snapshots = sum(".snap-" in name for name in entries)
+        return {"entries": len(entries) - snapshots, "snapshots": snapshots}
 
     # -- partial runs (session snapshots) --------------------------------
     #
@@ -224,30 +332,3 @@ class ResultCache:
             return True
         except OSError:
             return False
-
-
-def sweep_orphan_tmp(root: "Path | str | None") -> int:
-    """Delete ``*.tmp`` residue under ``root``; returns the count removed.
-
-    Every store write in the repro stack goes ``tempfile.mkstemp`` →
-    write → ``os.replace``; a writer killed between the first two steps
-    leaves an orphaned ``*.tmp`` file that nothing will ever read or
-    rename.  ``repro cache stats``/``clear`` call this over the result
-    and trace partitions so killed sweeps don't leak disk forever.
-    Files a live writer still owns are safe: losing a tmp file only
-    makes that writer's ``os.replace`` fail, which every store already
-    treats as an ignorable write failure.
-    """
-    if root is None:
-        return 0
-    root = Path(root)
-    if not root.is_dir():
-        return 0
-    removed = 0
-    for path in root.rglob("*.tmp"):
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            continue
-    return removed

@@ -2,14 +2,15 @@
 
 Every on-disk store in the stack (the sweep-cell :class:`ResultCache`,
 its session snapshots, the trace store's sidecars) publishes entries
-with ``tempfile.mkstemp`` → write → ``os.replace``, which makes each
-*individual* publish atomic.  The service layer adds a second hazard:
-many writer *processes* hammering one store directory concurrently —
-``repro serve`` pool workers, parallel sweeps, and a user's ad-hoc CLI
-run can all target the same entry at once.  :func:`advisory_lock`
-serializes the publish critical section per store root so two writers
-can never interleave the mkstemp/replace pair (or a future multi-file
-publish) and readers never observe a half-published entry set.
+through :func:`repro.experiments.cache.publish` (temp file → write →
+``os.replace``), which makes each *individual* publish atomic.  The
+service layer adds a second hazard: many writer *processes* hammering
+one store directory concurrently — ``repro serve`` pool workers,
+parallel sweeps, and a user's ad-hoc CLI run can all target the same
+entry at once.  :func:`advisory_lock` serializes the publish critical
+section per store root so two writers can never interleave their
+publishes (or a future multi-file publish) and readers never observe
+a half-published entry set.
 
 The lock is ``fcntl.flock`` on a ``.lock`` file beside the resource: a
 kernel advisory lock, released automatically if the holder dies, so a

@@ -196,19 +196,22 @@ class RunContext:
     faults: str = ""
 
     @classmethod
-    def from_env(cls, env: Mapping[str, str] | None = None) -> "RunContext":
+    def from_env(cls, env: Mapping[str, str] | None = None,
+                 cache_dir: str | None = None) -> "RunContext":
         """Parse ``REPRO_SESSION_MODE``, ``REPRO_TRACE_STORE``,
         ``REPRO_TRACE_STORE_DIR`` and ``REPRO_FAULTS``.
 
         The trace store is on unless ``REPRO_TRACE_STORE`` turns it
-        off, where :func:`store_roots` puts it.  A malformed fault plan
-        raises :class:`~repro.testing.faults.FaultConfigError` here.
+        off, where :func:`store_roots` puts it: under ``cache_dir``
+        (the command's ``--cache-dir``) unless ``REPRO_TRACE_STORE_DIR``
+        names another place.  A malformed fault plan raises
+        :class:`~repro.testing.faults.FaultConfigError` here.
         """
         if env is None:
             env = os.environ
         trace_store = None
         if env_bool(env, "REPRO_TRACE_STORE", default=True):
-            trace_store = str(store_roots(env=env)[1])
+            trace_store = str(store_roots(cache_dir, env)[1])
         faults = env.get("REPRO_FAULTS", "").strip()
         parse_faults(faults)
         return cls(

@@ -74,7 +74,7 @@ from repro.server.http import (
     write_response,
 )
 from repro.server.hub import EventHub
-from repro.server.journal import Journal, JournaledJob
+from repro.server.journal import JOURNAL_DIR, Journal, JournaledJob
 from repro.server.jobs import JOB_STATES, Job, JobTable
 from repro.server.routes import match
 from repro.testing.faults import fault_point
@@ -83,11 +83,6 @@ logger = logging.getLogger(__name__)
 
 #: How long one connection may take to send its request head + body.
 _REQUEST_TIMEOUT_S = 30.0
-
-#: Journal directory name under the cache root (beside the
-#: fingerprint-salted result partitions, so code edits that move the
-#: partition never orphan the journal).
-JOURNAL_DIR = "journal"
 
 
 @dataclass
@@ -137,7 +132,7 @@ class ReproServer:
                  clock=time.monotonic) -> None:
         self.config = config or ServerConfig()
         #: the settings every job runs under, parsed once at start-up
-        self.context = RunContext.from_env()
+        self.context = RunContext.from_env(cache_dir=self.config.cache_dir)
         # Fork before any file opens or thread starts here (see
         # repro.experiments.pool): the process-wide pool, freshly.  The
         # workers write run results and checkpoints into this process's

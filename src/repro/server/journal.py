@@ -5,11 +5,11 @@ The job table (:mod:`repro.server.jobs`) is in-memory; a killed
 job.  The journal fixes that with the standard write-ahead discipline:
 every accepted submission and every terminal transition is appended —
 as one CRC-framed, fsync'd record — to a segment file under
-``<cache-dir>/journal/`` *before* the transition is acted on, and on
-startup the server replays the journal to rebuild the table and
-re-enqueue unfinished work (see ``ReproServer._recover``).  A job that
-never reached a terminal record is unfinished, whether it was queued,
-running or requeued, so those transitions are not written.
+``<cache-dir>/journal/`` (:data:`JOURNAL_DIR`) *before* the transition
+is acted on, and on startup the server replays the journal to rebuild
+the table and re-enqueue unfinished work (see ``ReproServer._recover``).
+A job that never reached a terminal record is unfinished, whether it
+was queued, running or requeued, so those transitions are not written.
 
 Framing
 -------
@@ -45,20 +45,22 @@ Replay idempotency
 :func:`replay_records` is a pure fold with absorbing terminal states:
 duplicate ``submit`` records are ignored, transitions out of ``done``/
 ``failed`` are ignored, and state records for unknown jobs (their
-submit segment was GC'd) are dropped.  Replaying a journal twice —
-or replaying the concatenation of a journal with itself — yields an
-identical job table, which is what makes startup recovery safe to
-re-run after *its own* crash.
+submit segment was unreadable) are dropped.  Replaying a journal
+twice — or replaying the concatenation of a journal with itself —
+yields an identical job table, which is what makes startup recovery
+safe to re-run after *its own* crash.
 
-Compaction & GC
----------------
-On startup the server folds the surviving jobs into one fresh segment
-(written atomically: temp file + rename) and deletes the old ones, so
-restart chains never accumulate unbounded history.  Offline,
-:meth:`Journal.gc` (driven by ``repro cache stats``/``clear``) removes
-*fully applied* segments — segments every job of which is terminal (or
-unknown): their results live in the :class:`ResultCache`; the journal
-no longer owes them anything.
+Compaction
+----------
+Appends go to one segment; nothing rotates it.  On startup the server
+folds the surviving jobs into one fresh segment (written atomically and
+fsync'd, see :func:`~repro.experiments.cache.publish`) and deletes the
+old ones, so restart chains never accumulate unbounded history.  A
+crash between that rename and the deletes leaves two segments, which
+is why replay reads every segment, oldest first: the fold is
+idempotent, so the history the old segment repeats changes nothing.
+``repro cache stats`` reports the journal (:meth:`Journal.stats`) and
+``repro cache clear`` deletes it (:meth:`Journal.clear`).
 
 The ``server.journal.write`` fault site fires in :meth:`Journal.append`
 (``raise`` = failed append, counted and survived; ``corrupt`` = a
@@ -74,13 +76,13 @@ import json
 import logging
 import os
 import struct
-import tempfile
 import threading
 import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.experiments.cache import publish
 from repro.testing.faults import corrupting, fault_point
 
 logger = logging.getLogger(__name__)
@@ -92,6 +94,11 @@ JOURNAL_VERSION = 1
 
 SEGMENT_KIND = "repro-journal-segment"
 
+#: The journal's directory under the cache root (beside the
+#: fingerprint-salted result partitions, so code edits that move the
+#: partition never orphan the journal).
+JOURNAL_DIR = "journal"
+
 #: Frame header: payload length + CRC32 of the payload, little-endian.
 _FRAME = struct.Struct("<II")
 
@@ -99,10 +106,7 @@ _FRAME = struct.Struct("<II")
 #: torn-frame garbage, not a record (plan documents are a few KiB).
 MAX_RECORD_BYTES = 8 * 2**20
 
-#: Default segment-rotation threshold.
-DEFAULT_SEGMENT_BYTES = 1 << 20
-
-#: Terminal job states: absorbing under replay, eligible for GC.
+#: Terminal job states: absorbing under replay.
 TERMINAL = ("done", "failed")
 
 
@@ -197,32 +201,6 @@ def _segment_header(index: int) -> dict:
             "segment": index}
 
 
-@dataclass
-class JournalStats:
-    """What ``repro cache stats`` reports (``/v1/health`` reports only
-    :meth:`Journal.usage`)."""
-
-    segments: int = 0
-    bytes: int = 0
-    records: int = 0
-    live_jobs: int = 0
-    finished_jobs: int = 0
-    writes: int = 0
-    write_errors: int = 0
-
-    def to_dict(self) -> dict:
-        """Flat JSON-ready counters."""
-        return {
-            "segments": self.segments,
-            "bytes": self.bytes,
-            "records": self.records,
-            "live_jobs": self.live_jobs,
-            "finished_jobs": self.finished_jobs,
-            "writes": self.writes,
-            "write_errors": self.write_errors,
-        }
-
-
 class Journal:
     """Append-only, fsync'd, CRC-framed job journal in one directory.
 
@@ -234,17 +212,13 @@ class Journal:
     everything.
     """
 
-    def __init__(self, root: "Path | str", *,
-                 max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-                 fsync: bool = True) -> None:
+    def __init__(self, root: "Path | str", *, fsync: bool = True) -> None:
         self.root = Path(root)
-        self.max_segment_bytes = max_segment_bytes
         self.fsync = fsync
         self.writes = 0
         self.write_errors = 0
         self._lock = threading.Lock()
         self._fh = None
-        self._segment_index = 0
 
     # -- segment files ------------------------------------------------------
 
@@ -269,7 +243,6 @@ class Journal:
         path = self._segment_path(index)
         fresh = not path.exists()
         self._fh = open(path, "ab")
-        self._segment_index = index
         if fresh:
             self._fh.write(_frame_bytes(_segment_header(index)))
             self._fh.flush()
@@ -298,9 +271,6 @@ class Journal:
             fault_point("server.journal.write")
             with self._lock:
                 self._ensure_open()
-                if self._fh.tell() > self.max_segment_bytes:
-                    self._fh.close()
-                    self._open_segment(self._segment_index + 1)
                 payload = json.dumps(record, sort_keys=True,
                                      separators=(",", ":")).encode("utf-8")
                 payload = corrupting("server.journal.write", payload)
@@ -382,16 +352,16 @@ class Journal:
         """Rebuild the job table from disk (see :func:`replay_records`)."""
         return replay_records(self.records())
 
-    # -- compaction & GC ----------------------------------------------------
+    # -- compaction ---------------------------------------------------------
 
     def compact(self, jobs: "list[JournaledJob]") -> None:
         """Rewrite the journal as one fresh segment holding ``jobs``.
 
         Called at startup after replay: the surviving jobs (and nothing
-        else) are folded into a new segment — written to a temp file
-        and renamed into place, so a crash mid-compaction leaves either
-        the old segments or the complete new one, never a half journal.
-        Old segments are deleted only after the rename lands.
+        else) are folded into a new segment — published atomically, so
+        a crash mid-compaction leaves either the old segments or the
+        complete new one, never a half journal.  Old segments are
+        deleted only after the rename lands.
         """
         existing = self.segments()
         index = (self._segment_index_of(existing[-1]) + 1) if existing else 1
@@ -413,48 +383,11 @@ class Journal:
                 if job.cached:
                     record["cached"] = True
                 blob += _frame_bytes(record)
-        target = self._segment_path(index)
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=target.stem,
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
-            os.replace(tmp, target)
-        except OSError:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+        publish(self._segment_path(index),
+                lambda handle: handle.write(blob), fsync=self.fsync)
         for path in existing:
             with contextlib.suppress(OSError):
                 path.unlink()
-
-    def gc(self) -> int:
-        """Remove fully-applied segments; returns how many were deleted.
-
-        A segment is fully applied when every job it mentions is
-        terminal (or unknown) under a full replay — its results, if
-        any, live in the :class:`ResultCache`; nothing in it would
-        change a future recovery.  Safe to run offline (``repro cache
-        stats``); running it against a *live* server's journal carries
-        the same caveat as clearing a live store.
-        """
-        final = self.replay()
-        removed = 0
-        for path in self.segments():
-            mentioned = {r.get("job") for r in self._read_segment(path)
-                         if r.get("job")}
-            applied = all(
-                job_id not in final or final[job_id].finished
-                for job_id in mentioned
-            )
-            if applied:
-                with contextlib.suppress(OSError):
-                    path.unlink()
-                    removed += 1
-        return removed
 
     # -- stats --------------------------------------------------------------
 
@@ -470,28 +403,33 @@ class Journal:
         return {"segments": len(segments), "bytes": size,
                 "writes": self.writes, "write_errors": self.write_errors}
 
-    def stats(self) -> JournalStats:
-        """Segment/record/job counts for ``repro cache stats``; reads
-        and folds every segment."""
-        stats = JournalStats(**self.usage())
+    def stats(self) -> dict:
+        """:meth:`usage` plus the records and the live and finished
+        jobs, for ``repro cache stats``; reads and folds every segment."""
+        records = self.records()
+        jobs = replay_records(records).values()
+        finished = sum(job.finished for job in jobs)
+        return {"root": str(self.root), **self.usage(),
+                "entries": len(records), "live_jobs": len(jobs) - finished,
+                "finished_jobs": finished}
+
+    def clear(self) -> int:
+        """Delete every segment; returns the records they held."""
+        removed = len(self.records())
+        self.close()
         for path in self.segments():
-            stats.records += len(self._read_segment(path))
-        for job in self.replay().values():
-            if job.finished:
-                stats.finished_jobs += 1
-            else:
-                stats.live_jobs += 1
-        return stats
+            with contextlib.suppress(OSError):
+                path.unlink()
+        return removed
 
 
 __all__ = [
-    "DEFAULT_SEGMENT_BYTES",
+    "JOURNAL_DIR",
     "JOURNAL_VERSION",
     "MAX_RECORD_BYTES",
     "SEGMENT_KIND",
     "TERMINAL",
     "Journal",
-    "JournalStats",
     "JournaledJob",
     "replay_records",
 ]

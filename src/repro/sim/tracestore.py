@@ -39,29 +39,27 @@ chain is consistent no matter which process wrote which interval.
 **Robustness.**  A truncated, corrupt, or colliding entry is detected
 (meta/array shape, dtype and key-document checks; ``np.load`` failures)
 and treated as a miss — the stream regenerates and the entry is
-rewritten.  Writes are atomic (`tempfile` + ``os.replace``), with the
-meta sidecar written last so its presence implies complete arrays.  An
-unwritable store degrades to a no-op, never an error.
+rewritten.  Writes are atomic (:func:`~repro.experiments.cache.publish`),
+with the meta sidecar written last so its presence implies complete
+arrays.  An unwritable store degrades to a no-op, never an error.
 
 A run's :class:`~repro.report.config.RunContext` selects the store:
 ``REPRO_TRACE_STORE=0`` disables it entirely; ``REPRO_TRACE_STORE_DIR``
 overrides its location (default: ``traces/`` inside the sweep-cell
-result-cache directory, see :func:`~repro.report.config.store_roots`,
-so CI cache keys covering the result cache cover the streams too).
+result-cache directory — the command's ``--cache-dir`` when it has
+one — see :func:`~repro.report.config.store_roots`, so CI cache keys
+covering the result cache cover the streams too).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import shutil
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.experiments.cache import CACHE_VERSION, code_fingerprint
+from repro.experiments.cache import PartitionedStore, publish
 from repro.report.config import RunContext
 from repro.testing.faults import corrupting, fault_point
 
@@ -129,7 +127,7 @@ def stream_key(doc: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-class TraceStore:
+class TraceStore(PartitionedStore):
     """Filesystem-backed, memory-mapped (stream key, interval) → streams.
 
     One entry holds every bank's quantized ``(times, rows)`` arrays of
@@ -139,10 +137,8 @@ class TraceStore:
     writer safe (identical bytes, last rename wins).
     """
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root) / f"{CACHE_VERSION}-{code_fingerprint()}"
-        self.hits = 0
-        self.misses = 0
+    def __init__(self, parent: str | Path) -> None:
+        super().__init__(parent)
         #: (key, interval) → (per_bank, rng_after, key_doc); the key
         #: document rides along so even RAM hits collision-check.
         self._ram: dict[tuple[str, int], tuple[list, dict, dict]] = {}
@@ -273,44 +269,19 @@ class TraceStore:
         }
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            self._write_npy(self._times_path(key, interval),
-                            all_times.astype(np.float64, copy=False))
-            self._write_npy(self._rows_path(key, interval), all_rows)
-            self._write_text(self._meta_path(key, interval),
-                             corrupting("tracestore.write",
-                                        json.dumps(meta)))
+            publish(self._times_path(key, interval),
+                    lambda handle: np.save(
+                        handle, all_times.astype(np.float64, copy=False)))
+            publish(self._rows_path(key, interval),
+                    lambda handle: np.save(handle, all_rows))
+            meta_bytes = corrupting("tracestore.write",
+                                    json.dumps(meta)).encode("utf-8")
+            publish(self._meta_path(key, interval),
+                    lambda handle: handle.write(meta_bytes))
         except OSError:
             return
         self._remember(key, interval,
                        (per_bank, rng_state_after, key_doc))
-
-    def _write_npy(self, path: Path, array: np.ndarray) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem,
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.save(handle, array)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _write_text(self, path: Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem,
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def _remember(self, key: str, interval: int, entry) -> None:
         if len(self._ram) >= RAM_CACHE_ENTRIES:
@@ -334,29 +305,11 @@ class TraceStore:
             except OSError:
                 pass
 
-    def stats(self) -> dict:
-        """Entry count and byte footprint of the active partition."""
-        entries = 0
-        total_bytes = 0
-        if self.root.is_dir():
-            for path in self.root.iterdir():
-                if path.name.endswith(".meta.json"):
-                    entries += 1
-                try:
-                    total_bytes += path.stat().st_size
-                except OSError:
-                    pass
-        return {
-            "root": str(self.root),
-            "entries": entries,
-            "bytes": total_bytes,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
+    def _count(self, names: list[str]) -> dict:
+        return {"entries": sum(name.endswith(".meta.json")
+                               for name in names)}
 
     def clear(self) -> int:
-        """Delete the active partition; returns entries removed."""
-        removed = self.stats()["entries"]
+        """Delete every partition; returns the active one's entries."""
         self._ram.clear()
-        shutil.rmtree(self.root, ignore_errors=True)
-        return removed
+        return super().clear()

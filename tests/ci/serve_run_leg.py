@@ -30,7 +30,8 @@ import time
 import urllib.request
 from pathlib import Path
 
-from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
+from repro.experiments import ExperimentSpec, ResultCache, SchemeSpec, run_spec
+from repro.experiments.pool import SNAPSHOT_TAG
 
 #: Four times the length of one cell of the legs' plan, so a kill timed
 #: by the plan's first cell still lands mid-run.
@@ -53,10 +54,6 @@ def _post_run(base: str) -> str:
         return json.loads(resp.read())["job"]
 
 
-def _entries(cache_dir: Path, pattern: str) -> list[Path]:
-    return list(cache_dir.glob(f"*/{pattern}"))
-
-
 def submit(args) -> None:
     """Post the run; write its job id to the job file."""
     job = _post_run(args.base)
@@ -66,13 +63,13 @@ def submit(args) -> None:
 
 def wait(args) -> None:
     """Wait for the run's checkpoint (and with ``--cell`` a cell result)."""
-    cache = Path(args.cache_dir)
+    cache = ResultCache(args.cache_dir)
     deadline = time.monotonic() + TIMEOUT_S
     while True:
-        checkpointed = bool(_entries(cache, "*.snap-serve.json"))
-        cells = [p for p in _entries(cache, "*.json") if ".snap-" not in p.name]
+        checkpointed = cache.get_snapshot(SPEC, SNAPSHOT_TAG) is not None
+        cells = cache.stats()["entries"]
         if checkpointed and (cells or not args.cell):
-            print("checkpoint stored; results:", len(cells))
+            print("checkpoint stored; results:", cells)
             return
         assert time.monotonic() < deadline, "no checkpoint landed"
         time.sleep(0.1)
@@ -104,10 +101,9 @@ def check(args) -> None:
 
 def stopped(args) -> None:
     """A drain stopped the run: its checkpoint is stored, no result."""
-    cache = Path(args.cache_dir)
-    name = SPEC.content_hash()
-    assert _entries(cache, f"{name}.snap-serve.json"), "no checkpoint"
-    assert not _entries(cache, f"{name}.json"), "the run finished"
+    cache = ResultCache(args.cache_dir)
+    assert cache.get_snapshot(SPEC, SNAPSHOT_TAG) is not None, "no checkpoint"
+    assert cache.get(SPEC) is None, "the run finished"
     print("run stopped mid-flight beside its checkpoint")
 
 

@@ -1,5 +1,5 @@
 """Tests for store robustness: corrupt entries, orphaned tmp residue,
-and atomic snapshot writes."""
+atomic writes, and what each store's stats and clear touch."""
 
 import json
 
@@ -7,8 +7,10 @@ import pytest
 
 from repro.api import Session
 from repro.experiments import ExperimentSpec, ResultCache, SchemeSpec
-from repro.experiments.cache import sweep_orphan_tmp
+from repro.experiments.cache import publish, sweep_orphan_tmp
 from repro.experiments.run import run_spec
+from repro.server.journal import JOURNAL_DIR, Journal
+from repro.sim.tracestore import TraceStore
 from repro.testing.faults import ENV_VAR, reset_faults
 
 FAST = dict(scale=128.0, n_banks=1, n_intervals=1)
@@ -180,3 +182,73 @@ class TestAtomicSessionSave:
         monkeypatch.undo()
         assert target.read_text(encoding="utf-8") == before
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestPublish:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "entry.json"
+        publish(target, lambda handle: handle.write(b"old"))
+
+        def torn(handle):
+            handle.write(b"half")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            publish(target, torn)
+        assert target.read_bytes() == b"old"
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
+#: A partition name older code could have written.
+STALE = "v0-0123456789abcdef"
+
+
+class TestResultStoreStatsAndClear:
+    def test_stats_split_active_stale_and_snapshots(self, tmp_path,
+                                                    one_result):
+        spec = fast_spec()
+        cache = ResultCache(tmp_path)
+        cache.put(spec, one_result)
+        cache.put_snapshot(spec, "serve", {"core": {}})
+        stale = tmp_path / STALE
+        stale.mkdir()
+        (stale / "old.json").write_text("{}", encoding="utf-8")
+        (tmp_path / "notes").mkdir()  # not a partition: not counted
+        stats = cache.stats()
+        assert stats["root"] == str(tmp_path)
+        assert stats["entries"] == 1 and stats["snapshots"] == 1
+        assert stats["partitions"] == 2 and stats["stale_partitions"] == 1
+        assert stats["bytes"] == sum(
+            path.stat().st_size
+            for partition in (cache.root, stale)
+            for path in partition.iterdir()
+        )
+
+    def test_empty_or_missing_store(self, tmp_path):
+        stats = ResultCache(tmp_path / "nope").stats()
+        assert stats["entries"] == stats["snapshots"] == 0
+        assert stats["partitions"] == stats["bytes"] == 0
+        assert ResultCache(tmp_path / "nope").clear() == 0
+
+    def test_clear_leaves_traces_journal_and_other_files(self, tmp_path,
+                                                         one_result):
+        spec = fast_spec()
+        cache = ResultCache(tmp_path)
+        cache.put(spec, one_result)
+        (tmp_path / STALE).mkdir()
+        traces = TraceStore(tmp_path / "traces")
+        traces.root.mkdir(parents=True)
+        (traces.root / "k-i0.meta.json").write_text("{}", encoding="utf-8")
+        journal = Journal(tmp_path / JOURNAL_DIR, fsync=False)
+        journal.record_submit("j00001-abababab", "run", "ab" * 32, 1,
+                              {"spec": {}})
+        journal.close()
+        mine = tmp_path / "important" / "notes.txt"
+        mine.parent.mkdir()
+        mine.write_text("mine", encoding="utf-8")
+        assert cache.clear() == 1
+        assert cache.stats()["partitions"] == 0
+        assert ResultCache(tmp_path).get(spec) is None
+        assert traces.stats()["entries"] == 1
+        assert journal.stats()["entries"] == 1
+        assert mine.read_text(encoding="utf-8") == "mine"

@@ -225,6 +225,76 @@ class TestCacheCommand:
         assert doc["traces"]["entries"] == 0
         tracestore._STORES.clear()
 
+    def test_sweep_traces_follow_cache_dir(self, capsys, tmp_path,
+                                           monkeypatch):
+        """``--cache-dir`` places the trace store too, not only the
+        results: nothing lands under the environment's default root."""
+        from repro.experiments import ResultCache
+        from repro.sim import tracestore
+
+        monkeypatch.delenv("REPRO_TRACE_STORE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+        monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(tmp_path / "default"))
+        cache_dir = tmp_path / "x"
+        tracestore._STORES.clear()
+        assert main(["sweep", "--workloads", "libq", "--schemes", "sca",
+                     *FAST, "--cache-dir", str(cache_dir)]) == 0
+        capsys.readouterr()
+        tracestore._STORES.clear()
+        results = ResultCache(cache_dir)
+        traces = tracestore.TraceStore(cache_dir / "traces")
+        assert results.stats()["entries"] == 1
+        assert traces.stats()["entries"] == 1
+        assert sorted(path.name for path in cache_dir.iterdir()) == \
+            sorted([results.root.name, "traces"])
+        assert not (tmp_path / "default").exists()
+
+    @pytest.mark.parametrize("only", [["--results"], ["--traces"], []])
+    def test_clear_keeps_what_no_store_owns(self, only, capsys, tmp_path,
+                                            monkeypatch):
+        """``clear`` deletes store partitions and journal segments, never
+        a directory beside them (an unrelated ``D/important``, notes in
+        the trace or journal directory)."""
+        from repro.experiments import ResultCache
+        from repro.server.journal import JOURNAL_DIR, Journal
+        from repro.sim.tracestore import TraceStore
+
+        monkeypatch.delenv("REPRO_TRACE_STORE_DIR", raising=False)
+        root = tmp_path / "d"
+        results = ResultCache(root)
+        traces = TraceStore(root / "traces")
+        for store in (results, traces):
+            store.root.mkdir(parents=True)
+            (store.root / "k-i0.meta.json").write_text("{}", encoding="utf-8")
+        journal = Journal(root / JOURNAL_DIR, fsync=False)
+        journal.record_submit("j00001-abababab", "run", "ab" * 32, 1,
+                              {"spec": {}})
+        journal.close()
+        mine = [root / "important" / "a.txt",
+                root / "traces" / "notes" / "b.txt",
+                root / JOURNAL_DIR / "c.txt"]
+        for path in mine:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("mine", encoding="utf-8")
+        assert main(["cache", "clear", *only, "--cache-dir", str(root)]) == 0
+        capsys.readouterr()
+        assert all(path.read_text(encoding="utf-8") == "mine"
+                   for path in mine)
+        assert results.root.exists() == (only == ["--traces"])
+        assert traces.root.exists() == (only == ["--results"])
+        assert bool(journal.segments()) == bool(only)
+
+    def test_stats_json_keys(self, capsys, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.delenv("REPRO_TRACE_STORE_DIR", raising=False)
+        assert main(["cache", "stats", "--json", "--cache-dir",
+                     str(tmp_path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc) == ["journal", "results", "tmp_removed", "traces"]
+        assert doc["traces"]["root"] == str(tmp_path / "traces")
+        assert doc["journal"]["root"] == str(tmp_path / "journal")
+
 
 class TestRobustnessFlags:
     """--max-retries / --cell-timeout / --keep-going / --report."""

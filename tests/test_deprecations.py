@@ -160,10 +160,26 @@ DELETED_SUPERVISION_NAMES = (
 )
 
 
+#: What each store now owns: the CLI's walks of their directories, the
+#: hand-rolled atomic writes one publish helper replaced, and journal
+#: segment rotation and GC (start-up compaction bounds the journal).
+DELETED_STORE_NAMES = (
+    ("repro.cli", "_result_store_stats"),
+    ("repro.cli", "_trace_store_stats"),
+    ("repro.cli", "_journal_stats"),
+    ("repro.sim.tracestore", "TraceStore._write_npy"),
+    ("repro.sim.tracestore", "TraceStore._write_text"),
+    ("repro.server.journal", "DEFAULT_SEGMENT_BYTES"),
+    ("repro.server.journal", "JournalStats"),
+    ("repro.server.journal", "Journal.gc"),
+)
+
+
 class TestDeadBatchedDriversRemoved:
     @pytest.mark.parametrize(("module", "name"),
                              DELETED_NAMES + DELETED_ENV_NAMES
-                             + DELETED_SUPERVISION_NAMES)
+                             + DELETED_SUPERVISION_NAMES
+                             + DELETED_STORE_NAMES)
     def test_name_removed(self, module, name):
         if module in DELETED_MODULES:
             with pytest.raises(ModuleNotFoundError):
@@ -174,6 +190,13 @@ class TestDeadBatchedDriversRemoved:
         if owner:
             target = getattr(target, owner)
         assert not hasattr(target, attr)
+
+    def test_journal_does_not_rotate(self, tmp_path):
+        from repro.server.journal import Journal
+
+        params = inspect.signature(Journal).parameters
+        assert "max_segment_bytes" not in params
+        assert not hasattr(Journal(tmp_path), "max_segment_bytes")
 
     def test_counter_cache_inherits_the_per_access_batch(self):
         """The counter cache defines no batch path of its own; the

@@ -118,3 +118,15 @@ class TestStoreRoots:
     def test_checkout_default(self):
         assert store_roots(None, {})[0] == \
             default_benchmarks_dir() / "results" / "sweep_cache"
+
+    def test_context_trace_store_follows_cache_dir(self, tmp_path):
+        env = {"REPRO_BENCH_CACHE_DIR": str(tmp_path / "env")}
+        context = RunContext.from_env(env, cache_dir=str(tmp_path / "flag"))
+        assert context.trace_store == str(tmp_path / "flag" / "traces")
+        assert RunContext.from_env(env).trace_store == \
+            str(tmp_path / "env" / "traces")
+
+    def test_trace_store_dir_beats_cache_dir(self, tmp_path):
+        env = {"REPRO_TRACE_STORE_DIR": str(tmp_path / "tr")}
+        context = RunContext.from_env(env, cache_dir=str(tmp_path / "flag"))
+        assert context.trace_store == str(tmp_path / "tr")

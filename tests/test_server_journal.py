@@ -42,6 +42,13 @@ def submit(journal, job_id, kind="run", n=1):
                                  {"spec": {"seed": 1}})
 
 
+def new_segment(journal, index):
+    """Append to segment ``index`` from now on: the segments a crash
+    between compaction's rename and its deletes leaves behind."""
+    journal.close()
+    journal._open_segment(index)
+
+
 class TestFraming:
     def test_records_round_trip(self, tmp_path):
         journal = make_journal(tmp_path)
@@ -64,13 +71,18 @@ class TestFraming:
         reopened.close()
         assert [r["rec"] for r in reopened.records()] == ["submit", "state"]
 
-    def test_segments_rotate_at_size_bound(self, tmp_path):
-        journal = make_journal(tmp_path, max_segment_bytes=256)
-        for i in range(8):
-            submit(journal, f"j{i + 1:05d}-abababab")
+    def test_appends_stay_in_one_segment(self, tmp_path):
+        """Nothing rotates a segment, however large it grows; start-up
+        compaction is what bounds the journal."""
+        journal = make_journal(tmp_path, fsync=False)
+        doc = {"spec": {"pad": "x" * (1 << 20)}}
+        for i in range(3):
+            journal.record_submit(f"j{i + 1:05d}-abababab", "run",
+                                  "ab" * 32, 1, doc)
         journal.close()
-        assert len(journal.segments()) > 1
-        assert len(journal.records()) == 8
+        assert len(journal.segments()) == 1
+        assert journal.segments()[0].stat().st_size > 3 << 20
+        assert len(journal.records()) == 3
 
     def test_torn_tail_degrades_to_last_good_frame(self, tmp_path):
         journal = make_journal(tmp_path)
@@ -226,15 +238,18 @@ def frame_ends(data):
 
 class TestReplayProperties:
     @settings(max_examples=80, deadline=None)
-    @given(records=journals(), segment_bytes=st.sampled_from([96, 400, 1 << 20]),
+    @given(records=journals(), split=st.integers(0, 10),
            cut=st.integers(0, 1 << 12))
     def test_a_cut_tail_replays_the_records_wholly_before_it(
-        self, records, segment_bytes, cut
+        self, records, split, cut
     ):
+        """The records from ``split`` on go to a second segment; the
+        cut tears the last one."""
         with tempfile.TemporaryDirectory() as root:
-            journal = Journal(Path(root) / "journal", fsync=False,
-                              max_segment_bytes=segment_bytes)
-            for record in records:
+            journal = Journal(Path(root) / "journal", fsync=False)
+            for i, record in enumerate(records):
+                if i == split:
+                    new_segment(journal, 2)
                 assert journal.append(record)
             journal.close()
             kept = records
@@ -259,14 +274,15 @@ class TestReplayProperties:
         assert list(twice.items()) == list(once.items())
 
 
-class TestCompactionAndGc:
+class TestCompaction:
     def test_compact_folds_to_one_segment(self, tmp_path):
-        journal = make_journal(tmp_path, max_segment_bytes=256)
+        journal = make_journal(tmp_path)
         for i in range(6):
             job = f"j{i + 1:05d}-abababab"
+            new_segment(journal, i + 1)
             submit(journal, job)
             journal.record_state(job, "done")
-        assert len(journal.segments()) > 1
+        assert len(journal.segments()) == 6
         survivors = [
             JournaledJob(id="j00006-abababab", kind="run",
                          content_hash="ab" * 32, n_cells=1,
@@ -284,19 +300,6 @@ class TestCompactionAndGc:
         assert len(journal.segments()) == 1
         assert journal.replay()["j00006-abababab"].status == "done"
 
-    def test_gc_removes_fully_applied_segments(self, tmp_path):
-        journal = make_journal(tmp_path, max_segment_bytes=1)
-        submit(journal, "j00001-abababab")  # rotates per record
-        journal.record_state("j00001-abababab", "done")
-        submit(journal, "j00002-abababab")  # stays live
-        journal.close()
-        before = len(journal.segments())
-        removed = journal.gc()
-        assert removed >= 1
-        assert len(journal.segments()) == before - removed
-        # The live job's history must survive GC.
-        assert "j00002-abababab" in journal.replay()
-
     def test_stats_counts(self, tmp_path):
         journal = make_journal(tmp_path)
         submit(journal, "j00001-abababab")
@@ -304,13 +307,27 @@ class TestCompactionAndGc:
         submit(journal, "j00002-abababab")
         journal.close()
         stats = journal.stats()
-        assert stats.segments == 1
-        assert stats.records == 3
-        assert stats.live_jobs == 1 and stats.finished_jobs == 1
-        assert stats.bytes > 0
-        assert stats.writes == 3 and stats.write_errors == 0
-        doc = stats.to_dict()
-        assert doc["records"] == 3 and doc["live_jobs"] == 1
+        assert stats["root"] == str(tmp_path / "journal")
+        assert stats["segments"] == 1
+        assert stats["entries"] == 3
+        assert stats["live_jobs"] == 1 and stats["finished_jobs"] == 1
+        assert stats["bytes"] > 0
+        assert stats["writes"] == 3 and stats["write_errors"] == 0
+
+    def test_clear_deletes_only_segments(self, tmp_path):
+        journal = make_journal(tmp_path)
+        submit(journal, "j00001-abababab")
+        new_segment(journal, 2)
+        submit(journal, "j00002-abababab")
+        keep = tmp_path / "journal" / "notes.txt"
+        keep.write_text("mine", encoding="utf-8")
+        assert journal.clear() == 2
+        assert journal.segments() == [] and journal.replay() == {}
+        assert keep.read_text(encoding="utf-8") == "mine"
+        # The cleared journal starts over on the next append.
+        submit(journal, "j00003-abababab")
+        journal.close()
+        assert list(journal.replay()) == ["j00003-abababab"]
 
 
 class TestFaultSites:

@@ -39,7 +39,7 @@ from repro.experiments.cache import ResultCache
 from repro.server import ReproServer, ServerConfig, ServerThread
 from repro.server.app import SNAPSHOT_TAG
 from repro.server.http import Request
-from repro.server.journal import Journal
+from repro.server.journal import JOURNAL_DIR, Journal
 from repro.testing.faults import reset_faults
 
 FAST = dict(scale=128.0, n_banks=1, n_intervals=1)
@@ -89,7 +89,7 @@ def wait_job(server, job_id, timeout=120):
 def dead_server_journal(cache_root, job_id, kind, content_hash, n_cells,
                         doc, *states):
     """The journal a server killed mid-``states`` would have left."""
-    journal = Journal(Path(cache_root) / "journal")
+    journal = Journal(Path(cache_root) / JOURNAL_DIR)
     journal.record_submit(job_id, kind, content_hash, n_cells, doc)
     for state in states:
         if isinstance(state, tuple):
@@ -241,19 +241,23 @@ class TestPlanRecovery:
 
     def test_recovery_compacts_the_journal(self, tmp_path):
         cache_root = tmp_path / "cache"
-        journal = Journal(Path(cache_root) / "journal",
-                          max_segment_bytes=64)
-        for i in range(4):  # four tiny segments of dead history
+        journal = Journal(Path(cache_root) / JOURNAL_DIR)
+        for i in range(4):
+            # Four segments of dead history, as crashes between
+            # compaction's rename and its deletes leave them.
+            journal.close()
+            journal._open_segment(i + 1)
             journal.record_submit(f"j{i + 1:05d}-deadbeef", "run",
                                   "deadbeef" * 8, 1, {"spec": {}})
             journal.record_state(f"j{i + 1:05d}-deadbeef", "failed",
                                  error="old")
         journal.close()
+        assert len(journal.segments()) == 4
         server = make_server(tmp_path)
         try:
             assert len(server.journal.segments()) == 1
             # Replaying the compacted journal reproduces the table.
-            replayed = Journal(Path(cache_root) / "journal").replay()
+            replayed = Journal(Path(cache_root) / JOURNAL_DIR).replay()
             assert len(replayed) == 4
             assert all(j.status == "failed" for j in replayed.values())
         finally:
@@ -1002,6 +1006,17 @@ class TestJobListing:
             bad = server.handle(request("GET", "/v1/jobs",
                                         query={"state": "bogus"}))
             assert bad.status == 422
+        finally:
+            server.close()
+
+    def test_trace_store_nests_under_the_cache_dir(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE_STORE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+        server = make_server(tmp_path)
+        try:
+            assert server.context.trace_store == \
+                str(tmp_path / "cache" / "traces")
         finally:
             server.close()
 
