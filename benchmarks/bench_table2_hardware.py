@@ -6,7 +6,6 @@ paper's stated relations (iso-area PRCAT64 ~ SCA128, DRCAT ~ +4% area
 over PRCAT, PRA's 9-bit draw energy).
 """
 
-import pytest
 from _common import bench_config, emit
 
 from repro.energy.hardware_model import (
@@ -80,6 +79,10 @@ def artifacts(config):
 
 
 def test_table2_hardware(benchmark):
+    # Imported here: repro verify imports this module for artifacts()
+    # alone, and pytest is slow to import.
+    import pytest
+
     rows = benchmark.pedantic(build_rows, iterations=1, rounds=1)
     emit_hardware(bench_config(), rows)
     prng = pra_hardware()

@@ -14,7 +14,8 @@ schemes — together with every substrate the evaluation depends on:
   CMRPO metric.
 * :mod:`repro.analysis` — analytical models (PRA unsurvivability, LFSR
   Monte-Carlo, SCA energy breakdown, split-threshold cost model).
-* :mod:`repro.sim` — the trace-driven simulator and its session core.
+* :mod:`repro.sim` — the session core every run is, the functions of a
+  spec it is built from, its engines and the trace store.
 * :mod:`repro.experiments` — declarative specs and plans, the one way to
   run a simulation (``run_spec`` / ``run_plan``, or streamed via
   :func:`~repro.api.open_session`).

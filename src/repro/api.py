@@ -30,7 +30,10 @@ the property tests):
 
 1. ``Session(spec).result()`` is bit-identical to
    ``run_spec(spec)`` — ``run_spec`` *is* a session advanced to
-   completion, over the one :class:`~repro.sim.session.SessionCore`.
+   completion.  A session is one object per run: it extends the
+   :class:`~repro.sim.session.SessionCore` built from its spec (the
+   loop, geometry and checkpointable state) with the observer taps,
+   injection, snapshot documents and the final result.
 2. ``snapshot -> restore -> finish`` is bit-identical to an
    uninterrupted run, for every registered scheme, on both engines —
    every scheme implements the ``SchemeState`` protocol
@@ -62,10 +65,10 @@ import numpy as np
 from repro.core.base import RefreshCommand
 from repro.experiments.cache import publish
 from repro.report.config import RunContext
-from repro.sim.engine import TIME_QUANTUM_NS
+from repro.sim.engine import TIME_QUANTUM_NS, quantize_times_ns
 from repro.sim.metrics import RunTotals, SimulationResult
 from repro.sim.session import SessionCore
-from repro.sim.simulator import TraceDrivenSimulator
+from repro.sim.simulator import run_result
 from repro.workloads.attacks import attack_stream, get_kernel
 
 logger = logging.getLogger(__name__)
@@ -111,92 +114,31 @@ class MitigationEvent:
     rows: int
 
 
-class Session:
+class Session(SessionCore):
     """A resumable, observable simulation run opened from one spec.
 
     Construct via :func:`open_session` (or directly); drive with
     :meth:`step` / :meth:`advance`; finish with :meth:`result`.
     ``context`` selects the trace store the run reads and fills
     (default: :meth:`RunContext.from_env
-    <repro.report.config.RunContext.from_env>`).
+    <repro.report.config.RunContext.from_env>`).  The loop, the
+    geometry (``epoch_ns``, ``total_ns``, ``position_ns``) and the
+    checkpointable state are the :class:`SessionCore` it extends; this
+    class adds the observer taps, injection, snapshot documents and the
+    final result.
     """
 
-    def __init__(self, spec, context: RunContext | None = None, *,
-                 _core_state: dict | None = None) -> None:
-        from repro.experiments.spec import ExperimentSpec
-
-        if isinstance(spec, dict):
-            spec = ExperimentSpec.from_dict(spec)
-        self.spec = spec
-        self.sim = TraceDrivenSimulator(spec)
-        if _core_state is None:
-            self._core = SessionCore(self.sim, context)
-        else:
-            self._core = SessionCore.from_state(self.sim, _core_state,
-                                                context)
+    def __init__(self, spec, context: RunContext | None = None) -> None:
+        super().__init__(spec, context)
         self._epoch_taps: list[Callable[[EpochEvent], None]] = []
         self._mitigation_taps: list[Callable[[MitigationEvent], None]] = []
-        # Baseline totals as of the last epoch boundary, updated on
-        # every boundary (taps or not) so a late-registered tap's first
-        # delta still covers exactly one epoch; snapshots carry it so
-        # resumed sessions report full-epoch deltas too.
-        if _core_state is not None and "epoch_baseline" in _core_state:
-            self._epoch_baseline = {
-                k: v for k, v in _core_state["epoch_baseline"].items()
-            }
-        else:
-            self._epoch_baseline = self._raw_totals()
-        self._core.memory.on_epoch = self._on_epoch_boundary
+        # Counters as of the last epoch boundary, rolled on every
+        # boundary (taps or not) so a late-registered tap's first delta
+        # still covers exactly one epoch; snapshots carry it so resumed
+        # sessions report full-epoch deltas too.
+        self._epoch_baseline = self._counts()
+        self.memory.on_epoch = self._on_epoch_boundary
         self._result: SimulationResult | None = None
-
-    # -- geometry ----------------------------------------------------------
-
-    @property
-    def epoch_ns(self) -> float:
-        """One simulated auto-refresh interval, in (compressed) ns."""
-        return self._core.epoch_ns
-
-    @property
-    def total_ns(self) -> float:
-        """The full simulated horizon (``n_intervals`` epochs)."""
-        return self.spec.n_intervals * self.epoch_ns
-
-    @property
-    def position_ns(self) -> float:
-        """Arrival time of the most recently served access."""
-        return self._core.position_ns()
-
-    @property
-    def accesses_served(self) -> int:
-        """Demand activations served so far."""
-        return self._core.accesses_served
-
-    @property
-    def done(self) -> bool:
-        """True once every access of the run has been served."""
-        return self._core.done
-
-    # -- driving -----------------------------------------------------------
-
-    def step(self, n: int = 1) -> int:
-        """Serve up to ``n`` further accesses; returns the count served."""
-        if n < 0:
-            raise ValueError(f"step count must be >= 0, got {n}")
-        return self._core.advance(max_accesses=n)
-
-    def advance(self, until_ns: float) -> int:
-        """Serve every access arriving strictly before ``until_ns``.
-
-        Returns the number served.  The epoch clock only moves as served
-        accesses push it (exactly like an uninterrupted run), so
-        advancing to a quiet time leaves later boundaries uncrossed.
-        """
-        return self._core.advance(until_ns=float(until_ns))
-
-    def run(self) -> "Session":
-        """Serve everything that remains; returns ``self`` for chaining."""
-        self._core.advance()
-        return self
 
     def result(self) -> SimulationResult:
         """Finish the run (if needed) and return the final metrics.
@@ -208,15 +150,15 @@ class Session:
         session is freed as soon as it is unreferenced.
         """
         if self._result is None:
-            memory = self._core.memory
-            self._core.advance()
+            memory = self.memory
+            self.advance()
             # The final interval's boundary is never crossed by an
             # access; close the stream for epoch observers with one
             # synthetic final event covering the last epoch.
             if self._epoch_taps and \
-                    memory.epochs_completed < self.spec.n_intervals:
-                self._dispatch_epoch(self.spec.n_intervals)
-            self._result = self.sim._finalize(self._core.totals(), memory)
+                    memory.epochs_completed < self.n_intervals:
+                self._dispatch_epoch(self.n_intervals)
+            self._result = run_result(self.spec, self.totals(), memory)
             # The hooks are bound methods of this session: left in
             # place they form a session <-> memory reference cycle.
             memory.on_epoch = memory.on_refresh = None
@@ -231,10 +173,8 @@ class Session:
         ``result().totals``.
         """
         if self.done:
-            return self._core.totals()
-        return self._core.totals(
-            elapsed_ns=max(self.position_ns, TIME_QUANTUM_NS)
-        )
+            return self.totals()
+        return self.totals(elapsed_ns=max(self.position_ns, TIME_QUANTUM_NS))
 
     # -- injection ---------------------------------------------------------
 
@@ -248,28 +188,52 @@ class Session:
         """Splice extra row activations into the live run.
 
         ``rows`` is a sequence of row ids on ``bank``.  ``times_ns``
-        gives their arrival times; when omitted the burst is spread
-        uniformly over the remainder of the current interval.  Returns
-        the number of accesses injected.
+        (any order; quantized here) gives their arrival times, which
+        must fall inside the current interval's window; when omitted
+        the burst is spread uniformly over the remainder of the current
+        interval.  The injected accesses merge into the pending stream
+        in time order (existing accesses first on ties) and are served
+        by later :meth:`advance` calls exactly as generated traffic
+        would be.  Returns the number of accesses injected.
         """
+        if self.interval < 0 and not self._load_next_interval():
+            raise RuntimeError("cannot inject into a zero-interval run")
         rows = np.asarray(rows, dtype=np.int64)
-        core = self._core
+        lo = self.interval * self.epoch_ns
+        hi = (self.interval + 1) * self.epoch_ns
         if times_ns is None:
-            if core.interval < 0:
-                # Materialise interval 0 so "the remainder" is defined.
-                core.advance(max_accesses=0)
-            start = max(
-                self.position_ns, core.interval * core.epoch_ns
-            )
-            end = (core.interval + 1) * core.epoch_ns
-            span = end - start
+            start = max(self.position_ns, lo)
+            span = hi - start
             if span <= 0:
                 raise SessionError("no room left in the current interval")
             # Strictly inside (start, end): offset by half a slot.
             times_ns = start + (np.arange(len(rows)) + 0.5) * (
                 span / max(1, len(rows))
             )
-        return core.inject(bank, np.asarray(times_ns, dtype=np.float64), rows)
+        if not 0 <= bank < self.n_banks:
+            raise ValueError(
+                f"bank {bank} out of range for {self.n_banks} "
+                "simulated bank(s)"
+            )
+        times = quantize_times_ns(np.asarray(times_ns, dtype=np.float64))
+        if len(times) != len(rows):
+            raise ValueError("times and rows must have equal length")
+        if len(times) == 0:
+            return 0
+        order = np.argsort(times, kind="stable")
+        times, rows = times[order], rows[order]
+        if float(times[0]) < lo or float(times[-1]) >= hi:
+            raise ValueError(
+                f"injected times must lie in the current interval window "
+                f"[{lo}, {hi}) ns"
+            )
+        n_rows = self.config.rows_per_bank
+        if int(rows.min()) < 0 or int(rows.max()) >= n_rows:
+            raise ValueError(
+                f"injected rows out of range for bank with {n_rows} rows"
+            )
+        self._splice(bank, times, rows)
+        return len(times)
 
     def inject_attack(
         self,
@@ -289,16 +253,15 @@ class Session:
         """
         kernel_obj = get_kernel(kernel)
         benign = self.spec.resolve_workload_model()
-        sim = self.sim
         if n_accesses is None:
-            n_accesses = max(1, int(round(benign.intensity / sim.scale)))
+            n_accesses = max(1, int(round(benign.intensity / self.spec.scale)))
         rng = np.random.Generator(
             np.random.PCG64(kernel_obj.seed * 86_028_121 + bank * 53 + seed_salt)
         )
         rows = attack_stream(
             kernel_obj,
             mode,
-            sim.config.rows_per_bank,
+            self.config.rows_per_bank,
             n_accesses,
             bank=bank,
             benign=benign,
@@ -313,7 +276,6 @@ class Session:
     ) -> Callable[[EpochEvent], None]:
         """Register a per-epoch observer (usable as a decorator)."""
         self._epoch_taps.append(tap)
-        self._wire_taps()
         return tap
 
     def on_mitigation(
@@ -321,27 +283,13 @@ class Session:
     ) -> Callable[[MitigationEvent], None]:
         """Register a per-refresh-command observer (decorator-friendly)."""
         self._mitigation_taps.append(tap)
-        self._wire_taps()
+        if self.memory.on_refresh is None:
+            self.memory.on_refresh = self._dispatch_mitigation
         return tap
-
-    def _wire_taps(self) -> None:
-        memory = self._core.memory
-        if self._mitigation_taps and memory.on_refresh is None:
-            memory.on_refresh = self._dispatch_mitigation
-
-    def _raw_totals(self) -> dict[str, float]:
-        memory = self._core.memory
-        return {
-            "accesses": memory.total_activations,
-            "refresh_commands": memory.total_refresh_commands,
-            "rows_refreshed": memory.total_rows_refreshed,
-            "stall_ns": memory.total_stall_ns,
-            "mitigation_busy_ns": memory.total_mitigation_busy_ns,
-        }
 
     def _on_epoch_boundary(self, epoch: int) -> None:
         """Epoch tick: always roll the baseline; dispatch if observed."""
-        now = self._raw_totals()
+        now = self._counts()
         base = self._epoch_baseline
         self._epoch_baseline = now
         if self._epoch_taps:
@@ -351,47 +299,17 @@ class Session:
         self, epoch: int, now: dict | None = None, base: dict | None = None
     ) -> None:
         if now is None:
-            now = self._raw_totals()
+            now = self._counts()
         if base is None:
             base = self._epoch_baseline
             self._epoch_baseline = now
         time_ns = epoch * self.epoch_ns
-        sim = self.sim
-        common = dict(
-            scheme=sim.scheme_kind,
-            workload=self._core.label,
-            scale=sim.scale,
-            n_banks_simulated=self._core.n_banks,
-            full_scale_accesses_per_interval=self._core.full_intensity,
-        )
-        totals = RunTotals(
-            n_intervals=epoch,
-            accesses=int(now["accesses"]),
-            refresh_commands=int(now["refresh_commands"]),
-            rows_refreshed=int(now["rows_refreshed"]),
-            stall_ns=now["stall_ns"],
-            elapsed_ns=time_ns,
-            mitigation_busy_ns=now["mitigation_busy_ns"],
-            **common,
-        )
-        delta = RunTotals(
-            n_intervals=1,
-            accesses=int(now["accesses"] - base["accesses"]),
-            refresh_commands=int(
-                now["refresh_commands"] - base["refresh_commands"]
-            ),
-            rows_refreshed=int(
-                now["rows_refreshed"] - base["rows_refreshed"]
-            ),
-            stall_ns=now["stall_ns"] - base["stall_ns"],
-            elapsed_ns=self.epoch_ns,
-            mitigation_busy_ns=(
-                now["mitigation_busy_ns"] - base["mitigation_busy_ns"]
-            ),
-            **common,
-        )
+        delta = {key: now[key] - base[key] for key in now}
         event = EpochEvent(
-            epoch=epoch, time_ns=time_ns, totals=totals, delta=delta
+            epoch=epoch,
+            time_ns=time_ns,
+            totals=self._totals(now, epoch, time_ns),
+            delta=self._totals(delta, 1, self.epoch_ns),
         )
         self._dispatch_isolated(self._epoch_taps, "on_epoch", event)
 
@@ -442,7 +360,7 @@ class Session:
         bit-identically; restoring it twice forks two independent
         continuations.
         """
-        core = self._core.to_state()
+        core = self.to_state()
         core["epoch_baseline"] = dict(self._epoch_baseline)
         return {
             "kind": SNAPSHOT_KIND,
@@ -475,8 +393,14 @@ class Session:
                 "the snapshot with this build"
             )
         try:
-            return cls(snapshot["spec"], context,
-                       _core_state=snapshot["core"])
+            session = cls(snapshot["spec"], context)
+            core = snapshot["core"]
+            session.restore_state(core)
+            if "epoch_baseline" in core:
+                session._epoch_baseline = dict(core["epoch_baseline"])
+            else:
+                session._epoch_baseline = session._counts()
+            return session
         except KeyError as exc:
             raise SessionError(
                 f"malformed snapshot: missing field {exc.args[0]!r}"

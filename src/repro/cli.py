@@ -568,7 +568,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     """``repro cache``: result, trace and journal store maintenance."""
     from pathlib import Path
 
-    from repro.experiments.cache import ResultCache, sweep_orphan_tmp
+    from repro.experiments.cache import ResultCache
     from repro.report.config import store_roots
     from repro.server.journal import JOURNAL_DIR, Journal
     from repro.sim.tracestore import TraceStore
@@ -582,13 +582,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
         "journal": Journal(result_root / JOURNAL_DIR),
     }
 
-    # Orphaned *.tmp files are leftovers of atomic writes interrupted
-    # mid-rename (crash, kill -9); both stats and clear sweep them.
-    tmp_removed = sweep_orphan_tmp(result_root) + sweep_orphan_tmp(trace_root)
-
+    # Each store's stats() also deletes the orphaned *.tmp files that
+    # atomic writes interrupted mid-rename (crash, kill -9) left in its
+    # own directories, and reports how many.
     if args.action == "clear":
-        if tmp_removed:
-            print(f"tmp: {tmp_removed} orphaned .tmp file(s) swept")
         # A full clear wipes the serve job journal too: with the
         # results gone there is nothing its jobs could recover to
         # without re-simulating anyway.
@@ -597,11 +594,15 @@ def cmd_cache(args: argparse.Namespace) -> int:
         for name in chosen:
             before = stores[name].stats()
             stores[name].clear()
+            if before["tmp_removed"]:
+                print(f"{name}: {before['tmp_removed']} orphaned .tmp "
+                      "file(s) swept")
             print(f"{name}: {before['entries']} entr(ies) removed from "
                   f"{before['root']}")
         return 0
 
     stats = {name: store.stats() for name, store in stores.items()}
+    tmp_removed = sum(doc["tmp_removed"] for doc in stats.values())
     if args.json:
         print(json.dumps({**stats, "tmp_removed": tmp_removed}, indent=2))
         return 0
@@ -926,8 +927,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "per worker, and plans send chunks of "
                             "cells to the idle ones")
     p_srv.add_argument("--cache-dir", default=None,
-                       help="result-cache root shared with repro sweep "
-                            "(default: a private temp dir)")
+                       help="result-cache root shared with repro sweep; "
+                            "its journal lets a restart resume jobs "
+                            "(default: a private temp dir, removed at "
+                            "shutdown)")
     p_srv.add_argument("--driver-threads", type=int, default=4,
                        help="concurrent job-driving threads")
     p_srv.add_argument("--max-jobs", type=int, default=256,

@@ -6,8 +6,8 @@ it may emit *refresh commands*, each naming a contiguous range of rows that
 the memory controller must refresh to neutralise accumulated crosstalk.
 
 The :class:`MitigationScheme` interface below is what the DRAM substrate
-(:mod:`repro.dram.memory_system`) and the trace-driven simulator
-(:mod:`repro.sim.simulator`) program against.  A scheme instance always
+(:mod:`repro.dram.memory_system`) and the session core
+(:mod:`repro.sim.session`) program against.  A scheme instance always
 guards a *single bank*; the memory system owns one instance per bank.
 """
 

@@ -14,9 +14,7 @@ The params dataclasses replace the historical "kwarg soup" where every
 call site carried ``n_counters``/``pra_probability``/``max_levels``
 whether relevant or not.  :func:`build_params` validates keyword
 arguments against the scheme's declared fields and rejects unknown ones
-with a message listing what the scheme actually takes; a small legacy
-set (:data:`LEGACY_KWARGS`) is silently ignored when irrelevant so the
-pre-registry ``make_scheme`` call sites keep working unchanged.
+with a message listing what the scheme actually takes.
 """
 
 from __future__ import annotations
@@ -30,13 +28,6 @@ from repro.core.counter_cache import CounterCacheScheme
 from repro.core.drcat import DRCATScheme
 from repro.core.pra import PRAScheme
 from repro.core.sca import SCAScheme
-
-#: Kwargs the pre-registry ``make_scheme`` accepted for every scheme.
-#: They are ignored (not rejected) when a scheme's params dataclass has
-#: no matching field, so historical call sites keep working.
-LEGACY_KWARGS = frozenset(
-    {"n_counters", "max_levels", "probability", "threshold_strategy"}
-)
 
 
 # -- typed per-scheme parameter records ----------------------------------
@@ -137,30 +128,21 @@ def get_scheme_info(kind: str) -> SchemeInfo:
         ) from None
 
 
-def build_params(kind: str, *, _strict: bool = False, **kwargs):
+def build_params(kind: str, **kwargs):
     """Build the typed params record for ``kind`` from keyword arguments.
 
-    Unknown keywords raise ``TypeError`` listing the scheme's real
-    fields.  By default the :data:`LEGACY_KWARGS` names are silently
-    dropped when the scheme does not take them — the pre-registry
-    ``make_scheme`` accepted the full kwarg soup for every scheme, and
-    its historical call sites rely on that.  ``_strict=True`` (the new
-    :meth:`SchemeSpec.create <repro.experiments.SchemeSpec.create>`
-    path) rejects those too: a typed spec only carries knobs its scheme
-    actually has.
+    A keyword the scheme does not declare raises ``TypeError`` listing
+    the scheme's real fields: a scheme only carries knobs it has.
     """
     info = get_scheme_info(kind)
     valid = {f.name for f in fields(info.params_cls)}
-    accepted = {}
-    for key, value in kwargs.items():
-        if key in valid:
-            accepted[key] = value
-        elif _strict or key not in LEGACY_KWARGS:
+    for key in kwargs:
+        if key not in valid:
             raise TypeError(
                 f"scheme {info.name!r} takes no parameter {key!r}; "
                 f"valid parameters: {', '.join(sorted(valid)) or '(none)'}"
             )
-    return info.params_cls(**accepted)
+    return info.params_cls(**kwargs)
 
 
 def params_to_dict(params) -> dict:
@@ -175,7 +157,7 @@ def params_from_dict(kind: str, doc: dict):
     real fields — a stray legacy knob in a spec file is an error, not
     something to silently drop.
     """
-    return build_params(kind, _strict=True, **dict(doc))
+    return build_params(kind, **dict(doc))
 
 
 # -- the paper's five schemes --------------------------------------------

@@ -130,9 +130,6 @@ def compute_cmrpo(
     n_counters: int = 64,
     refresh_threshold: int = 32768,
     max_levels: int = 11,
-    pra_probability: float | None = None,
-    amortization_banks: int = STATIC_AMORTIZATION_BANKS,
-    extra_dynamic_nj_per_access: float = 0.0,
 ) -> CMRPOBreakdown:
     """CMRPO of one bank from per-interval activity totals.
 
@@ -141,27 +138,20 @@ def compute_cmrpo(
     scheme:
         ``"sca"``, ``"pra"``, ``"prcat"``, ``"drcat"`` or ``"ccache"``
         (the counter-cache comparator, modelled as SCA hardware at its
-        equivalent 2048-counter storage plus per-access miss energy).
+        equivalent 2048-counter storage; its measured miss energy is a
+        result parameter, not part of the CMRPO).
     accesses_per_interval:
         Mean row activations the bank receives per 64 ms interval (at
         full scale — callers rescale simulated counts first).
     victim_rows_per_interval:
         Mean rows the scheme refreshes per interval (scale-invariant, so
         simulated values pass straight through).
-    pra_probability:
-        Required for PRA (used only for reporting; the refresh count is
-        already in ``victim_rows_per_interval``).
-    extra_dynamic_nj_per_access:
-        Additional measured per-access energy (the counter cache's DRAM
-        fetch traffic, reported by the simulator).
     """
     scheme = scheme.lower()
     interval_s = REFRESH_INTERVAL_S
     access_rate = accesses_per_interval / interval_s  # per second
 
     if scheme == "pra":
-        if pra_probability is None:
-            raise ValueError("pra_probability is required for PRA")
         prng: PRNGHardware = pra_hardware()
         dynamic_mw = prng.energy_per_access_nj * access_rate * 1e-9 * 1e3
         static_mw = 0.0  # the TRNG's static draw is inside its nJ/bit figure
@@ -177,12 +167,11 @@ def compute_cmrpo(
         )
         static_mw = (
             hw.static_nj_per_interval
-            / amortization_banks
+            / STATIC_AMORTIZATION_BANKS
             / interval_s
             * 1e-9
             * 1e3
         )
-    dynamic_mw += extra_dynamic_nj_per_access * access_rate * 1e-9 * 1e3
     refresh_mw = (
         victim_rows_per_interval * ROW_REFRESH_ENERGY_NJ / interval_s * 1e-9 * 1e3
     )

@@ -84,7 +84,7 @@ def publish(path: Path, write, *, fsync: bool = False) -> Path:
     durable before the rename (the journal's compaction needs that;
     the caches do not).  On any failure the temp file is removed and
     the error propagates; a writer killed mid-write leaves ``*.tmp``
-    residue for :func:`sweep_orphan_tmp`.
+    residue, which the owning store's ``stats()`` deletes.
     """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem,
                                suffix=".tmp")
@@ -100,33 +100,6 @@ def publish(path: Path, write, *, fsync: bool = False) -> Path:
             os.unlink(tmp)
         raise
     return path
-
-
-def sweep_orphan_tmp(root: "Path | str | None") -> int:
-    """Delete ``*.tmp`` residue under ``root``; returns the count removed.
-
-    Every store write in the repro stack goes through :func:`publish`
-    (temp file → write → ``os.replace``); a writer killed before the
-    rename leaves an orphaned ``*.tmp`` file that nothing will ever
-    read or rename.  ``repro cache stats``/``clear`` call this over the
-    result and trace roots so killed sweeps don't leak disk forever.
-    Files a live writer still owns are safe: losing a tmp file only
-    makes that writer's ``os.replace`` fail, which every store already
-    treats as an ignorable write failure.
-    """
-    if root is None:
-        return 0
-    root = Path(root)
-    if not root.is_dir():
-        return 0
-    removed = 0
-    for path in root.rglob("*.tmp"):
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            continue
-    return removed
 
 
 class PartitionedStore:
@@ -157,12 +130,25 @@ class PartitionedStore:
         raise NotImplementedError
 
     def stats(self) -> dict:
-        """Entries of the active partition; partitions and bytes of all."""
+        """Entries of the active partition; partitions and bytes of all.
+
+        Deletes, and counts as ``tmp_removed``, the ``*.tmp`` residue
+        of writes killed before their rename (:func:`publish`) in those
+        partitions.  A live writer that loses its temp file only fails
+        its rename, which every store treats as a dropped write.
+        """
         stats = {"root": str(self.parent), "partitions": 0,
-                 "stale_partitions": 0, "bytes": 0}
+                 "stale_partitions": 0, "bytes": 0, "tmp_removed": 0}
         names: list[str] = []
         for partition in self._partitions():
-            files = list(partition.iterdir())
+            files = []
+            for path in partition.iterdir():
+                if path.suffix != ".tmp":
+                    files.append(path)
+                    continue
+                with contextlib.suppress(OSError):
+                    path.unlink()
+                    stats["tmp_removed"] += 1
             stats["partitions"] += 1
             if partition.name == self.root.name:
                 names = [path.name for path in files]
@@ -196,11 +182,10 @@ class ResultCache(PartitionedStore):
         """The store path for ``spec`` (keyed by its content hash)."""
         return self.root / f"{spec.content_hash()}.json"
 
-    def get(self, spec: ExperimentSpec):
-        """The cached result for ``spec``, or None (miss)."""
-        from repro.sim.metrics import SimulationResult
-
-        path = self.path_for(spec)
+    def _read(self, path: Path, spec: ExperimentSpec, decode):
+        """``decode(doc)`` of the entry at ``path`` if it holds ``spec``;
+        None on a miss.  A corrupt or colliding entry is dropped (and
+        missed), so the caller recomputes it."""
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
             stored = doc.get("spec")
@@ -211,20 +196,24 @@ class ResultCache(PartitionedStore):
                 stored
             ).canonical_dict() != spec.canonical_dict():
                 raise ValueError("cache entry spec mismatch")
-            result = SimulationResult.from_dict(doc["result"])
+            value = decode(doc)
         except FileNotFoundError:
             self.misses += 1
             return None
         except (ValueError, KeyError, TypeError, OSError):
-            # Corrupt or colliding entry: drop it and recompute.
-            try:
+            with contextlib.suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
             self.misses += 1
             return None
         self.hits += 1
-        return result
+        return value
+
+    def get(self, spec: ExperimentSpec):
+        """The cached result for ``spec``, or None (miss)."""
+        from repro.sim.metrics import SimulationResult
+
+        return self._read(self.path_for(spec), spec,
+                          lambda doc: SimulationResult.from_dict(doc["result"]))
 
     def put(self, spec: ExperimentSpec, result) -> Path:
         """Persist one result (atomic rename; concurrent writers safe).
@@ -286,27 +275,8 @@ class ResultCache(PartitionedStore):
 
     def get_snapshot(self, spec: ExperimentSpec, tag: str | int):
         """The stored session-snapshot document, or None (miss)."""
-        path = self.snapshot_path(spec, tag)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            stored = doc.get("spec")
-            if not isinstance(stored, dict) or ExperimentSpec.from_dict(
-                stored
-            ).canonical_dict() != spec.canonical_dict():
-                raise ValueError("snapshot entry spec mismatch")
-            snapshot = doc["snapshot"]
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (ValueError, KeyError, TypeError, OSError):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            self.misses += 1
-            return None
-        self.hits += 1
-        return snapshot
+        return self._read(self.snapshot_path(spec, tag), spec,
+                          lambda doc: doc["snapshot"])
 
     def put_snapshot(
         self, spec: ExperimentSpec, tag: str | int, snapshot: dict

@@ -96,7 +96,7 @@ class SchemeSpec:
         """Build a spec from loose keyword parameters (strictly validated:
         unlike legacy ``make_scheme`` kwargs, a knob the scheme does not
         have — even a cross-scheme legacy name — is a ``TypeError``)."""
-        return cls(kind, build_params(kind, _strict=True, **params), label)
+        return cls(kind, build_params(kind, **params), label)
 
     @classmethod
     def from_legacy(

@@ -52,6 +52,7 @@ import asyncio
 import concurrent.futures
 import contextlib
 import logging
+import shutil
 import tempfile
 import threading
 import time
@@ -142,6 +143,8 @@ class ReproServer:
         self._sim = SweepPool.get(self.config.workers)
         self.hub = EventHub(backlog=self.config.event_backlog)
         if self.config.cache_dir is None:
+            # A private cache lives as long as this server: close()
+            # removes it, so no restart can find (and recover) it.
             self._cache_root = tempfile.mkdtemp(prefix="repro-serve-cache-")
         else:
             self._cache_root = self.config.cache_dir
@@ -771,11 +774,14 @@ class ReproServer:
 
     def close(self) -> None:
         """Stop accepting job work: driver threads wind down, and the
-        worker pool is terminated."""
+        worker pool is terminated.  A private cache directory (no
+        ``cache_dir`` configured) is removed with everything in it."""
         self._draining.set()
         self._drivers.shutdown(wait=False, cancel_futures=True)
         self._sim.close()
         self.journal.close()
+        if self.config.cache_dir is None:
+            shutil.rmtree(self._cache_root, ignore_errors=True)
 
 
 class ServerThread:

@@ -405,13 +405,22 @@ class Journal:
 
     def stats(self) -> dict:
         """:meth:`usage` plus the records and the live and finished
-        jobs, for ``repro cache stats``; reads and folds every segment."""
+        jobs, for ``repro cache stats``; reads and folds every segment.
+
+        Also deletes, and counts as ``tmp_removed``, the ``*.tmp``
+        residue of a compaction killed before its rename.
+        """
+        tmp_removed = 0
+        for path in self.root.glob("*.tmp"):
+            with contextlib.suppress(OSError):
+                path.unlink()
+                tmp_removed += 1
         records = self.records()
         jobs = replay_records(records).values()
         finished = sum(job.finished for job in jobs)
         return {"root": str(self.root), **self.usage(),
                 "entries": len(records), "live_jobs": len(jobs) - finished,
-                "finished_jobs": finished}
+                "finished_jobs": finished, "tmp_removed": tmp_removed}
 
     def clear(self) -> int:
         """Delete every segment; returns the records they held."""

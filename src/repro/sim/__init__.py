@@ -1,9 +1,11 @@
-"""Simulation harness: the trace-driven simulator over one re-entrant
-session core, its engines, metrics, and the activation-trace store.
+"""Simulation harness: the re-entrant session core every run is, the
+functions of a spec it is built from (streams, schemes, result), its
+engines, metrics, and the activation-trace store.
 
 Runs enter through an :class:`~repro.experiments.ExperimentSpec` —
 :func:`~repro.experiments.run_spec` / :func:`~repro.experiments.run_plan`
-for batch runs, :class:`~repro.api.Session` for streamed ones.
+for batch runs, :class:`~repro.api.Session` (a :class:`SessionCore`)
+for streamed ones.
 """
 
 from repro.sim.engine import (
@@ -21,7 +23,7 @@ from repro.sim.metrics import (
     mean_over,
 )
 from repro.sim.session import SessionCore
-from repro.sim.simulator import TraceDrivenSimulator, scaled_threshold
+from repro.sim.simulator import scaled_threshold
 
 __all__ = [
     "ENGINES",
@@ -35,6 +37,5 @@ __all__ = [
     "format_table",
     "mean_over",
     "SessionCore",
-    "TraceDrivenSimulator",
     "scaled_threshold",
 ]

@@ -1,12 +1,14 @@
 """The re-entrant simulation core behind every run.
 
-:class:`SessionCore` is an explicit state machine — pending per-bank
-streams, per-bank cursors, the arrival RNG, and the
+:class:`SessionCore` is one run, built from its
+:class:`~repro.experiments.ExperimentSpec`: an explicit state machine —
+pending per-bank streams, per-bank cursors, the arrival RNG, and the
 :class:`~repro.dram.memory_system.MemorySystem` — whose
 :meth:`~SessionCore.advance` method serves *up to* a time or access
-budget and can be called again to continue.  Every run drives one
-through a :class:`~repro.api.Session`: :func:`~repro.experiments.run_spec`
-advances it to completion, the streaming API advances it step by step.
+budget and can be called again to continue.  Every run is a
+:class:`~repro.api.Session`, the core's subclass with the public
+surface: :func:`~repro.experiments.run_spec` advances one to
+completion, the streaming API advances it step by step.
 The engine is only a driver function from :mod:`repro.sim.engine`,
 picked by name; stream layout, cursors, injection and snapshots are the
 same for both engines, which therefore share one loop and one
@@ -17,13 +19,14 @@ equivalence argument:
   the next served access lies beyond them (see
   :func:`repro.sim.engine.advance_batched_streams`);
 * resuming is exact — every piece of loop state is explicit, and
-  :meth:`to_state` / :meth:`SessionCore.from_state` capture and restore
-  it (together with the scheme/bank state protocol) bit-identically.
+  :meth:`~SessionCore.to_state` / :meth:`~SessionCore.restore_state`
+  capture and restore it (together with the scheme/bank state protocol)
+  bit-identically.
 
 Snapshots hold the loaded interval *by reference*: the stream is a pure
 function of the spec and the arrival-RNG state before the interval was
 fetched, so a snapshot records that state, the per-bank cursors and a
-log of :meth:`~SessionCore.inject` calls instead of the pending
+log of the accesses injected into it instead of the pending
 accesses.  Restoring re-fetches the interval (a trace-store hit or a
 regeneration), replays the log, and refuses the snapshot unless a
 digest of the rebuilt pending streams and the arrival RNG both match
@@ -50,7 +53,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.dram.config import REFRESH_INTERVAL_S
 from repro.dram.memory_system import MemorySystem
+from repro.experiments.spec import ExperimentSpec
+from repro.sim import simulator
 from repro.sim.engine import (
     advance_batched_streams,
     advance_scalar_streams,
@@ -63,7 +69,6 @@ from repro.workloads.synthetic import interarrival_times_ns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.report.config import RunContext
-    from repro.sim.simulator import TraceDrivenSimulator
 
 #: The stream driver of each engine (one signature, one contract).
 _DRIVERS = {
@@ -75,28 +80,39 @@ _DRIVERS = {
 class SessionCore:
     """Incremental driver of one experiment's access streams.
 
-    ``sim`` is the configured simulator (spec, system, scheme factory);
-    the core serves its
-    :meth:`~repro.sim.simulator.TraceDrivenSimulator.stream_plan` and
-    keys the trace store ``context`` selects (None: the environment's)
-    by :func:`~repro.sim.tracestore.stream_key_doc`.
+    Built from ``spec`` (an :class:`~repro.experiments.ExperimentSpec`
+    or its dict form) alone: the system config, the simulated banks (at
+    most the system's), the compressed epoch, and a memory system whose
+    banks run :func:`~repro.sim.simulator.scheme_factory`'s schemes.
+    The core serves :func:`~repro.sim.simulator.stream_plan` and keys
+    the trace store ``context`` selects (None: the environment's) by
+    :func:`~repro.sim.tracestore.stream_key_doc`.
     """
 
-    def __init__(self, sim: "TraceDrivenSimulator",
-                 context: "RunContext | None") -> None:
-        self.sim = sim
-        self.label, self.full_intensity, self.rows_fn = sim.stream_plan()
-        self._driver = _DRIVERS[sim.engine]
-        self.n_banks = sim.n_banks_simulated
-        self.n_intervals = sim.n_intervals
-        self.epoch_ns = sim.epoch_s * 1e9
+    def __init__(self, spec, context: "RunContext | None" = None) -> None:
+        if isinstance(spec, dict):
+            spec = ExperimentSpec.from_dict(spec)
+        if not isinstance(spec, ExperimentSpec):
+            raise TypeError(
+                "a run is built from a repro.experiments.ExperimentSpec "
+                f"(or its dict form), not {type(spec).__name__}"
+            )
+        self.spec = spec
+        self.config = spec.resolve_system()
+        self.label, self.full_intensity, self.rows_fn = \
+            simulator.stream_plan(spec)
+        self._driver = _DRIVERS[spec.engine]
+        self.n_banks = simulator.simulated_banks(spec)
+        self.n_intervals = spec.n_intervals
+        epoch_s = REFRESH_INTERVAL_S / spec.scale
+        self.epoch_ns = epoch_s * 1e9
         self.memory = MemorySystem(
-            sim.config,
-            sim._scheme_factory(),
-            epoch_s=sim.epoch_s,
+            self.config,
+            simulator.scheme_factory(spec),
+            epoch_s=epoch_s,
             active_banks=self.n_banks,
         )
-        self.arrival_rng = np.random.Generator(np.random.PCG64(sim.seed))
+        self.arrival_rng = np.random.Generator(np.random.PCG64(spec.seed))
         #: index of the interval whose streams are loaded (-1 = none yet)
         self.interval = -1
         #: per-bank pending (times, rows) of the loaded interval, and
@@ -111,8 +127,13 @@ class SessionCore:
         # Content-addressed generation sharing (None = always generate).
         self._trace_store = open_store(context)
         if self._trace_store is not None:
-            self._trace_key_doc = stream_key_doc(sim)
+            self._trace_key_doc = stream_key_doc(spec)
             self._trace_key = stream_key(self._trace_key_doc)
+
+    @property
+    def total_ns(self) -> float:
+        """The full simulated horizon (``n_intervals`` epochs)."""
+        return self.n_intervals * self.epoch_ns
 
     # -- interval loading --------------------------------------------------
 
@@ -212,18 +233,22 @@ class SessionCore:
 
     def advance(
         self,
-        *,
         until_ns: float | None = None,
+        *,
         max_accesses: int | None = None,
     ) -> int:
         """Serve accesses up to the given limits; returns the count served.
 
         With no limits, runs to completion.  ``until_ns`` serves every
         access arriving strictly before that time; ``max_accesses``
-        bounds the number served in this call.  Pausing at any point and
+        bounds the number served in this call.  The epoch clock only
+        moves as served accesses push it, so advancing to a quiet time
+        leaves later boundaries uncrossed.  Pausing at any point and
         continuing later yields the bit-identical final state.
         """
         fault_point("session.advance")
+        if until_ns is not None:
+            until_ns = float(until_ns)
         served = 0
         while True:
             if self._interval_exhausted():
@@ -247,52 +272,23 @@ class SessionCore:
                 break
         return served
 
-    # -- injection ---------------------------------------------------------
+    def step(self, n: int = 1) -> int:
+        """Serve up to ``n`` further accesses; returns the count served."""
+        if n < 0:
+            raise ValueError(f"step count must be >= 0, got {n}")
+        return self.advance(max_accesses=n)
 
-    def inject(
-        self, bank: int, times: np.ndarray, rows: np.ndarray
-    ) -> int:
-        """Splice extra activations into the current interval's stream.
-
-        ``times`` (ns, any order; quantized here) must fall inside the
-        current interval's window; ``rows`` are row ids on ``bank``.
-        The injected accesses merge into the *pending* suffix in time
-        order (existing accesses first on ties) and are served by
-        subsequent :meth:`advance` calls exactly as generated traffic
-        would be.  Returns the number of accesses injected.
-        """
-        if self.interval < 0 and not self._load_next_interval():
-            raise RuntimeError("cannot inject into a zero-interval run")
-        if not 0 <= bank < self.n_banks:
-            raise ValueError(
-                f"bank {bank} out of range for {self.n_banks} "
-                "simulated bank(s)"
-            )
-        times = quantize_times_ns(np.asarray(times, dtype=np.float64))
-        rows = np.asarray(rows, dtype=np.int64)
-        if len(times) != len(rows):
-            raise ValueError("times and rows must have equal length")
-        if len(times) == 0:
-            return 0
-        order = np.argsort(times, kind="stable")
-        times, rows = times[order], rows[order]
-        lo = self.interval * self.epoch_ns
-        hi = (self.interval + 1) * self.epoch_ns
-        if float(times[0]) < lo or float(times[-1]) >= hi:
-            raise ValueError(
-                f"injected times must lie in the current interval window "
-                f"[{lo}, {hi}) ns"
-            )
-        n_rows = self.sim.config.rows_per_bank
-        if int(rows.min()) < 0 or int(rows.max()) >= n_rows:
-            raise ValueError(
-                f"injected rows out of range for bank with {n_rows} rows"
-            )
-        self._splice(bank, times, rows)
-        return len(times)
+    def run(self) -> "SessionCore":
+        """Serve everything that remains; returns ``self`` for chaining."""
+        self.advance()
+        return self
 
     def _splice(self, bank: int, times: np.ndarray, rows: np.ndarray) -> None:
-        """Log, then merge sorted accesses into ``bank``'s pending suffix."""
+        """Log, then merge sorted accesses into ``bank``'s pending suffix.
+
+        Injected accesses go after existing ones on equal times; the log
+        is what a snapshot records and a restore replays.
+        """
         c = self._cursors[bank]
         self._injections.append((bank, c, times, rows))
         pending_t, pending_r = self._streams[bank]
@@ -309,6 +305,7 @@ class SessionCore:
         """Demand activations served so far (all banks)."""
         return self.memory.total_activations
 
+    @property
     def position_ns(self) -> float:
         """Arrival time of the most recently served access (0 if none)."""
         last = 0.0
@@ -323,25 +320,41 @@ class SessionCore:
             last = max(last, self.interval * self.epoch_ns)
         return last
 
-    def totals(self, elapsed_ns: float | None = None) -> RunTotals:
-        """Raw totals; ``elapsed_ns`` defaults to the full run length."""
+    def _counts(self) -> dict[str, float]:
+        """The memory system's cumulative counters."""
         memory = self.memory
-        if elapsed_ns is None:
-            elapsed_ns = self.n_intervals * self.epoch_ns
+        return {
+            "accesses": memory.total_activations,
+            "refresh_commands": memory.total_refresh_commands,
+            "rows_refreshed": memory.total_rows_refreshed,
+            "stall_ns": memory.total_stall_ns,
+            "mitigation_busy_ns": memory.total_mitigation_busy_ns,
+        }
+
+    def _totals(self, counts: dict, n_intervals: int,
+                elapsed_ns: float) -> RunTotals:
+        """This run's totals of ``counts`` (a :meth:`_counts` dict, or
+        the difference of two) over ``n_intervals`` epochs."""
         return RunTotals(
-            scheme=self.sim.scheme_kind,
+            scheme=self.spec.scheme.kind,
             workload=self.label,
-            scale=self.sim.scale,
+            scale=self.spec.scale,
             n_banks_simulated=self.n_banks,
-            n_intervals=self.n_intervals,
-            accesses=self.accesses_served,
-            refresh_commands=memory.total_refresh_commands,
-            rows_refreshed=memory.total_rows_refreshed,
-            stall_ns=memory.total_stall_ns,
+            n_intervals=n_intervals,
+            accesses=int(counts["accesses"]),
+            refresh_commands=int(counts["refresh_commands"]),
+            rows_refreshed=int(counts["rows_refreshed"]),
+            stall_ns=counts["stall_ns"],
             elapsed_ns=elapsed_ns,
-            mitigation_busy_ns=memory.total_mitigation_busy_ns,
+            mitigation_busy_ns=counts["mitigation_busy_ns"],
             full_scale_accesses_per_interval=self.full_intensity,
         )
+
+    def totals(self, elapsed_ns: float | None = None) -> RunTotals:
+        """Raw totals; ``elapsed_ns`` defaults to the full run length."""
+        if elapsed_ns is None:
+            elapsed_ns = self.total_ns
+        return self._totals(self._counts(), self.n_intervals, elapsed_ns)
 
     # -- checkpointable state ----------------------------------------------
 
@@ -361,11 +374,11 @@ class SessionCore:
         the per-bank cursors and a digest of the pending suffixes.  The
         current arrival RNG state covers every not-yet-generated
         interval.  The layout is the same on both engines; the engine
-        name is only a tag that :meth:`from_state` checks against the
+        name is only a tag that :meth:`restore_state` checks against the
         spec.  Quarter-ns-grid floats round-trip exactly through JSON.
         """
         doc: dict = {
-            "engine": self.sim.engine,
+            "engine": self.spec.engine,
             "interval": self.interval,
             "rng": {"pcg64": self.arrival_rng.bit_generator.state},
             "memory": self.memory.to_state(),
@@ -380,10 +393,9 @@ class SessionCore:
             doc["digest"] = self._pending_digest()
         return doc
 
-    @classmethod
-    def from_state(cls, sim: "TraceDrivenSimulator", state: dict,
-                   context: "RunContext | None") -> "SessionCore":
-        """Rebuild a core captured by :meth:`to_state` (same spec).
+    def restore_state(self, state: dict) -> None:
+        """Put a fresh core (same spec) in the state :meth:`to_state`
+        captured.
 
         Sets the arrival RNG to the recorded pre-interval state and
         fetches the interval exactly as the live run did (trace-store
@@ -395,49 +407,47 @@ class SessionCore:
         regenerated interval is published to the trace store only once
         it has passed both checks.
         """
-        if state["engine"] != sim.engine:
+        if state["engine"] != self.spec.engine:
             raise ValueError(
                 f"snapshot was taken on the {state['engine']!r} engine, "
-                f"spec selects {sim.engine!r}"
+                f"spec selects {self.spec.engine!r}"
             )
-        core = cls(sim, context)
-        core.memory.restore_state(state["memory"])
+        self.memory.restore_state(state["memory"])
         rng_state = state["rng"]["pcg64"]
         interval = int(state["interval"])
         if interval < 0:
-            core.arrival_rng.bit_generator.state = rng_state
-            return core
-        core.interval = interval
-        core._interval_rng = state["interval_rng"]["pcg64"]
-        core.arrival_rng.bit_generator.state = core._interval_rng
-        per_bank = core._stored_interval(interval)
+            self.arrival_rng.bit_generator.state = rng_state
+            return
+        self.interval = interval
+        self._interval_rng = state["interval_rng"]["pcg64"]
+        self.arrival_rng.bit_generator.state = self._interval_rng
+        per_bank = self._stored_interval(interval)
         generated = per_bank is None
         if generated:
-            per_bank = core._generate_interval(interval)
-        core._install_streams(per_bank)
+            per_bank = self._generate_interval(interval)
+        self._install_streams(per_bank)
         for bank, cursor, times, rows in state["injections"]:
-            core._cursors[bank] = int(cursor)
-            core._splice(bank, np.asarray(times, dtype=np.float64),
+            self._cursors[bank] = int(cursor)
+            self._splice(bank, np.asarray(times, dtype=np.float64),
                          np.asarray(rows, dtype=np.int64))
         cursors = [int(c) for c in state["cursors"]]
-        if len(cursors) != core.n_banks or not all(
-            0 <= c <= len(t) for c, (t, _) in zip(cursors, core._streams)
+        if len(cursors) != self.n_banks or not all(
+            0 <= c <= len(t) for c, (t, _) in zip(cursors, self._streams)
         ):
             raise ValueError(
                 f"snapshot cursors {cursors} do not fit the "
-                f"{core.n_banks} bank stream(s) of interval {interval}"
+                f"{self.n_banks} bank stream(s) of interval {interval}"
             )
-        core._cursors = cursors
-        if core._pending_digest() != state["digest"]:
+        self._cursors = cursors
+        if self._pending_digest() != state["digest"]:
             raise ValueError(
                 f"snapshot digest mismatch: interval {interval} rebuilds "
                 "to a different pending stream than was recorded"
             )
-        if core.arrival_rng.bit_generator.state != rng_state:
+        if self.arrival_rng.bit_generator.state != rng_state:
             raise ValueError(
                 "snapshot arrival-RNG mismatch: interval "
                 f"{interval} was not generated from the recorded state"
             )
         if generated:
-            core._publish_interval(interval, per_bank)
-        return core
+            self._publish_interval(interval, per_bank)

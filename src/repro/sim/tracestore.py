@@ -61,6 +61,7 @@ import numpy as np
 
 from repro.experiments.cache import PartitionedStore, publish
 from repro.report.config import RunContext
+from repro.sim.simulator import simulated_banks
 from repro.testing.faults import corrupting, fault_point
 
 #: On-disk entry layout version (bump on incompatible changes; part of
@@ -90,11 +91,10 @@ def open_store(context: RunContext | None = None) -> "TraceStore | None":
     return store
 
 
-def stream_key_doc(sim) -> dict:
-    """The generation-relevant identity of one simulator's streams.
+def stream_key_doc(spec) -> dict:
+    """The generation-relevant identity of one spec's streams.
 
-    Describes what :meth:`TraceDrivenSimulator.stream_plan
-    <repro.sim.simulator.TraceDrivenSimulator.stream_plan>` generates.
+    Describes what :func:`~repro.sim.simulator.stream_plan` generates.
     Scheme, refresh threshold and engine are deliberately absent — they
     cannot influence generation — and so is ``n_intervals``: interval
     ``k``'s content (and RNG chain) does not depend on how many
@@ -102,14 +102,13 @@ def stream_key_doc(sim) -> dict:
     """
     from dataclasses import asdict
 
-    spec = sim.spec
     doc: dict = {
         "store_version": STORE_VERSION,
         "kind": "workload",
-        "rows_per_bank": sim.config.rows_per_bank,
+        "rows_per_bank": spec.resolve_system().rows_per_bank,
         "scale": spec.scale,
-        "n_banks": sim.n_banks_simulated,
-        "seed": sim.seed,
+        "n_banks": simulated_banks(spec),
+        "seed": spec.seed,
     }
     if spec.kind == "attack":
         doc["kind"] = "attack"

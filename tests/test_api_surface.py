@@ -170,3 +170,53 @@ class TestCrossSchemeConsistency:
                 cmd.row_count(1024) for r in rows for cmd in b.access(r)
             )
             assert rows_a == rows_b
+
+
+class TestFrozenBenchmarkSeams:
+    """``perfbench/`` is frozen, and its traced runs wrap names under
+    ``src`` at run time (``spans.install``), so those names must stay
+    where it looks for them and every run must pass through them."""
+
+    def test_spans_install_wraps_and_uninstall_restores(self, monkeypatch):
+        from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
+        from repro.experiments import cache as cache_mod
+        from repro.experiments import run as run_mod
+        from repro.sim import session, simulator
+
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        before = set(sys.modules)
+        try:
+            spans = importlib.import_module("spans")
+            importlib.import_module("sweeps")
+            importlib.import_module("serve_traced")
+            seams = [(session.SessionCore, "advance"),
+                     (session, "interarrival_times_ns"),
+                     (simulator, "attack_stream"),
+                     (run_mod, "run_spec"),
+                     (cache_mod.ResultCache, "get"),
+                     (cache_mod.ResultCache, "put_snapshot")]
+            originals = [vars(owner)[name] for owner, name in seams]
+            recorder = spans.Recorder()
+            tracer = spans.install(recorder, server=True)
+            try:
+                assert all(vars(owner)[name] is not original
+                           for (owner, name), original
+                           in zip(seams, originals))
+                monkeypatch.setenv("REPRO_TRACE_STORE", "0")
+                run_mod.run_spec(ExperimentSpec(
+                    scheme=SchemeSpec("sca"), workload="libq",
+                    scale=128.0, n_banks=1, n_intervals=1))
+            finally:
+                tracer.uninstall()
+            assert [vars(owner)[name] for owner, name in seams] == originals
+            summary = spans.summarize(recorder.spans)
+            for layer in ("experiments.cell", "engine.advance",
+                          "workloads.gen"):
+                assert summary[layer]["calls"] > 0, layer
+            assert run_spec is run_mod.run_spec
+        finally:
+            for name in set(sys.modules) - before:
+                if str(perfbench) in str(
+                        getattr(sys.modules[name], "__file__", "")):
+                    del sys.modules[name]

@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import Session
 from repro.experiments import ExperimentSpec, ResultCache, SchemeSpec
-from repro.experiments.cache import publish, sweep_orphan_tmp
+from repro.experiments.cache import publish
 from repro.experiments.run import run_spec
 from repro.server.journal import JOURNAL_DIR, Journal
 from repro.sim.tracestore import TraceStore
@@ -119,20 +119,39 @@ class TestCorruptSnapshots:
 
 
 class TestOrphanTmpSweep:
-    def test_sweeps_nested_tmp_and_keeps_entries(self, tmp_path):
-        (tmp_path / "v1-abc").mkdir()
-        keep = tmp_path / "v1-abc" / "deadbeef.json"
+    def test_stores_sweep_only_their_own_tmp(self, tmp_path):
+        """Each store's stats() deletes the residue in its own
+        directories, and nothing outside them."""
+        cache = ResultCache(tmp_path)
+        traces = TraceStore(tmp_path / "traces")
+        journal = Journal(tmp_path / JOURNAL_DIR, fsync=False)
+        stale = tmp_path / STALE
+        for directory in (cache.root, stale, traces.root, journal.root):
+            directory.mkdir(parents=True)
+        keep = cache.root / "deadbeef.json"
         keep.write_text("{}", encoding="utf-8")
-        (tmp_path / "v1-abc" / "deadbeefab12.tmp").write_text("torn")
-        (tmp_path / "traces").mkdir()
-        (tmp_path / "traces" / "k-i0.rows.abc.tmp").write_bytes(b"\x93")
-        assert sweep_orphan_tmp(tmp_path) == 2
+        (cache.root / "deadbeefab12.tmp").write_text("torn")
+        (stale / "old.tmp").write_text("torn")
+        (traces.root / "k-i0.rows.abc.tmp").write_bytes(b"\x93")
+        (journal.root / "seg-00000002.abc.tmp").write_bytes(b"\x00")
+        foreign = [tmp_path / "important" / "draft.tmp",
+                   tmp_path / "traces" / "notes.tmp",
+                   tmp_path / "v1-abc" / "other.tmp"]
+        for path in foreign:
+            path.parent.mkdir(exist_ok=True)
+            path.write_text("mine", encoding="utf-8")
+        assert cache.stats()["tmp_removed"] == 2
+        assert traces.stats()["tmp_removed"] == 1
+        assert journal.stats()["tmp_removed"] == 1
         assert keep.exists()
-        assert sweep_orphan_tmp(tmp_path) == 0  # idempotent
+        assert all(path.exists() for path in foreign)
+        # Idempotent.
+        assert cache.stats()["tmp_removed"] == 0
+        assert journal.stats()["tmp_removed"] == 0
 
-    def test_missing_or_none_root_is_zero(self, tmp_path):
-        assert sweep_orphan_tmp(None) == 0
-        assert sweep_orphan_tmp(tmp_path / "nope") == 0
+    def test_missing_store_sweeps_nothing(self, tmp_path):
+        assert ResultCache(tmp_path / "nope").stats()["tmp_removed"] == 0
+        assert Journal(tmp_path / "nope").stats()["tmp_removed"] == 0
 
     def test_cli_cache_stats_reports_sweep(
         self, tmp_path, monkeypatch, capsys
@@ -140,15 +159,32 @@ class TestOrphanTmpSweep:
         from repro.cli import main
 
         result_root = tmp_path / "results"
-        result_root.mkdir()
-        (result_root / "orphan-xyz.tmp").write_text("torn")
+        orphan = ResultCache(result_root).root / "orphan-xyz.tmp"
+        orphan.parent.mkdir(parents=True)
+        orphan.write_text("torn")
         monkeypatch.setenv("REPRO_BENCH_CACHE_DIR", str(result_root))
         trace_root = tmp_path / "traces"
         assert main(["cache", "stats", "--trace-dir", str(trace_root),
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["tmp_removed"] == 1
-        assert not (result_root / "orphan-xyz.tmp").exists()
+        assert doc["tmp_removed"] == doc["results"]["tmp_removed"] == 1
+        assert not orphan.exists()
+
+    def test_cli_cache_stats_keeps_foreign_tmp(self, tmp_path, capsys,
+                                               monkeypatch):
+        """A ``.tmp`` file no store wrote survives ``repro cache stats``
+        and ``clear`` on its directory."""
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_TRACE_STORE_DIR", raising=False)
+        draft = tmp_path / "important" / "draft.tmp"
+        draft.parent.mkdir()
+        draft.write_text("mine", encoding="utf-8")
+        for action in ("stats", "clear"):
+            assert main(["cache", action, "--cache-dir",
+                         str(tmp_path)]) == 0
+            assert draft.read_text(encoding="utf-8") == "mine"
+        capsys.readouterr()
 
 
 class TestAtomicSessionSave:

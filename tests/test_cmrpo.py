@@ -51,13 +51,9 @@ class TestComputation:
         hi = compute_cmrpo("sca", 200_000.0, 0.0)
         assert hi.dynamic_mw == pytest.approx(2 * lo.dynamic_mw)
 
-    def test_pra_requires_probability(self):
-        with pytest.raises(ValueError):
-            compute_cmrpo("pra", 1000.0, 10.0)
-
     def test_pra_dynamic_is_prng_energy(self):
         accesses = 582_000.0
-        b = compute_cmrpo("pra", accesses, 0.0, pra_probability=0.002)
+        b = compute_cmrpo("pra", accesses, 0.0)
         expected = (
             pra_hardware().energy_per_access_nj
             * accesses
@@ -72,7 +68,7 @@ class TestComputation:
         11% CMRPO (dominated by PRNG energy)."""
         accesses = 582_000.0
         victim_rows = 2 * accesses * 0.002  # two rows every 1/p accesses
-        b = compute_cmrpo("pra", accesses, victim_rows, pra_probability=0.002)
+        b = compute_cmrpo("pra", accesses, victim_rows)
         assert 0.07 < b.cmrpo < 0.15
 
     def test_smaller_threshold_cheaper_static(self):

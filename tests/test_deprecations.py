@@ -6,8 +6,8 @@ replay stack and the ``repro.sim.runner`` keyword facade were deleted
 outright, leaving an ``ExperimentSpec`` as the only simulator input;
 the merged-stream batched driver went too, leaving the per-bank
 ``advance_batched_streams`` as the one batched driver; and
-``TraceDrivenSimulator.run`` went, leaving a ``Session`` as the one run
-path.  This module
+``TraceDrivenSimulator`` went, leaving a ``Session`` (a ``SessionCore``
+built from its spec) as the one object per run.  This module
 pins the *removal guarantees*: every former shim raises
 (``TypeError`` / ``AttributeError``) instead of silently doing
 something, deleted modules and names stay gone, and the canonical spec
@@ -23,8 +23,9 @@ import pytest
 import repro
 from repro.core.base import RefreshCommand
 from repro.dram.config import DUAL_CORE_2CH
+from repro.api import Session
 from repro.experiments import ExperimentSpec, Plan, SchemeSpec, run_plan, run_spec
-from repro.sim.simulator import TraceDrivenSimulator
+from repro.sim import simulator
 
 FAST = dict(scale=128.0, n_banks=1, n_intervals=1)
 
@@ -36,17 +37,19 @@ def fast_spec(**overrides):
 
 
 class TestSimulatorCtorRemoved:
+    """A run is built from a spec; the pre-spec forms raise."""
+
     def test_config_positional_raises(self):
         with pytest.raises(TypeError, match="ExperimentSpec"):
-            TraceDrivenSimulator(DUAL_CORE_2CH)
+            Session(DUAL_CORE_2CH)
 
     def test_legacy_ctor_raises(self):
         with pytest.raises(TypeError):
-            TraceDrivenSimulator(DUAL_CORE_2CH, "sca")
+            Session(DUAL_CORE_2CH, "sca")
 
     def test_legacy_kwargs_raise(self):
         with pytest.raises(TypeError):
-            TraceDrivenSimulator(
+            Session(
                 DUAL_CORE_2CH, "sca", scale=128.0,
                 n_banks_simulated=1, n_intervals=1,
             )
@@ -54,7 +57,7 @@ class TestSimulatorCtorRemoved:
     def test_spec_ctor_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            TraceDrivenSimulator(fast_spec())
+            Session(fast_spec())
 
 
 class TestSchemeKwargSoupRemoved:
@@ -91,22 +94,39 @@ class TestSecondSimulatorRemoved:
         assert not hasattr(repro, "simulate_workload")
         assert not hasattr(repro, "sweep")
 
-    def test_no_run_attack(self):
-        assert not hasattr(TraceDrivenSimulator, "run_attack")
-
     def test_simulator_does_not_run(self):
-        """Every run drives a Session; the simulator only describes it."""
-        assert not hasattr(TraceDrivenSimulator, "run")
+        """Every run is a Session; the simulator module only holds
+        functions of the spec."""
+        for name in simulator.__all__:
+            assert inspect.isfunction(getattr(simulator, name)), name
 
     def test_spec_is_the_only_input(self):
-        params = inspect.signature(TraceDrivenSimulator.stream_plan).parameters
-        assert list(params) == ["self"]
+        params = inspect.signature(simulator.stream_plan).parameters
+        assert list(params) == ["spec"]
+
+    def test_one_object_per_run(self):
+        """A Session is its session core: no wrapped core, no simulator
+        object, and the core's own ``advance`` drives every run."""
+        from repro.sim.session import SessionCore
+
+        session = Session(fast_spec())
+        assert isinstance(session, SessionCore)
+        assert not hasattr(session, "_core")
+        assert not hasattr(session, "sim")
+        for name in ("advance", "step", "run", "position_ns", "epoch_ns",
+                     "total_ns", "done", "accesses_served"):
+            assert name not in vars(Session), name
 
 
 #: The merged-stream batched driver and two helpers nothing called, the
 #: headroom-bisection tree loop, and the counter cache's batch path and
-#: the bank's drain closed form, all replaced by the compiled kernel.
-#: A name in a module of DELETED_MODULES is gone with its module.
+#: the bank's drain closed form, all replaced by the compiled kernel;
+#: the simulator object a session core absorbed, with the core's own
+#: restore constructor and injection entry (a Session injects and
+#: restores); the parameter leniency that object's legacy attributes
+#: served; and the tree-wide ``.tmp`` sweep each store replaced with
+#: its own.  A name in a module of DELETED_MODULES is gone with its
+#: module.
 DELETED_NAMES = (
     ("repro.core.batch", "find_first_event"),
     ("repro.sim.engine", "run_batched"),
@@ -123,6 +143,12 @@ DELETED_NAMES = (
     ("repro.dram.bank", "DRAIN_VECTOR_MIN_BACKLOG"),
     ("repro.core.counter_cache", "CounterCacheScheme._replay_lru"),
     ("repro.core.counter_cache", "_slots"),
+    ("repro.sim.simulator", "TraceDrivenSimulator"),
+    ("repro.sim", "TraceDrivenSimulator"),
+    ("repro.sim.session", "SessionCore.from_state"),
+    ("repro.sim.session", "SessionCore.inject"),
+    ("repro.core.registry", "LEGACY_KWARGS"),
+    ("repro.experiments.cache", "sweep_orphan_tmp"),
 )
 
 

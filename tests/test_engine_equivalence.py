@@ -47,7 +47,7 @@ _PARAM_SAMPLERS = {
 def _run_with_memory(spec: ExperimentSpec):
     """The run's result and its final memory system."""
     session = Session(spec)
-    return session.result(), session._core.memory
+    return session.result(), session.memory
 
 
 def _run(engine: str, scheme: str, workload: str):

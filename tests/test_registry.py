@@ -56,11 +56,13 @@ class TestBuildParams:
         with pytest.raises(TypeError, match="valid parameters"):
             build_params("sca", probability_of_rain=0.5)
 
-    def test_legacy_cross_scheme_kwargs_ignored(self):
-        # The historical make_scheme accepted the full kwarg soup for
-        # every scheme; irrelevant legacy names are dropped, not errors.
-        assert build_params("sca", probability=0.5) == ScaParams()
-        assert build_params("pra", n_counters=128) == PraParams()
+    def test_cross_scheme_kwargs_rejected(self):
+        # A knob of another scheme is as foreign as an unknown one, on
+        # make_scheme exactly as on SchemeSpec.create.
+        with pytest.raises(TypeError, match="takes no parameter"):
+            build_params("sca", probability=0.5)
+        with pytest.raises(TypeError, match="takes no parameter"):
+            make_scheme("pra", N_ROWS, 1024, n_counters=128)
 
 
 class TestMakeScheme:

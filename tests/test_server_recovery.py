@@ -384,7 +384,6 @@ class TestRunSnapshotResume:
         spec = fast_spec(seed=63, n_intervals=3)
         session = Session(spec)
         session.advance(2 * session.epoch_ns)
-        core = session._core
         legacy = session.snapshot()
         legacy["snapshot_version"] = 2
         for field in ("interval_rng", "injections", "cursors", "digest"):
@@ -392,7 +391,7 @@ class TestRunSnapshotResume:
         legacy["core"]["position_ns"] = session.position_ns
         legacy["core"]["streams"] = [
             {"times": t[c:].tolist(), "rows": r[c:].tolist()}
-            for (t, r), c in zip(core._streams, core._cursors)
+            for (t, r), c in zip(session._streams, session._cursors)
         ]
         self._cold_start_on(tmp_path, spec, legacy)
 

@@ -295,3 +295,28 @@ def test_runs_and_a_plan_share_two_workers(tmp_path):
     finally:
         sys.setswitchinterval(interval)
         server.close()
+
+
+def test_private_cache_dir_is_removed_on_close():
+    """A server built without ``cache_dir`` writes its results and
+    journal into a private directory, and ``close()`` removes it."""
+    from pathlib import Path
+
+    spec = fast_spec(seed=70)
+    expected = run_spec(spec).to_dict()
+    server = ReproServer(ServerConfig(port=0, workers=1, driver_threads=1))
+    root = Path(server._cache_root)
+    try:
+        body = json.dumps({"spec": spec.to_dict()}).encode()
+        response = server.handle(Request("POST", "/v1/runs", {}, {}, body))
+        job = server.jobs.get(json.loads(response.body)["job"])
+        deadline = time.monotonic() + 60
+        while not job.finished:
+            assert time.monotonic() < deadline, "run did not finish"
+            time.sleep(0.02)
+        assert job.result.to_dict() == expected
+        assert server.journal.segments()
+        assert ResultCache(root).get(spec) is not None
+    finally:
+        server.close()
+    assert not root.exists()

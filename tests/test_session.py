@@ -263,21 +263,20 @@ class TestTamperedSnapshots:
     def test_other_row_generator_fails_the_digest(self, monkeypatch):
         """A build whose generator yields other rows, while drawing the
         arrival RNG exactly as before, is refused by the digest alone."""
-        from repro.sim.simulator import TraceDrivenSimulator
+        from repro.sim import simulator
 
         spec = spec_for("sca", "batched")
         with trace_store(None):
             session = open_session(spec)
             session.advance(session.total_ns * 0.6)
             snap = json_cycle(session.snapshot())
-            plan = TraceDrivenSimulator.stream_plan
+            plan = simulator.stream_plan
 
-            def reversed_rows(sim):
-                label, intensity, rows_fn = plan(sim)
+            def reversed_rows(spec):
+                label, intensity, rows_fn = plan(spec)
                 return label, intensity, lambda b, i: rows_fn(b, i)[::-1]
 
-            monkeypatch.setattr(TraceDrivenSimulator, "stream_plan",
-                                reversed_rows)
+            monkeypatch.setattr(simulator, "stream_plan", reversed_rows)
             with pytest.raises(ValueError, match="digest"):
                 Session.restore(snap)
 
@@ -305,7 +304,7 @@ def _open_with_burst(spec, inject):
 def _finish(session):
     """The session's result and its final registers (every bank and
     scheme), which the result alone does not show."""
-    return session.result().to_dict(), session._core.memory.to_state()
+    return session.result().to_dict(), session.memory.to_state()
 
 
 def _run_cut(spec, inject, cut, store_snap, store_restore):

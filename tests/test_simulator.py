@@ -1,16 +1,17 @@
-"""Tests for the trace-driven simulator and its scaling machinery."""
+"""Tests for the functions of a spec and their scaling machinery."""
 
 import numpy as np
 import pytest
 
+from repro.api import Session
 from repro.dram.config import DUAL_CORE_2CH, SystemConfig
 from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
 from repro.sim.engine import merge_streams
 from repro.sim.simulator import (
-    TraceDrivenSimulator,
     _phase_segments,
     baseline_execution_time_ns,
     scaled_threshold,
+    scheme_factory,
 )
 
 
@@ -102,21 +103,21 @@ class TestSimulatorRuns:
         defaults = dict(scale=64.0, n_banks=1, n_intervals=1,
                         system=DUAL_CORE_2CH)
         defaults.update(kw)
-        return TraceDrivenSimulator(ExperimentSpec(
+        return ExperimentSpec(
             scheme=SchemeSpec.create(scheme, **params), **defaults
-        ))
+        )
 
     def test_totals_consistent(self):
-        sim = self.make("sca", params={"n_counters": 64}, workload="black")
-        result = run_spec(sim.spec)
+        spec = self.make("sca", params={"n_counters": 64}, workload="black")
+        result = run_spec(spec)
         totals = result.totals
         assert totals.accesses > 0
         assert totals.elapsed_ns == pytest.approx(64e6 / 64.0)
         assert totals.rows_refreshed >= totals.refresh_commands
 
     def test_deterministic(self):
-        r1 = run_spec(self.make("drcat", workload="comm1").spec)
-        r2 = run_spec(self.make("drcat", workload="comm1").spec)
+        r1 = run_spec(self.make("drcat", workload="comm1"))
+        r2 = run_spec(self.make("drcat", workload="comm1"))
         assert r1.totals.rows_refreshed == r2.totals.rows_refreshed
         assert r1.cmrpo == r2.cmrpo
 
@@ -124,14 +125,13 @@ class TestSimulatorRuns:
         """DESIGN.md invariant 6: rows/interval is stable across scales."""
         rows = []
         for scale in (32.0, 64.0):
-            sim = self.make("sca", scale=scale, workload="black")
-            result = run_spec(sim.spec)
+            result = run_spec(self.make("sca", scale=scale, workload="black"))
             rows.append(result.totals.rows_refreshed_per_bank_interval)
         assert rows[0] == pytest.approx(rows[1], rel=0.35)
 
     def test_pra_probability_plumbs_through(self):
-        sim = self.make("pra", params={"probability": 0.004}, workload="libq")
-        result = run_spec(sim.spec)
+        spec = self.make("pra", params={"probability": 0.004}, workload="libq")
+        result = run_spec(spec)
         assert result.parameters["probability"] == 0.004
 
     def test_rejects_bad_scale(self):
@@ -139,26 +139,26 @@ class TestSimulatorRuns:
             self.make("sca", scale=0.5)
 
     def test_rejects_non_spec_construction(self):
-        """The pre-spec (config, kind, **kwargs) form is gone for good."""
+        """A run is built from a spec; a bare system config is refused."""
         with pytest.raises(TypeError, match="ExperimentSpec"):
-            TraceDrivenSimulator(DUAL_CORE_2CH)
+            Session(DUAL_CORE_2CH)
 
     def test_banks_capped_at_config(self):
-        sim = self.make("sca", n_banks=1000)
-        assert sim.n_banks_simulated == DUAL_CORE_2CH.n_banks
+        session = Session(self.make("sca", n_banks=1000))
+        assert session.n_banks == DUAL_CORE_2CH.n_banks
 
     def test_cat_schedule_scaled(self):
-        sim = self.make("prcat", scale=16.0)
-        scheme = sim._scheme_factory()(DUAL_CORE_2CH.rows_per_bank)
+        factory = scheme_factory(self.make("prcat", scale=16.0))
+        scheme = factory(DUAL_CORE_2CH.rows_per_bank)
         assert scheme.schedule.refresh_threshold == 2048
         assert scheme.tree.thresholds.refresh_threshold == 2048
 
     def test_attack_run(self):
-        sim = self.make(
+        spec = self.make(
             "sca", refresh_threshold=16384, kind="attack",
             attack_kernel="kernel01", attack_mode="heavy", workload="libq",
         )
-        result = run_spec(sim.spec)
+        result = run_spec(spec)
         assert result.totals.rows_refreshed > 0
         assert "kernel01" in result.workload
 
@@ -166,9 +166,8 @@ class TestSimulatorRuns:
 class TestQuadCoreConfig:
     def test_quad_core_rows(self):
         quad = SystemConfig(n_cores=4, rows_per_bank=131072)
-        sim = TraceDrivenSimulator(ExperimentSpec(
+        result = run_spec(ExperimentSpec(
             scheme=SchemeSpec("sca"), workload="comm1", system=quad,
             scale=128.0, n_banks=1, n_intervals=1,
         ))
-        result = run_spec(sim.spec)
         assert result.totals.accesses > 0

@@ -16,7 +16,6 @@ from repro.core.registry import scheme_names
 from repro.experiments import ExperimentSpec, SchemeSpec, run_spec
 from repro.sim import tracestore
 from repro.sim.engine import ENGINES
-from repro.sim.simulator import TraceDrivenSimulator
 from repro.sim.tracestore import stream_key, stream_key_doc
 
 
@@ -88,7 +87,7 @@ def test_hits_are_zero_copy_memmap_views(store_root):
     # read-only views of the on-disk memmaps, not heap copies.
     tracestore._STORES.clear()
     store = tracestore.open_store()
-    doc = stream_key_doc(TraceDrivenSimulator(spec))
+    doc = stream_key_doc(spec)
     per_bank, rng_state = store.get(stream_key(doc), doc, 0, spec.n_banks)
     for times, rows in per_bank:
         assert isinstance(times.base, np.memmap)
@@ -112,21 +111,19 @@ def test_longer_run_extends_a_shorter_runs_entries(store_root, monkeypatch):
 
 
 def test_scheme_threshold_and_engine_share_one_key(store_root):
-    base = TraceDrivenSimulator(_spec("drcat"))
-    key = stream_key(stream_key_doc(base))
+    key = stream_key(stream_key_doc(_spec("drcat")))
     for other in (
         _spec("pra"),
         _spec(SchemeSpec.create("sca", n_counters=128)),
         _spec("drcat", refresh_threshold=16384),
         _spec("drcat", engine="scalar"),
     ):
-        doc = stream_key_doc(TraceDrivenSimulator(other))
+        doc = stream_key_doc(other)
         assert stream_key(doc) == key
 
 
 def test_stream_relevant_fields_change_the_key(store_root):
-    base = TraceDrivenSimulator(_spec("drcat"))
-    key = stream_key(stream_key_doc(base))
+    key = stream_key(stream_key_doc(_spec("drcat")))
     for other in (
         _spec("drcat", seed=123),
         _spec("drcat", scale=24.0),
@@ -136,7 +133,7 @@ def test_stream_relevant_fields_change_the_key(store_root):
         _spec("drcat", kind="attack", attack_kernel="kernel01",
               attack_mode="heavy"),
     ):
-        doc = stream_key_doc(TraceDrivenSimulator(other))
+        doc = stream_key_doc(other)
         assert stream_key(doc) != key
 
 
@@ -158,7 +155,7 @@ def test_corrupt_entries_regenerate_never_crash(
     reference = _reference(spec, monkeypatch)
     assert _run(spec) == reference
     store = tracestore.open_store()
-    doc = stream_key_doc(TraceDrivenSimulator(spec))
+    doc = stream_key_doc(spec)
     key = stream_key(doc)
     target = {
         "truncate_times": store._times_path(key, 0),
@@ -193,7 +190,7 @@ def test_consistent_looking_corruption_regenerates(
     reference = _reference(spec, monkeypatch)
     _run(spec)
     store = tracestore.open_store()
-    doc = stream_key_doc(TraceDrivenSimulator(spec))
+    doc = stream_key_doc(spec)
     key = stream_key(doc)
     meta_path = store._meta_path(key, 0)
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -211,7 +208,7 @@ def test_hash_collision_detected_by_key_doc(store_root):
     spec = _spec("sca")
     _run(spec)
     store = tracestore.open_store()
-    doc = stream_key_doc(TraceDrivenSimulator(spec))
+    doc = stream_key_doc(spec)
     other = dict(doc, seed=999)  # same requested key, different identity
     assert store.get(stream_key(doc), other, 0, spec.n_banks) is None
 
