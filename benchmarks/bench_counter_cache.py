@@ -40,13 +40,20 @@ def run_counter_cache(config, workload: str) -> dict:
     n_accesses = int(spec.intensity / config.scale) * config.n_intervals
     rows = model.sample(rng, n_accesses, layout)
     # One kernel call serves the whole stream with a per-row ``access``
-    # loop's events, counts and stats; the scheme never reads arrival
-    # times, so the bank is a throwaway.  Without a C compiler the
-    # scheme runs that loop itself.
-    if serve_segment(BankState(DRAMTimings()), scheme, np.zeros(len(rows)), rows) is None:
-        scheme.access_batch(rows)
+    # loop's events and counts; the scheme never reads arrival times,
+    # so the bank is a throwaway.  Without a C compiler the scheme runs
+    # that loop itself.  Either way the rows refreshed are summed from
+    # the commands the stream emitted.
+    served = serve_segment(BankState(DRAMTimings()), scheme, np.zeros(len(rows)), rows)
+    if served is None:
+        rows_refreshed = sum(
+            cmd.row_count(n_rows)
+            for _, commands in scheme.access_batch(rows) for cmd in commands
+        )
+    else:
+        rows_refreshed = int(served[0][3].sum())
     return {
-        "rows_per_interval": scheme.stats.rows_refreshed / config.n_intervals,
+        "rows_per_interval": rows_refreshed / config.n_intervals,
         "hit_rate": scheme.hit_rate,
         "miss_energy_nj_per_interval": (
             scheme.miss_energy_nj() / config.n_intervals

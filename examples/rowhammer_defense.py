@@ -31,15 +31,16 @@ N_ACCESSES = 60_000
 def run_defended(scheme, rows):
     """Replay the attack; return (max unsafe pressure, rows refreshed)."""
     ledger = ActivationLedger(scheme.n_rows)
-    worst = 0
+    worst = refreshed = 0
     for row in rows:
         row = int(row)
         ledger.activate(row)
         for cmd in scheme.access(row):
             c = cmd.clamped(scheme.n_rows)
             ledger.refresh_range(c.low, c.high)
+            refreshed += cmd.row_count(scheme.n_rows)
         worst = max(worst, ledger.max_pressure())
-    return worst, scheme.stats.rows_refreshed
+    return worst, refreshed
 
 
 def main() -> None:

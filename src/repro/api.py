@@ -39,10 +39,13 @@ the property tests):
    every scheme implements the ``SchemeState`` protocol
    (``to_state``/``restore_state``), and the core's loop state (per-bank
    cursors, arrival RNG, epoch clock) is explicit and laid out the same
-   way on both engines.  Snapshots (format 3) hold the pending streams
+   way on both engines.  Snapshots (format 4) hold the pending streams
    by reference: restoring regenerates them from the spec and checks a
    digest and the arrival RNG, so a snapshot whose streams cannot be
-   rebuilt exactly is refused, never misread.
+   rebuilt exactly is refused, never misread.  Their memory state is
+   the epoch clock, the refresh-command total, and one bank state and
+   one scheme state per simulated bank; the banks own every other
+   count.
 3. Observer taps are read-only: registering them never changes the
    numbers.  Taps are also *isolated* — a raising callback is logged
    and detached, never allowed to abort the simulation it observes.
@@ -77,8 +80,9 @@ logger = logging.getLogger(__name__)
 #: rejects other versions with a regeneration hint.  Version 3 records
 #: each bank's stream position (interval, arrival-RNG state, injection
 #: log, cursors, digest) instead of the pending accesses that version 2
-#: stored.
-SNAPSHOT_VERSION = 3
+#: stored.  Version 4 holds only the simulated banks, and no scheme
+#: statistics or completion time.
+SNAPSHOT_VERSION = 4
 SNAPSHOT_KIND = "repro-session-snapshot"
 
 

@@ -13,7 +13,6 @@ from repro.core.base import (
     ActivationLedger,
     MitigationScheme,
     RefreshCommand,
-    SchemeStats,
 )
 from repro.core.cat import PRCATScheme
 from repro.core.counter_cache import CounterCacheScheme
@@ -43,7 +42,6 @@ __all__ = [
     "ActivationLedger",
     "MitigationScheme",
     "RefreshCommand",
-    "SchemeStats",
     "CounterTree",
     "SplitThresholds",
     "PAPER_THRESHOLDS",

@@ -75,43 +75,6 @@ def checked_register(owner: str, field: str, value, high: int = 1 << 63) -> int:
     return int(value)
 
 
-@dataclass(slots=True)
-class SchemeStats:
-    """Running totals a scheme keeps about its own activity.
-
-    These are *scheme-side* counts; timing-aware totals (stall cycles,
-    energy) are accumulated by the simulator from the emitted
-    :class:`RefreshCommand` stream.
-    """
-
-    activations: int = 0
-    refresh_commands: int = 0
-    rows_refreshed: int = 0
-    splits: int = 0
-    merges: int = 0
-    resets: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        """Return the stats as a plain dict (for reports/tests)."""
-        return {
-            "activations": self.activations,
-            "refresh_commands": self.refresh_commands,
-            "rows_refreshed": self.rows_refreshed,
-            "splits": self.splits,
-            "merges": self.merges,
-            "resets": self.resets,
-        }
-
-    def restore(self, state: dict[str, int]) -> None:
-        """Overwrite all totals from a :meth:`snapshot` dict."""
-        self.activations = int(state["activations"])
-        self.refresh_commands = int(state["refresh_commands"])
-        self.rows_refreshed = int(state["rows_refreshed"])
-        self.splits = int(state["splits"])
-        self.merges = int(state["merges"])
-        self.resets = int(state["resets"])
-
-
 class MitigationScheme(abc.ABC):
     """Abstract per-bank wordline-crosstalk mitigation engine.
 
@@ -141,7 +104,6 @@ class MitigationScheme(abc.ABC):
             )
         self.n_rows = n_rows
         self.refresh_threshold = refresh_threshold
-        self.stats = SchemeStats()
 
     @abc.abstractmethod
     def access(self, row: int) -> list[RefreshCommand]:

@@ -43,31 +43,20 @@ class PRCATScheme(MitigationScheme):
     def access(self, row: int) -> list[RefreshCommand]:
         """Feed the activation to the tree; pass through any refresh."""
         self._check_row(row)
-        self.stats.activations += 1
         cmd = self.tree.access(row)
-        if cmd is None:
-            return []
-        self.stats.refresh_commands += 1
-        self.stats.rows_refreshed += cmd.row_count(self.n_rows)
-        return [cmd]
+        return [] if cmd is None else [cmd]
 
     def on_interval_boundary(self) -> None:
         """Rebuild the tree from scratch (the defining PRCAT behaviour)."""
         self.tree.reset()
-        self.stats.resets += 1
 
     def to_state(self) -> dict:
-        """SchemeState protocol: the tree plus scheme-level stats."""
-        return {
-            "scheme": self.name,
-            "tree": self.tree.to_state(),
-            "stats": self.stats.snapshot(),
-        }
+        """SchemeState protocol: the tree is PRCAT's whole state."""
+        return {"scheme": self.name, "tree": self.tree.to_state()}
 
     def restore_state(self, state: dict) -> None:
-        """SchemeState protocol: overwrite tree registers + stats."""
+        """SchemeState protocol: overwrite the tree registers."""
         self.tree.restore_state(state["tree"])
-        self.stats.restore(state["stats"])
 
     @property
     def counters_in_use(self) -> int:

@@ -13,8 +13,8 @@ Sections III-B and VII-A of the CAT paper argue this design is
 conservative: the cache needs thousands of entries per bank to avoid
 thrashing, its storage dwarfs SCA_128/CAT_64, and misses add DRAM
 traffic.  Implementing it makes that comparison executable: the scheme
-plugs into the same simulator, and its stats expose hit rates and the
-extra DRAM accesses the CAT schemes avoid by construction.
+plugs into the same simulator, and its hit, miss and write-back counts
+expose the extra DRAM accesses the CAT schemes avoid by construction.
 
 :meth:`CounterCacheScheme.access` is the only algorithm.  The batched
 engine's compiled kernel (``sim/kernel.c``) repeats it statement by
@@ -89,15 +89,10 @@ class CounterCacheScheme(MitigationScheme):
     def access(self, row: int) -> list[RefreshCommand]:
         """Count the activation through the cache; refresh on threshold."""
         self._check_row(row)
-        self.stats.activations += 1
-        count = self._lookup_increment(row)
-        if count < self.refresh_threshold:
+        if self._lookup_increment(row) < self.refresh_threshold:
             return []
         self._store(row, 0)
-        commands = self._neighbour_commands(row)
-        self.stats.refresh_commands += len(commands)
-        self.stats.rows_refreshed += len(commands)
-        return commands
+        return self._neighbour_commands(row)
 
     # -- cache mechanics -------------------------------------------------
 
@@ -207,7 +202,6 @@ class CounterCacheScheme(MitigationScheme):
             "hits": self.hits,
             "misses": self.misses,
             "writebacks": self.writebacks,
-            "stats": self.stats.snapshot(),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -282,7 +276,6 @@ class CounterCacheScheme(MitigationScheme):
         self._memory_counters = counters
         self._sets = sets
         self.hits, self.misses, self.writebacks = totals
-        self.stats.restore(state["stats"])
 
     # -- epoch / introspection -------------------------------------------
 
@@ -291,7 +284,6 @@ class CounterCacheScheme(MitigationScheme):
         self._memory_counters.fill(0)
         for ways in self._sets:
             ways.clear()
-        self.stats.resets += 1
 
     @property
     def counters_in_use(self) -> int:

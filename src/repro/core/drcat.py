@@ -57,12 +57,9 @@ class DRCATScheme(MitigationScheme):
         interval boundaries (unlike PRCAT).
         """
         self._check_row(row)
-        self.stats.activations += 1
         cmd = self.tree.access(row)
         if cmd is None:
             return []
-        self.stats.refresh_commands += 1
-        self.stats.rows_refreshed += cmd.row_count(self.n_rows)
         hot = self.tree.lookup(row)
         if self.tree.weight_saturated(hot):
             # Cascade: once the weight saturates, sharpen resolution
@@ -74,8 +71,6 @@ class DRCATScheme(MitigationScheme):
                 if not self.tree.reconfigure(hot):
                     break
                 self.reconfigurations += 1
-                self.stats.splits += 1
-                self.stats.merges += 1
                 hot = self.tree.lookup(row)
         return [cmd]
 
@@ -91,21 +86,18 @@ class DRCATScheme(MitigationScheme):
         tree._count.fill(0)
         tree._weight -= tree._weight > 0
         tree._harvest_blocked.fill(False)
-        self.stats.resets += 1
 
     def to_state(self) -> dict:
-        """SchemeState protocol: tree registers, stats, reconfig count."""
+        """SchemeState protocol: tree registers and reconfig count."""
         return {
             "scheme": self.name,
             "tree": self.tree.to_state(),
-            "stats": self.stats.snapshot(),
             "reconfigurations": self.reconfigurations,
         }
 
     def restore_state(self, state: dict) -> None:
-        """SchemeState protocol: overwrite tree + stats + reconfig count."""
+        """SchemeState protocol: overwrite tree + reconfig count."""
         self.tree.restore_state(state["tree"])
-        self.stats.restore(state["stats"])
         self.reconfigurations = int(state["reconfigurations"])
 
     @property

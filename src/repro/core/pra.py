@@ -62,29 +62,19 @@ class PRAScheme(MitigationScheme):
     def access(self, row: int) -> list[RefreshCommand]:
         """Flip the coin; on success refresh rows ``row±1``."""
         self._check_row(row)
-        self.stats.activations += 1
-        draw = self._prng.next_bits(self.random_bits)
-        if draw >= self._cut:
+        if self._prng.next_bits(self.random_bits) >= self._cut:
             return []
-        commands = self._neighbor_commands(row)
-        self.stats.refresh_commands += len(commands)
-        self.stats.rows_refreshed += len(commands)
-        return commands
+        return self._neighbor_commands(row)
 
     def to_state(self) -> dict:
         """SchemeState protocol: the PRNG stream position is the state."""
-        return {
-            "scheme": self.name,
-            "prng": self._prng.to_state(),
-            "stats": self.stats.snapshot(),
-        }
+        return {"scheme": self.name, "prng": self._prng.to_state()}
 
     def restore_state(self, state: dict) -> None:
         """SchemeState protocol: resume the captured PRNG stream."""
         from repro.analysis.prng import prng_from_state
 
         self._prng = prng_from_state(state["prng"])
-        self.stats.restore(state["stats"])
 
     @property
     def counters_in_use(self) -> int:

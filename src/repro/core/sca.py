@@ -37,7 +37,6 @@ class SCAScheme(MitigationScheme):
     def access(self, row: int) -> list[RefreshCommand]:
         """Count the activation; emit a group refresh on threshold."""
         self._check_row(row)
-        self.stats.activations += 1
         group = row // self.group_size
         count = self._counts[group] + 1
         if count < self.refresh_threshold:
@@ -45,25 +44,18 @@ class SCAScheme(MitigationScheme):
             return []
         self._counts[group] = 0
         low = group * self.group_size
-        cmd = RefreshCommand(low - 1, low + self.group_size, reason="threshold")
-        self.stats.refresh_commands += 1
-        self.stats.rows_refreshed += cmd.row_count(self.n_rows)
-        return [cmd]
+        return [RefreshCommand(low - 1, low + self.group_size, reason="threshold")]
 
     def counter_value(self, group: int) -> int:
         """Current count of group ``group`` (test/inspection hook)."""
         return self._counts[group]
 
     def to_state(self) -> dict:
-        """SchemeState protocol: counters + stats capture SCA entirely."""
-        return {
-            "scheme": self.name,
-            "counts": list(self._counts),
-            "stats": self.stats.snapshot(),
-        }
+        """SchemeState protocol: the counters capture SCA entirely."""
+        return {"scheme": self.name, "counts": list(self._counts)}
 
     def restore_state(self, state: dict) -> None:
-        """SchemeState protocol: overwrite counters + stats.
+        """SchemeState protocol: overwrite the counters.
 
         Raises ``ValueError`` naming ``counts`` unless the state holds
         one integer count in ``[0, T)`` per counter.
@@ -78,7 +70,6 @@ class SCAScheme(MitigationScheme):
                 f"counters, scheme has {self.n_counters}"
             )
         self._counts = counts
-        self.stats.restore(state["stats"])
 
     @property
     def counters_in_use(self) -> int:
@@ -93,7 +84,6 @@ class SCAScheme(MitigationScheme):
         the same epoch semantics the CAT schemes use.
         """
         self._counts = [0] * self.n_counters
-        self.stats.resets += 1
 
     def describe(self) -> str:
         """One-line configuration summary."""

@@ -14,15 +14,20 @@ cleared by the blanket refresh).
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 
-from repro.core.base import MitigationScheme, RefreshCommand
+from repro.core.base import MitigationScheme, RefreshCommand, checked_register
 from repro.dram.bank import BankState
 from repro.dram.config import REFRESH_INTERVAL_S, SystemConfig
 
 
 class MemorySystem:
-    """All banks of one system plus their mitigation engines.
+    """The simulated banks of one system plus their mitigation engines.
+
+    The banks are the one owner of a run's counts (activations, rows
+    refreshed, stall and busy time); the system adds only the epoch
+    clock and the refresh-command total.
 
     Parameters
     ----------
@@ -30,38 +35,27 @@ class MemorySystem:
         System geometry and timings.
     scheme_factory:
         Callable ``(n_rows) -> MitigationScheme`` constructing one
-        mitigation engine per bank.  ``None`` runs an unprotected
-        baseline (used to measure the ETO denominator).
-    active_banks:
-        When given, only the first ``active_banks`` banks get mitigation
-        engines; the rest stay unprotected.  The trace-driven simulator
-        uses this to avoid constructing schemes for banks that never
-        receive traffic.
+        mitigation engine per bank.
+    n_banks:
+        How many banks to build, each with its scheme: the banks a run
+        simulates, at most ``config``'s.
     """
 
     def __init__(
         self,
         config: SystemConfig,
-        scheme_factory: Callable[[int], MitigationScheme] | None,
+        scheme_factory: Callable[[int], MitigationScheme],
+        n_banks: int,
         epoch_s: float = REFRESH_INTERVAL_S,
-        active_banks: int | None = None,
     ) -> None:
-        self.config = config
-        n_active = config.n_banks if active_banks is None else active_banks
-        self.banks = [BankState(config.timings) for _ in range(config.n_banks)]
-        self.schemes: list[MitigationScheme | None] = [
-            scheme_factory(config.rows_per_bank)
-            if scheme_factory and bank < n_active
-            else None
-            for bank in range(config.n_banks)
-        ]
         if epoch_s <= 0:
             raise ValueError("epoch_s must be positive")
+        self.config = config
+        self.banks = [BankState(config.timings) for _ in range(n_banks)]
+        self.schemes = [scheme_factory(config.rows_per_bank) for _ in range(n_banks)]
         self._epoch_ns = epoch_s * 1e9
         self._next_epoch_ns = self._epoch_ns
         self.total_refresh_commands = 0
-        self.total_rows_refreshed = 0
-        self.last_completion_ns = 0.0
         #: auto-refresh epoch boundaries crossed so far
         self.epochs_completed = 0
         #: observer taps (see :mod:`repro.api`): pure read-only callbacks;
@@ -78,12 +72,9 @@ class MemorySystem:
         """One demand activation; returns its completion time (ns)."""
         self._advance_epochs(time_ns)
         bank_state = self.banks[bank]
-        scheme = self.schemes[bank]
         done = bank_state.serve_access(time_ns)
-        if scheme is not None:
-            for cmd in scheme.access(row):
-                self.apply_refresh(bank_state, done, cmd, bank=bank)
-        self.last_completion_ns = max(self.last_completion_ns, bank_state.free_at_ns)
+        for cmd in self.schemes[bank].access(row):
+            self.apply_refresh(bank_state, done, cmd, bank=bank)
         return done
 
     def apply_refresh(
@@ -104,7 +95,6 @@ class MemorySystem:
         rows = cmd.row_count(self.config.rows_per_bank)
         bank_state.serve_refresh(time_ns, rows)
         self.total_refresh_commands += 1
-        self.total_rows_refreshed += rows
         if self.on_refresh is not None:
             self.on_refresh(bank, time_ns, cmd, rows)
 
@@ -113,8 +103,7 @@ class MemorySystem:
             for bank_state in self.banks:
                 bank_state.reset_epoch()
             for scheme in self.schemes:
-                if scheme is not None:
-                    scheme.on_interval_boundary()
+                scheme.on_interval_boundary()
             self._next_epoch_ns += self._epoch_ns
             self.epochs_completed += 1
             if self.on_epoch is not None:
@@ -123,7 +112,8 @@ class MemorySystem:
     # -- checkpointable state (see repro.api) ----------------------------
 
     def to_state(self) -> dict:
-        """JSON-serializable capture of substrate + per-bank scheme state.
+        """JSON-serializable capture: the epoch clock, the refresh-command
+        total, and one bank state and one scheme state per bank.
 
         Observer taps are deliberately excluded: callbacks belong to a
         live session, not to the simulation state.
@@ -132,49 +122,49 @@ class MemorySystem:
             "next_epoch_ns": self._next_epoch_ns,
             "epochs_completed": self.epochs_completed,
             "total_refresh_commands": self.total_refresh_commands,
-            "total_rows_refreshed": self.total_rows_refreshed,
-            "last_completion_ns": self.last_completion_ns,
             "banks": [bank.to_state() for bank in self.banks],
-            "schemes": [
-                scheme.to_state() if scheme is not None else None
-                for scheme in self.schemes
-            ],
+            "schemes": [scheme.to_state() for scheme in self.schemes],
         }
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite a freshly built system (same config/factory).
+        """Overwrite a freshly built system (same config/factory/banks).
 
-        The scheme layout (which banks are protected, and by which
-        scheme kind) must match the layout the state was captured from.
+        Raises ``ValueError`` naming the field unless ``banks`` and
+        ``schemes`` each hold one state per bank, every scheme state is
+        of the rebuilt scheme's kind, the epoch clock ``next_epoch_ns``
+        is a finite positive time and the two counts are integers in
+        ``[0, 2^63)``.
         """
-        bank_states = state["banks"]
-        scheme_states = state["schemes"]
-        if len(bank_states) != len(self.banks):
+        n_banks = len(self.banks)
+        for name in ("banks", "schemes"):
+            docs = state[name]
+            if not isinstance(docs, list) or len(docs) != n_banks:
+                raise ValueError(
+                    f"memory state field {name!r}: needs a list of {n_banks} "
+                    "state(s), one per simulated bank"
+                )
+        for scheme, doc in zip(self.schemes, state["schemes"]):
+            kind = doc.get("scheme") if isinstance(doc, dict) else None
+            if kind != scheme.name:
+                raise ValueError(
+                    f"memory state field 'schemes': state scheme {kind!r} "
+                    f"does not match rebuilt scheme {scheme.name!r}"
+                )
+        clock = state["next_epoch_ns"]
+        if type(clock) not in (int, float) or not 0 < clock <= sys.float_info.max:
             raise ValueError(
-                f"state carries {len(bank_states)} banks, system has "
-                f"{len(self.banks)}"
+                f"memory state field 'next_epoch_ns': {clock!r} is not a "
+                "finite positive time"
             )
-        for scheme, doc in zip(self.schemes, scheme_states):
-            if (scheme is None) != (doc is None):
-                raise ValueError(
-                    "state protected-bank layout does not match the "
-                    "rebuilt system"
-                )
-            if scheme is not None and doc.get("scheme") != scheme.name:
-                raise ValueError(
-                    f"state scheme {doc.get('scheme')!r} does not match "
-                    f"rebuilt scheme {scheme.name!r}"
-                )
-        self._next_epoch_ns = float(state["next_epoch_ns"])
-        self.epochs_completed = int(state["epochs_completed"])
-        self.total_refresh_commands = int(state["total_refresh_commands"])
-        self.total_rows_refreshed = int(state["total_rows_refreshed"])
-        self.last_completion_ns = float(state["last_completion_ns"])
-        for bank, doc in zip(self.banks, bank_states):
+        self.epochs_completed, self.total_refresh_commands = (
+            checked_register("memory", name, state[name])
+            for name in ("epochs_completed", "total_refresh_commands")
+        )
+        self._next_epoch_ns = float(clock)
+        for bank, doc in zip(self.banks, state["banks"]):
             bank.restore_state(doc)
-        for scheme, doc in zip(self.schemes, scheme_states):
-            if scheme is not None:
-                scheme.restore_state(doc)
+        for scheme, doc in zip(self.schemes, state["schemes"]):
+            scheme.restore_state(doc)
 
     # -- aggregate views -------------------------------------------------
 
@@ -189,16 +179,11 @@ class MemorySystem:
         return sum(b.activations for b in self.banks)
 
     @property
+    def total_rows_refreshed(self) -> int:
+        """Rows refreshed by mitigation commands across all banks."""
+        return sum(b.rows_refreshed for b in self.banks)
+
+    @property
     def total_mitigation_busy_ns(self) -> float:
         """Time spent on victim-refresh row-ops across all banks."""
         return sum(b.mitigation_busy_ns for b in self.banks)
-
-    def scheme_stats(self) -> dict[str, int]:
-        """Merged stats across all per-bank scheme instances."""
-        merged: dict[str, int] = {}
-        for scheme in self.schemes:
-            if scheme is None:
-                continue
-            for key, value in scheme.stats.snapshot().items():
-                merged[key] = merged.get(key, 0) + value
-        return merged

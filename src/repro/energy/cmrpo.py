@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.dram.config import REFRESH_INTERVAL_S, REGULAR_REFRESH_POWER_MW, ROW_REFRESH_ENERGY_NJ
 from repro.energy.hardware_model import (
+    COUNTER_CACHE_EQUIVALENT_COUNTERS,
     PRNGHardware,
     SchemeHardware,
     pra_hardware,
@@ -34,9 +35,6 @@ from repro.energy.hardware_model import (
 #: Banks the Table II hardware energy is amortised over (the paper's
 #: 16-bank dual-core device).  See the calibration note above.
 STATIC_AMORTIZATION_BANKS = 16
-
-#: Storage-equivalent SCA counter count for the 32KB counter cache [26].
-COUNTER_CACHE_EQUIVALENT_M = 2048
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +156,7 @@ def compute_cmrpo(
     else:
         if scheme == "ccache":
             # Equivalent SCA storage for a 32KB / 2048-entry cache.
-            scheme, n_counters = "sca", COUNTER_CACHE_EQUIVALENT_M
+            scheme, n_counters = "sca", COUNTER_CACHE_EQUIVALENT_COUNTERS
         hw: SchemeHardware = scheme_hardware(
             scheme, n_counters, refresh_threshold, max_levels
         )

@@ -28,15 +28,16 @@ from repro.core.registry import (
 )
 from repro.dram.config import NAMED_CONFIGS, DRAMTimings, SystemConfig
 from repro.report.config import ENGINE_NAMES
+from repro.report.schema import ARRIVAL_SEED
 from repro.workloads.suites import WorkloadSpec, resolve_workload
 
 #: Bump on incompatible spec-layout changes; ``from_dict`` rejects
 #: other versions with a regeneration hint.
 SPEC_VERSION = 1
 
-#: Base seed of the simulator's arrival-time stream (the historical
-#: hard-coded value; part of the spec so runs can be re-seeded).
-DEFAULT_SEED = 0xC0FFEE
+#: Base seed of the simulator's arrival-time stream (part of the spec so
+#: runs can be re-seeded); the artifact schema records the same value.
+DEFAULT_SEED = ARRIVAL_SEED
 
 #: Default simulation economy knobs of a spec that leaves them unset.
 DEFAULT_SCALE = 16.0

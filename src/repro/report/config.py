@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -263,7 +263,7 @@ class BenchConfig:
             engine=env_choice(env, "REPRO_BENCH_ENGINE", default="batched",
                               choices=ENGINE_NAMES),
             workers=workers,
-            fidelity=env.get("REPRO_BENCH_FIDELITY", "") or "custom",
+            fidelity="custom",
             context=RunContext.from_env(env),
             cache=env_bool(env, "REPRO_BENCH_CACHE", default=True),
             cache_dir=str(store_roots(env=env)[0]),
@@ -282,7 +282,6 @@ def fidelity_env(
             f"{', '.join(FIDELITIES)}"
         )
     env = dict(FIDELITIES[fidelity])
-    env["REPRO_BENCH_FIDELITY"] = fidelity
     # Always pin the engine and session mode: ambient REPRO_BENCH_ENGINE
     # / REPRO_SESSION_MODE must not leak into a named-fidelity run whose
     # header reports the default.
@@ -308,6 +307,8 @@ def fidelity_env(
 def fidelity_config(fidelity: str, engine: str | None = None,
                     session: str | None = None) -> BenchConfig:
     """The environment's bench config with a named fidelity (plus
-    overrides) pinned over it — what ``repro verify`` runs under."""
-    return BenchConfig.from_env(
+    overrides) pinned over it and its name as the label — what ``repro
+    verify`` runs under."""
+    config = BenchConfig.from_env(
         {**os.environ, **fidelity_env(fidelity, engine, session)})
+    return replace(config, fidelity=fidelity)

@@ -11,8 +11,8 @@ and is otherwise engine-independent.
 * :func:`advance_scalar_streams` is the per-event reference loop:
   ``memory.access(t, b, r)`` for every access in merged time order.
 * :func:`advance_batched_streams` produces the same refresh commands at
-  the same stream positions, the same bank stall accounting and the
-  same scheme statistics, one bank segment at a time.
+  the same stream positions, the same bank registers and the same
+  scheme registers, one bank segment at a time.
 
 Exactness of the batched driver rests on three facts (argued in
 DESIGN.md, "Batched engine"):
@@ -25,8 +25,9 @@ DESIGN.md, "Batched engine"):
    ``MitigationScheme.access_batch`` and ``BankState.serve_accesses_batch``.
 2. **Banks only couple through epoch boundaries.**  Within one epoch
    segment each bank's (scheme, timing) evolution depends only on its
-   own sub-stream, so banks process independently; the only global
-   state, ``last_completion_ns``, is a running max and commutes.
+   own sub-stream, so banks process independently; besides the epoch
+   clock they share only the refresh-command total, a sum, which
+   commutes.
 3. **Quantized time makes float arithmetic exact.**  All arrival times
    are floored to the quarter-nanosecond grid (:data:`TIME_QUANTUM_NS`),
    on which every timing expression is exactly representable in
@@ -145,8 +146,8 @@ def advance_batched_streams(
 
     Pausing and resuming at *any* cut leaves the final state
     bit-identical to an uninterrupted run: within one epoch segment the
-    banks are independent (the only shared state, the running
-    completion max and the aggregate totals, commutes), and an epoch
+    banks are independent (the only shared state, the refresh-command
+    total, commutes), and an epoch
     boundary is only crossed here when the next access to be served
     lies beyond it — exactly when :func:`advance_scalar_streams` would
     cross it.  The session layer (:mod:`repro.api`) is built on this
@@ -199,26 +200,23 @@ def _run_bank_segment(
     """Process one bank's accesses of one epoch segment."""
     bank_state = memory.banks[bank]
     scheme = memory.schemes[bank]
-    served = None if scheme is None else serve_segment(bank_state, scheme, times, rows)
+    served = serve_segment(bank_state, scheme, times, rows)
     if served is not None:
         # The kernel applied the bank and scheme side; the memory
-        # system's totals and taps follow its events in stream order.
+        # system's command total and taps follow its events in stream
+        # order.
         events, done, reason = served
         memory.total_refresh_commands += events.shape[1]
-        memory.total_rows_refreshed += int(events[3].sum())
         if memory.on_refresh is not None:
             for at, low, high, count in zip(done.tolist(), *events[1:].tolist()):
                 memory.on_refresh(bank, at, RefreshCommand(low, high, reason), count)
     else:
         # A registrant, or no C compiler: the scheme and the bank per access.
         prev = 0
-        for position, commands in [] if scheme is None else scheme.access_batch(rows):
+        for position, commands in scheme.access_batch(rows):
             bank_state.serve_accesses_batch(times[prev:position + 1])
             done = bank_state.free_at_ns
             for cmd in commands:
                 memory.apply_refresh(bank_state, done, cmd, bank=bank)
             prev = position + 1
         bank_state.serve_accesses_batch(times[prev:])
-    memory.last_completion_ns = max(
-        memory.last_completion_ns, bank_state.free_at_ns
-    )

@@ -210,10 +210,6 @@ def serve_segment(bank_state, scheme, times: np.ndarray, rows: np.ndarray):
      bank_state.stall_ns) = bank_f[2:].tolist()
     (bank_state.refresh_backlog_rows, bank_state.activations,
      bank_state.rows_refreshed, bank_state.escalations) = bank_i.tolist()
-    stats = scheme.stats
-    stats.activations += n
-    stats.refresh_commands += events.shape[1]
-    stats.rows_refreshed += int(events[3].sum())
     if kind == 0:
         scheme._counts = regs.tolist()
     elif kind == 4:
@@ -221,7 +217,5 @@ def serve_segment(bank_state, scheme, times: np.ndarray, rows: np.ndarray):
     elif kind in (2, 3):
         cascades = scheme.tree.load_registers(regs)
         if kind == 3:
-            stats.splits += cascades
-            stats.merges += cascades
             scheme.reconfigurations += cascades
     return events, done, "probabilistic" if kind == 1 else "threshold"

@@ -109,8 +109,8 @@ class SessionCore:
         self.memory = MemorySystem(
             self.config,
             simulator.scheme_factory(spec),
+            self.n_banks,
             epoch_s=epoch_s,
-            active_banks=self.n_banks,
         )
         self.arrival_rng = np.random.Generator(np.random.PCG64(spec.seed))
         #: index of the interval whose streams are loaded (-1 = none yet)

@@ -223,9 +223,7 @@ def run_result(spec, totals: RunTotals, memory: MemorySystem) -> SimulationResul
         fetch_nj = 0.0
         if totals.accesses:
             fetch_nj = sum(
-                s.miss_energy_nj()
-                for s in memory.schemes
-                if s is not None and hasattr(s, "miss_energy_nj")
+                s.miss_energy_nj() for s in memory.schemes
             ) / totals.accesses
         parameters["fetch_nj_per_access"] = fetch_nj
     return SimulationResult(

@@ -144,17 +144,20 @@ class TestDegenerateSchemes:
 
 class TestCrossSchemeConsistency:
     def test_equal_activation_accounting(self):
-        """Every scheme counts the same activations on the same stream."""
+        """Every scheme's bank counts the same activations on the same
+        stream."""
+        from repro.dram.config import SystemConfig
+        from repro.dram.memory_system import MemorySystem
+
         rng = np.random.default_rng(0)
         rows = rng.integers(0, 1024, size=500)
-        schemes = [
-            make_scheme(kind, 1024, 256)
-            for kind in ("sca", "pra", "prcat", "drcat", "ccache")
-        ]
-        for scheme in schemes:
-            for row in rows:
-                scheme.access(int(row))
-        counts = {s.stats.activations for s in schemes}
+        counts = set()
+        for kind in ("sca", "pra", "prcat", "drcat", "ccache"):
+            system = MemorySystem(SystemConfig(rows_per_bank=1024),
+                                  lambda n, kind=kind: make_scheme(kind, n, 256), n_banks=1)
+            for i, row in enumerate(rows.tolist()):
+                system.access(float(i), 0, row)
+            counts.add(system.banks[0].activations)
         assert counts == {500}
 
     def test_deterministic_schemes_idempotent(self):

@@ -1,8 +1,8 @@
-"""Tests for the scheme interfaces: RefreshCommand, stats, ledger."""
+"""Tests for the scheme interfaces: RefreshCommand, validation, ledger."""
 
 import pytest
 
-from repro.core.base import ActivationLedger, RefreshCommand, SchemeStats
+from repro.core.base import ActivationLedger, RefreshCommand
 from repro.core.sca import SCAScheme
 
 
@@ -35,22 +35,6 @@ class TestRefreshCommand:
         cmd = RefreshCommand(0, 1)
         with pytest.raises(AttributeError):
             cmd.low = 5
-
-
-class TestSchemeStats:
-    def test_snapshot_roundtrip(self):
-        stats = SchemeStats(activations=3, rows_refreshed=7)
-        snap = stats.snapshot()
-        assert snap["activations"] == 3
-        assert snap["rows_refreshed"] == 7
-        assert set(snap) == {
-            "activations",
-            "refresh_commands",
-            "rows_refreshed",
-            "splits",
-            "merges",
-            "resets",
-        }
 
 
 class TestSchemeValidation:

@@ -152,6 +152,16 @@ DELETED_NAMES = (
 )
 
 
+#: The per-scheme copies of the banks' counts, the memory system's merge
+#: of them, and the second name of the counter cache's SCA equivalent.
+DELETED_COUNT_NAMES = (
+    ("repro.core", "SchemeStats"),
+    ("repro.core.base", "SchemeStats"),
+    ("repro.dram.memory_system", "MemorySystem.scheme_stats"),
+    ("repro.energy.cmrpo", "COUNTER_CACHE_EQUIVALENT_M"),
+)
+
+
 #: The environment plumbing a RunContext replaced (run settings travel
 #: as a value, the fault round is a scope), and the lock fallbacks that
 #: POSIX-only locking dropped.
@@ -205,7 +215,7 @@ class TestDeadBatchedDriversRemoved:
     @pytest.mark.parametrize(("module", "name"),
                              DELETED_NAMES + DELETED_ENV_NAMES
                              + DELETED_SUPERVISION_NAMES
-                             + DELETED_STORE_NAMES)
+                             + DELETED_STORE_NAMES + DELETED_COUNT_NAMES)
     def test_name_removed(self, module, name):
         if module in DELETED_MODULES:
             with pytest.raises(ModuleNotFoundError):
@@ -232,6 +242,48 @@ class TestDeadBatchedDriversRemoved:
 
         assert "access_batch" not in vars(CounterCacheScheme)
         assert CounterCacheScheme.access_batch is MitigationScheme.access_batch
+
+
+class TestCountsHaveOneOwner:
+    """The banks own a run's counts: schemes keep no statistics, the
+    memory system keeps no completion tally, and it builds only the
+    banks a run simulates, each with its scheme."""
+
+    @staticmethod
+    def _memory(**kwargs):
+        from repro.core import make_scheme
+        from repro.dram.memory_system import MemorySystem
+
+        return MemorySystem(DUAL_CORE_2CH, lambda n: make_scheme("sca", n, 128), **kwargs)
+
+    def test_no_completion_tally(self):
+        memory = self._memory(n_banks=1)
+        memory.access(0.0, 0, 5)
+        assert not hasattr(memory, "last_completion_ns")
+        assert "last_completion_ns" not in memory.to_state()
+
+    def test_active_banks_keyword_removed(self):
+        with pytest.raises(TypeError, match="active_banks"):
+            self._memory(n_banks=1, active_banks=1)
+
+    def test_unprotected_mode_removed(self):
+        from repro.dram.memory_system import MemorySystem
+
+        with pytest.raises(TypeError, match="not callable"):
+            MemorySystem(DUAL_CORE_2CH, None, n_banks=1)
+
+    def test_schemes_carry_no_statistics(self):
+        from repro.core import make_scheme
+        from repro.core.registry import scheme_names
+
+        for kind in scheme_names():
+            scheme = make_scheme(kind, 1024, 128)
+            assert not hasattr(scheme, "stats"), kind
+            assert "stats" not in scheme.to_state(), kind
+
+    def test_session_builds_only_simulated_banks(self):
+        memory = Session(fast_spec()).memory
+        assert len(memory.banks) == len(memory.schemes) == FAST["n_banks"]
 
 
 class TestRefreshCommandSpan:

@@ -3,9 +3,9 @@
 The batched engine's contract is *bit-identical* results: for every
 scheme, workload, and attack mix, a batched run must produce exactly the
 same :class:`~repro.sim.metrics.RunTotals` (refresh commands, rows
-refreshed, stall and busy nanoseconds), the same merged scheme
-statistics (splits, merges, resets, activations), and the same SRAM
-read counts as the per-event scalar loop.  Anything short of exact
+refreshed, stall and busy nanoseconds), the same bank registers, and
+the same scheme registers (tree shape, splits, merges and SRAM reads
+included) as the per-event scalar loop.  Anything short of exact
 equality is an engine bug, not noise — see DESIGN.md, "Batched engine".
 """
 
@@ -61,25 +61,21 @@ def _run(engine: str, scheme: str, workload: str):
 
 
 def _fingerprint(memory) -> dict:
-    """Every engine-observable total, including every scheme register."""
-    out = dict(memory.scheme_stats())
-    out["total_refresh_commands"] = memory.total_refresh_commands
-    out["total_rows_refreshed"] = memory.total_rows_refreshed
-    out["total_stall_ns"] = memory.total_stall_ns
-    out["total_mitigation_busy_ns"] = memory.total_mitigation_busy_ns
-    out["total_activations"] = memory.total_activations
-    out["last_completion_ns"] = memory.last_completion_ns
-    for bank, state in enumerate(memory.banks):
-        out[f"bank{bank}_free_at"] = state.free_at_ns
-        out[f"bank{bank}_backlog"] = state.refresh_backlog_rows
-        out[f"bank{bank}_escalations"] = state.escalations
-    for bank, scheme in enumerate(memory.schemes):
-        if scheme is not None:
-            # Every scheme register: a tree's partition, counts, weights,
-            # SRAM reads, harvest flags, harvest budget and free-list
-            # order; the counter cache's ways, backing store and
-            # hit/miss/write-back totals; SCA's counts; PRA's PRNG.
-            out[f"bank{bank}_scheme"] = scheme.to_state()
+    """Every engine-observable total, including every bank and scheme
+    register."""
+    out = {
+        "epochs_completed": memory.epochs_completed,
+        "total_refresh_commands": memory.total_refresh_commands,
+    }
+    for bank, (state, scheme) in enumerate(zip(memory.banks, memory.schemes)):
+        # Every bank register (free-at, backlog, busy, stall, activations,
+        # rows refreshed, escalations) and every scheme register: a
+        # tree's partition, counts, weights, SRAM reads, harvest flags,
+        # harvest budget and free-list order; the counter cache's ways,
+        # backing store and hit/miss/write-back totals; SCA's counts;
+        # PRA's PRNG.
+        out[f"bank{bank}"] = state.to_state()
+        out[f"bank{bank}_scheme"] = scheme.to_state()
     return out
 
 
@@ -150,11 +146,14 @@ def test_bit_identical_attack_runs(scheme):
 
 def test_epoch_boundary_state_identical():
     """PRCAT's epoch reset happens at the same point in both engines."""
+    prints = []
     for engine in ("scalar", "batched"):
         _, memory = _run(engine, "prcat", "mum")
-        resets = memory.scheme_stats()["resets"]
-        # 3 intervals -> 2 interior boundaries per active bank.
-        assert resets == 2 * KNOBS["n_banks"]
+        # 3 intervals -> 2 interior boundaries, each resetting every bank.
+        assert memory.epochs_completed == KNOBS["n_intervals"] - 1
+        assert len(memory.schemes) == KNOBS["n_banks"]
+        prints.append(_fingerprint(memory))
+    assert prints[0] == prints[1]
 
 
 def test_trng_batch_draws_match_scalar_draws():
@@ -215,6 +214,7 @@ def test_per_bank_driver_matches_merged_access_loop():
         return MemorySystem(
             config,
             lambda n_rows: make_scheme("drcat", n_rows, 256),
+            4,
             epoch_s=1e-3,
         )
 

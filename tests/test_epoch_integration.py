@@ -29,17 +29,18 @@ class TestPRCATEpochs:
         system = MemorySystem(
             small_config(),
             lambda n: PRCATScheme(n, 256, n_counters=16, max_levels=10),
+            n_banks=1,
             epoch_s=epoch_s,
         )
         drive(system, 4000, 3 * epoch_s * 1e9)
-        scheme = system.schemes[0]
-        assert scheme.stats.resets >= 2
+        assert system.epochs_completed >= 2
 
     def test_tree_regrows_after_reset(self):
         epoch_s = 1e-5
         system = MemorySystem(
             small_config(),
             lambda n: PRCATScheme(n, 256, n_counters=16, max_levels=10),
+            n_banks=1,
             epoch_s=epoch_s,
         )
         drive(system, 6000, 2 * epoch_s * 1e9)
@@ -55,11 +56,12 @@ class TestDRCATEpochs:
         system = MemorySystem(
             small_config(),
             lambda n: DRCATScheme(n, 256, n_counters=16, max_levels=10),
+            n_banks=1,
             epoch_s=epoch_s,
         )
         drive(system, 6000, 3 * epoch_s * 1e9)
         scheme = system.schemes[0]
-        assert scheme.stats.resets >= 2
+        assert system.epochs_completed >= 2
         # DRCAT carries the learned structure across epochs.
         assert scheme.tree.active_counters > 8
         scheme.tree.check_invariants()
@@ -69,6 +71,7 @@ class TestDRCATEpochs:
         system = MemorySystem(
             small_config(),
             lambda n: DRCATScheme(n, 128, n_counters=16, max_levels=11),
+            n_banks=1,
             epoch_s=epoch_s,
         )
         rng = np.random.default_rng(5)
@@ -81,4 +84,3 @@ class TestDRCATEpochs:
             system.access(float(t), 0, row)
         scheme = system.schemes[0]
         scheme.tree.check_invariants()
-        assert system.total_rows_refreshed == scheme.stats.rows_refreshed

@@ -104,7 +104,7 @@ def _memory(factory, n_rows: int, log: list) -> MemorySystem:
     """One protected bank of at least ``n_rows`` rows (a power of two)."""
     memory = MemorySystem(
         SystemConfig(rows_per_bank=1 << (n_rows - 1).bit_length()), factory,
-        epoch_s=1e6, active_banks=1,
+        n_banks=1, epoch_s=1e6,
     )
     memory.on_refresh = lambda *event: log.append(event)
     return memory
@@ -233,7 +233,7 @@ def test_out_of_range_rows_raise_the_oracle_error(kind):
 
     memory = MemorySystem(
         SystemConfig(rows_per_bank=1024), lambda n: make_scheme(kind, n, 128),
-        active_banks=1,
+        n_banks=1,
     )
     with pytest.raises(ValueError) as oracle:
         memory.schemes[0].access(2048)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.analysis.prng import CountingPRNG, TrueRandomPRNG
 from repro.core.pra import PRAScheme
+from repro.dram.config import SystemConfig
+from repro.dram.memory_system import MemorySystem
 
 
 class TestProbability:
@@ -55,12 +57,16 @@ class TestRefreshTargets:
 
 
 class TestStats:
-    def test_stats_count_rows(self):
-        scheme = PRAScheme(1024, 32768, 0.002, prng=CountingPRNG(0))
-        scheme.access(500)   # fires (draw 0)
-        assert scheme.stats.rows_refreshed == 2
-        assert scheme.stats.refresh_commands == 2
-        assert scheme.stats.activations == 1
+    def test_bank_counts_rows(self):
+        system = MemorySystem(
+            SystemConfig(rows_per_bank=1024),
+            lambda n: PRAScheme(n, 32768, 0.002, prng=CountingPRNG(0)),
+            n_banks=1,
+        )
+        system.access(0.0, 0, 500)   # fires (draw 0)
+        assert system.banks[0].rows_refreshed == 2
+        assert system.total_refresh_commands == 2
+        assert system.banks[0].activations == 1
 
     def test_counters_in_use_is_zero(self):
         assert PRAScheme(1024, 32768, 0.002).counters_in_use == 0

@@ -11,7 +11,7 @@ from repro.report.compare import (
     render_diff,
     tolerance_for,
 )
-from repro.report.config import BenchConfig, EnvConfigError, fidelity_env
+from repro.report.config import BenchConfig, EnvConfigError, fidelity_config, fidelity_env
 from repro.report.schema import (
     SCHEMA_VERSION,
     SchemaError,
@@ -204,6 +204,14 @@ class TestBenchConfigEnv:
             BenchConfig.from_env({var: value})
         message = str(excinfo.value)
         assert var in message and value in message
+
+    def test_fidelity_label_is_stamped_not_read(self):
+        """``fidelity_config`` labels the config it returns; no
+        environment variable carries the label."""
+        assert BenchConfig.from_env({"REPRO_BENCH_FIDELITY": "ci"}).fidelity == "custom"
+        assert fidelity_config("smoke").fidelity == "smoke"
+        assert fidelity_config("ci", engine="scalar").fidelity == "ci"
+        assert not any("FIDELITY" in name for name in fidelity_env("ci"))
 
     def test_fidelity_env_rejects_unknown_names(self):
         assert fidelity_env("smoke")["REPRO_BENCH_SCALE"] == "96"

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.sca import SCAScheme
+from repro.dram.config import SystemConfig
+from repro.dram.memory_system import MemorySystem
 
 
 class TestGroupMapping:
@@ -80,13 +82,15 @@ class TestRefresh:
             total += len(scheme.access(10))
         assert total == 10  # 500 / 50
 
-    def test_stats_track_rows(self):
-        scheme = SCAScheme(1024, 10, 8)
-        for _ in range(25):
-            scheme.access(300)
-        assert scheme.stats.refresh_commands == 2
-        assert scheme.stats.rows_refreshed == 260
-        assert scheme.stats.activations == 25
+    def test_bank_tracks_rows(self):
+        system = MemorySystem(
+            SystemConfig(rows_per_bank=1024), lambda n: SCAScheme(n, 10, 8), n_banks=1
+        )
+        for i in range(25):
+            system.access(float(i), 0, 300)
+        assert system.total_refresh_commands == 2
+        assert system.banks[0].rows_refreshed == 260
+        assert system.banks[0].activations == 25
 
 
 class TestEpochReset:
@@ -96,7 +100,6 @@ class TestEpochReset:
             scheme.access(5)
         scheme.on_interval_boundary()
         assert scheme.counter_value(0) == 0
-        assert scheme.stats.resets == 1
 
     def test_counters_in_use(self):
         assert SCAScheme(1024, 100, 8).counters_in_use == 8

@@ -4,7 +4,7 @@ The session-level tests prove end-to-end bit-identity; these tests pin
 the protocol itself: for every registered scheme, ``to_state`` is
 JSON-serializable, ``restore_state`` onto a freshly built instance
 reproduces the *future behaviour* exactly (same commands on the same
-continuation stream, same statistics), and mismatched states are
+continuation stream, same registers), and mismatched states are
 rejected instead of silently corrupting.
 """
 
@@ -37,6 +37,12 @@ def build(kind: str):
     info = get_scheme_info(kind)
     params = dict(info.safety_overrides.get("params", {}))
     return make_scheme(kind, N_ROWS, T, **params)
+
+
+def sca_memory(n_banks: int) -> MemorySystem:
+    """A small SCA-protected memory system of ``n_banks`` banks."""
+    return MemorySystem(SystemConfig(rows_per_bank=N_ROWS),
+                        lambda n: make_scheme("sca", n, T), n_banks=n_banks)
 
 
 def stream(seed: int, n: int) -> list[int]:
@@ -82,7 +88,7 @@ class TestSchemeStateRoundTrip:
         clone = build(kind)
         clone.restore_state(state)
         assert drive(clone, suffix) == drive(original, suffix)
-        assert clone.stats.snapshot() == original.stats.snapshot()
+        assert clone.to_state() == original.to_state()
 
     def test_state_is_json_serializable(self, kind):
         scheme = build(kind)
@@ -107,7 +113,7 @@ class TestSchemeStateRoundTrip:
             for p, cmds in kernel_batch(clone, batch.copy())
         ]
         assert events_a == events_b
-        assert clone.stats.snapshot() == original.stats.snapshot()
+        assert clone.to_state() == original.to_state()
 
 
 #: Malformed counter-cache states: case -> (field named, corruption).
@@ -313,32 +319,51 @@ class TestSubstrateState:
         times = np.sort(rng.uniform(0, 5e6, size=3000))
         banks = rng.integers(0, 4, size=3000)
         rows = rng.integers(0, N_ROWS, size=3000)
-        system = MemorySystem(config, factory, epoch_s=1e-3)
+        system = MemorySystem(config, factory, 4, epoch_s=1e-3)
         for t, b, r in zip(times, banks, rows):
             system.access(float(t), int(b), int(r))
 
-        clone = MemorySystem(config, factory, epoch_s=1e-3)
+        clone = MemorySystem(config, factory, 4, epoch_s=1e-3)
         clone.restore_state(json.loads(json.dumps(system.to_state())))
-        assert clone.total_stall_ns == system.total_stall_ns
-        assert clone.epochs_completed == system.epochs_completed
-        assert clone.scheme_stats() == system.scheme_stats()
+        assert clone.to_state() == system.to_state()
         # Future behaviour agrees too.
         for t, b, r in zip(times, banks, rows):
             assert system.access(float(t) + 5e6, int(b), int(r)) == \
                 clone.access(float(t) + 5e6, int(b), int(r))
 
-    def test_scheme_layout_mismatch_rejected(self):
-        config = SystemConfig(rows_per_bank=N_ROWS)
-        protected = MemorySystem(
-            config, lambda n: make_scheme("sca", n, T), active_banks=1
-        )
-        unprotected = MemorySystem(config, None)
-        with pytest.raises(ValueError, match="layout"):
-            unprotected.restore_state(protected.to_state())
+    @pytest.mark.parametrize("field", ["banks", "schemes"])
+    @pytest.mark.parametrize("states", [
+        lambda docs: docs[:1],
+        lambda docs: docs + docs[:1],
+        lambda docs: {"0": docs[0], "1": docs[1]},
+    ], ids=["short", "long", "not a list"])
+    def test_one_state_per_bank(self, field, states):
+        """``banks`` and ``schemes`` must each hold one state per
+        simulated bank; a short scheme list used to leave the later
+        banks with fresh schemes."""
+        state = json.loads(json.dumps(sca_memory(2).to_state()))
+        state[field] = states(state[field])
+        with pytest.raises(ValueError, match=f"memory state field '{field}'"):
+            sca_memory(2).restore_state(state)
+
+    @pytest.mark.parametrize("field, value", [
+        *[("next_epoch_ns", v) for v in (float("nan"), float("inf"), 0.0, -1.0, 10**400, "5", True)],
+        ("epochs_completed", -1),
+        ("total_refresh_commands", 1.5),
+    ], ids=["nan", "inf", "zero", "negative", "past float", "string", "bool",
+            "negative epochs", "fractional commands"])
+    def test_epoch_clock_and_counts_checked(self, field, value):
+        """The epoch clock must be a finite positive time and the counts
+        integers in ``[0, 2^63)``; a NaN clock used to restore and then
+        never cross another epoch."""
+        state = sca_memory(1).to_state()
+        state[field] = value
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            sca_memory(1).restore_state(state)
 
     def test_scheme_kind_mismatch_rejected(self):
         config = SystemConfig(rows_per_bank=N_ROWS)
-        sca = MemorySystem(config, lambda n: make_scheme("sca", n, T))
-        pra = MemorySystem(config, lambda n: make_scheme("pra", n, T))
+        sca = MemorySystem(config, lambda n: make_scheme("sca", n, T), 2)
+        pra = MemorySystem(config, lambda n: make_scheme("pra", n, T), 2)
         with pytest.raises(ValueError, match="scheme"):
             pra.restore_state(sca.to_state())

@@ -148,21 +148,47 @@ class TestSnapshotRestoreProperty:
         with pytest.raises(SessionError, match=SNAPSHOT_KIND):
             Session.restore({"kind": "something-else"})
         # Version 1 scalar snapshots carried one merged stream, version
-        # 2 the pending per-bank streams themselves.
-        for version in (1, 2, 99):
+        # 2 the pending per-bank streams themselves, version 3 every
+        # bank of the system and each scheme's statistics.
+        for version in (1, 2, 3, 99):
             with pytest.raises(SessionError, match="snapshot_version"):
                 Session.restore(
                     {"kind": SNAPSHOT_KIND, "snapshot_version": version}
                 )
 
+    def test_format3_snapshot_refused(self):
+        """A format-3 snapshot is refused by version, with the message
+        that says to re-create it."""
+        session = open_session(spec_for("sca", "batched"))
+        session.step(100)
+        snap = json_cycle(session.snapshot())
+        snap["snapshot_version"] = 3
+        with pytest.raises(SessionError, match="snapshot_version 3 is not "
+                           "supported .* re-create the snapshot"):
+            Session.restore(snap)
+
+    @pytest.mark.parametrize("kind", scheme_names())
+    def test_memory_state_holds_only_simulated_banks(self, kind):
+        """A 1-bank run's memory state is the epoch clock, the
+        refresh-command total, one bank state and one scheme state; the
+        banks own every other count, so no scheme carries statistics."""
+        session = open_session(spec_for(kind, "batched", n_banks=1))
+        session.advance(session.total_ns * 0.6)
+        memory = json_cycle(session.snapshot())["core"]["memory"]
+        assert set(memory) == {"next_epoch_ns", "epochs_completed",
+                               "total_refresh_commands", "banks", "schemes"}
+        assert len(memory["banks"]) == len(memory["schemes"]) == 1
+        assert "stats" not in memory["schemes"][0]
+        assert memory["schemes"][0]["scheme"] == kind
+
     def test_snapshot_holds_positions_not_streams(self):
-        """A format-3 snapshot records where each bank is in its stream
-        (and what was injected), never the generated accesses."""
+        """A snapshot records where each bank is in its stream (and what
+        was injected), never the generated accesses."""
         session = open_session(spec_for("sca", "batched"))
         session.advance(session.total_ns * 0.6)
         session.inject([3, 5], bank=1)
         snap = session.snapshot()
-        assert snap["snapshot_version"] == SNAPSHOT_VERSION == 3
+        assert snap["snapshot_version"] == SNAPSHOT_VERSION == 4
         core = snap["core"]
         assert "streams" not in core
         assert core["interval"] == 1 and len(core["cursors"]) == 2
@@ -286,6 +312,35 @@ class TestTamperedSnapshots:
         snap = json_cycle(session.snapshot())
         snap["core"]["rng"]["pcg64"]["state"]["state"] += 1
         with pytest.raises(ValueError, match="arrival-RNG"):
+            Session.restore(snap)
+
+    @pytest.mark.parametrize("kind", ["sca", "drcat"])
+    def test_short_scheme_list_refused(self, kind):
+        """Regression: a scheme list cut to one entry restored silently,
+        leaving the second bank a fresh scheme (SCA finished with 49
+        refresh commands instead of 51, DRCAT with 46 instead of 48)."""
+        session = open_session(spec_for(kind, "batched", scale=48.0))
+        session.advance(session.total_ns * 0.75)
+        snap = json_cycle(session.snapshot())
+        memory = snap["core"]["memory"]
+        memory["schemes"] = memory["schemes"][:1]
+        with pytest.raises(ValueError, match="memory state field 'schemes'"):
+            Session.restore(snap)
+
+    def test_nan_epoch_clock_refused(self):
+        """Regression: ``json.loads`` reads ``NaN``, and a NaN epoch
+        clock restored silently and never crossed another boundary (SCA
+        finished with 44 refresh commands instead of 39)."""
+        session = open_session(spec_for("sca", "batched", scale=48.0,
+                                        n_banks=1, n_intervals=3))
+        session.advance(session.total_ns * 0.25)
+        text = json.dumps(session.snapshot())
+        clock = json.dumps(session.memory.to_state()["next_epoch_ns"])
+        text = text.replace(f'"next_epoch_ns": {clock}', '"next_epoch_ns": NaN')
+        snap = json.loads(text)
+        assert snap["core"]["memory"]["next_epoch_ns"] != \
+            snap["core"]["memory"]["next_epoch_ns"]
+        with pytest.raises(ValueError, match="memory state field 'next_epoch_ns'"):
             Session.restore(snap)
 
 
